@@ -15,6 +15,7 @@ import numpy as np
 
 from . import io as mio
 from .errors import MatmomError, Unsolvable, ValidationError
+from .io import format_float
 from .moments import gen_random_measure, moments_of
 from .solvability import SolvabilityReport, check
 from .solutions import solve_even, solve_l0, solve_odd, verify
@@ -35,16 +36,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.16e}"
-
-
 def _print_report(report: SolvabilityReport) -> None:
     print(f"case: {report.case}")
     for cond in report.conditions:
         status = "PASS" if cond.passed else "FAIL"
         kind = "min-eig" if cond.kind == "psd" else "residual"
-        print(f"condition {cond.name}: {status} ({kind} {_fmt(cond.value)})")
+        print(f"condition {cond.name}: {status} ({kind} {format_float(cond.value)})")
     if report.even_case is not None:
         print("S_min:")
         _print_matrix(report.even_case.S_min)
@@ -59,7 +56,7 @@ def _print_report(report: SolvabilityReport) -> None:
 
 def _print_matrix(m: np.ndarray) -> None:
     for row in np.asarray(m, dtype=complex):
-        print("  " + "  ".join(f"{_fmt(v.real)}{v.imag:+.16e}j" for v in row))
+        print("  " + "  ".join(f"{format_float(v.real)}{v.imag:+.16e}j" for v in row))
 
 
 def _cmd_check(args) -> int:
@@ -92,7 +89,7 @@ def _cmd_solve(args) -> int:
     outcome = verify(measure, seq, tol=args.tol)
     mio.write_measure(args.out, measure)
     print(f"atoms: {measure.num_atoms}")
-    print(f"verification residual: {_fmt(outcome.max_relative_residual)}")
+    print(f"verification residual: {format_float(outcome.max_relative_residual)}")
     print(f"wrote {args.out}")
     return EXIT_OK if outcome.passed else EXIT_NEGATIVE
 
@@ -106,7 +103,7 @@ def _cmd_verify(args) -> int:
         res = outcome.moment_residuals[i]
         scale = outcome.moment_scales[i]
         ok = "PASS" if res <= args.tol * scale else "FAIL"
-        print(f"{i}  {_fmt(res)}  {_fmt(scale)}  {ok}")
+        print(f"{i}  {format_float(res)}  {format_float(scale)}  {ok}")
     print(f"support inside [a, b]: {'yes' if outcome.support_ok else 'NO'}")
     print(f"weights PSD: {'yes' if outcome.weights_psd_ok else 'NO'}")
     print(f"verified: {'yes' if outcome.passed else 'no'}")

@@ -33,15 +33,17 @@ import numpy as np
 
 from .errors import NumericalInconsistency, ValidationError
 from .linalg import (
+    NORM_SLACK,
     PSD_TOL,
     RANK_TOL,
     EigDecomposition,
     herm_part,
     hermitian_eig,
-    opnorm,
-    pinv_psd,
+    pinv_from_eig,
+    rank_keep,
     require_hermitian,
-    sqrt_psd,
+    require_psd,
+    sqrt_from_eig,
 )
 from .operator_model import ContractionModel
 
@@ -51,23 +53,23 @@ from .operator_model import ContractionModel
 DETERMINATE_TOL = 1e-10
 Z_MARGIN = 1e-8
 COND_LIMIT = 1e12
-NORM_SLACK = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
 class ExtensionInterval:
     """Endpoints of the operator interval of self-adjoint contraction extensions.
 
-    ``B_mu`` and ``B_M`` act on the whole Gram space (standard coordinates),
-    ``X_mu``/``X_M`` are their defect-space blocks, ``C = B_M - B_mu``
-    the defect, and ``R0_dim`` the dimension of the defect directions on
-    which both endpoints agree.
+    ``B_mu`` is the minimal extension on the whole Gram space (standard
+    coordinates) and ``mu_eig`` its eigendecomposition; ``X_mu``/``X_M`` are
+    the defect-space blocks of the minimal and maximal extension, ``C_R =
+    X_M - X_mu`` the defect in defect coordinates with PSD square root
+    ``C_R_half``, and ``R0_dim`` the dimension of the defect directions on
+    which both endpoints agree.  The maximal extension ``B_M`` and the
+    full-space defect ``C = B_M - B_mu`` are derived on demand.
     """
 
     model: ContractionModel
     B_mu: np.ndarray
-    B_M: np.ndarray
-    C: np.ndarray
     X_mu: np.ndarray
     X_M: np.ndarray
     determinate: bool
@@ -80,26 +82,44 @@ class ExtensionInterval:
     def def_dim(self) -> int:
         return self.model.def_dim
 
+    @property
+    def B_M(self) -> np.ndarray:
+        """The maximal extension on the whole Gram space."""
+        m = self.model
+        u = np.hstack([m.dom_basis, m.def_basis])
+        return herm_part(u @ _assemble(m.P, m.Q, self.X_M) @ u.conj().T)
+
+    @property
+    def C(self) -> np.ndarray:
+        """The defect B_M - B_mu on the whole Gram space."""
+        ur = self.model.def_basis
+        return herm_part(ur @ self.C_R @ ur.conj().T)
+
     def defect_support_basis(self, rank_tol: float = RANK_TOL) -> np.ndarray:
         """Orthonormal basis (in defect coordinates) of the range of the defect."""
         dec = hermitian_eig(self.C_R)
-        lam_max = max(float(dec.eigenvalues.max(initial=0.0)), 0.0)
-        return dec.eigenvectors[:, dec.eigenvalues > rank_tol * lam_max]
+        return dec.eigenvectors[:, rank_keep(dec.eigenvalues, rank_tol)]
 
 
 def extremal_completions(p_block, q_block,
                          rank_tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Extreme defect blocks X_min, X_max completing the contraction column."""
+    """Extreme defect blocks X_min, X_max completing the contraction column.
+
+    I + P and I - P share the eigenvectors of P, so one eigendecomposition
+    of P gives both pseudo-inverses; each must be PSD within ``NORM_SLACK``.
+    """
     p = require_hermitian(p_block, name="P")
     q = np.asarray(q_block, dtype=complex)
     if q.ndim != 2 or q.shape[1] != p.shape[0]:
         raise ValidationError(f"Q must have {p.shape[0]} columns, got shape {q.shape}")
-    eye_p = np.eye(p.shape[0], dtype=complex)
+    w, v = hermitian_eig(p)
     eye_q = np.eye(q.shape[0], dtype=complex)
-    x_mu = herm_part(q @ pinv_psd(eye_p + p, rank_tol, psd_tol=NORM_SLACK)
-                     @ q.conj().T - eye_q)
-    x_m = herm_part(eye_q - q @ pinv_psd(eye_p - p, rank_tol, psd_tol=NORM_SLACK)
-                    @ q.conj().T)
+    plus = pinv_from_eig(require_psd(EigDecomposition(1.0 + w, v), NORM_SLACK, "I + P"),
+                         rank_tol)
+    minus = pinv_from_eig(require_psd(EigDecomposition(1.0 - w, v), NORM_SLACK, "I - P"),
+                          rank_tol)
+    x_mu = herm_part(q @ plus @ q.conj().T - eye_q)
+    x_m = herm_part(eye_q - q @ minus @ q.conj().T)
     return x_mu, x_m
 
 
@@ -111,38 +131,34 @@ def extremal_extensions(model: ContractionModel,
                         rank_tol: float = RANK_TOL) -> ExtensionInterval:
     """Extreme self-adjoint contraction extensions and the defect between them."""
     x_mu, x_m = extremal_completions(model.P, model.Q, rank_tol)
-    for name, x in (("minimal", x_mu), ("maximal", x_m)):
-        norm = opnorm(_assemble(model.P, model.Q, x))
+    u = np.hstack([model.dom_basis, model.def_basis])
+    b_mu = herm_part(u @ _assemble(model.P, model.Q, x_mu) @ u.conj().T)
+    mu_eig = hermitian_eig(b_mu)
+    # Both completions are Hermitian, so their norm is the largest |eigenvalue|;
+    # the unitary u carries the minimal one to B_mu.
+    t_m = _assemble(model.P, model.Q, x_m)
+    norms = (np.abs(mu_eig.eigenvalues).max(initial=0.0),
+             np.abs(np.linalg.eigvalsh(t_m)).max(initial=0.0) if t_m.size else 0.0)
+    for name, norm in zip(("minimal", "maximal"), norms):
         if norm > 1.0 + NORM_SLACK:
             raise NumericalInconsistency(
                 f"{name} completion has norm {norm:.12f} > 1; "
                 "upstream PSD or rank decision failed"
             )
-    u = np.hstack([model.dom_basis, model.def_basis])
-    b_mu = herm_part(u @ _assemble(model.P, model.Q, x_mu) @ u.conj().T)
-    b_m = herm_part(u @ _assemble(model.P, model.Q, x_m) @ u.conj().T)
-    c_r = herm_part(x_m - x_mu)
-    c_full = herm_part(model.def_basis @ c_r @ model.def_basis.conj().T)
 
-    if c_r.size:
-        c_eigs = np.linalg.eigvalsh(c_r)
-        lam_max = max(float(c_eigs.max()), 0.0)
-        r0_dim = int(np.sum(c_eigs <= rank_tol * lam_max)) if lam_max > 0 else c_r.shape[0]
-    else:
-        lam_max = 0.0
-        r0_dim = 0
+    c_r = herm_part(x_m - x_mu)
+    c_dec = require_psd(hermitian_eig(c_r), PSD_TOL, "defect")
+    lam_max = float(c_dec.eigenvalues.max(initial=0.0))
     return ExtensionInterval(
         model=model,
         B_mu=b_mu,
-        B_M=b_m,
-        C=c_full,
         X_mu=x_mu,
         X_M=x_m,
         determinate=lam_max <= DETERMINATE_TOL,
-        R0_dim=r0_dim,
+        R0_dim=c_r.shape[0] - int(rank_keep(c_dec.eigenvalues, rank_tol).sum()),
         C_R=c_r,
-        C_R_half=sqrt_psd(c_r),
-        mu_eig=hermitian_eig(b_mu),
+        C_R_half=sqrt_from_eig(c_dec),
+        mu_eig=mu_eig,
     )
 
 

@@ -40,7 +40,8 @@ class FileFormatError(ValidationError):
     """A file could not be parsed or fails the format invariants."""
 
 
-def _fmt(x: float) -> str:
+def format_float(x: float) -> str:
+    """A float in scientific notation with 17 significant digits."""
     return f"{float(x):.16e}"
 
 
@@ -51,7 +52,7 @@ def _dump(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
+        return format_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):

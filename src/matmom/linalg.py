@@ -1,10 +1,23 @@
 """Dense Hermitian linear algebra with explicit tolerance rules.
 
-Everything in this package runs through the helpers here: one shared rank
-cutoff, one shared positive-semidefiniteness slack, and eigendecomposition
-based pseudo-inverse / square root so that rank decisions are consistent
-across modules.  All matrices are small (dimension at most a few tens) and
-dense complex double precision; 0x0 matrices are legal values throughout.
+Everything in this package runs through the helpers here, so that rank and
+positivity decisions are consistent across modules:
+
+* ``rank_keep`` is the one rank cutoff: an eigenvalue (or singular value)
+  counts as nonzero iff it exceeds ``rank_tol`` times the largest one
+  (clipped at zero).  Every rank, kernel and support decision uses it.
+* ``psd_ok`` is the one positive-semidefiniteness rule on eigenvalues: the
+  smallest may sit at most ``tol * max(1, max |eigenvalue|)`` below zero.
+  ``check_psd`` applies it to one matrix, ``check_psd_stack`` to a
+  ``(k, n, n)`` stack with one batched ``eigvalsh``, matrix by matrix with
+  the same validation and scale as ``check_psd``.
+* ``pinv_from_eig`` and ``sqrt_from_eig`` build the pseudo-inverse and
+  square root from an eigendecomposition the caller already has, so that
+  one factorization serves several derived matrices; ``pinv_psd`` and
+  ``sqrt_psd`` are the one-matrix forms.
+
+All matrices are small (dimension at most about a hundred) and dense complex
+double precision; 0x0 matrices are legal values throughout.
 """
 
 from __future__ import annotations
@@ -17,10 +30,13 @@ from .errors import ValidationError
 
 # Default tolerances.  PSD_TOL is the slack allowed below zero for "is PSD"
 # decisions, RANK_TOL the relative eigenvalue cutoff for rank decisions,
-# HERM_TOL the allowed relative asymmetry of Hermitian inputs.
+# HERM_TOL the allowed relative asymmetry of Hermitian inputs, NORM_SLACK the
+# rounding slack allowed above 1 in contraction-norm sanity checks (and below
+# zero for I +- P of a contraction P).
 PSD_TOL = 1e-10
 RANK_TOL = 1e-10
 HERM_TOL = 1e-12
+NORM_SLACK = 1e-8
 
 
 class EigDecomposition(NamedTuple):
@@ -87,26 +103,88 @@ def hermitian_eig(a, tol: float = HERM_TOL) -> EigDecomposition:
     return EigDecomposition(w, v)
 
 
+def rank_keep(w: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """Mask of the values counted as nonzero by the shared rank cutoff.
+
+    ``w`` holds eigenvalues or singular values; a value is kept iff it
+    exceeds ``rank_tol`` times the largest one, clipped at zero, so an
+    all-nonpositive (or empty) ``w`` keeps nothing.
+    """
+    return w > rank_tol * w.max(initial=0.0)
+
+
+def psd_ok(w: np.ndarray, tol: float = PSD_TOL):
+    """The PSD rule on eigenvalues along the last axis.
+
+    True iff the smallest eigenvalue is at least ``-tol * max(1, max |w|)``;
+    an empty spectrum is PSD.  ``w`` may be one spectrum or a stack of them.
+    """
+    scale = np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))
+    return w.min(axis=-1, initial=np.inf) >= -tol * scale
+
+
 def check_psd(a, tol: float = PSD_TOL) -> bool:
     """True iff the Hermitian matrix has min eigenvalue >= -tol * max(1, norm)."""
     h = require_hermitian(a)
     if h.shape[0] == 0:
         return True
-    w = np.linalg.eigvalsh(h)
-    scale = max(1.0, float(np.abs(w).max()))
-    return bool(w.min() >= -tol * scale)
+    return bool(psd_ok(np.linalg.eigvalsh(h), tol))
 
 
-def _psd_eig(a, rank_tol: float, psd_tol: float, name: str) -> EigDecomposition:
-    dec = hermitian_eig(a)
-    if dec.eigenvalues.size:
-        w = dec.eigenvalues
-        scale = max(1.0, float(np.abs(w).max()))
-        if w.min() < -psd_tol * scale:
-            raise ValidationError(
-                f"{name} has negative eigenvalue {w.min():.3e} beyond tolerance"
-            )
+def check_psd_stack(stack, tol: float = PSD_TOL) -> np.ndarray:
+    """:func:`check_psd` of every matrix of a ``(k, n, n)`` stack at once.
+
+    Applies the per-matrix rules of ``check_psd``: a non-finite entry or an
+    asymmetry beyond ``HERM_TOL * max(1, max |entry|)`` of any one matrix
+    raises ``ValidationError``; each symmetrized matrix passes iff its
+    spectrum passes :func:`psd_ok`.  Returns a bool array of length k.
+    """
+    arr = np.asarray(stack, dtype=complex)
+    if arr.size == 0:
+        return np.ones(arr.shape[0], dtype=bool)
+    finite = np.isfinite(arr).all(axis=(1, 2))
+    if not finite.all():
+        raise ValidationError(f"matrix {np.argmin(finite)} contains non-finite entries")
+    adj = arr.conj().transpose(0, 2, 1)
+    scale = np.abs(arr).max(axis=(1, 2))
+    skew = np.abs(arr - adj).max(axis=(1, 2))
+    asym = skew > HERM_TOL * np.maximum(1.0, scale)
+    if asym.any():
+        bad = np.argmax(asym)
+        raise ValidationError(
+            f"matrix {bad} is not Hermitian: asymmetry {skew[bad]:.3e} exceeds "
+            f"{HERM_TOL:.1e} * max(1, {scale[bad]:.3e})"
+        )
+    return psd_ok(np.linalg.eigvalsh(0.5 * (arr + adj)), tol)
+
+
+def require_psd(dec: EigDecomposition, psd_tol: float = PSD_TOL,
+                name: str = "matrix") -> EigDecomposition:
+    """Pass an eigendecomposition through if its spectrum passes :func:`psd_ok`.
+
+    A negative eigenvalue beyond the slack is a validation error.
+    """
+    if not psd_ok(dec.eigenvalues, psd_tol):
+        raise ValidationError(
+            f"{name} has negative eigenvalue {dec.eigenvalues.min():.3e} beyond tolerance"
+        )
     return dec
+
+
+def pinv_from_eig(dec: EigDecomposition, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """Pseudo-inverse from an eigendecomposition, cut by :func:`rank_keep`."""
+    w, v = dec
+    keep = rank_keep(w, rank_tol)
+    vk = v[:, keep]
+    return herm_part((vk / w[keep]) @ vk.conj().T)
+
+
+def sqrt_from_eig(dec: EigDecomposition, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """PSD square root from an eigendecomposition, cut by :func:`rank_keep`."""
+    w, v = dec
+    keep = rank_keep(w, rank_tol)
+    vk = v[:, keep]
+    return herm_part((vk * np.sqrt(w[keep])) @ vk.conj().T)
 
 
 def pinv_psd(a, rank_tol: float = RANK_TOL, psd_tol: float = PSD_TOL) -> np.ndarray:
@@ -115,30 +193,14 @@ def pinv_psd(a, rank_tol: float = RANK_TOL, psd_tol: float = PSD_TOL) -> np.ndar
     Eigenvalues below ``rank_tol`` times the largest one are treated as zero.
     A negative eigenvalue beyond ``psd_tol`` slack is a validation error.
     """
-    dec = _psd_eig(a, rank_tol, psd_tol, "pinv_psd input")
-    if dec.eigenvalues.size == 0:
-        return np.zeros((0, 0), dtype=complex)
-    w, v = dec
-    lam_max = max(float(w.max()), 0.0)
-    keep = w > rank_tol * lam_max
-    if not np.any(keep):
-        return np.zeros_like(v)
-    vk = v[:, keep]
-    return herm_part((vk / w[keep]) @ vk.conj().T)
+    dec = require_psd(hermitian_eig(a), psd_tol, "pinv_psd input")
+    return pinv_from_eig(dec, rank_tol)
 
 
 def sqrt_psd(a, rank_tol: float = RANK_TOL, psd_tol: float = PSD_TOL) -> np.ndarray:
     """The PSD square root of a PSD matrix via eigendecomposition."""
-    dec = _psd_eig(a, rank_tol, psd_tol, "sqrt_psd input")
-    if dec.eigenvalues.size == 0:
-        return np.zeros((0, 0), dtype=complex)
-    w, v = dec
-    lam_max = max(float(w.max()), 0.0)
-    keep = w > rank_tol * lam_max
-    if not np.any(keep):
-        return np.zeros_like(v)
-    vk = v[:, keep]
-    return herm_part((vk * np.sqrt(w[keep])) @ vk.conj().T)
+    dec = require_psd(hermitian_eig(a), psd_tol, "sqrt_psd input")
+    return sqrt_from_eig(dec, rank_tol)
 
 
 def loewner_leq(a, b, tol: float = PSD_TOL) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import HERM_TOL, PSD_TOL, check_psd, require_hermitian
+from .linalg import HERM_TOL, PSD_TOL, check_psd_stack, require_hermitian
 
 # Atoms closer than ATOM_MERGE_REL * (b - a) are merged; weights whose norm is
 # below WEIGHT_PRUNE_REL times the total-mass norm are dropped.
@@ -171,9 +171,9 @@ class DiscreteMatrixMeasure:
                 raise ValidationError("atom positions must lie inside [a, b]")
             if np.any(np.diff(pos) <= 0):
                 raise ValidationError("atom positions must be strictly increasing")
-        for i in range(pos.size):
-            if not check_psd(w[i], PSD_TOL):
-                raise ValidationError(f"weight {i} is not PSD within tolerance")
+        psd = check_psd_stack(w, PSD_TOL)
+        if not psd.all():
+            raise ValidationError(f"weight {np.argmin(psd)} is not PSD within tolerance")
         pos.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "a", a)

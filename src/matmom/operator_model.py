@@ -18,16 +18,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalInconsistency, OperatorIllDefined, ValidationError
-from .linalg import RANK_TOL, check_psd, herm_part, hermitian_eig, opnorm
+from .linalg import (
+    NORM_SLACK,
+    RANK_TOL,
+    herm_part,
+    hermitian_eig,
+    opnorm,
+    psd_ok,
+    rank_keep,
+)
 from .moments import MomentSequence, build_gamma
 
-# Residual bound for the well-definedness of the shift operator, slack on the
-# contraction-norm sanity check, and ceiling on the Hermitian asymmetry of the
-# computed domain compression.  Genuine kernel-condition violations produce
-# relative residuals of order one, while rank-truncation noise on admissible
-# data stays below ~1e-7, so 1e-6 separates the two regimes cleanly.
+# Residual bound for the well-definedness of the shift operator and ceiling
+# on the Hermitian asymmetry of the computed domain compression.  Genuine
+# kernel-condition violations produce relative residuals of order one, while
+# rank-truncation noise on admissible data stays below ~1e-7, so 1e-6
+# separates the two regimes cleanly.
 WELLDEF_TOL = 1e-6
-NORM_SLACK = 1e-8
 SKEW_TOL = 1e-6
 
 # Inner products follow the convention <u, v> = sum_i u_i * conj(v_i), so all
@@ -86,20 +93,21 @@ class ContractionModel:
         return np.vstack([self.P, self.Q])
 
 
-def _fix_column_phases(u: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive.
+def _column_phases(u: np.ndarray) -> np.ndarray:
+    """Unit factors that rotate each column's largest-magnitude entry to be
+    real positive.
 
-    Pins the otherwise arbitrary phases of computed orthonormal bases, which
-    keeps downstream block matrices reproducible.
+    Multiplying the columns by them pins the otherwise arbitrary phases of
+    computed orthonormal bases, which keeps downstream block matrices
+    reproducible.
     """
-    out = u.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        i = int(np.argmax(np.abs(col)))
-        piv = col[i]
-        if np.abs(piv) > 0:
-            out[:, j] = col * (piv.conjugate() / np.abs(piv))
-    return out
+    if u.size == 0:
+        return np.ones(u.shape[1], dtype=complex)
+    piv = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    mag = np.abs(piv)
+    phase = np.ones_like(piv)
+    np.divide(piv.conj(), mag, out=phase, where=mag > 0)
+    return phase
 
 
 def build_gram_space(seq: MomentSequence, rank_tol: float = RANK_TOL) -> GramSpace:
@@ -113,11 +121,10 @@ def build_gram_space(seq: MomentSequence, rank_tol: float = RANK_TOL) -> GramSpa
         raise ValidationError(f"Gram-space construction requires l = 2d, d >= 1, got l={seq.l}")
     d = seq.l // 2
     gamma = build_gamma(seq, d).matrix
-    if not check_psd(gamma):
-        raise ValidationError("moment matrix is not PSD; refusing Gram-space construction")
     dec = hermitian_eig(gamma)
-    lam_max = max(float(dec.eigenvalues.max(initial=0.0)), 0.0)
-    keep = dec.eigenvalues > rank_tol * lam_max
+    if not psd_ok(dec.eigenvalues):
+        raise ValidationError("moment matrix is not PSD; refusing Gram-space construction")
+    keep = rank_keep(dec.eigenvalues, rank_tol)
     w = dec.eigenvalues[keep]
     # x_n[i] = sqrt(w_i) * V[n, i] so that sum_i x_n[i] conj(x_m[i]) = Gamma[n, m]
     vectors = np.sqrt(w)[:, None] * dec.eigenvectors[:, keep].T
@@ -132,30 +139,44 @@ def build_operators(space: GramSpace, rank_tol: float = RANK_TOL,
     Verifies that the shift is well defined on the domain (any kernel
     direction of the domain vectors must be annihilated by the shifted
     vectors) and that the block column is a contraction up to rounding.
+
+    One full SVD ``g_dom = U diag(s) Vh`` of the domain vectors serves every
+    step.  The singular values kept by the rank cutoff (``s > rank_tol *
+    s_max``, the rule of ``numpy.linalg.pinv``) give the domain basis
+    ``U[:, :p]``, the defect basis ``U[:, p:]`` and the pseudo-inverse
+    ``Vh[:p]* diag(1/s[:p]) U[:, :p]*``; ``I - pinv(g_dom) g_dom`` is the
+    projector ``Vh[p:]* Vh[p:]`` onto the kernel, so the well-definedness
+    residual is the norm of ``g_shift Vh[p:]*``.
     """
     n, d, r = space.N, space.d, space.rank
     dn = d * n
     g_dom = space.vectors[:, :dn]
     g_shift = space.vectors[:, n : n + dn]
 
-    pinv_dom = np.linalg.pinv(g_dom, rcond=rank_tol)
-    residual = opnorm(g_shift - g_shift @ (pinv_dom @ g_dom))
-    if residual > welldef_tol * max(1.0, opnorm(g_shift)):
+    if r:
+        u_full, sing, vh = np.linalg.svd(g_dom)
+    else:
+        u_full, sing, vh = (np.zeros((0, 0), dtype=complex), np.zeros(0),
+                            np.eye(dn, dtype=complex))
+    p_dim = int(rank_keep(sing, rank_tol).sum())
+
+    residual = opnorm(g_shift @ vh[p_dim:].conj().T)
+    # max(1, norm) >= 1, so the norm is needed only past the bare bound
+    if residual > welldef_tol and residual > welldef_tol * opnorm(g_shift):
         raise OperatorIllDefined(
             f"shift operator is ill-defined: residual {residual:.3e} "
             "(kernel-inclusion condition fails)"
         )
 
-    u_full, sing, _ = np.linalg.svd(g_dom) if g_dom.size else (
-        np.eye(r, dtype=complex), np.zeros(0), None)
-    s_max = float(sing[0]) if sing.size else 0.0
-    p_dim = int(np.sum(sing > rank_tol * s_max)) if s_max > 0 else 0
-    dom_basis = _fix_column_phases(u_full[:, :p_dim])
-    def_basis = _fix_column_phases(u_full[:, p_dim:])
+    u_dom, u_def = u_full[:, :p_dim], u_full[:, p_dim:]
+    dom_phase = _column_phases(u_dom)
+    dom_basis = u_dom * dom_phase
+    def_basis = u_def * _column_phases(u_def)
 
     scale = 2.0 / (space.b - space.a)
     shift = (space.a + space.b) / (space.b - space.a)
-    coeff = pinv_dom @ dom_basis
+    # pinv(g_dom) @ dom_basis, with U* U = I
+    coeff = vh[:p_dim].conj().T * (dom_phase / sing[:p_dim])
 
     # The domain compression is contracted against the shift block of the
     # Gram matrix, whose Hermitian symmetry is a property of the moment data;
@@ -165,19 +186,17 @@ def build_operators(space: GramSpace, rank_tol: float = RANK_TOL,
     p_raw = scale * (coeff.conj().T @ shift_block @ coeff) - shift * np.eye(
         p_dim, dtype=complex
     )
-    q_mat = def_basis.conj().T @ (
-        scale * (g_shift @ coeff) - shift * dom_basis
-    )
+    # the -shift * dom_basis term of the shifted vectors is orthogonal to the
+    # defect space
+    q_mat = scale * (def_basis.conj().T @ (g_shift @ coeff))
     if p_raw.size:
         skew = np.abs(p_raw - p_raw.conj().T).max()
         if skew > SKEW_TOL * max(1.0, np.abs(p_raw).max()):
             raise NumericalInconsistency(
                 f"domain compression is not Hermitian (skew {skew:.3e})"
             )
-    column = np.vstack([p_raw, q_mat])
-    if opnorm(column) > 1.0 + NORM_SLACK:
-        raise NumericalInconsistency(
-            f"contraction column has norm {opnorm(column):.12f} > 1"
-        )
+    col_norm = opnorm(np.vstack([p_raw, q_mat]))
+    if col_norm > 1.0 + NORM_SLACK:
+        raise NumericalInconsistency(f"contraction column has norm {col_norm:.12f} > 1")
     return ContractionModel(space=space, dom_basis=dom_basis, def_basis=def_basis,
                             P=herm_part(p_raw), Q=q_mat)

@@ -24,7 +24,7 @@ from .extensions import (
     canonical_extension,
     extremal_extensions,
 )
-from .linalg import PSD_TOL, check_psd, herm_part, hermitian_eig, sqrt_psd
+from .linalg import PSD_TOL, check_psd_stack, herm_part, hermitian_eig, sqrt_psd
 from .moments import DiscreteMatrixMeasure, MomentSequence, measure_from_atoms, moments_of
 from .operator_model import build_gram_space, build_operators
 from .solvability import check_even, check_l0, check_odd
@@ -78,22 +78,15 @@ def spectral_data(extension: np.ndarray, first_vectors: np.ndarray,
     if w.size == 0:
         return SpectralData(np.zeros(0), np.zeros((0, n_vec, n_vec), dtype=complex))
     # greedy chaining: a new cluster starts where the gap exceeds the tolerance
-    boundaries = [0]
-    for i in range(1, w.size):
-        if w[i] - w[i - 1] > cluster_tol:
-            boundaries.append(i)
-    boundaries.append(w.size)
-
-    lams = []
-    weights = []
-    for s, e in zip(boundaries[:-1], boundaries[1:]):
-        block = v[:, s:e]
-        proj = block @ block.conj().T
-        # weight entry (j, n) is <proj x_j, x_n> = x_n^H proj x_j
-        wmat = herm_part((first_vectors.conj().T @ proj @ first_vectors).T)
-        lams.append(float(w[s:e].mean()))
-        weights.append(wmat)
-    return SpectralData(np.array(lams), np.stack(weights))
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(w) > cluster_tol) + 1))
+    counts = np.diff(np.append(starts, w.size))
+    # With y = V* X, the weight of a cluster c is sum_{i in c} y_i y_i*: entry
+    # (j, n) is <proj x_j, x_n> = x_n^H proj x_j for the cluster projector.
+    y = v.conj().T @ first_vectors
+    outer = y[:, :, None] * y.conj()[:, None, :]
+    weights = np.add.reduceat(outer, starts, axis=0)
+    weights = 0.5 * (weights + weights.conj().transpose(0, 2, 1))
+    return SpectralData(np.add.reduceat(w, starts) / counts, weights)
 
 
 def _measure_from_spectrum(sd: SpectralData, a: float, b: float) -> DiscreteMatrixMeasure:
@@ -192,18 +185,12 @@ def verify(measure: DiscreteMatrixMeasure, seq: MomentSequence,
         raise ValidationError(
             f"block size mismatch: measure has N={measure.N}, sequence N={seq.N}"
         )
-    recomputed = moments_of(measure, seq.l)
-    residuals = np.array([
-        np.abs(recomputed.moments[i] - seq.moments[i]).max()
-        for i in range(seq.l + 1)
-    ])
-    scales = np.array([
-        max(1.0, float(np.linalg.norm(s, 2))) for s in seq.moments
-    ])
+    given = np.stack(seq.moments)
+    recomputed = np.stack(moments_of(measure, seq.l).moments)
+    residuals = np.abs(recomputed - given).max(axis=(1, 2))
+    scales = np.maximum(1.0, np.linalg.norm(given, 2, axis=(1, 2)))
     support_ok = _supported(measure, seq)
-    weights_psd_ok = all(
-        check_psd(measure.weights[i], PSD_TOL) for i in range(measure.num_atoms)
-    )
+    weights_psd_ok = bool(check_psd_stack(measure.weights, PSD_TOL).all())
     passed = bool(np.all(residuals <= tol * scales)) and support_ok and weights_psd_ok
     return VerificationReport(
         passed=passed,

@@ -31,6 +31,7 @@ from .linalg import (
     herm_part,
     hermitian_eig,
     opnorm,
+    rank_keep,
     require_hermitian,
 )
 from .moments import (
@@ -130,10 +131,8 @@ def _range_solve(mat: np.ndarray, rhs: np.ndarray,
     eps * cond(mat) for ill-conditioned moment matrices).  Also returns the
     quadratic form x* mat x evaluated the same stable way.
     """
-    dec = hermitian_eig(mat)
-    w, v = dec
-    lam_max = max(float(w.max(initial=0.0)), 0.0)
-    kept = w > rank_tol * lam_max
+    w, v = hermitian_eig(mat)
+    kept = rank_keep(w, rank_tol)
     coeff = v.conj().T @ rhs
     ck = coeff[kept]
     wk = w[kept][:, None]
@@ -147,8 +146,7 @@ def _kernel_condition(seq: MomentSequence, d: int, rank_tol: float) -> Condition
     gamma_prev = build_gamma(seq, d - 1).matrix
     gamma_hat = build_gamma_hat(seq, d).matrix
     dec = hermitian_eig(gamma_prev)
-    lam_max = max(float(dec.eigenvalues.max(initial=0.0)), 0.0)
-    kernel = dec.eigenvectors[:, dec.eigenvalues <= rank_tol * lam_max]
+    kernel = dec.eigenvectors[:, ~rank_keep(dec.eigenvalues, rank_tol)]
     if kernel.shape[1] == 0:
         return Condition("kernel inclusion", True, "residual", 0.0, KERNEL_TOL, 0.0)
     residual = float(np.linalg.norm(gamma_hat @ kernel, axis=0).max())
@@ -178,9 +176,8 @@ def check_cdfk(seq: MomentSequence, psd_tol: float = PSD_TOL) -> bool:
     return all(c.passed for c in _cdfk_conditions(seq, psd_tol))
 
 
-def _agreement(case: str, own: tuple[Condition, ...], seq: MomentSequence,
-               psd_tol: float) -> tuple[bool, bool]:
-    cdfk_conds = _cdfk_conditions(seq, psd_tol)
+def _agreement(case: str, own: tuple[Condition, ...],
+               cdfk_conds: tuple[Condition, ...]) -> tuple[bool, bool]:
     cdfk_ok = all(c.passed for c in cdfk_conds)
     own_ok = all(c.passed for c in own)
     if own_ok == cdfk_ok:
@@ -211,7 +208,8 @@ def check_odd(seq: MomentSequence, psd_tol: float = PSD_TOL,
         _psd_condition("GammaTilde PSD", build_gamma_tilde(seq, d).matrix, psd_tol),
         _kernel_condition(seq, d, rank_tol),
     )
-    cdfk_ok, agree = _agreement("odd", conditions, seq, psd_tol)
+    # for l = 2d the cross-check pair is the first two own conditions
+    cdfk_ok, agree = _agreement("odd", conditions, conditions[:2])
     failed = tuple(c.name for c in conditions if not c.passed)
     return SolvabilityReport(
         solvable=not failed,
@@ -283,7 +281,7 @@ def check_even(seq: MomentSequence, psd_tol: float = PSD_TOL,
                                     float(width_eigs.min())))
 
     conditions = tuple(conditions)
-    cdfk_ok, agree = _agreement("even", conditions, seq, psd_tol)
+    cdfk_ok, agree = _agreement("even", conditions, _cdfk_conditions(seq, psd_tol))
     failed = tuple(c.name for c in conditions if not c.passed)
     return SolvabilityReport(
         solvable=not failed,

@@ -13,6 +13,18 @@ def random_unitary(rng, n):
     return q * (d.conj() / np.abs(d))
 
 
+def random_unitaries(rng, n, count):
+    """``count`` draws of :func:`random_unitary`, from one batched QR.
+
+    Draws the same Ginibre matrices from ``rng`` in the same order, so the
+    result equals ``count`` successive ``random_unitary`` calls.
+    """
+    z = rng.standard_normal((count, 2, n, n))
+    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d.conj() / np.abs(d))[:, None, :]
+
+
 def random_hermitian(rng, n, scale=1.0):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return scale * 0.5 * (g + g.conj().T)

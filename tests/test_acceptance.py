@@ -28,7 +28,7 @@ from matmom import (
 from matmom.cli import main
 from matmom.io import write_problem
 
-from helpers import random_contraction_column, random_unitary
+from helpers import random_contraction_column, random_unitaries, random_unitary
 
 
 def scalar_seq(a, b, values):
@@ -178,7 +178,7 @@ def test_06_extremal_formula_oracle():
             t = np.block([[p, q.conj().T], [q, x]])
             assert np.linalg.norm(t, 2) <= 1.0 + 1e-10
         # batched brute-force sample of self-adjoint completions
-        units = np.stack([random_unitary(rng, q_dim) for _ in range(n_samples)])
+        units = random_unitaries(rng, q_dim, n_samples)
         lams = rng.uniform(-1.0, 1.0, (n_samples, q_dim))
         xs = (units * lams[:, None, :]) @ units.conj().transpose(0, 2, 1)
         ts = np.zeros((n_samples, p_dim + q_dim, p_dim + q_dim), dtype=complex)

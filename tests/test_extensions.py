@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from matmom import (
     MomentSequence,
+    NumericalInconsistency,
     ValidationError,
     build_gram_space,
     build_operators,
@@ -16,7 +19,12 @@ from matmom import (
     qmu,
 )
 
-from helpers import random_contraction, random_contraction_column, random_unitary
+from helpers import (
+    random_contraction,
+    random_contraction_column,
+    random_unitaries,
+    random_unitary,
+)
 
 
 def scalar_seq(a, b, values):
@@ -339,3 +347,19 @@ class TestCompletionNormGuard:
         x_mu, x_m = extremal_completions(p, q)
         t = assemble(p, q, x_mu)
         assert np.linalg.norm(t, 2) > 1.0 + 1e-8
+
+    def test_extremal_extensions_rejects_non_contraction(self):
+        # the same column inside a model: the minimal completion has norm 4
+        model = build_operators(build_gram_space(scalar_seq(-1, 1, [1, 0, 1])))
+        bad = dataclasses.replace(model, P=np.zeros((1, 1), dtype=complex),
+                                  Q=np.array([[2.0]], dtype=complex))
+        with pytest.raises(NumericalInconsistency, match="minimal completion"):
+            extremal_extensions(bad)
+
+
+def test_batched_unitary_sampler_matches_loop():
+    for n in (1, 2, 3):
+        loop_rng, batch_rng = np.random.default_rng(n), np.random.default_rng(n)
+        loop = np.stack([random_unitary(loop_rng, n) for _ in range(50)])
+        assert np.array_equal(random_unitaries(batch_rng, n, 50), loop)
+        assert loop_rng.uniform() == batch_rng.uniform()

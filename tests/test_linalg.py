@@ -11,9 +11,9 @@ from matmom import (
     pinv_psd,
     sqrt_psd,
 )
-from matmom.linalg import herm_part, require_hermitian
+from matmom.linalg import check_psd_stack, herm_part, rank_keep, require_hermitian
 
-from helpers import random_hermitian, random_psd
+from helpers import random_hermitian, random_psd, random_unitary
 
 
 def herm_cases(max_dim=10, scale=5.0):
@@ -77,6 +77,72 @@ class TestCheckPsd:
 
     def test_empty(self):
         assert check_psd(np.zeros((0, 0)))
+
+
+class TestCheckPsdStack:
+    """The batched helper must decide exactly as check_psd does per matrix."""
+
+    @staticmethod
+    def _stack(rng, count, n):
+        # PSD, rank-deficient, and shifted just inside and outside the slack
+        # of each matrix's own scale, plus plainly indefinite members
+        shifts = [0.0, 0.0, -0.5e-10, -2e-10, -1e-4]
+        mats = []
+        for i in range(count):
+            u = random_unitary(rng, n)
+            top = 10.0 ** rng.uniform(0.0, 3.0)
+            lam = rng.uniform(0.0, top, size=n)
+            lam[-1] = top
+            lam[0] = 0.0 if i % 2 else lam[0]
+            lam[0] += shifts[i % len(shifts)] * top
+            mats.append((u * lam) @ u.conj().T)
+        return np.stack(mats)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_agrees_with_check_psd(self, n):
+        rng = np.random.default_rng(1000 + n)
+        for count in (1, 7, 40):
+            stack = self._stack(rng, count, n)
+            got = check_psd_stack(stack)
+            want = [check_psd(m) for m in stack]
+            assert got.shape == (count,)
+            assert got.tolist() == want
+            assert any(want) and (count == 1 or not all(want))
+
+    def test_tolerance_argument(self):
+        stack = np.stack([np.diag([1.0, -1e-6]), np.eye(2)])
+        assert check_psd_stack(stack).tolist() == [False, True]
+        assert check_psd_stack(stack, tol=1e-5).tolist() == [True, True]
+
+    def test_non_hermitian_member_raises(self):
+        rng = np.random.default_rng(7)
+        stack = self._stack(rng, 4, 3)
+        stack[2, 0, 1] += 1e-6
+        with pytest.raises(ValidationError):
+            check_psd(stack[2])
+        with pytest.raises(ValidationError):
+            check_psd_stack(stack)
+
+    def test_non_finite_member_raises(self):
+        stack = np.stack([np.eye(2), np.eye(2)])
+        stack[1, 1, 1] = np.nan
+        with pytest.raises(ValidationError):
+            check_psd_stack(stack)
+
+    def test_empty_stack(self):
+        assert check_psd_stack(np.zeros((0, 3, 3))).shape == (0,)
+
+    def test_scalar_weights(self):
+        stack = np.array([[[2.0]], [[0.0]], [[-1e-11]], [[-1e-9]]])
+        assert check_psd_stack(stack).tolist() == [check_psd(m) for m in stack]
+        assert check_psd_stack(stack).tolist() == [True, True, True, False]
+
+
+def test_rank_keep_rule():
+    assert rank_keep(np.array([1e-12, 1e-9, 1.0])).tolist() == [False, True, True]
+    assert rank_keep(np.array([-1.0, 0.0])).tolist() == [False, False]
+    assert rank_keep(np.zeros(0)).shape == (0,)
+    assert rank_keep(np.array([0.5, 1.0]), rank_tol=0.6).tolist() == [False, True]
 
 
 class TestPinvPsd:

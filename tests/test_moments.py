@@ -227,6 +227,15 @@ class TestMeasureCanonicalization:
         with pytest.raises(ValidationError):
             measure_from_atoms(0, 1, [0.5], [np.diag([1.0, -1.0])])
 
+    def test_rejects_any_bad_weight_among_many(self):
+        good = np.eye(2)
+        weights = [good, good, np.diag([1.0, -1e-3]), good]
+        with pytest.raises(ValidationError, match="weight 2 is not PSD"):
+            measure_from_atoms(0, 1, [0.1, 0.2, 0.3, 0.4], weights)
+        weights[2] = np.array([[1.0, 1e-3], [0.0, 1.0]])
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            measure_from_atoms(0, 1, [0.1, 0.2, 0.3, 0.4], weights)
+
     def test_empty_needs_block_size(self):
         mu = measure_from_atoms(0, 1, [], np.zeros((0, 2, 2)), N=2)
         assert mu.num_atoms == 0

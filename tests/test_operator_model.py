@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from matmom import (
+    GramSpace,
     MomentSequence,
     OperatorIllDefined,
     ValidationError,
@@ -10,6 +11,7 @@ from matmom import (
     build_gram_space,
     build_operators,
     gen_random_measure,
+    measure_from_atoms,
     moments_of,
 )
 
@@ -89,6 +91,98 @@ class TestBuildOperators:
         assert np.allclose(model.P, model.P.conj().T, atol=1e-12)
         u = np.hstack([model.dom_basis, model.def_basis])
         assert np.allclose(u.conj().T @ u, np.eye(model.space.rank), atol=1e-12)
+
+
+def _reference_operators(space, rank_tol=1e-10):
+    """The pinv-based construction: numpy's pinv of the domain vectors for
+    the residual and the coefficients, and a second SVD for the bases."""
+    n, dn = space.N, space.d * space.N
+    g_dom = space.vectors[:, :dn]
+    g_shift = space.vectors[:, n : n + dn]
+    pinv_dom = np.linalg.pinv(g_dom, rcond=rank_tol)
+    residual = np.linalg.norm(g_shift - g_shift @ (pinv_dom @ g_dom), 2)
+    u_full, sing, _ = np.linalg.svd(g_dom)
+    p_dim = int(np.sum(sing > rank_tol * sing[0]))
+    bases = []
+    for u in (u_full[:, :p_dim].copy(), u_full[:, p_dim:].copy()):
+        for j in range(u.shape[1]):
+            piv = u[np.argmax(np.abs(u[:, j])), j]
+            u[:, j] *= piv.conj() / abs(piv)
+        bases.append(u)
+    dom, dfc = bases
+    scale = 2.0 / (space.b - space.a)
+    shift = (space.a + space.b) / (space.b - space.a)
+    coeff = pinv_dom @ dom
+    block = g_dom.conj().T @ g_shift
+    block = 0.5 * (block + block.conj().T)
+    p_raw = scale * (coeff.conj().T @ block @ coeff) - shift * np.eye(p_dim)
+    q = dfc.conj().T @ (scale * (g_shift @ coeff) - shift * dom)
+    return dom, dfc, 0.5 * (p_raw + p_raw.conj().T), q, residual
+
+
+def _rank_one_weight_measure(seed, n, atoms, a, b):
+    rng = np.random.default_rng(seed)
+    vecs = rng.standard_normal((atoms, n)) + 1j * rng.standard_normal((atoms, n))
+    weights = vecs[:, :, None] * vecs.conj()[:, None, :]
+    return measure_from_atoms(a, b, rng.uniform(a, b, atoms), weights, N=n)
+
+
+# (measure, d): rank-deficient Gram spaces (domain vectors with a kernel, or
+# rank-one weights) and one full-rank space with a defect
+ONE_SVD_CASES = [
+    (lambda: gen_random_measure(11, 2, 2, -1.0, 1.0), 3),
+    (lambda: gen_random_measure(12, 1, 3, 0.0, 1.0), 4),
+    (lambda: gen_random_measure(13, 3, 2, -2.0, 3.0), 3),
+    (lambda: _rank_one_weight_measure(14, 2, 3, -1.0, 2.0), 3),
+    (lambda: _rank_one_weight_measure(15, 3, 4, 0.0, 1.0), 2),
+    (lambda: gen_random_measure(16, 2, 6, -1.0, 1.0), 2),
+]
+
+
+class TestOneSvdOperators:
+    """build_operators takes everything from one SVD; it must match the
+    pinv-based formulas it replaced."""
+
+    @pytest.mark.parametrize("case", range(len(ONE_SVD_CASES)))
+    def test_matches_pinv_formulas(self, case):
+        make, d = ONE_SVD_CASES[case]
+        space = build_gram_space(moments_of(make(), 2 * d))
+        model = build_operators(space)
+        dom, dfc, p_ref, q_ref, residual = _reference_operators(space)
+        assert residual <= 1e-6
+        assert model.dom_dim == dom.shape[1] and model.def_dim == dfc.shape[1]
+        assert np.abs(model.dom_basis - dom).max(initial=0.0) <= 1e-12
+        assert np.abs(model.def_basis - dfc).max(initial=0.0) <= 1e-12
+        # Both routes divide by the kept singular values, so their rounding
+        # grows with the condition of the kept part; on case 2 (cond 2.3e3)
+        # each is 2e-11 from a 60-digit evaluation of the same formula.
+        sing = np.linalg.svd(space.vectors[:, : d * space.N], compute_uv=False)
+        tol = 1e-12 * max(1.0, sing[0] / sing[model.dom_dim - 1])
+        assert np.abs(model.P - p_ref).max(initial=0.0) <= tol
+        assert np.abs(model.Q - q_ref).max(initial=0.0) <= tol
+
+    @pytest.mark.parametrize("case", [0, 1, 2, 3])
+    @pytest.mark.parametrize("eps", [1e-12, 1e-8, 1e-4, 1e-1])
+    def test_welldefinedness_decision_matches(self, case, eps):
+        # perturb the last shifted block, which the domain does not contain,
+        # so the shift stops annihilating the kernel of the domain vectors
+        make, d = ONE_SVD_CASES[case]
+        space = build_gram_space(moments_of(make(), 2 * d))
+        vectors = space.vectors.copy()
+        rng = np.random.default_rng(case)
+        tail = vectors[:, d * space.N :]
+        vectors[:, d * space.N :] += eps * (rng.standard_normal(tail.shape)
+                                            + 1j * rng.standard_normal(tail.shape))
+        bent = GramSpace(a=space.a, b=space.b, N=space.N, d=space.d, rank=space.rank,
+                         vectors=vectors, gram=space.gram)
+        residual = _reference_operators(bent)[-1]
+        g_shift = vectors[:, space.N : space.N + d * space.N]
+        ill = residual > 1e-6 * max(1.0, np.linalg.norm(g_shift, 2))
+        if ill:
+            with pytest.raises(OperatorIllDefined):
+                build_operators(bent)
+        else:
+            build_operators(bent)
 
 
 class TestOperatorIdentities:

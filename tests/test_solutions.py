@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from matmom import (
     verify,
 )
 from matmom.solutions import spectral_data
+
+from helpers import random_unitary
 
 
 def scalar_seq(a, b, values):
@@ -130,6 +134,83 @@ class TestSpectralData:
         sd = spectral_data(np.eye(2), vectors)
         assert sd.eigenvalues.shape == (1,)
         assert np.allclose(sd.weights[0], np.eye(2))
+
+
+def _projector_spectral_data(extension, first_vectors, cluster_tol=1e-9):
+    """Per-cluster projector formula: weight (j, n) = <proj x_j, x_n>."""
+    w, v = np.linalg.eigh(0.5 * (extension + extension.conj().T))
+    bounds = [0] + [i for i in range(1, w.size) if w[i] - w[i - 1] > cluster_tol]
+    bounds.append(w.size)
+    lams, weights = [], []
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        proj = v[:, s:e] @ v[:, s:e].conj().T
+        wmat = (first_vectors.conj().T @ proj @ first_vectors).T
+        lams.append(w[s:e].mean())
+        weights.append(0.5 * (wmat + wmat.conj().T))
+    return np.array(lams), np.stack(weights)
+
+
+class TestSpectralDataVectorized:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_projector_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        r, n = 12, int(rng.integers(1, 4))
+        # exact repeats, gaps just inside and just outside the cluster
+        # tolerance, and singletons
+        lam = np.sort(rng.uniform(-1.0, 1.0, r))
+        lam[3:6] = lam[3]
+        lam[7] = lam[6] + 4e-10
+        lam[8] = lam[7] + 4e-10
+        lam[10] = lam[9] + 5e-9
+        u = random_unitary(rng, r)
+        ext = (u * lam) @ u.conj().T
+        vectors = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
+        sd = spectral_data(ext, vectors)
+        ref_lams, ref_weights = _projector_spectral_data(ext, vectors)
+        assert sd.eigenvalues.shape == ref_lams.shape
+        assert ref_lams.size < r - 3
+        assert np.abs(sd.eigenvalues - ref_lams).max() <= 1e-14
+        assert np.abs(sd.weights - ref_weights).max() <= 1e-12
+
+    def test_solved_extension(self):
+        seq = moments_of(gen_random_measure(3, 2, 5, -1.0, 2.0), 4)
+        space = build_gram_space(seq)
+        ext = canonical_extension(interval_for(seq), 0.5)
+        sd = spectral_data(ext, space.vectors[:, :2])
+        ref_lams, ref_weights = _projector_spectral_data(ext, space.vectors[:, :2])
+        assert np.abs(sd.eigenvalues - ref_lams).max() <= 1e-14
+        assert np.abs(sd.weights - ref_weights).max() <= 1e-12
+
+
+class TestFactorizationBudget:
+    """One solve_odd factors a fixed number of matrices, however many atoms
+    its solution has: no pseudo-inverse, at most one SVD, and no per-atom
+    eigenvalue problems."""
+
+    @staticmethod
+    def _count_solve(monkeypatch, atoms):
+        counts = Counter()
+        for name in ("eigh", "eigvalsh", "svd", "pinv"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        seq = moments_of(gen_random_measure(21, 2, atoms, -1.0, 1.0), 6)
+        measure = solve_odd(seq, 0.5)
+        monkeypatch.undo()
+        return counts, measure.num_atoms
+
+    def test_budget_independent_of_atom_count(self, monkeypatch):
+        few, few_atoms = self._count_solve(monkeypatch, 2)
+        many, many_atoms = self._count_solve(monkeypatch, 8)
+        assert (few_atoms, many_atoms) == (2, 8)
+        for counts in (few, many):
+            assert counts["pinv"] == 0
+            assert counts["svd"] <= 1
+        assert few["eigvalsh"] == many["eigvalsh"]
 
 
 class TestSolveEven:
