@@ -23,6 +23,7 @@ where each M is a list of rows and each entry is [re, im].
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -45,28 +46,25 @@ def format_float(x: float) -> str:
     return f"{float(x):.16e}"
 
 
-def _dump(obj) -> str:
-    """JSON text with floats in 17-significant-digit scientific notation."""
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(k)}: {_dump(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_dump(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+@functools.lru_cache(maxsize=32)
+def _matrix_template(n: int) -> str:
+    """%-template of an n x n matrix as rows of [re, im] pairs.
+
+    ``"%.16e" % x`` gives the characters of :func:`format_float`, so one
+    ``%`` fills a whole matrix with the file's float notation.
+    """
+    row = "[" + ", ".join(["[%.16e, %.16e]"] * n) + "]"
+    return "[" + ", ".join([row] * n) + "]"
 
 
-def matrix_to_pairs(m: np.ndarray) -> list:
-    """Row-major nested list of [re, im] pairs."""
-    m = np.asarray(m, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+def _reals(stack) -> np.ndarray:
+    """A (k, n, n) complex stack as (k, n, 2n) floats: re, im of each entry."""
+    return np.ascontiguousarray(stack, dtype=complex).view(float)
+
+
+def _fill_list(item: str, values: np.ndarray) -> str:
+    """JSON list of one %-template ``item`` per row of ``values``, filled in order."""
+    return ("[" + ", ".join([item] * len(values)) + "]") % tuple(values.ravel().tolist())
 
 
 def pairs_to_matrix(data, n: int, where: str) -> np.ndarray:
@@ -111,6 +109,42 @@ def _get(doc: dict, key: str, types, path) -> object:
     return value
 
 
+def _parse_stack(raw: list, n: int) -> np.ndarray | None:
+    """All matrices of ``raw`` as one (k, n, n) complex array, or None.
+
+    One ``np.array`` call parses a well-formed list.  It is accepted only
+    with shape (k, n, n, 2) and JSON numbers (bools included) as entries,
+    the input :func:`pairs_to_matrix` accepts.  None means a malformed
+    entry or an integer too large for int64; the caller then parses entry
+    by entry, which locates a fault and converts big integers.
+    """
+    try:
+        arr = np.array(raw)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if arr.shape != (len(raw), n, n, 2) or arr.dtype.kind not in "biuf":
+        return None
+    return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
+
+
+def _file_hermitian(stack: np.ndarray, path, start: int = 0) -> np.ndarray:
+    """Symmetrized moments ``start``, ``start + 1``, ..., each checked by
+    :func:`require_hermitian`'s rule at ``FILE_HERM_TOL``; the first failing
+    one raises its error."""
+    adj = stack.conj().transpose(0, 2, 1)
+    with np.errstate(invalid="ignore"):     # non-finite entries fail below
+        scale = np.abs(stack).max(axis=(1, 2))
+        skew = np.abs(stack - adj).max(axis=(1, 2))
+        bad = ~np.isfinite(stack).all(axis=(1, 2)) | (
+            skew > FILE_HERM_TOL * np.maximum(1.0, scale))
+    for i in np.flatnonzero(bad):
+        try:
+            require_hermitian(stack[i], FILE_HERM_TOL, name=f"moments[{start + i}]")
+        except ValidationError as exc:
+            raise FileFormatError(f"{path}: {exc}") from exc
+    return 0.5 * (stack + adj)
+
+
 def read_problem(path) -> MomentSequence:
     """Parse a problem file into a moment sequence."""
     doc = _load_json(path)
@@ -124,24 +158,23 @@ def read_problem(path) -> MomentSequence:
         raise FileFormatError(f"{path}: moments array must be nonempty")
     if not a < b:
         raise FileFormatError(f"{path}: requires a < b")
+    stack = _parse_stack(raw, n)
+    if stack is not None:
+        return MomentSequence(a, b, tuple(_file_hermitian(stack, path)))
+    # entry by entry, so that the first fault in file order is reported
     moments = []
     for i, m in enumerate(raw):
         mat = pairs_to_matrix(m, n, f"{path}: moments[{i}]")
-        try:
-            moments.append(require_hermitian(mat, FILE_HERM_TOL, name=f"moments[{i}]"))
-        except ValidationError as exc:
-            raise FileFormatError(f"{path}: {exc}") from exc
+        moments.append(_file_hermitian(mat[None], path, start=i)[0])
     return MomentSequence(a, b, tuple(moments))
 
 
 def write_problem(path, seq: MomentSequence) -> None:
-    doc = {
-        "a": seq.a,
-        "b": seq.b,
-        "N": seq.N,
-        "moments": [matrix_to_pairs(s) for s in seq.moments],
-    }
-    Path(path).write_text(_dump(doc) + "\n")
+    moments = _fill_list(_matrix_template(seq.N), _reals(seq.moments))
+    Path(path).write_text(
+        f'{{"a": {format_float(seq.a)}, "b": {format_float(seq.b)}, '
+        f'"N": {int(seq.N)}, "moments": {moments}}}\n'
+    )
 
 
 def read_measure(path) -> DiscreteMatrixMeasure:
@@ -151,36 +184,38 @@ def read_measure(path) -> DiscreteMatrixMeasure:
     b = float(_get(doc, "b", (int, float), path))
     n = int(_get(doc, "N", int, path))
     raw = _get(doc, "atoms", list, path)
+    weights = _parse_stack(
+        [atom.get("W") if isinstance(atom, dict) else None for atom in raw], n)
+    # without a stack, weights are parsed entry by entry in file order below
     positions = []
-    weights = []
+    parsed = []
     for i, atom in enumerate(raw):
         if not isinstance(atom, dict):
             raise FileFormatError(f"{path}: atoms[{i}] must be an object")
         positions.append(float(_get(atom, "x", (int, float), f"{path}: atoms[{i}]")))
-        weights.append(pairs_to_matrix(
-            _get(atom, "W", list, f"{path}: atoms[{i}]"), n, f"{path}: atoms[{i}].W"
-        ))
+        if weights is None:
+            parsed.append(pairs_to_matrix(
+                _get(atom, "W", list, f"{path}: atoms[{i}]"), n, f"{path}: atoms[{i}].W"
+            ))
+    if weights is None:
+        weights = np.stack(parsed) if parsed else np.zeros((0, n, n))
     try:
-        return measure_from_atoms(
-            a, b, np.array(positions),
-            np.stack(weights) if weights else np.zeros((0, n, n)), N=n,
-        )
+        return measure_from_atoms(a, b, np.array(positions), weights, N=n)
     except ValidationError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def write_measure(path, measure: DiscreteMatrixMeasure) -> None:
-    doc = {
-        "a": measure.a,
-        "b": measure.b,
-        "N": measure.N,
-        "atoms": [
-            {"x": float(measure.positions[i]),
-             "W": matrix_to_pairs(measure.weights[i])}
-            for i in range(measure.num_atoms)
-        ],
-    }
-    Path(path).write_text(_dump(doc) + "\n")
+    k = measure.num_atoms
+    n = measure.N
+    atom = '{"x": %.16e, "W": ' + _matrix_template(n) + "}"
+    values = np.concatenate(
+        (np.asarray(measure.positions, dtype=float).reshape(k, 1),
+         _reals(measure.weights).reshape(k, 2 * n * n)), axis=1)
+    Path(path).write_text(
+        f'{{"a": {format_float(measure.a)}, "b": {format_float(measure.b)}, '
+        f'"N": {int(n)}, "atoms": {_fill_list(atom, values)}}}\n'
+    )
 
 
 def read_matrix_param(path) -> np.ndarray:

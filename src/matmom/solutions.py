@@ -13,11 +13,11 @@ resolvent is provided as a numerical cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericalInconsistency, Unsolvable, ValidationError
+from .errors import NumericalInconsistency, OperatorIllDefined, Unsolvable, ValidationError
 from .extensions import (
     ExtensionInterval,
     as_unit_interval_param,
@@ -55,12 +55,22 @@ class SpectralData:
 class VerificationReport:
     """Outcome of re-computing moments from a measure."""
 
-    passed: bool
     tol: float
     moment_residuals: np.ndarray
     moment_scales: np.ndarray
     support_ok: bool
     weights_psd_ok: bool
+
+    @property
+    def passed(self) -> bool:
+        """The verdict at the tolerance the report was made with."""
+        return self.passed_at(self.tol)
+
+    def passed_at(self, tol: float) -> bool:
+        """The verdict of :func:`verify` at tolerance ``tol``: every moment
+        within ``tol`` times its scale, support inside [a, b], weights PSD."""
+        return (bool(np.all(self.moment_residuals <= tol * self.moment_scales))
+                and self.support_ok and self.weights_psd_ok)
 
     @property
     def max_relative_residual(self) -> float:
@@ -113,27 +123,11 @@ def solve_odd(seq: MomentSequence, k=0.5, *,
         Relative tolerance of the internal round-trip verification.
 
     Returns a canonical discrete matrix measure whose moments reproduce the
-    input sequence; a verification failure raises ``NumericalInconsistency``.
+    input sequence.  A verification failure, or a shift operator found
+    ill-defined after the solvability check passed, raises
+    ``NumericalInconsistency``.
     """
-    report = check_odd(seq)
-    if not report.solvable:
-        raise Unsolvable(
-            "moment problem is unsolvable; failed: "
-            + ", ".join(report.failed_conditions)
-        )
-    space = build_gram_space(seq)
-    model = build_operators(space)
-    interval = extremal_extensions(model)
-    extension = canonical_extension(interval, k)
-    sd = spectral_data(extension, space.vectors[:, : seq.N])
-    measure = _measure_from_spectrum(sd, seq.a, seq.b)
-    outcome = verify(measure, seq, tol=verify_tol)
-    if not outcome.passed:
-        raise NumericalInconsistency(
-            f"solved measure fails verification at tol {verify_tol:.1e} "
-            f"(max relative residual {outcome.max_relative_residual:.3e})"
-        )
-    return measure
+    return _solve(seq, k, verify_tol=verify_tol)[0]
 
 
 def solve_even(seq: MomentSequence, t=0.5, k=0.5, *,
@@ -147,6 +141,49 @@ def solve_even(seq: MomentSequence, t=0.5, k=0.5, *,
     it with ``seq.extended(s_next)`` and call :func:`solve_odd`, which
     validates admissibility through the odd-case solvability check.
     """
+    return _solve(seq, k, t, verify_tol=verify_tol)[0]
+
+
+def _solve(seq: MomentSequence, k, t=None, *, verify_tol: float = SOLVE_VERIFY_TOL
+           ) -> tuple[DiscreteMatrixMeasure, VerificationReport]:
+    """:func:`solve_odd`, or with ``t`` given :func:`solve_even`.
+
+    Also returns the report of the internal verification restricted to
+    S_0..S_l of ``seq``, so a caller can judge it at its own tolerance
+    without verifying again.
+    """
+    odd = seq if t is None else _with_next_moment(seq, t)
+    report = check_odd(odd)
+    if not report.solvable:
+        raise Unsolvable(
+            "moment problem is unsolvable; failed: "
+            + ", ".join(report.failed_conditions)
+        )
+    space = build_gram_space(odd)
+    try:
+        model = build_operators(space)
+    except OperatorIllDefined as exc:
+        # the check above found the kernel inclusion to hold, so the two
+        # numerical tests of one property disagree: not a verdict on the data
+        raise NumericalInconsistency(f"solvability check passed, but {exc}") from exc
+    interval = extremal_extensions(model)
+    extension = canonical_extension(interval, k)
+    sd = spectral_data(extension, space.vectors[:, : seq.N])
+    measure = _measure_from_spectrum(sd, seq.a, seq.b)
+    outcome = verify(measure, odd, tol=verify_tol)
+    if not outcome.passed:
+        raise NumericalInconsistency(
+            f"solved measure fails verification at tol {verify_tol:.1e} "
+            f"(max relative residual {outcome.max_relative_residual:.3e})"
+        )
+    # the moments of S_0..S_l do not depend on how many are computed
+    return measure, replace(outcome,
+                            moment_residuals=outcome.moment_residuals[: seq.l + 1],
+                            moment_scales=outcome.moment_scales[: seq.l + 1])
+
+
+def _with_next_moment(seq: MomentSequence, t) -> MomentSequence:
+    """The even-case problem extended by S_{2d+2} chosen by ``t``."""
     report = check_even(seq)
     if not report.solvable:
         raise Unsolvable(
@@ -156,8 +193,7 @@ def solve_even(seq: MomentSequence, t=0.5, k=0.5, *,
     data = report.even_case
     t_mat = as_unit_interval_param(t, seq.N, name="moment-interval parameter")
     width_half = sqrt_psd(herm_part(data.S_max - data.S_min))
-    s_next = herm_part(data.S_min + width_half @ t_mat @ width_half)
-    return solve_odd(seq.extended(s_next), k, verify_tol=verify_tol)
+    return seq.extended(herm_part(data.S_min + width_half @ t_mat @ width_half))
 
 
 def solve_l0(s0, a: float, b: float) -> DiscreteMatrixMeasure:
@@ -191,9 +227,7 @@ def verify(measure: DiscreteMatrixMeasure, seq: MomentSequence,
     scales = np.maximum(1.0, np.linalg.norm(given, 2, axis=(1, 2)))
     support_ok = _supported(measure, seq)
     weights_psd_ok = bool(check_psd_stack(measure.weights, PSD_TOL).all())
-    passed = bool(np.all(residuals <= tol * scales)) and support_ok and weights_psd_ok
     return VerificationReport(
-        passed=passed,
         tol=tol,
         moment_residuals=residuals,
         moment_scales=scales,

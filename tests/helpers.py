@@ -1,7 +1,9 @@
-"""Shared random generators for the test suite.
+"""Shared random generators and reference implementations for the test suite.
 
 Everything is driven by explicit numpy Generators so failures reproduce.
 """
+
+import json
 
 import numpy as np
 
@@ -51,3 +53,40 @@ def random_contraction_column(rng, p, q):
     """Block column [P; Q] of a Hermitian contraction, P Hermitian p x p."""
     t = random_contraction(rng, p + q)
     return t[:p, :p], t[p:, :p]
+
+
+def reference_dump(obj) -> str:
+    """JSON text with floats in 17-significant-digit scientific notation,
+    written value by value: the reference for the file writers."""
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return f"{float(obj):.16e}"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        items = ", ".join(f"{json.dumps(k)}: {reference_dump(v)}" for k, v in obj.items())
+        return "{" + items + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(reference_dump(v) for v in obj) + "]"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def reference_pairs(m) -> list:
+    """Row-major nested list of [re, im] pairs of a matrix."""
+    m = np.asarray(m, dtype=complex)
+    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+
+
+def reference_problem_text(seq) -> str:
+    return reference_dump({"a": seq.a, "b": seq.b, "N": seq.N,
+                           "moments": [reference_pairs(s) for s in seq.moments]}) + "\n"
+
+
+def reference_measure_text(measure) -> str:
+    atoms = [{"x": float(x), "W": reference_pairs(w)}
+             for x, w in zip(measure.positions, measure.weights)]
+    return reference_dump({"a": measure.a, "b": measure.b, "N": measure.N,
+                           "atoms": atoms}) + "\n"

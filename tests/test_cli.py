@@ -1,10 +1,15 @@
 import json
+import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import matmom.cli
+import matmom.solutions
+from helpers import reference_measure_text, reference_problem_text
 from matmom import MomentSequence, gen_random_measure, measure_from_atoms, moments_of
 from matmom.cli import main
 from matmom.io import (
@@ -71,6 +76,120 @@ class TestFileRoundTrip:
             read_problem(path)
 
 
+# Doubles that stress the float notation: signed zero, the smallest
+# subnormal, the most negative double, exact integers.
+EXTREME_FLOATS = [-0.0, 5e-324, -1.7976931348623157e308, 3.0, -7.0, 2.0 ** 53, 0.1, 1e22]
+
+# A valid Hermitian 2 x 2 moment; the parity cases replace one of its parts.
+GOOD_2X2 = "[[[1.0, 0.0], [0.5, 0.25]], [[0.5, -0.25], [2.0, 0.0]]]"
+MALFORMED_2X2 = {
+    "string": ('[[[1.0, 0.0], ["0.5", 0.25]], [[0.5, -0.25], [2.0, 0.0]]]',
+               "[1][0][1]: expected an [re, im] pair"),
+    "null": ("[[[1.0, 0.0], [0.5, null]], [[0.5, -0.25], [2.0, 0.0]]]",
+             "[1][0][1]: expected an [re, im] pair"),
+    "three_element_entry": (
+        "[[[1.0, 0.0], [0.5, 0.25, 0.0]], [[0.5, -0.25], [2.0, 0.0]]]",
+        "[1][0][1]: expected an [re, im] pair"),
+    "ragged_row": ("[[[1.0, 0.0], [0.5, 0.25]], [[0.5, -0.25]]]",
+                   "[1][1]: expected 2 entries"),
+    "extra_nesting": ("[[[1.0, 0.0], [[0.5], [0.25]]], [[0.5, -0.25], [2.0, 0.0]]]",
+                      "[1][0][1]: expected an [re, im] pair"),
+    "wrong_n": ("[[[1.0, 0.0]]]", "[1]: expected 2 rows"),
+}
+
+
+def problem_text(moments, n=2) -> str:
+    return f'{{"a": 0.0, "b": 1.0, "N": {n}, "moments": [{", ".join(moments)}]}}'
+
+
+def measure_text(weights, n=2) -> str:
+    atoms = ", ".join(f'{{"x": {0.25 * (i + 1)}, "W": {w}}}' for i, w in enumerate(weights))
+    return f'{{"a": 0.0, "b": 1.0, "N": {n}, "atoms": [{atoms}]}}'
+
+
+class TestFileWriterAndParser:
+    """The writers against the value-by-value reference formatter, and the
+    parser's verdict and message on malformed and unusual files."""
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_bytes_match_reference_formatter(self, tmp_path, n):
+        mu = gen_random_measure(n, n, 4, -1.3, 2.9)
+        seq = moments_of(mu, 5)
+        # stand-ins with values a validated sequence or measure cannot hold
+        # (symmetrizing -1.79e308 overflows): the writers only format
+        rng = np.random.default_rng(n)
+        raw = rng.standard_normal((4, n, n, 2))
+        raw.reshape(-1)[: len(EXTREME_FLOATS)] = EXTREME_FLOATS
+        mats = raw.view(complex)[..., 0]
+        extreme_seq = SimpleNamespace(a=-0.0, b=5e-324, N=n, moments=tuple(mats))
+        extreme_measure = SimpleNamespace(
+            a=-1.7976931348623157e308, b=1.0, N=n, num_atoms=4,
+            positions=np.array(EXTREME_FLOATS[:4]), weights=mats)
+        for i, (write, ref, obj) in enumerate([
+                (write_problem, reference_problem_text, seq),
+                (write_measure, reference_measure_text, mu),
+                (write_problem, reference_problem_text, extreme_seq),
+                (write_measure, reference_measure_text, extreme_measure)]):
+            path = tmp_path / f"{i}.json"
+            write(path, obj)
+            assert path.read_text() == ref(obj)
+
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_lossless_at_block_size(self, tmp_path, n):
+        mu = gen_random_measure(11, n, 5, -2.5, 0.75)
+        seq = moments_of(mu, 6)
+        write_problem(tmp_path / "p.json", seq)
+        write_measure(tmp_path / "m.json", mu)
+        back = read_problem(tmp_path / "p.json")
+        assert np.array_equal(np.stack(back.moments), np.stack(seq.moments))
+        measure = read_measure(tmp_path / "m.json")
+        assert np.array_equal(measure.positions, mu.positions)
+        assert np.array_equal(measure.weights, mu.weights)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_2X2))
+    def test_malformed_entry_located(self, tmp_path, case):
+        bad, where = MALFORMED_2X2[case]
+        path = tmp_path / "p.json"
+        path.write_text(problem_text([GOOD_2X2, bad, GOOD_2X2]))
+        with pytest.raises(FileFormatError) as err:
+            read_problem(path)
+        assert str(err.value) == f"{path}: moments{where}"
+        path.write_text(measure_text([GOOD_2X2, bad]))
+        with pytest.raises(FileFormatError) as err:
+            read_measure(path)
+        where = where.replace("[1]", "[1].W", 1)
+        assert str(err.value) == f"{path}: atoms{where}"
+
+    def test_non_finite_entry_named(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(problem_text([GOOD_2X2, GOOD_2X2.replace("2.0", "NaN")]))
+        with pytest.raises(FileFormatError) as err:
+            read_problem(path)
+        assert str(err.value) == f"{path}: moments[1] contains non-finite entries"
+
+    def test_non_hermitian_moment_named_by_index(self, tmp_path):
+        path = tmp_path / "p.json"
+        skew = "[[[1.0, 0.0], [0.5, 0.25]], [[0.0, 0.0], [2.0, 0.0]]]"
+        path.write_text(problem_text([GOOD_2X2, GOOD_2X2, skew]))
+        with pytest.raises(FileFormatError) as err:
+            read_problem(path)
+        assert str(err.value) == (
+            f"{path}: moments[2] is not Hermitian: asymmetry 5.590e-01 exceeds "
+            "1.0e-10 * max(1, 2.000e+00)")
+
+    @pytest.mark.parametrize("big", [2 ** 63 + 1, 2 ** 64 + 5])
+    def test_bools_and_big_integers_accepted(self, tmp_path, big):
+        bools = "[[[true, false], [false, false]], [[false, false], [1, false]]]"
+        ints = f"[[[{big}, 0], [0.5, 0.25]], [[0.5, -0.25], [3, false]]]"
+        want = [np.eye(2), np.array([[float(big), 0.5 + 0.25j], [0.5 - 0.25j, 3.0]])]
+        path = tmp_path / "p.json"
+        path.write_text(problem_text([bools, ints]))
+        assert np.array_equal(np.stack(read_problem(path).moments), np.stack(want))
+        for weight, w in zip([bools, ints], want):
+            path.write_text(measure_text([weight]))
+            assert np.array_equal(read_measure(path).weights, w[None])
+
+
 class TestCheckCommand:
     def test_solvable_exits_zero(self, symmetric_problem, capsys):
         assert main(["check", symmetric_problem]) == 0
@@ -93,6 +212,23 @@ class TestCheckCommand:
     def test_l0_case(self, tmp_path):
         path = write_scalar_problem(tmp_path / "l0.json", 0, 1, [1])
         assert main(["check", path]) == 0
+
+    def test_criteria_verdicts_printed_as_they_are(self, tmp_path, capsys):
+        # genuine moments that the kernel-inclusion condition rejects while
+        # the cross-check criterion accepts them
+        path = str(tmp_path / "p.json")
+        assert main(["gen", "--seed", "5", "--N", "8", "--atoms", "40", "--a", "-2",
+                     "--b", "3", "--l", "20", "--out", path]) == 0
+        capsys.readouterr()
+        code = main(["check", path])
+        out = capsys.readouterr().out
+        cross, label = re.search(r"cross-check criterion: (\w+) \((.+)\)", out).groups()
+        own = "solvable" if "solvable: yes" in out else "unsolvable"
+        assert code == (0 if own == "solvable" else 2)
+        if cross == own:
+            assert label == "agree"
+        else:
+            assert label in ("disagree within tolerance band", "HARD DISAGREEMENT")
 
     def test_truncated_file_exits_one(self, tmp_path):
         path = tmp_path / "t.json"
@@ -138,6 +274,51 @@ class TestSolveCommand:
     def test_unsolvable_exits_two(self, tmp_path):
         path = write_scalar_problem(tmp_path / "u.json", 0, 1, [1, 2])
         assert main(["solve", path, "--out", str(tmp_path / "m.json")]) == 2
+
+    def test_rounding_failure_after_check_is_not_unsolvable(self, tmp_path, capsys):
+        # check passes; the solver's own kernel-inclusion test may still fail
+        # on these genuine moments, which is a numerical error (exit 1)
+        path = str(tmp_path / "p.json")
+        assert main(["gen", "--seed", "0", "--N", "1", "--atoms", "60", "--a", "-1",
+                     "--b", "1", "--l", "40", "--out", path]) == 0
+        assert main(["check", path]) == 0
+        capsys.readouterr()
+        code = main(["solve", path, "--out", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert code in (0, 1)
+        if code == 1:
+            assert err.startswith("error: ") and "residual" in err
+
+    @pytest.mark.parametrize("l", [0, 3, 4])
+    def test_solve_verifies_once(self, tmp_path, monkeypatch, l):
+        calls = []
+        real = matmom.solutions.verify
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(matmom.solutions, "verify", counting)
+        monkeypatch.setattr(matmom.cli, "verify", counting)
+        path = str(tmp_path / "p.json")
+        assert main(["gen", "--seed", "2", "--N", "2", "--atoms", "3",
+                     "--l", str(l), "--out", path]) == 0
+        assert main(["solve", path, "--out", str(tmp_path / "m.json")]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("l", [3, 4])
+    def test_tol_sets_the_verdict(self, tmp_path, capsys, l):
+        path = str(tmp_path / "p.json")
+        out = str(tmp_path / "m.json")
+        assert main(["gen", "--seed", "2", "--N", "2", "--atoms", "3",
+                     "--l", str(l), "--out", path]) == 0
+        capsys.readouterr()
+        assert main(["solve", path, "--out", out]) == 0
+        printed = capsys.readouterr().out
+        assert main(["solve", path, "--out", out, "--tol", "1e-30"]) == 2
+        # same measure and residual, judged at the tighter tolerance
+        assert capsys.readouterr().out == printed
+        assert main(["verify", out, path, "--tol", "1e-30"]) == 2
 
     def test_matrix_parameter_file(self, tmp_path):
         path = write_scalar_problem(tmp_path / "p.json", 0, 1, [1, 0.5, 1 / 3])

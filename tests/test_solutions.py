@@ -1,10 +1,14 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import matmom.solutions
 from matmom import (
     MomentSequence,
+    NumericalInconsistency,
+    OperatorIllDefined,
     Unsolvable,
     ValidationError,
     build_gram_space,
@@ -20,7 +24,7 @@ from matmom import (
     stieltjes_perron_recover,
     verify,
 )
-from matmom.solutions import spectral_data
+from matmom.solutions import _solve, spectral_data
 
 from helpers import random_unitary
 
@@ -59,6 +63,15 @@ class TestSolveOdd:
         measures = [solve_odd(seq, k) for k in (0.0, 0.5, 1.0)]
         for m in measures[1:]:
             assert measures[0].isclose(m, pos_tol=1e-9, weight_tol=1e-9)
+
+    def test_ill_defined_operator_after_check_is_numerical(self, monkeypatch):
+        def ill_defined(space):
+            raise OperatorIllDefined("shift operator is ill-defined: residual 1.000e-05")
+
+        monkeypatch.setattr(matmom.solutions, "build_operators", ill_defined)
+        with pytest.raises(NumericalInconsistency, match="residual 1.000e-05") as err:
+            solve_odd(scalar_seq(-1, 1, [1, 0, 1]))
+        assert isinstance(err.value.__cause__, OperatorIllDefined)
 
     def test_unsolvable_raises(self):
         with pytest.raises(Unsolvable):
@@ -308,6 +321,34 @@ class TestVerify:
         mu = gen_random_measure(7, 2, 2, 0.0, 1.0)
         with pytest.raises(ValidationError):
             verify(mu, scalar_seq(0, 1, [1, 0.5]), tol=1e-8)
+
+    @pytest.mark.parametrize("l", [3, 4, 5, 6])
+    def test_solver_report_equals_fresh_verify(self, l):
+        # the even case verifies the extended problem; its report restricted
+        # to S_0..S_l must be the one a fresh verify of the input gives
+        for seed in range(5):
+            seq = moments_of(gen_random_measure(seed, 2, 4, -1.0, 2.0), l)
+            measure, report = _solve(seq, 0.3, 0.7 if l % 2 else None)
+            fresh = verify(measure, seq, tol=1e-8)
+            assert np.array_equal(report.moment_residuals, fresh.moment_residuals)
+            assert np.array_equal(report.moment_scales, fresh.moment_scales)
+            assert report.max_relative_residual == fresh.max_relative_residual
+            for tol in (1e-8, 1e-15, 1e-30):
+                assert report.passed_at(tol) == verify(measure, seq, tol=tol).passed
+            solve = solve_odd if l % 2 == 0 else (lambda s, k: solve_even(s, 0.7, k))
+            assert np.array_equal(solve(seq, 0.3).weights, measure.weights)
+
+    def test_passed_at_reads_each_part_of_the_verdict(self):
+        mu = gen_random_measure(6, 1, 2, 0.0, 1.0)
+        seq = moments_of(mu, 2)
+        near = measure_from_atoms(mu.a, mu.b, mu.positions, mu.weights * (1.0 + 1e-10))
+        report = verify(near, seq, tol=1e-8)
+        worst = report.max_relative_residual
+        assert report.passed and report.passed_at(1e-8) and worst > 0
+        assert not report.passed_at(0.5 * worst)
+        assert report.passed_at(worst * (1 + 1e-12))
+        assert not replace(report, support_ok=False).passed_at(1.0)
+        assert not replace(report, weights_psd_ok=False).passed_at(1.0)
 
 
 class TestDeterminateRecovery:
