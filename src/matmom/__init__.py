@@ -31,7 +31,6 @@ from .linalg import (
     sqrt_psd,
 )
 from .moments import (
-    BlockHankel,
     DiscreteMatrixMeasure,
     MomentSequence,
     build_gamma,
@@ -70,7 +69,6 @@ from .solutions import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockHankel",
     "ContractionModel",
     "DiscreteMatrixMeasure",
     "EigDecomposition",

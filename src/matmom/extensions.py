@@ -40,6 +40,7 @@ from .linalg import (
     herm_part,
     hermitian_eig,
     pinv_from_eig,
+    psd_ok,
     rank_keep,
     require_hermitian,
     require_psd,
@@ -146,8 +147,14 @@ def extremal_extensions(model: ContractionModel,
                 "upstream PSD or rank decision failed"
             )
 
+    # the defect is a difference of two completions that the norm guards
+    # above admit up to NORM_SLACK, so it is judged at that slack too
     c_r = herm_part(x_m - x_mu)
-    c_dec = require_psd(hermitian_eig(c_r), PSD_TOL, "defect")
+    c_dec = hermitian_eig(c_r)
+    if not psd_ok(c_dec.eigenvalues, NORM_SLACK):
+        raise NumericalInconsistency(
+            f"defect has negative eigenvalue {c_dec.eigenvalues.min():.3e} beyond tolerance"
+        )
     lam_max = float(c_dec.eigenvalues.max(initial=0.0))
     return ExtensionInterval(
         model=model,

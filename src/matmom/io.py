@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import require_hermitian
+from .linalg import require_hermitian_stack
 from .moments import DiscreteMatrixMeasure, MomentSequence, measure_from_atoms
 
 # Hermitian symmetry required of matrices arriving from files.
@@ -127,22 +127,13 @@ def _parse_stack(raw: list, n: int) -> np.ndarray | None:
     return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
 
 
-def _file_hermitian(stack: np.ndarray, path, start: int = 0) -> np.ndarray:
-    """Symmetrized moments ``start``, ``start + 1``, ..., each checked by
-    :func:`require_hermitian`'s rule at ``FILE_HERM_TOL``; the first failing
-    one raises its error."""
-    adj = stack.conj().transpose(0, 2, 1)
-    with np.errstate(invalid="ignore"):     # non-finite entries fail below
-        scale = np.abs(stack).max(axis=(1, 2))
-        skew = np.abs(stack - adj).max(axis=(1, 2))
-        bad = ~np.isfinite(stack).all(axis=(1, 2)) | (
-            skew > FILE_HERM_TOL * np.maximum(1.0, scale))
-    for i in np.flatnonzero(bad):
-        try:
-            require_hermitian(stack[i], FILE_HERM_TOL, name=f"moments[{start + i}]")
-        except ValidationError as exc:
-            raise FileFormatError(f"{path}: {exc}") from exc
-    return 0.5 * (stack + adj)
+def _file_hermitian(stack: np.ndarray, path, name: str = "moments[{}]") -> np.ndarray:
+    """:func:`require_hermitian_stack` at ``FILE_HERM_TOL``, failing as a
+    fault of the file ``path``."""
+    try:
+        return require_hermitian_stack(stack, FILE_HERM_TOL, name)
+    except ValidationError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def read_problem(path) -> MomentSequence:
@@ -165,7 +156,7 @@ def read_problem(path) -> MomentSequence:
     moments = []
     for i, m in enumerate(raw):
         mat = pairs_to_matrix(m, n, f"{path}: moments[{i}]")
-        moments.append(_file_hermitian(mat[None], path, start=i)[0])
+        moments.append(_file_hermitian(mat[None], path, f"moments[{i}]")[0])
     return MomentSequence(a, b, tuple(moments))
 
 

@@ -11,6 +11,10 @@ positivity decisions are consistent across modules:
   ``check_psd`` applies it to one matrix, ``check_psd_stack`` to a
   ``(k, n, n)`` stack with one batched ``eigvalsh``, matrix by matrix with
   the same validation and scale as ``check_psd``.
+* ``require_hermitian`` is the one Hermitian-input rule, applied to a stack
+  in one pass by ``require_hermitian_stack``.
+* ``cluster_starts`` is the one clustering rule for sorted values (atom
+  positions, eigenvalues): a cluster ends where a gap exceeds the tolerance.
 * ``pinv_from_eig`` and ``sqrt_from_eig`` build the pseudo-inverse and
   square root from an eigendecomposition the caller already has, so that
   one factorization serves several derived matrices; ``pinv_psd`` and
@@ -131,31 +135,49 @@ def check_psd(a, tol: float = PSD_TOL) -> bool:
     return bool(psd_ok(np.linalg.eigvalsh(h), tol))
 
 
+def require_hermitian_stack(stack, tol: float = HERM_TOL,
+                            name: str = "matrix {}") -> np.ndarray:
+    """:func:`require_hermitian` of every matrix of a ``(k, n, n)`` stack at once.
+
+    Applies the same per-matrix rule in one vectorized pass and returns the
+    symmetrized stack.  The first matrix that fails, by a non-finite entry or
+    by its asymmetry, raises ``require_hermitian``'s own error, with the
+    matrix at index i named ``name.format(i)``.
+    """
+    arr = np.asarray(stack, dtype=complex)
+    adj = arr.conj().transpose(0, 2, 1)
+    with np.errstate(invalid="ignore"):     # non-finite entries fail below
+        scale = np.abs(arr).max(axis=(1, 2), initial=0.0)
+        skew = np.abs(arr - adj).max(axis=(1, 2), initial=0.0)
+        bad = ~np.isfinite(arr).all(axis=(1, 2)) | (skew > tol * np.maximum(1.0, scale))
+    if bad.any():
+        i = int(np.argmax(bad))
+        require_hermitian(arr[i], tol, name=name.format(i))
+    return 0.5 * (arr + adj)
+
+
 def check_psd_stack(stack, tol: float = PSD_TOL) -> np.ndarray:
     """:func:`check_psd` of every matrix of a ``(k, n, n)`` stack at once.
 
-    Applies the per-matrix rules of ``check_psd``: a non-finite entry or an
-    asymmetry beyond ``HERM_TOL * max(1, max |entry|)`` of any one matrix
-    raises ``ValidationError``; each symmetrized matrix passes iff its
-    spectrum passes :func:`psd_ok`.  Returns a bool array of length k.
+    Each matrix is validated by :func:`require_hermitian_stack` (the first
+    failing one raises ``ValidationError``) and passes iff the spectrum of
+    its symmetrized form passes :func:`psd_ok`.  Returns a bool array of
+    length k.
     """
-    arr = np.asarray(stack, dtype=complex)
+    arr = require_hermitian_stack(stack)
     if arr.size == 0:
         return np.ones(arr.shape[0], dtype=bool)
-    finite = np.isfinite(arr).all(axis=(1, 2))
-    if not finite.all():
-        raise ValidationError(f"matrix {np.argmin(finite)} contains non-finite entries")
-    adj = arr.conj().transpose(0, 2, 1)
-    scale = np.abs(arr).max(axis=(1, 2))
-    skew = np.abs(arr - adj).max(axis=(1, 2))
-    asym = skew > HERM_TOL * np.maximum(1.0, scale)
-    if asym.any():
-        bad = np.argmax(asym)
-        raise ValidationError(
-            f"matrix {bad} is not Hermitian: asymmetry {skew[bad]:.3e} exceeds "
-            f"{HERM_TOL:.1e} * max(1, {scale[bad]:.3e})"
-        )
-    return psd_ok(np.linalg.eigvalsh(0.5 * (arr + adj)), tol)
+    return psd_ok(np.linalg.eigvalsh(arr), tol)
+
+
+def cluster_starts(sorted_values: np.ndarray, tol: float) -> np.ndarray:
+    """Start index of each run of ``sorted_values`` whose consecutive gaps
+    are at most ``tol``.
+
+    A run chains: it continues as long as each value lies within ``tol`` of
+    the one before it.  ``sorted_values`` must be ascending and nonempty.
+    """
+    return np.concatenate(([0], np.flatnonzero(np.diff(sorted_values) > tol) + 1))
 
 
 def require_psd(dec: EigDecomposition, psd_tol: float = PSD_TOL,

@@ -1,10 +1,11 @@
 """Moment sequences, block Hankel builders, and discrete matrix measures.
 
 A moment sequence holds Hermitian N x N matrices S_0..S_l together with the
-interval [a, b].  The block Hankel builders assemble the structured matrices
-whose positivity governs solvability; a discrete matrix measure is a finite
-list of atoms (x_i, W_i) with PSD matrix weights, the package's concrete
-representation of a solution.
+interval [a, b].  The block Hankel builders return, as plain complex arrays,
+the structured matrices whose positivity governs solvability, each gathered
+from the moment stack in one indexing step; a discrete matrix measure is a
+finite list of atoms (x_i, W_i) with PSD matrix weights, the package's
+concrete representation of a solution.
 """
 
 from __future__ import annotations
@@ -14,10 +15,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import HERM_TOL, PSD_TOL, check_psd_stack, require_hermitian
+from .linalg import (
+    HERM_TOL,
+    PSD_TOL,
+    check_psd_stack,
+    cluster_starts,
+    require_hermitian,
+    require_hermitian_stack,
+)
 
-# Atoms closer than ATOM_MERGE_REL * (b - a) are merged; weights whose norm is
-# below WEIGHT_PRUNE_REL times the total-mass norm are dropped.
+# Runs of atoms with consecutive gaps of at most ATOM_MERGE_REL * (b - a) are
+# merged; weights whose norm is not above WEIGHT_PRUNE_REL times the
+# total-mass norm are dropped.
 ATOM_MERGE_REL = 1e-12
 WEIGHT_PRUNE_REL = 1e-12
 
@@ -39,28 +48,33 @@ class MomentSequence:
     a: float
     b: float
     moments: tuple[np.ndarray, ...]
+    # S_0..S_l as one read-only (l+1, N, N) array; ``moments`` are its views
+    _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         a, b = _check_interval(self.a, self.b)
         if len(self.moments) == 0:
             raise ValidationError("moment sequence must contain at least S_0")
-        checked = []
-        n = None
-        for i, s in enumerate(self.moments):
-            arr = require_hermitian(s, HERM_TOL, name=f"S_{i}")
-            if n is None:
-                n = arr.shape[0]
-                if n == 0:
-                    raise ValidationError("block size N must be positive")
-            elif arr.shape[0] != n:
-                raise ValidationError(
-                    f"S_{i} has dimension {arr.shape[0]}, expected {n}"
-                )
-            arr.setflags(write=False)
-            checked.append(arr)
+        arrs = [np.asarray(s, dtype=complex) for s in self.moments]
+        if arrs[0].shape == (0, 0):
+            raise ValidationError("block size N must be positive")
+        n = arrs[0].shape[-1] if arrs[0].ndim else 0
+        # The moments before the first one that is not n x n are checked in
+        # one pass; that one then fails as it would on its own: not square,
+        # not finite, not Hermitian, or else of the wrong dimension.
+        good = next((i for i, arr in enumerate(arrs) if arr.shape != (n, n)), len(arrs))
+        stack = require_hermitian_stack(np.array(arrs[:good]).reshape(good, n, n),
+                                        HERM_TOL, name="S_{}")
+        if good < len(arrs):
+            require_hermitian(arrs[good], HERM_TOL, name=f"S_{good}")
+            raise ValidationError(
+                f"S_{good} has dimension {arrs[good].shape[0]}, expected {n}"
+            )
+        stack.setflags(write=False)
+        object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "moments", tuple(checked))
+        object.__setattr__(self, "moments", tuple(stack))
 
     @property
     def N(self) -> int:
@@ -81,65 +95,44 @@ class MomentSequence:
         return MomentSequence(self.a, self.b, self.moments + (np.asarray(s_next),))
 
 
-@dataclass(frozen=True, eq=False)
-class BlockHankel:
-    """A structured Hermitian matrix built from a moment sequence.
-
-    ``kind`` is one of "gamma", "gamma_tilde", "h", "h_tilde", "gamma_hat";
-    ``k`` the order index; ``matrix`` the assembled matrix.
-    """
-
-    kind: str
-    k: int
-    matrix: np.ndarray
+def _hankel(blocks: np.ndarray, k: int) -> np.ndarray:
+    """The k x k block Hankel matrix with (i, j) block ``blocks[i + j]``."""
+    n = blocks.shape[-1]
+    idx = np.arange(k)
+    return blocks[np.add.outer(idx, idx)].transpose(0, 2, 1, 3).reshape(k * n, k * n)
 
 
-def _assemble(blocks, rows: int, cols: int, n: int) -> np.ndarray:
-    out = np.zeros((rows * n, cols * n), dtype=complex)
-    for i in range(rows):
-        for j in range(cols):
-            out[i * n : (i + 1) * n, j * n : (j + 1) * n] = blocks(i, j)
-    return out
-
-
-def build_gamma(seq: MomentSequence, k: int) -> BlockHankel:
+def build_gamma(seq: MomentSequence, k: int) -> np.ndarray:
     """Block Hankel matrix with (i, j) block S_{i+j}, 0 <= i, j <= k."""
     if k < 0 or 2 * k > seq.l:
         raise ValidationError(f"insufficient moments for order k={k} (l={seq.l})")
-    s = seq.moments
-    return BlockHankel("gamma", k, _assemble(lambda i, j: s[i + j], k + 1, k + 1, seq.N))
+    return _hankel(seq._stack, k + 1)
 
 
-def build_gamma_tilde(seq: MomentSequence, k: int) -> BlockHankel:
+def build_gamma_tilde(seq: MomentSequence, k: int) -> np.ndarray:
     """Interval-weighted block Hankel: blocks -ab S_{i+j} + (a+b) S_{i+j+1} - S_{i+j+2}.
 
     Indices run 0 <= i, j <= k-1, so k = 0 yields the empty 0x0 matrix.
     """
     if k < 0 or 2 * k > seq.l:
         raise ValidationError(f"insufficient moments for order k={k} (l={seq.l})")
-    a, b, s = seq.a, seq.b, seq.moments
-    blocks = lambda i, j: -a * b * s[i + j] + (a + b) * s[i + j + 1] - s[i + j + 2]
-    return BlockHankel("gamma_tilde", k, _assemble(blocks, k, k, seq.N))
+    a, b, s = seq.a, seq.b, seq._stack
+    return _hankel(-a * b * s[:-2] + (a + b) * s[1:-1] - s[2:], k)
 
 
-def build_h_pair(seq: MomentSequence, k: int) -> tuple[BlockHankel, BlockHankel]:
+def build_h_pair(seq: MomentSequence, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint-weighted pair: blocks -a S_{i+j} + S_{i+j+1} and b S_{i+j} - S_{i+j+1}."""
     if k < 0 or 2 * k + 1 > seq.l:
         raise ValidationError(f"insufficient moments for order k={k} (l={seq.l})")
-    a, b, s = seq.a, seq.b, seq.moments
-    h = _assemble(lambda i, j: -a * s[i + j] + s[i + j + 1], k + 1, k + 1, seq.N)
-    ht = _assemble(lambda i, j: b * s[i + j] - s[i + j + 1], k + 1, k + 1, seq.N)
-    return BlockHankel("h", k, h), BlockHankel("h_tilde", k, ht)
+    a, b, s = seq.a, seq.b, seq._stack
+    return _hankel(-a * s[:-1] + s[1:], k + 1), _hankel(b * s[:-1] - s[1:], k + 1)
 
 
-def build_gamma_hat(seq: MomentSequence, d: int) -> BlockHankel:
+def build_gamma_hat(seq: MomentSequence, d: int) -> np.ndarray:
     """Shifted block Hankel with (i, j) block S_{i+j+2}, 0 <= i, j <= d-1."""
     if d < 1 or 2 * d > seq.l:
         raise ValidationError(f"insufficient moments for order d={d} (l={seq.l})")
-    s = seq.moments
-    return BlockHankel(
-        "gamma_hat", d - 1, _assemble(lambda i, j: s[i + j + 2], d, d, seq.N)
-    )
+    return _hankel(seq._stack[2:], d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,9 +200,10 @@ def measure_from_atoms(a: float, b: float, positions, weights,
                        N: int | None = None) -> DiscreteMatrixMeasure:
     """Build a canonical measure from raw atom data.
 
-    Sorts by position, merges atoms closer than ``ATOM_MERGE_REL * (b - a)``
-    by summing their weights, and prunes atoms whose weight norm is below
-    ``WEIGHT_PRUNE_REL`` times the norm of the total mass.
+    Sorts by position, merges each run of atoms whose consecutive gaps are
+    at most ``ATOM_MERGE_REL * (b - a)`` into one atom at the run's first
+    position with the summed weight, and prunes atoms whose weight norm is
+    not above ``WEIGHT_PRUNE_REL`` times the norm of the total mass.
     """
     a, b = _check_interval(a, b)
     pos = np.atleast_1d(np.asarray(positions, dtype=float))
@@ -221,30 +215,18 @@ def measure_from_atoms(a: float, b: float, positions, weights,
             raise ValidationError("empty measure needs an explicit block size N")
         return DiscreteMatrixMeasure(a, b, N, np.zeros(0),
                                      np.zeros((0, N, N), dtype=complex))
+    if pos.ndim != 1 or w.ndim != 3 or w.shape[0] != pos.size:
+        raise ValidationError("atom arrays have inconsistent shapes")
     if N is None:
         N = w.shape[-1]
 
     order = np.argsort(pos, kind="stable")
     pos = pos[order]
-    w = w[order]
-
-    merge_tol = ATOM_MERGE_REL * (b - a)
-    merged_pos: list[float] = []
-    merged_w: list[np.ndarray] = []
-    for x, wi in zip(pos, w):
-        if merged_pos and x - merged_pos[-1] <= merge_tol:
-            merged_w[-1] = merged_w[-1] + wi
-        else:
-            merged_pos.append(float(x))
-            merged_w.append(wi)
-
-    total = np.sum(merged_w, axis=0)
-    floor = WEIGHT_PRUNE_REL * np.linalg.norm(total)
-    keep = [i for i, wi in enumerate(merged_w) if np.linalg.norm(wi) > floor]
-    kept_pos = np.array([merged_pos[i] for i in keep], dtype=float)
-    kept_w = (np.stack([merged_w[i] for i in keep])
-              if keep else np.zeros((0, N, N), dtype=complex))
-    return DiscreteMatrixMeasure(a, b, N, kept_pos, kept_w)
+    starts = cluster_starts(pos, ATOM_MERGE_REL * (b - a))
+    merged = np.add.reduceat(w[order], starts, axis=0)
+    floor = WEIGHT_PRUNE_REL * np.linalg.norm(merged.sum(axis=0))
+    keep = np.linalg.norm(merged, axis=(1, 2)) > floor
+    return DiscreteMatrixMeasure(a, b, N, pos[starts][keep], merged[keep])
 
 
 def moments_of(measure: DiscreteMatrixMeasure, l: int) -> MomentSequence:

@@ -120,7 +120,7 @@ def build_gram_space(seq: MomentSequence, rank_tol: float = RANK_TOL) -> GramSpa
     if seq.l % 2 != 0 or seq.l < 2:
         raise ValidationError(f"Gram-space construction requires l = 2d, d >= 1, got l={seq.l}")
     d = seq.l // 2
-    gamma = build_gamma(seq, d).matrix
+    gamma = build_gamma(seq, d)
     dec = hermitian_eig(gamma)
     if not psd_ok(dec.eigenvalues):
         raise ValidationError("moment matrix is not PSD; refusing Gram-space construction")

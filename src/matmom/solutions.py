@@ -24,10 +24,17 @@ from .extensions import (
     canonical_extension,
     extremal_extensions,
 )
-from .linalg import PSD_TOL, check_psd_stack, herm_part, hermitian_eig, sqrt_psd
+from .linalg import (
+    PSD_TOL,
+    check_psd_stack,
+    cluster_starts,
+    herm_part,
+    hermitian_eig,
+    sqrt_psd,
+)
 from .moments import DiscreteMatrixMeasure, MomentSequence, measure_from_atoms, moments_of
 from .operator_model import build_gram_space, build_operators
-from .solvability import check_even, check_l0, check_odd
+from .solvability import EvenCaseData, check_even, check_l0, check_odd
 
 # Eigenvalues closer than CLUSTER_TOL are merged into one atom; positions
 # within CLAMP_REL * (b - a) outside the interval (rounding of eigenvalues at
@@ -87,8 +94,7 @@ def spectral_data(extension: np.ndarray, first_vectors: np.ndarray,
     n_vec = first_vectors.shape[1]
     if w.size == 0:
         return SpectralData(np.zeros(0), np.zeros((0, n_vec, n_vec), dtype=complex))
-    # greedy chaining: a new cluster starts where the gap exceeds the tolerance
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(w) > cluster_tol) + 1))
+    starts = cluster_starts(w, cluster_tol)
     counts = np.diff(np.append(starts, w.size))
     # With y = V* X, the weight of a cluster c is sum_{i in c} y_i y_i*: entry
     # (j, n) is <proj x_j, x_n> = x_n^H proj x_j for the cluster projector.
@@ -152,19 +158,19 @@ def _solve(seq: MomentSequence, k, t=None, *, verify_tol: float = SOLVE_VERIFY_T
     S_0..S_l of ``seq``, so a caller can judge it at its own tolerance
     without verifying again.
     """
-    odd = seq if t is None else _with_next_moment(seq, t)
-    report = check_odd(odd)
+    report = check_odd(seq) if t is None else check_even(seq)
     if not report.solvable:
         raise Unsolvable(
             "moment problem is unsolvable; failed: "
             + ", ".join(report.failed_conditions)
         )
-    space = build_gram_space(odd)
+    odd = seq if t is None else _with_next_moment(seq, report.even_case, t)
     try:
+        space = build_gram_space(odd)
         model = build_operators(space)
-    except OperatorIllDefined as exc:
-        # the check above found the kernel inclusion to hold, so the two
-        # numerical tests of one property disagree: not a verdict on the data
+    except (OperatorIllDefined, ValidationError) as exc:
+        # the check above (not repeated on an even problem's extension) holds,
+        # so two numerical tests of one property disagree: not a verdict on the data
         raise NumericalInconsistency(f"solvability check passed, but {exc}") from exc
     interval = extremal_extensions(model)
     extension = canonical_extension(interval, k)
@@ -182,15 +188,8 @@ def _solve(seq: MomentSequence, k, t=None, *, verify_tol: float = SOLVE_VERIFY_T
                             moment_scales=outcome.moment_scales[: seq.l + 1])
 
 
-def _with_next_moment(seq: MomentSequence, t) -> MomentSequence:
-    """The even-case problem extended by S_{2d+2} chosen by ``t``."""
-    report = check_even(seq)
-    if not report.solvable:
-        raise Unsolvable(
-            "moment problem is unsolvable; failed: "
-            + ", ".join(report.failed_conditions)
-        )
-    data = report.even_case
+def _with_next_moment(seq: MomentSequence, data: EvenCaseData, t) -> MomentSequence:
+    """The even-case problem extended by S_{2d+2} chosen by ``t`` in ``data``'s interval."""
     t_mat = as_unit_interval_param(t, seq.N, name="moment-interval parameter")
     width_half = sqrt_psd(herm_part(data.S_max - data.S_min))
     return seq.extended(herm_part(data.S_min + width_half @ t_mat @ width_half))

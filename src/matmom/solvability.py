@@ -34,13 +34,7 @@ from .linalg import (
     rank_keep,
     require_hermitian,
 )
-from .moments import (
-    MomentSequence,
-    build_gamma,
-    build_gamma_hat,
-    build_gamma_tilde,
-    build_h_pair,
-)
+from .moments import MomentSequence, build_gamma, build_gamma_tilde, build_h_pair
 
 logger = logging.getLogger(__name__)
 
@@ -142,10 +136,11 @@ def _range_solve(mat: np.ndarray, rhs: np.ndarray,
     return x, residual, quad
 
 
-def _kernel_condition(seq: MomentSequence, d: int, rank_tol: float) -> Condition:
-    gamma_prev = build_gamma(seq, d - 1).matrix
-    gamma_hat = build_gamma_hat(seq, d).matrix
-    dec = hermitian_eig(gamma_prev)
+def _kernel_condition(gamma: np.ndarray, n: int, rank_tol: float) -> Condition:
+    """Kernel inclusion read off the order-d moment matrix ``gamma``: its
+    leading and trailing dN x dN blocks are Gamma_{d-1} and Gamma-hat."""
+    gamma_hat = gamma[n:, n:]
+    dec = hermitian_eig(gamma[:-n, :-n])
     kernel = dec.eigenvectors[:, ~rank_keep(dec.eigenvalues, rank_tol)]
     if kernel.shape[1] == 0:
         return Condition("kernel inclusion", True, "residual", 0.0, KERNEL_TOL, 0.0)
@@ -160,14 +155,14 @@ def _cdfk_conditions(seq: MomentSequence, psd_tol: float) -> tuple[Condition, ..
     if seq.l % 2 == 0:
         d = seq.l // 2
         return (
-            _psd_condition("Gamma PSD", build_gamma(seq, d).matrix, psd_tol),
-            _psd_condition("GammaTilde PSD", build_gamma_tilde(seq, d).matrix, psd_tol),
+            _psd_condition("Gamma PSD", build_gamma(seq, d), psd_tol),
+            _psd_condition("GammaTilde PSD", build_gamma_tilde(seq, d), psd_tol),
         )
     d = (seq.l - 1) // 2
     h, ht = build_h_pair(seq, d)
     return (
-        _psd_condition("H PSD", h.matrix, psd_tol),
-        _psd_condition("HTilde PSD", ht.matrix, psd_tol),
+        _psd_condition("H PSD", h, psd_tol),
+        _psd_condition("HTilde PSD", ht, psd_tol),
     )
 
 
@@ -203,10 +198,11 @@ def check_odd(seq: MomentSequence, psd_tol: float = PSD_TOL,
             f"odd-case check requires l = 2d with d >= 1, got l={seq.l}"
         )
     d = seq.l // 2
+    gamma = build_gamma(seq, d)
     conditions = (
-        _psd_condition("Gamma PSD", build_gamma(seq, d).matrix, psd_tol),
-        _psd_condition("GammaTilde PSD", build_gamma_tilde(seq, d).matrix, psd_tol),
-        _kernel_condition(seq, d, rank_tol),
+        _psd_condition("Gamma PSD", gamma, psd_tol),
+        _psd_condition("GammaTilde PSD", build_gamma_tilde(seq, d), psd_tol),
+        _kernel_condition(gamma, seq.N, rank_tol),
     )
     # for l = 2d the cross-check pair is the first two own conditions
     cdfk_ok, agree = _agreement("odd", conditions, conditions[:2])
@@ -237,8 +233,8 @@ def check_even(seq: MomentSequence, psd_tol: float = PSD_TOL,
     s = seq.moments
     a, b, n = seq.a, seq.b, seq.N
 
-    gamma = build_gamma(seq, d).matrix
-    gtilde = build_gamma_tilde(seq, d).matrix
+    gamma = build_gamma(seq, d)
+    gtilde = build_gamma_tilde(seq, d)
     conditions = [
         _psd_condition("Gamma PSD", gamma, psd_tol),
         _psd_condition("GammaTilde PSD", gtilde, psd_tol),

@@ -55,6 +55,29 @@ def random_contraction_column(rng, p, q):
     return t[:p, :p], t[p:, :p]
 
 
+def reference_hankel(seq, kind: str, k: int) -> np.ndarray:
+    """Block-by-block assembly of a structured matrix of ``seq``: the
+    reference for the block Hankel builders.
+
+    ``kind`` is "gamma", "gamma_tilde", "h", "h_tilde" or "gamma_hat"; the
+    scalar arithmetic of each block is the builders' own.
+    """
+    a, b, s, n = seq.a, seq.b, seq.moments, seq.N
+    blocks, size = {
+        "gamma": (lambda i, j: s[i + j], k + 1),
+        "gamma_tilde": (lambda i, j: -a * b * s[i + j] + (a + b) * s[i + j + 1]
+                        - s[i + j + 2], k),
+        "h": (lambda i, j: -a * s[i + j] + s[i + j + 1], k + 1),
+        "h_tilde": (lambda i, j: b * s[i + j] - s[i + j + 1], k + 1),
+        "gamma_hat": (lambda i, j: s[i + j + 2], k),
+    }[kind]
+    out = np.zeros((size * n, size * n), dtype=complex)
+    for i in range(size):
+        for j in range(size):
+            out[i * n : (i + 1) * n, j * n : (j + 1) * n] = blocks(i, j)
+    return out
+
+
 def reference_dump(obj) -> str:
     """JSON text with floats in 17-significant-digit scientific notation,
     written value by value: the reference for the file writers."""

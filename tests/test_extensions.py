@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import matmom.extensions
 from matmom import (
     MomentSequence,
     NumericalInconsistency,
@@ -355,6 +356,14 @@ class TestCompletionNormGuard:
                                   Q=np.array([[2.0]], dtype=complex))
         with pytest.raises(NumericalInconsistency, match="minimal completion"):
             extremal_extensions(bad)
+
+    def test_negative_defect_is_numerical(self, monkeypatch, lebesgue_interval):
+        # swapped completions pass both norm guards, and their difference is
+        # minus the defect
+        swapped = lambda p, q, rank_tol: extremal_completions(p, q, rank_tol)[::-1]
+        monkeypatch.setattr(matmom.extensions, "extremal_completions", swapped)
+        with pytest.raises(NumericalInconsistency, match="defect has negative eigenvalue"):
+            extremal_extensions(lebesgue_interval.model)
 
 
 def test_batched_unitary_sampler_matches_loop():

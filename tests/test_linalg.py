@@ -11,7 +11,13 @@ from matmom import (
     pinv_psd,
     sqrt_psd,
 )
-from matmom.linalg import check_psd_stack, herm_part, rank_keep, require_hermitian
+from matmom.linalg import (
+    check_psd_stack,
+    herm_part,
+    rank_keep,
+    require_hermitian,
+    require_hermitian_stack,
+)
 
 from helpers import random_hermitian, random_psd, random_unitary
 
@@ -143,6 +149,30 @@ def test_rank_keep_rule():
     assert rank_keep(np.array([-1.0, 0.0])).tolist() == [False, False]
     assert rank_keep(np.zeros(0)).shape == (0,)
     assert rank_keep(np.array([0.5, 1.0]), rank_tol=0.6).tolist() == [False, True]
+
+
+class TestRequireHermitianStack:
+    def test_agrees_with_require_hermitian(self):
+        rng = np.random.default_rng(11)
+        stack = np.stack([random_hermitian(rng, 3) for _ in range(5)])
+        stack[:, 0, 1] += 1e-13      # asymmetry inside the tolerance
+        got = require_hermitian_stack(stack)
+        want = np.stack([require_hermitian(m) for m in stack])
+        assert got.tobytes() == want.tobytes()
+        assert require_hermitian_stack(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
+    def test_first_failing_matrix_raises_its_own_error(self):
+        rng = np.random.default_rng(12)
+        stack = np.stack([random_hermitian(rng, 2, scale=10.0) for _ in range(5)])
+        stack[2, 0, 1] += 1e-6
+        stack[3, 1, 1] = np.inf
+        with pytest.raises(ValidationError) as want:
+            require_hermitian(stack[2], 1e-9, name="m[2]")
+        with pytest.raises(ValidationError) as got:
+            require_hermitian_stack(stack, 1e-9, name="m[{}]")
+        assert str(got.value) == str(want.value)
+        with pytest.raises(ValidationError, match=r"^m\[2\] contains non-finite entries$"):
+            require_hermitian_stack(np.delete(stack, 2, axis=0), 1e-9, name="m[{}]")
 
 
 class TestPinvPsd:

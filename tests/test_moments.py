@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from matmom import (
     moments_of,
 )
 
-from helpers import random_hermitian
+from helpers import random_hermitian, reference_hankel
 
 
 def scalar_seq(a, b, values):
@@ -32,56 +34,56 @@ def random_seq(seed, n=2, l=4, scale=1.0):
 class TestBuilders:
     def test_gamma_identity_pattern(self):
         seq = scalar_seq(-1, 1, [1, 0, 1])
-        assert np.allclose(build_gamma(seq, 1).matrix, np.eye(2))
+        assert np.allclose(build_gamma(seq, 1), np.eye(2))
 
     def test_gamma_constant_pattern(self):
         seq = scalar_seq(-1, 1, [1, 1, 1])
-        assert np.allclose(build_gamma(seq, 1).matrix, np.ones((2, 2)))
+        assert np.allclose(build_gamma(seq, 1), np.ones((2, 2)))
 
     def test_gamma_block_identity(self):
         seq = MomentSequence(-1, 1, (np.eye(2), np.zeros((2, 2)), np.eye(2)))
-        assert np.allclose(build_gamma(seq, 1).matrix, np.eye(4))
+        assert np.allclose(build_gamma(seq, 1), np.eye(4))
 
     def test_gamma_tilde_symmetric_interval(self):
         seq = scalar_seq(-1, 1, [1, 0, 1])
-        assert np.allclose(build_gamma_tilde(seq, 1).matrix, [[0.0]])
+        assert np.allclose(build_gamma_tilde(seq, 1), [[0.0]])
 
     def test_gamma_tilde_unit_interval(self):
         seq = scalar_seq(0, 1, [1, 0.5, 1 / 3])
-        assert np.allclose(build_gamma_tilde(seq, 1).matrix, [[1 / 6]])
+        assert np.allclose(build_gamma_tilde(seq, 1), [[1 / 6]])
 
     def test_gamma_tilde_order_zero_is_empty(self):
         seq = scalar_seq(0, 1, [1, 0.5, 1 / 3])
-        assert build_gamma_tilde(seq, 0).matrix.shape == (0, 0)
+        assert build_gamma_tilde(seq, 0).shape == (0, 0)
 
     def test_h_pair_basic(self):
         seq = scalar_seq(0, 1, [1, 0.5])
         h, ht = build_h_pair(seq, 0)
-        assert np.allclose(h.matrix, [[0.5]])
-        assert np.allclose(ht.matrix, [[0.5]])
+        assert np.allclose(h, [[0.5]])
+        assert np.allclose(ht, [[0.5]])
 
     def test_h_pair_negative_side(self):
         seq = scalar_seq(0, 1, [1, 2])
         h, ht = build_h_pair(seq, 0)
-        assert np.allclose(h.matrix, [[2.0]])
-        assert np.allclose(ht.matrix, [[-1.0]])
+        assert np.allclose(h, [[2.0]])
+        assert np.allclose(ht, [[-1.0]])
 
     def test_h_pair_order_one(self):
         seq = scalar_seq(-1, 1, [1, 0, 1, 0])
         h, ht = build_h_pair(seq, 1)
-        assert np.allclose(h.matrix, [[1.0, 1.0], [1.0, 1.0]])
-        assert np.allclose(ht.matrix, [[1.0, -1.0], [-1.0, 1.0]])
+        assert np.allclose(h, [[1.0, 1.0], [1.0, 1.0]])
+        assert np.allclose(ht, [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_gamma_hat(self):
         seq = scalar_seq(-1, 1, [1, 1, 1, 1, 1])
-        assert np.allclose(build_gamma_hat(seq, 2).matrix, np.ones((2, 2)))
+        assert np.allclose(build_gamma_hat(seq, 2), np.ones((2, 2)))
         seq2 = scalar_seq(-1, 1, [1, 0, 1])
-        assert np.allclose(build_gamma_hat(seq2, 1).matrix, [[1.0]])
+        assert np.allclose(build_gamma_hat(seq2, 1), [[1.0]])
 
     def test_gamma_hat_block_case(self):
         s2 = np.array([[2.0, 1j], [-1j, 3.0]])
         seq = MomentSequence(-1, 1, (np.eye(2), np.zeros((2, 2)), s2))
-        assert np.allclose(build_gamma_hat(seq, 1).matrix, s2)
+        assert np.allclose(build_gamma_hat(seq, 1), s2)
 
     def test_insufficient_moments(self):
         seq = scalar_seq(-1, 1, [1, 0, 1])
@@ -97,18 +99,42 @@ class TestBuilders:
     def test_builders_hermitian(self, seed, n, d):
         seq = random_seq(seed, n=n, l=2 * d + 1)
         mats = [
-            build_gamma(seq, d).matrix,
-            build_gamma_tilde(seq, d).matrix,
-            *(bh.matrix for bh in build_h_pair(seq, d)),
-            build_gamma_hat(seq, d).matrix,
+            build_gamma(seq, d),
+            build_gamma_tilde(seq, d),
+            *(bh for bh in build_h_pair(seq, d)),
+            build_gamma_hat(seq, d),
         ]
         for m in mats:
             assert np.allclose(m, m.conj().T, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("l", range(2, 10))
+    def test_gather_equals_block_loop(self, n, l):
+        rng = np.random.default_rng(10 * l + n)
+        seq = MomentSequence(-0.7, 2.3, tuple(random_hermitian(rng, n) for _ in range(l + 1)))
+        built = []
+        for k in range(l // 2 + 1):
+            built += [("gamma", k, build_gamma(seq, k)),
+                      ("gamma_tilde", k, build_gamma_tilde(seq, k))]
+            if k >= 1:
+                built.append(("gamma_hat", k, build_gamma_hat(seq, k)))
+        for k in range((l - 1) // 2 + 1):
+            h, ht = build_h_pair(seq, k)
+            built += [("h", k, h), ("h_tilde", k, ht)]
+        for kind, k, got in built:
+            want = reference_hankel(seq, kind, k)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (kind, k)
+        # the blocks of Gamma_d that check_odd reads for the kernel condition
+        d = l // 2
+        gamma = build_gamma(seq, d)
+        assert gamma[:-n, :-n].tobytes() == build_gamma(seq, d - 1).tobytes()
+        assert gamma[n:, n:].tobytes() == build_gamma_hat(seq, d).tobytes()
+
     def test_entry_layout_matches_moments(self):
         # entry (r*N + j, t*N + n) of the moment matrix is S_{r+t}[j, n]
         seq = random_seq(3, n=2, l=4)
-        g = build_gamma(seq, 2).matrix
+        g = build_gamma(seq, 2)
         n = seq.N
         for r in range(3):
             for t in range(3):
@@ -127,8 +153,8 @@ class TestWeightedMeasureIdentities:
         k = 2
         w = ((mu.b - mu.positions) * (mu.positions - mu.a))[:, None, None]
         mu_w = measure_from_atoms(mu.a, mu.b, mu.positions, w * mu.weights)
-        expected = build_gamma(moments_of(mu_w, 2 * (k - 1)), k - 1).matrix
-        got = build_gamma_tilde(seq, k).matrix
+        expected = build_gamma(moments_of(mu_w, 2 * (k - 1)), k - 1)
+        got = build_gamma_tilde(seq, k)
         scale = max(1.0, np.abs(expected).max())
         assert np.abs(got - expected).max() <= 1e-10 * scale
         assert check_psd(got)
@@ -142,10 +168,10 @@ class TestWeightedMeasureIdentities:
         for hankel, weight in ((h, mu.positions - mu.a), (ht, mu.b - mu.positions)):
             mu_w = measure_from_atoms(mu.a, mu.b, mu.positions,
                                       weight[:, None, None] * mu.weights)
-            expected = build_gamma(moments_of(mu_w, 2 * k), k).matrix
+            expected = build_gamma(moments_of(mu_w, 2 * k), k)
             scale = max(1.0, np.abs(expected).max())
-            assert np.abs(hankel.matrix - expected).max() <= 1e-10 * scale
-            assert check_psd(hankel.matrix)
+            assert np.abs(hankel - expected).max() <= 1e-10 * scale
+            assert check_psd(hankel)
 
 
 class TestMomentsOf:
@@ -214,6 +240,22 @@ class TestMeasureCanonicalization:
         assert mu.num_atoms == 1
         assert np.allclose(mu.weights[0], 2 * np.eye(1))
 
+    def test_merge_chains_close_atoms(self):
+        # consecutive gaps of 0.8e-12 (b - a): one run, although its ends are
+        # 1.6e-12 (b - a) apart
+        a, b = -2.0, 3.0
+        x = 0.5 + 0.8e-12 * (b - a) * np.arange(3)
+        mu = measure_from_atoms(a, b, x[::-1], [np.eye(1), 2 * np.eye(1), 4 * np.eye(1)])
+        assert mu.num_atoms == 1
+        assert mu.positions[0] == x[0]
+        assert np.array_equal(mu.weights[0], 7 * np.eye(1))
+
+    def test_rejects_inconsistent_atom_arrays(self):
+        with pytest.raises(ValidationError, match="inconsistent shapes"):
+            measure_from_atoms(0, 1, [0.1, 0.2, 0.3], [np.eye(1), np.eye(1)])
+        with pytest.raises(ValidationError, match="inconsistent shapes"):
+            measure_from_atoms(0, 1, [0.1], [np.eye(1), np.eye(1)])
+
     def test_prune_negligible(self):
         mu = measure_from_atoms(0, 1, [0.3, 0.6], [np.eye(1), 1e-14 * np.eye(1)])
         assert mu.num_atoms == 1
@@ -268,3 +310,15 @@ class TestMomentSequence:
             MomentSequence(0.0, 1.0, (np.array([[0.0, 1.0], [0.0, 0.0]]),))
         with pytest.raises(ValidationError):
             MomentSequence(0.0, 1.0, (np.eye(2), np.eye(3)))
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.ones((2, 3)), "S_2 must be square, got shape (2, 3)"),
+        (np.eye(3), "S_2 has dimension 3, expected 2"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), "S_2 contains non-finite entries"),
+        (np.array([[1.0, 1e-3], [0.0, 1.0]]),
+         "S_2 is not Hermitian: asymmetry 1.000e-03 exceeds 1.0e-12 * max(1, 1.000e+00)"),
+    ])
+    def test_names_the_failing_moment(self, bad, message):
+        # the moment after it is malformed too; the first fault is reported
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            MomentSequence(0.0, 1.0, (np.eye(2), np.eye(2), bad, np.ones(3)))

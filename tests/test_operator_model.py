@@ -199,7 +199,7 @@ class TestOperatorIdentities:
         space = build_gram_space(seq)
         g_dom = space.vectors[:, : d * n]
         g_shift = space.vectors[:, n : n + d * n]
-        gtilde = build_gamma_tilde(seq, d).matrix
+        gtilde = build_gamma_tilde(seq, d)
         scale = max(1.0, np.linalg.norm(space.gram, 2))
         for _ in range(10):
             alpha = rng.standard_normal(d * n) + 1j * rng.standard_normal(d * n)
@@ -261,6 +261,6 @@ def test_gram_entries_match_moment_blocks():
     # gram[r*N + j, t*N + m] = S_{r+t}[j, m] by construction
     mu = gen_random_measure(9, 2, 3, 0.0, 1.0)
     seq = moments_of(mu, 4)
-    gamma = build_gamma(seq, 2).matrix
+    gamma = build_gamma(seq, 2)
     space = build_gram_space(seq)
     assert np.array_equal(space.gram, gamma)

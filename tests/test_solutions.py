@@ -14,6 +14,7 @@ from matmom import (
     build_gram_space,
     build_operators,
     canonical_extension,
+    check_even,
     extremal_extensions,
     gen_random_measure,
     measure_from_atoms,
@@ -272,6 +273,44 @@ class TestSolveEven:
     def test_invalid_parameter(self):
         with pytest.raises(ValidationError):
             solve_even(scalar_seq(0, 1, [1, 0.5]), t=-0.5)
+
+    def test_one_solvability_check(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name):
+            original = getattr(matmom.solutions, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("check_even", "check_odd"):
+            monkeypatch.setattr(matmom.solutions, name, counted(name))
+        seq = moments_of(gen_random_measure(3, 2, 3, -1.0, 1.5), 5)
+        measure = solve_even(seq, t=0.3, k=0.5)
+        assert calls == Counter(check_even=1)
+        assert verify(measure, seq, tol=1e-8).passed
+
+    def test_passing_check_is_not_contradicted(self):
+        # build_gram_space may find the moment matrix of the extension at
+        # t = 0 not PSD by rounding; after check_even said solvable, that is
+        # a numerical error, not an Unsolvable verdict
+        seq = moments_of(gen_random_measure(9339, 2, 5, 0.0, 1.0), 9)
+        assert check_even(seq).solvable
+        try:
+            measure = solve_even(seq, t=0.0)
+        except NumericalInconsistency as exc:
+            assert str(exc).startswith("solvability check passed, but")
+        else:
+            assert verify(measure, seq, tol=1e-8).passed
+
+    def test_upper_endpoint_survives_rounding_of_the_defect(self):
+        # the defect of the extended problem has an eigenvalue of -1.35e-10,
+        # rounding well inside the slack of the completions it is taken from
+        seq = moments_of(gen_random_measure(7, 6, 20, -1.0, 1.0), 15)
+        measure = solve_even(seq, t=1.0, k=0.0)
+        assert verify(measure, seq, tol=1e-8).passed
 
 
 class TestSolveL0:

@@ -89,7 +89,7 @@ class TestCheckEven:
         assert rep.even_case.X.shape == (6, 2)
         assert rep.even_case.Y.shape == (4, 2)
         # the reported solutions reproduce their right-hand sides
-        gamma = build_gamma(seq, 2).matrix
+        gamma = build_gamma(seq, 2)
         rhs = np.vstack([seq.moments[3 + i] for i in range(3)])
         residual = np.linalg.norm(gamma @ rep.even_case.X - rhs)
         assert residual <= 1e-8 * np.linalg.norm(rhs)
