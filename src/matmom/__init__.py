@@ -46,6 +46,7 @@ from .operator_model import (
     GramSpace,
     build_gram_space,
     build_operators,
+    kernel_inclusion,
 )
 from .solvability import (
     EvenCaseData,
@@ -103,6 +104,7 @@ __all__ = [
     "gen_random_measure",
     "generalized_resolvent",
     "hermitian_eig",
+    "kernel_inclusion",
     "loewner_leq",
     "measure_from_atoms",
     "moments_of",

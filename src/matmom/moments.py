@@ -200,10 +200,11 @@ def measure_from_atoms(a: float, b: float, positions, weights,
                        N: int | None = None) -> DiscreteMatrixMeasure:
     """Build a canonical measure from raw atom data.
 
-    Sorts by position, merges each run of atoms whose consecutive gaps are
-    at most ``ATOM_MERGE_REL * (b - a)`` into one atom at the run's first
-    position with the summed weight, and prunes atoms whose weight norm is
-    not above ``WEIGHT_PRUNE_REL`` times the norm of the total mass.
+    Rejects non-finite positions and weights, sorts by position, merges each
+    run of atoms whose consecutive gaps are at most ``ATOM_MERGE_REL * (b -
+    a)`` into one atom at the run's first position with the summed weight,
+    and prunes atoms whose weight norm is not above ``WEIGHT_PRUNE_REL``
+    times the norm of the total mass.
     """
     a, b = _check_interval(a, b)
     pos = np.atleast_1d(np.asarray(positions, dtype=float))
@@ -217,6 +218,12 @@ def measure_from_atoms(a: float, b: float, positions, weights,
                                      np.zeros((0, N, N), dtype=complex))
     if pos.ndim != 1 or w.ndim != 3 or w.shape[0] != pos.size:
         raise ValidationError("atom arrays have inconsistent shapes")
+    # a non-finite weight would turn the prune floor non-finite and drop every atom
+    if not np.isfinite(pos).all():
+        raise ValidationError(f"atom {np.argmin(np.isfinite(pos))} has a non-finite position")
+    if not np.isfinite(w).all():
+        bad = np.argmin(np.isfinite(w).all(axis=(1, 2)))
+        raise ValidationError(f"atom {bad} has a non-finite weight")
     if N is None:
         N = w.shape[-1]
 

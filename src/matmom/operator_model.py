@@ -14,6 +14,7 @@ complement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .errors import NumericalInconsistency, OperatorIllDefined, ValidationError
 from .linalg import (
     NORM_SLACK,
     RANK_TOL,
+    EigDecomposition,
     herm_part,
     hermitian_eig,
     opnorm,
@@ -29,12 +31,7 @@ from .linalg import (
 )
 from .moments import MomentSequence, build_gamma
 
-# Residual bound for the well-definedness of the shift operator and ceiling
-# on the Hermitian asymmetry of the computed domain compression.  Genuine
-# kernel-condition violations produce relative residuals of order one, while
-# rank-truncation noise on admissible data stays below ~1e-7, so 1e-6
-# separates the two regimes cleanly.
-WELLDEF_TOL = 1e-6
+# Ceiling on the Hermitian asymmetry of the computed domain compression.
 SKEW_TOL = 1e-6
 
 # Inner products follow the convention <u, v> = sum_i u_i * conj(v_i), so all
@@ -56,6 +53,23 @@ class GramSpace:
     rank: int
     vectors: np.ndarray
     gram: np.ndarray
+
+    @cached_property
+    def norm(self) -> float:
+        """||X||_2 of the vector matrix X = ``vectors``, sqrt(lambda_max) of
+        the moment matrix: the rows sqrt(w_i) v_i^T of the factor are
+        orthogonal, so it is the largest row norm."""
+        return float(np.linalg.norm(self.vectors, axis=1).max(initial=0.0))
+
+    @cached_property
+    def domain_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Full SVD ``(U, s, Vh)`` of the domain vectors x_0..x_{dN-1}, taken
+        once per space."""
+        dn = self.d * self.N
+        if self.rank == 0:
+            return (np.zeros((0, 0), dtype=complex), np.zeros(0),
+                    np.eye(dn, dtype=complex))
+        return np.linalg.svd(self.vectors[:, :dn])
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,63 +124,90 @@ def _column_phases(u: np.ndarray) -> np.ndarray:
     return phase
 
 
-def build_gram_space(seq: MomentSequence, rank_tol: float = RANK_TOL) -> GramSpace:
-    """Rank-revealing factorization of the order-d moment matrix.
+def gram_space_from_eig(seq: MomentSequence, gamma: np.ndarray,
+                        dec: EigDecomposition, rank_tol: float = RANK_TOL) -> GramSpace:
+    """The Gram space of the order-d moment matrix ``gamma`` of ``seq`` from
+    its eigendecomposition ``dec``, cut by :func:`rank_keep`.
 
-    Requires l = 2d with d >= 1 and a PSD moment matrix.  The factor is the
-    transposed (not conjugated) scaled eigenvector matrix, which makes the
-    Gram identity hold in the fixed inner-product convention.
+    The factor is the transposed (not conjugated) scaled eigenvector matrix,
+    which makes the Gram identity hold in the fixed inner-product convention.
     """
-    if seq.l % 2 != 0 or seq.l < 2:
-        raise ValidationError(f"Gram-space construction requires l = 2d, d >= 1, got l={seq.l}")
-    d = seq.l // 2
-    gamma = build_gamma(seq, d)
-    dec = hermitian_eig(gamma)
-    if not psd_ok(dec.eigenvalues):
-        raise ValidationError("moment matrix is not PSD; refusing Gram-space construction")
     keep = rank_keep(dec.eigenvalues, rank_tol)
     w = dec.eigenvalues[keep]
     # x_n[i] = sqrt(w_i) * V[n, i] so that sum_i x_n[i] conj(x_m[i]) = Gamma[n, m]
     vectors = np.sqrt(w)[:, None] * dec.eigenvectors[:, keep].T
-    return GramSpace(a=seq.a, b=seq.b, N=seq.N, d=d, rank=int(keep.sum()),
+    return GramSpace(a=seq.a, b=seq.b, N=seq.N, d=seq.l // 2, rank=int(keep.sum()),
                      vectors=vectors, gram=gamma)
 
 
-def build_operators(space: GramSpace, rank_tol: float = RANK_TOL,
-                    welldef_tol: float = WELLDEF_TOL) -> ContractionModel:
+def build_gram_space(seq: MomentSequence, rank_tol: float = RANK_TOL) -> GramSpace:
+    """Rank-revealing factorization of the order-d moment matrix.
+
+    Requires l = 2d with d >= 1 and a PSD moment matrix.
+    """
+    if seq.l % 2 != 0 or seq.l < 2:
+        raise ValidationError(f"Gram-space construction requires l = 2d, d >= 1, got l={seq.l}")
+    gamma = build_gamma(seq, seq.l // 2)
+    dec = hermitian_eig(gamma)
+    if not psd_ok(dec.eigenvalues):
+        raise ValidationError("moment matrix is not PSD; refusing Gram-space construction")
+    return gram_space_from_eig(seq, gamma, dec, rank_tol)
+
+
+def kernel_inclusion(space: GramSpace, rank_tol: float = RANK_TOL) -> tuple[bool, float]:
+    """Whether the shift x_k -> x_{k+N} is well defined on the domain
+    vectors, and the residual that decides it.
+
+    The residual is ||g_shift Vh[p:]*||_2: the shifted vectors applied to the
+    kernel of the domain vectors g_dom = U diag(s) Vh, where p counts the
+    singular values kept by :func:`rank_keep`.  The vectors reproduce the
+    moment matrix only up to the eigenvalues the rank cutoff drops, each at
+    most ``rank_tol * lambda_max``, so they are known only up to a
+    perturbation of norm sqrt(rank_tol) * ||X||_2; the residual passes iff
+    it is within that bound.
+
+    With p = dN the domain vectors have no kernel and the residual is 0.  A
+    space of full rank (d+1)N built with the same ``rank_tol`` needs no SVD
+    to know that: X is square with every singular value above sqrt(rank_tol)
+    * ||X||_2, and the singular values of its column block g_dom lie between
+    those of X.
+    """
+    n, dn = space.N, space.d * space.N
+    if space.rank == dn + n:
+        return True, 0.0
+    _, sing, vh = space.domain_svd
+    p_dim = int(rank_keep(sing, rank_tol).sum())
+    if p_dim == dn:
+        return True, 0.0
+    residual = opnorm(space.vectors[:, n : n + dn] @ vh[p_dim:].conj().T)
+    return residual <= np.sqrt(rank_tol) * space.norm, residual
+
+
+def build_operators(space: GramSpace, rank_tol: float = RANK_TOL) -> ContractionModel:
     """Construct the shift contraction in block form.
 
-    Verifies that the shift is well defined on the domain (any kernel
-    direction of the domain vectors must be annihilated by the shifted
-    vectors) and that the block column is a contraction up to rounding.
+    Verifies that the shift is well defined on the domain by
+    :func:`kernel_inclusion` and that the block column is a contraction up
+    to rounding.
 
-    One full SVD ``g_dom = U diag(s) Vh`` of the domain vectors serves every
-    step.  The singular values kept by the rank cutoff (``s > rank_tol *
-    s_max``, the rule of ``numpy.linalg.pinv``) give the domain basis
-    ``U[:, :p]``, the defect basis ``U[:, p:]`` and the pseudo-inverse
-    ``Vh[:p]* diag(1/s[:p]) U[:, :p]*``; ``I - pinv(g_dom) g_dom`` is the
-    projector ``Vh[p:]* Vh[p:]`` onto the kernel, so the well-definedness
-    residual is the norm of ``g_shift Vh[p:]*``.
+    The space's one SVD ``g_dom = U diag(s) Vh`` of the domain vectors
+    serves every step.  The singular values kept by the rank cutoff (``s >
+    rank_tol * s_max``, the rule of ``numpy.linalg.pinv``) give the domain
+    basis ``U[:, :p]``, the defect basis ``U[:, p:]`` and the pseudo-inverse
+    ``Vh[:p]* diag(1/s[:p]) U[:, :p]*``.
     """
-    n, d, r = space.N, space.d, space.rank
-    dn = d * n
+    n, dn = space.N, space.d * space.N
     g_dom = space.vectors[:, :dn]
     g_shift = space.vectors[:, n : n + dn]
 
-    if r:
-        u_full, sing, vh = np.linalg.svd(g_dom)
-    else:
-        u_full, sing, vh = (np.zeros((0, 0), dtype=complex), np.zeros(0),
-                            np.eye(dn, dtype=complex))
-    p_dim = int(rank_keep(sing, rank_tol).sum())
-
-    residual = opnorm(g_shift @ vh[p_dim:].conj().T)
-    # max(1, norm) >= 1, so the norm is needed only past the bare bound
-    if residual > welldef_tol and residual > welldef_tol * opnorm(g_shift):
+    passed, residual = kernel_inclusion(space, rank_tol)
+    if not passed:
         raise OperatorIllDefined(
             f"shift operator is ill-defined: residual {residual:.3e} "
             "(kernel-inclusion condition fails)"
         )
+    u_full, sing, vh = space.domain_svd
+    p_dim = int(rank_keep(sing, rank_tol).sum())
 
     u_dom, u_def = u_full[:, :p_dim], u_full[:, p_dim:]
     dom_phase = _column_phases(u_dom)

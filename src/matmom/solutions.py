@@ -30,7 +30,6 @@ from .linalg import (
     cluster_starts,
     herm_part,
     hermitian_eig,
-    sqrt_psd,
 )
 from .moments import DiscreteMatrixMeasure, MomentSequence, measure_from_atoms, moments_of
 from .operator_model import build_gram_space, build_operators
@@ -166,7 +165,8 @@ def _solve(seq: MomentSequence, k, t=None, *, verify_tol: float = SOLVE_VERIFY_T
         )
     odd = seq if t is None else _with_next_moment(seq, report.even_case, t)
     try:
-        space = build_gram_space(odd)
+        # an odd problem reuses the Gram space its check decided kernel inclusion on
+        space = report.space if t is None else build_gram_space(odd)
         model = build_operators(space)
     except (OperatorIllDefined, ValidationError) as exc:
         # the check above (not repeated on an even problem's extension) holds,
@@ -191,8 +191,7 @@ def _solve(seq: MomentSequence, k, t=None, *, verify_tol: float = SOLVE_VERIFY_T
 def _with_next_moment(seq: MomentSequence, data: EvenCaseData, t) -> MomentSequence:
     """The even-case problem extended by S_{2d+2} chosen by ``t`` in ``data``'s interval."""
     t_mat = as_unit_interval_param(t, seq.N, name="moment-interval parameter")
-    width_half = sqrt_psd(herm_part(data.S_max - data.S_min))
-    return seq.extended(herm_part(data.S_min + width_half @ t_mat @ width_half))
+    return seq.extended(herm_part(data.S_min + data.width_half @ t_mat @ data.width_half))
 
 
 def solve_l0(s0, a: float, b: float) -> DiscreteMatrixMeasure:

@@ -4,8 +4,9 @@ Three cases by the number of prescribed moments:
 
 * ``l = 0``: S_0 PSD is necessary and sufficient.
 * ``l = 2d`` (d >= 1): the moment matrix and its interval-weighted companion
-  must be PSD and the kernel of the order-(d-1) moment matrix must be
-  annihilated by the shifted block Hankel matrix.
+  must be PSD and the shift x_k -> x_{k+N} must be well defined on the Gram
+  vectors of the moment matrix (kernel inclusion, decided by
+  :func:`matmom.operator_model.kernel_inclusion`).
 * ``l = 2d+1``: the order-d pair must be PSD, two block linear systems must
   be consistent, and the admissible interval for the next moment must be
   nonempty.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,21 +30,23 @@ from .errors import ValidationError
 from .linalg import (
     PSD_TOL,
     RANK_TOL,
+    EigDecomposition,
     herm_part,
     hermitian_eig,
     opnorm,
     rank_keep,
     require_hermitian,
+    sqrt_from_eig,
 )
 from .moments import MomentSequence, build_gamma, build_gamma_tilde, build_h_pair
+from .operator_model import GramSpace, gram_space_from_eig, kernel_inclusion
 
 logger = logging.getLogger(__name__)
 
-# Relative residual bound for the block linear systems of the even case and
-# for the kernel-inclusion test; AGREEMENT_BAND is the normalized margin
-# inside which a criteria disagreement counts as numerical rather than hard.
+# Relative residual bound for the block linear systems of the even case;
+# AGREEMENT_BAND is the normalized margin inside which a criteria
+# disagreement counts as numerical rather than hard.
 CONSISTENCY_TOL = 1e-8
-KERNEL_TOL = 1e-8
 AGREEMENT_BAND = 1e-8
 
 
@@ -75,12 +79,24 @@ class Condition:
 
 @dataclass(frozen=True)
 class EvenCaseData:
-    """Solutions of the even-case block systems and the next-moment interval."""
+    """Solutions of the even-case block systems and the next-moment interval.
+
+    ``width`` is the eigendecomposition of the interval width S_max - S_min
+    that the "S interval nonempty" condition judged.
+    """
 
     X: np.ndarray
     Y: np.ndarray
     S_min: np.ndarray
     S_max: np.ndarray
+    width: EigDecomposition
+
+    @cached_property
+    def width_half(self) -> np.ndarray:
+        """Square root of the width from the judged spectrum: its eigenvalues
+        are clipped at zero, not judged again, and cut by :func:`rank_keep`."""
+        w, v = self.width
+        return sqrt_from_eig(EigDecomposition(np.maximum(w, 0.0), v))
 
 
 @dataclass(frozen=True)
@@ -90,6 +106,7 @@ class SolvabilityReport:
     conditions: tuple[Condition, ...]
     failed_conditions: tuple[str, ...]
     even_case: EvenCaseData | None = None
+    space: GramSpace | None = None
     cdfk_solvable: bool | None = None
     criteria_agreement: bool | None = None
     details: dict = field(default_factory=dict)
@@ -98,7 +115,11 @@ class SolvabilityReport:
 def _psd_condition(name: str, matrix: np.ndarray, psd_tol: float) -> Condition:
     if matrix.size == 0:
         return Condition(name, True, "psd", np.inf, psd_tol, 0.0)
-    w = np.linalg.eigvalsh(require_hermitian(matrix, name=name))
+    return _psd_condition_eig(
+        name, np.linalg.eigvalsh(require_hermitian(matrix, name=name)), psd_tol)
+
+
+def _psd_condition_eig(name: str, w: np.ndarray, psd_tol: float) -> Condition:
     scale = max(1.0, float(np.abs(w).max()))
     rel_min = float(w.min()) / scale
     return Condition(name, rel_min >= -psd_tol, "psd", rel_min, psd_tol,
@@ -136,17 +157,11 @@ def _range_solve(mat: np.ndarray, rhs: np.ndarray,
     return x, residual, quad
 
 
-def _kernel_condition(gamma: np.ndarray, n: int, rank_tol: float) -> Condition:
-    """Kernel inclusion read off the order-d moment matrix ``gamma``: its
-    leading and trailing dN x dN blocks are Gamma_{d-1} and Gamma-hat."""
-    gamma_hat = gamma[n:, n:]
-    dec = hermitian_eig(gamma[:-n, :-n])
-    kernel = dec.eigenvectors[:, ~rank_keep(dec.eigenvalues, rank_tol)]
-    if kernel.shape[1] == 0:
-        return Condition("kernel inclusion", True, "residual", 0.0, KERNEL_TOL, 0.0)
-    residual = float(np.linalg.norm(gamma_hat @ kernel, axis=0).max())
-    return _residual_condition("kernel inclusion", residual,
-                               max(1.0, opnorm(gamma_hat)), KERNEL_TOL)
+def _kernel_condition(space: GramSpace, rank_tol: float) -> Condition:
+    passed, residual = kernel_inclusion(space, rank_tol)
+    rel = residual / space.norm if residual else 0.0
+    return Condition("kernel inclusion", passed, "residual", rel,
+                     float(np.sqrt(rank_tol)), residual)
 
 
 def _cdfk_conditions(seq: MomentSequence, psd_tol: float) -> tuple[Condition, ...]:
@@ -192,17 +207,25 @@ def _agreement(case: str, own: tuple[Condition, ...],
 
 def check_odd(seq: MomentSequence, psd_tol: float = PSD_TOL,
               rank_tol: float = RANK_TOL) -> SolvabilityReport:
-    """Solvability for an odd number of prescribed moments (l = 2d, d >= 1)."""
+    """Solvability for an odd number of prescribed moments (l = 2d, d >= 1).
+
+    The report carries the Gram space of the moment matrix that the
+    kernel-inclusion condition was decided on, for :func:`build_operators`.
+    """
     if seq.l % 2 != 0 or seq.l < 2:
         raise ValidationError(
             f"odd-case check requires l = 2d with d >= 1, got l={seq.l}"
         )
     d = seq.l // 2
+    # one eigendecomposition of Gamma gives its PSD verdict and the Gram
+    # vectors the kernel-inclusion condition is decided on
     gamma = build_gamma(seq, d)
+    dec = hermitian_eig(gamma)
+    space = gram_space_from_eig(seq, gamma, dec, rank_tol)
     conditions = (
-        _psd_condition("Gamma PSD", gamma, psd_tol),
+        _psd_condition_eig("Gamma PSD", dec.eigenvalues, psd_tol),
         _psd_condition("GammaTilde PSD", build_gamma_tilde(seq, d), psd_tol),
-        _kernel_condition(gamma, seq.N, rank_tol),
+        _kernel_condition(space, rank_tol),
     )
     # for l = 2d the cross-check pair is the first two own conditions
     cdfk_ok, agree = _agreement("odd", conditions, conditions[:2])
@@ -212,6 +235,7 @@ def check_odd(seq: MomentSequence, psd_tol: float = PSD_TOL,
         case="odd",
         conditions=conditions,
         failed_conditions=failed,
+        space=space,
         cdfk_solvable=cdfk_ok,
         criteria_agreement=agree,
         details={c.name: c.value for c in conditions},
@@ -266,15 +290,17 @@ def check_even(seq: MomentSequence, psd_tol: float = PSD_TOL,
         s_max = herm_part(
             -a * b * s[2 * d] + (a + b) * s[2 * d + 1] - y_quad
         )
-        even_case = EvenCaseData(X=x_sol, Y=y_sol, S_min=s_min, S_max=s_max)
+        # both ends are Hermitian parts, so their difference is exactly Hermitian
+        width = EigDecomposition(*np.linalg.eigh(s_max - s_min))
+        even_case = EvenCaseData(X=x_sol, Y=y_sol, S_min=s_min, S_max=s_max,
+                                 width=width)
         # the interval may collapse to a point, so normalize its PSD test by
         # the endpoint scale rather than by the (possibly zero) width
-        width_eigs = np.linalg.eigvalsh(s_max - s_min)
         scale = max(1.0, opnorm(s_min), opnorm(s_max))
-        rel_min = float(width_eigs.min()) / scale
+        rel_min = float(width.eigenvalues.min()) / scale
         conditions.append(Condition("S interval nonempty", rel_min >= -psd_tol,
                                     "psd", rel_min, psd_tol,
-                                    float(width_eigs.min())))
+                                    float(width.eigenvalues.min())))
 
     conditions = tuple(conditions)
     cdfk_ok, agree = _agreement("even", conditions, _cdfk_conditions(seq, psd_tol))

@@ -276,8 +276,8 @@ class TestSolveCommand:
         assert main(["solve", path, "--out", str(tmp_path / "m.json")]) == 2
 
     def test_rounding_failure_after_check_is_not_unsolvable(self, tmp_path, capsys):
-        # check passes; the solver's own kernel-inclusion test may still fail
-        # on these genuine moments, which is a numerical error (exit 1)
+        # check passes; should the solve still fail on rounding, that is a
+        # numerical error (exit 1), never "unsolvable" (exit 2)
         path = str(tmp_path / "p.json")
         assert main(["gen", "--seed", "0", "--N", "1", "--atoms", "60", "--a", "-1",
                      "--b", "1", "--l", "40", "--out", path]) == 0
@@ -288,6 +288,16 @@ class TestSolveCommand:
         assert code in (0, 1)
         if code == 1:
             assert err.startswith("error: ") and "residual" in err
+
+    def test_check_and_solve_agree_past_old_frontier(self, tmp_path):
+        # check and solve decide kernel inclusion by one rule: an instance
+        # that check accepts solves and verifies
+        path, out = str(tmp_path / "p.json"), str(tmp_path / "m.json")
+        assert main(["gen", "--seed", "0", "--N", "1", "--atoms", "60", "--a", "-1",
+                     "--b", "1", "--l", "40", "--out", path]) == 0
+        assert main(["check", path]) == 0
+        assert main(["solve", path, "--out", out]) == 0
+        assert main(["verify", out, path]) == 0
 
     @pytest.mark.parametrize("l", [0, 3, 4])
     def test_solve_verifies_once(self, tmp_path, monkeypatch, l):
@@ -357,6 +367,25 @@ class TestVerifyCommand:
         path = tmp_path / "m2.json"
         write_measure(path, other)
         assert main(["verify", str(path), symmetric_problem]) == 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("W", float("nan")), ("W", float("inf")), ("x", float("nan")),
+    ])
+    def test_non_finite_atom_exits_one(self, tmp_path, capsys, field, value):
+        # a malformed measure file, not a measure that fails verification
+        problem, source = str(tmp_path / "p.json"), tmp_path / "m.json"
+        assert main(["gen", "--seed", "1", "--N", "1", "--atoms", "2", "--a", "0",
+                     "--b", "1", "--l", "2", "--out", problem,
+                     "--measure-out", str(source)]) == 0
+        doc = json.loads(source.read_text())
+        if field == "W":
+            doc["atoms"][0]["W"][0][0][0] = value
+        else:
+            doc["atoms"][0]["x"] = value
+        source.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(source), problem]) == 1
+        assert "atom 0 has a non-finite" in capsys.readouterr().err
 
 
 class TestGenCommand:

@@ -256,6 +256,18 @@ class TestMeasureCanonicalization:
         with pytest.raises(ValidationError, match="inconsistent shapes"):
             measure_from_atoms(0, 1, [0.1], [np.eye(1), np.eye(1)])
 
+    @pytest.mark.parametrize("positions, scale, what", [
+        ([0.1, 0.2], [np.nan, 1.0], "atom 0 has a non-finite weight"),
+        ([0.1, 0.2], [1.0, np.inf], "atom 1 has a non-finite weight"),
+        ([np.nan, 0.2], [1.0, 1.0], "atom 0 has a non-finite position"),
+    ])
+    def test_rejects_non_finite_atoms(self, positions, scale, what):
+        # one NaN or inf weight once made the prune floor non-finite, and
+        # every atom was pruned
+        weights = np.array(scale)[:, None, None] * np.eye(1)
+        with pytest.raises(ValidationError, match=what):
+            measure_from_atoms(0, 1, positions, weights)
+
     def test_prune_negligible(self):
         mu = measure_from_atoms(0, 1, [0.3, 0.6], [np.eye(1), 1e-14 * np.eye(1)])
         assert mu.num_atoms == 1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import matmom.solvability
 from matmom import (
     GramSpace,
     MomentSequence,
@@ -10,10 +11,13 @@ from matmom import (
     build_gamma_tilde,
     build_gram_space,
     build_operators,
+    check_odd,
     gen_random_measure,
+    kernel_inclusion,
     measure_from_atoms,
     moments_of,
 )
+from matmom.linalg import RANK_TOL, rank_keep
 
 
 def scalar_seq(a, b, values):
@@ -161,9 +165,8 @@ class TestOneSvdOperators:
         assert np.abs(model.P - p_ref).max(initial=0.0) <= tol
         assert np.abs(model.Q - q_ref).max(initial=0.0) <= tol
 
-    @pytest.mark.parametrize("case", [0, 1, 2, 3])
-    @pytest.mark.parametrize("eps", [1e-12, 1e-8, 1e-4, 1e-1])
-    def test_welldefinedness_decision_matches(self, case, eps):
+    @staticmethod
+    def _bent_space(case, eps):
         # perturb the last shifted block, which the domain does not contain,
         # so the shift stops annihilating the kernel of the domain vectors
         make, d = ONE_SVD_CASES[case]
@@ -175,14 +178,55 @@ class TestOneSvdOperators:
                                             + 1j * rng.standard_normal(tail.shape))
         bent = GramSpace(a=space.a, b=space.b, N=space.N, d=space.d, rank=space.rank,
                          vectors=vectors, gram=space.gram)
+        return space, bent
+
+    @pytest.mark.parametrize("case", [0, 1, 2, 3])
+    @pytest.mark.parametrize("eps", [1e-12, 1e-8, 1e-4, 1e-1])
+    def test_welldefinedness_decision_matches(self, case, eps):
+        space, bent = self._bent_space(case, eps)
         residual = _reference_operators(bent)[-1]
-        g_shift = vectors[:, space.N : space.N + d * space.N]
-        ill = residual > 1e-6 * max(1.0, np.linalg.norm(g_shift, 2))
+        # the vectors are known up to the eigenvalues the rank cutoff drops,
+        # each at most RANK_TOL * lambda_max(Gamma) = RANK_TOL * ||X||^2
+        ill = residual > np.sqrt(RANK_TOL) * np.linalg.norm(space.vectors, 2)
         if ill:
             with pytest.raises(OperatorIllDefined):
                 build_operators(bent)
         else:
             build_operators(bent)
+
+    @pytest.mark.parametrize("case", [0, 1, 2, 3])
+    @pytest.mark.parametrize("eps", [1e-12, 1e-8, 1e-4, 1e-1])
+    def test_check_odd_kernel_verdict_matches_operators(self, case, eps, monkeypatch):
+        # check_odd decides kernel inclusion on the space it builds; handed
+        # the perturbed space, its verdict must be build_operators' verdict
+        space, bent = self._bent_space(case, eps)
+        make, d = ONE_SVD_CASES[case]
+        monkeypatch.setattr(matmom.solvability, "gram_space_from_eig",
+                            lambda *args: bent)
+        report = check_odd(moments_of(make(), 2 * d))
+        assert report.space is bent
+        kernel = next(c for c in report.conditions if c.name == "kernel inclusion")
+        try:
+            build_operators(bent)
+            raised = False
+        except OperatorIllDefined:
+            raised = True
+        assert kernel.passed == (not raised)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_full_rank_space_needs_no_svd(self, seed, monkeypatch):
+        # at full rank (d+1)N the domain vectors keep every singular value,
+        # so kernel inclusion holds with no SVD
+        space = build_gram_space(moments_of(gen_random_measure(seed, 2, 6, -1.0, 1.0), 4))
+        assert space.rank == 3 * space.N
+        sing = np.linalg.svd(space.vectors[:, : 2 * space.N], compute_uv=False)
+        assert rank_keep(sing, RANK_TOL).all()
+        svd_calls = []
+        real_svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *a, **k: svd_calls.append(1) or real_svd(*a, **k))
+        assert kernel_inclusion(space) == (True, 0.0)
+        assert not svd_calls
 
 
 class TestOperatorIdentities:

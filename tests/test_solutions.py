@@ -11,9 +11,12 @@ from matmom import (
     OperatorIllDefined,
     Unsolvable,
     ValidationError,
+    build_gamma,
+    build_gamma_hat,
     build_gram_space,
     build_operators,
     canonical_extension,
+    check,
     check_even,
     extremal_extensions,
     gen_random_measure,
@@ -226,8 +229,61 @@ class TestFactorizationBudget:
             assert counts["svd"] <= 1
         assert few["eigvalsh"] == many["eigvalsh"]
 
+    def test_moment_matrix_factored_once(self, monkeypatch):
+        # check_odd's one eigh of Gamma serves the PSD verdict, the Gram
+        # vectors and kernel inclusion: Gamma is factored once, and neither
+        # Gamma_{d-1} nor the shifted Hankel Gamma-hat is factored at all
+        seq = moments_of(gen_random_measure(22, 2, 3, -1.0, 1.0), 6)
+        gamma, gamma_prev, gamma_hat = (build_gamma(seq, 3), build_gamma(seq, 2),
+                                        build_gamma_hat(seq, 3))
+        factored = []
+        for name in ("eigh", "eigvalsh", "svd", "norm"):
+            original = getattr(np.linalg, name)
+
+            def recorded(a, *args, _name=name, _original=original, **kwargs):
+                order = args[0] if args else kwargs.get("ord")
+                if _name != "norm" or order == 2:
+                    factored.append(np.asarray(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        solve_odd(seq, 0.5)
+        monkeypatch.undo()
+        same = lambda x, y: x.shape == y.shape and np.allclose(x, y, rtol=0, atol=1e-13)
+        assert sum(same(x, gamma) for x in factored) == 1
+        assert not any(same(x, gamma_prev) or same(x, gamma_hat) for x in factored)
+
+
+# [0, 1] and [-1, 1] cells past the degree where the kernel-inclusion test
+# once rejected rank-truncation noise: (a, b, N, atoms, l)
+FRONTIER_CELLS = [
+    (0.0, 1.0, 1, 36, 24),
+    (0.0, 1.0, 1, 75, 50),
+    (0.0, 1.0, 3, 36, 24),
+    (-1.0, 1.0, 1, 60, 40),
+    (-1.0, 1.0, 6, 12, 20),
+]
+
+
+@pytest.mark.parametrize("cell", FRONTIER_CELLS)
+def test_frontier_cells_check_and_solve(cell):
+    a, b, n, atoms, l = cell
+    for seed in range(10):
+        seq = moments_of(gen_random_measure(seed, n, atoms, a, b), l)
+        assert check(seq).solvable, seed
+        assert verify(solve_odd(seq, 0.5), seq, tol=1e-8).passed, seed
+
 
 class TestSolveEven:
+    @pytest.mark.parametrize("seed", [179, 183, 249, 330])
+    def test_interval_width_judged_once(self, seed):
+        # the width of the next-moment interval has an eigenvalue just below
+        # zero within the check's PSD slack; the solve must use the check's
+        # verdict, not judge the width again at a different scale
+        seq = moments_of(gen_random_measure(seed, 2, 3, -2.0, 3.0), 7)
+        assert check_even(seq).solvable
+        assert verify(solve_even(seq), seq, tol=1e-8).passed
+
     def test_lower_endpoint_point_mass(self):
         measure = solve_even(scalar_seq(0, 1, [1, 0.5]), t=0.0)
         assert measure.num_atoms == 1

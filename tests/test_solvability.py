@@ -71,6 +71,21 @@ class TestCheckEven:
         assert rep.even_case.S_max == pytest.approx(np.array([[0.5]]))
         assert rep.even_case.Y.shape == (0, 1)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_width_root_from_the_judged_spectrum(self, seed):
+        # width_half squares to the interval width whose eigenvalues the
+        # "S interval nonempty" condition judged, clipped at zero, up to the
+        # eigenvalues the rank cutoff drops
+        seq = moments_of(gen_random_measure(seed, 2, 3, -1.0, 2.0), 5)
+        rep = check_even(seq)
+        data = rep.even_case
+        width = data.S_max - data.S_min
+        w, v = np.linalg.eigh(width)
+        clipped = (v * np.maximum(w, 0.0)) @ v.conj().T
+        assert np.allclose(data.width_half, data.width_half.conj().T, rtol=0, atol=0)
+        assert np.allclose(data.width_half @ data.width_half, clipped,
+                           rtol=0, atol=1e-10 * max(1.0, np.abs(w).max()))
+
     def test_mean_outside_interval(self):
         rep = check_even(scalar_seq(0, 1, [1, 2]))
         assert not rep.solvable
