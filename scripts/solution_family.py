@@ -12,7 +12,6 @@ import numpy as np
 
 from matmom import (
     MomentSequence,
-    build_gram_space,
     build_operators,
     check_odd,
     extremal_extensions,
@@ -39,7 +38,8 @@ def main() -> None:
     if not report.solvable:
         raise SystemExit(f"problem is unsolvable: {report.failed_conditions}")
 
-    interval = extremal_extensions(build_operators(build_gram_space(seq)))
+    # the check's Gram space is the one solve_odd builds its operators on
+    interval = extremal_extensions(build_operators(report.space))
     print(f"Gram-space rank: {interval.model.space.rank}")
     print(f"defect dimension: {interval.def_dim} (fixed: {interval.R0_dim})")
     print(f"determinate: {interval.determinate}")

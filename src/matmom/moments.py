@@ -11,6 +11,7 @@ concrete representation of a solution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -83,6 +84,14 @@ class MomentSequence:
     @property
     def l(self) -> int:
         return len(self.moments) - 1
+
+    @cached_property
+    def moment_scales(self) -> np.ndarray:
+        """max(1, ||S_n||_2) for n = 0..l, the scales :func:`verify` judges
+        the moment residuals against; read-only."""
+        scales = np.maximum(1.0, np.linalg.norm(self._stack, 2, axis=(1, 2)))
+        scales.setflags(write=False)
+        return scales
 
     def truncated(self, l: int) -> "MomentSequence":
         """The sub-sequence S_0..S_l on the same interval."""

@@ -13,6 +13,7 @@ resolvent is provided as a numerical cross-check.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,16 +25,10 @@ from .extensions import (
     canonical_extension,
     extremal_extensions,
 )
-from .linalg import (
-    PSD_TOL,
-    check_psd_stack,
-    cluster_starts,
-    herm_part,
-    hermitian_eig,
-)
+from .linalg import cluster_starts, herm_part, hermitian_eig
 from .moments import DiscreteMatrixMeasure, MomentSequence, measure_from_atoms, moments_of
-from .operator_model import build_gram_space, build_operators
-from .solvability import EvenCaseData, check_even, check_l0, check_odd
+from .operator_model import GramSpace, build_gram_space, build_operators
+from .solvability import EvenCaseData, SolvabilityReport, check_even, check_l0, check_odd
 
 # Eigenvalues closer than CLUSTER_TOL are merged into one atom; positions
 # within CLAMP_REL * (b - a) outside the interval (rounding of eigenvalues at
@@ -130,7 +125,9 @@ def solve_odd(seq: MomentSequence, k=0.5, *,
     Returns a canonical discrete matrix measure whose moments reproduce the
     input sequence.  A verification failure, or a shift operator found
     ill-defined after the solvability check passed, raises
-    ``NumericalInconsistency``.
+    ``NumericalInconsistency``.  Solving the same ``seq`` object again, at
+    any ``k``, reuses its check, Gram space, operators and extreme
+    extensions; ``k`` is validated and the result verified on every call.
     """
     return _solve(seq, k, verify_tol=verify_tol)[0]
 
@@ -157,24 +154,15 @@ def _solve(seq: MomentSequence, k, t=None, *, verify_tol: float = SOLVE_VERIFY_T
     S_0..S_l of ``seq``, so a caller can judge it at its own tolerance
     without verifying again.
     """
-    report = check_odd(seq) if t is None else check_even(seq)
-    if not report.solvable:
-        raise Unsolvable(
-            "moment problem is unsolvable; failed: "
-            + ", ".join(report.failed_conditions)
-        )
-    odd = seq if t is None else _with_next_moment(seq, report.even_case, t)
-    try:
-        # an odd problem reuses the Gram space its check decided kernel inclusion on
-        space = report.space if t is None else build_gram_space(odd)
-        model = build_operators(space)
-    except (OperatorIllDefined, ValidationError) as exc:
-        # the check above (not repeated on an even problem's extension) holds,
-        # so two numerical tests of one property disagree: not a verdict on the data
-        raise NumericalInconsistency(f"solvability check passed, but {exc}") from exc
-    interval = extremal_extensions(model)
+    if t is None:
+        odd, interval = seq, _odd_interval(seq)
+    else:
+        report = _require_solvable(check_even(seq))
+        odd = _with_next_moment(seq, report.even_case, t)
+        interval = _extension_interval(odd)
+    # everything above depends on the moments only; K enters here
     extension = canonical_extension(interval, k)
-    sd = spectral_data(extension, space.vectors[:, : seq.N])
+    sd = spectral_data(extension, interval.model.space.vectors[:, : seq.N])
     measure = _measure_from_spectrum(sd, seq.a, seq.b)
     outcome = verify(measure, odd, tol=verify_tol)
     if not outcome.passed:
@@ -186,6 +174,60 @@ def _solve(seq: MomentSequence, k, t=None, *, verify_tol: float = SOLVE_VERIFY_T
     return measure, replace(outcome,
                             moment_residuals=outcome.moment_residuals[: seq.l + 1],
                             moment_scales=outcome.moment_scales[: seq.l + 1])
+
+
+# The extension interval of the last odd sequence solved, keyed by a weak
+# reference to that sequence.  A MomentSequence is immutable, so the same
+# object has the same interval: solving it at many parameters K checks,
+# factors and extends it once.  The slot never keeps a sequence alive, holds
+# one interval at most and is emptied when its sequence is collected.
+_last_odd: tuple[weakref.ref, ExtensionInterval] | None = None
+
+
+def _odd_interval(seq: MomentSequence) -> ExtensionInterval:
+    """The extension interval of an odd problem, from the slot or built and
+    stored there; an unsolvable or inconsistent problem raises and stores
+    nothing."""
+    global _last_odd
+    slot = _last_odd
+    if slot is not None and slot[0]() is seq:
+        return slot[1]
+    # drop the old interval, the local reference too, before building the
+    # next, so two never coexist
+    slot = _last_odd = None
+    # an odd problem reuses the Gram space its check decided kernel inclusion on
+    interval = _extension_interval(seq, _require_solvable(check_odd(seq)).space)
+    _last_odd = (weakref.ref(seq, _forget_odd), interval)
+    return interval
+
+
+def _forget_odd(ref: weakref.ref) -> None:
+    global _last_odd
+    slot = _last_odd
+    if slot is not None and slot[0] is ref:
+        _last_odd = None
+
+
+def _require_solvable(report: SolvabilityReport) -> SolvabilityReport:
+    if not report.solvable:
+        raise Unsolvable(
+            "moment problem is unsolvable; failed: "
+            + ", ".join(report.failed_conditions)
+        )
+    return report
+
+
+def _extension_interval(odd: MomentSequence,
+                        space: GramSpace | None = None) -> ExtensionInterval:
+    """Operators and extreme extensions of an odd problem whose solvability
+    check passed, on ``space`` or else on the Gram space built here."""
+    try:
+        model = build_operators(build_gram_space(odd) if space is None else space)
+    except (OperatorIllDefined, ValidationError) as exc:
+        # the check (not repeated on an even problem's extension) holds, so
+        # two numerical tests of one property disagree: not a verdict on the data
+        raise NumericalInconsistency(f"solvability check passed, but {exc}") from exc
+    return extremal_extensions(model)
 
 
 def _with_next_moment(seq: MomentSequence, data: EvenCaseData, t) -> MomentSequence:
@@ -212,25 +254,24 @@ def verify(measure: DiscreteMatrixMeasure, seq: MomentSequence,
            tol: float = 1e-8) -> VerificationReport:
     """Re-compute the measure's moments and compare with the prescription.
 
-    Passes iff every moment matches entrywise within ``tol * max(1, |S_n|)``,
-    the support lies inside [a, b], and all weights are PSD.
+    Passes iff every moment matches entrywise within ``tol * max(1, |S_n|)``
+    and the support lies inside [a, b]; the weights of every measure are PSD
+    by construction.
     """
     if measure.N != seq.N:
         raise ValidationError(
             f"block size mismatch: measure has N={measure.N}, sequence N={seq.N}"
         )
-    given = np.stack(seq.moments)
-    recomputed = np.stack(moments_of(measure, seq.l).moments)
-    residuals = np.abs(recomputed - given).max(axis=(1, 2))
-    scales = np.maximum(1.0, np.linalg.norm(given, 2, axis=(1, 2)))
-    support_ok = _supported(measure, seq)
-    weights_psd_ok = bool(check_psd_stack(measure.weights, PSD_TOL).all())
+    recomputed = moments_of(measure, seq.l)._stack
+    residuals = np.abs(recomputed - seq._stack).max(axis=(1, 2))
     return VerificationReport(
         tol=tol,
         moment_residuals=residuals,
-        moment_scales=scales,
-        support_ok=support_ok,
-        weights_psd_ok=weights_psd_ok,
+        moment_scales=seq.moment_scales,
+        support_ok=_supported(measure, seq),
+        # a DiscreteMatrixMeasure's constructor admits only weights that are
+        # PSD within PSD_TOL, and leaves them read-only
+        weights_psd_ok=True,
     )
 
 

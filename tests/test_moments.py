@@ -323,6 +323,15 @@ class TestMomentSequence:
         with pytest.raises(ValidationError):
             MomentSequence(0.0, 1.0, (np.eye(2), np.eye(3)))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_moment_scales_computed_once(self, seed):
+        seq = random_seq(seed, n=3, l=5, scale=10.0 ** seed)
+        scales = seq.moment_scales
+        expected = np.maximum(1.0, np.linalg.norm(np.stack(seq.moments), 2, axis=(1, 2)))
+        assert np.array_equal(scales, expected)
+        assert seq.moment_scales is scales
+        assert not scales.flags.writeable
+
     @pytest.mark.parametrize("bad, message", [
         (np.ones((2, 3)), "S_2 must be square, got shape (2, 3)"),
         (np.eye(3), "S_2 has dimension 3, expected 2"),

@@ -1,3 +1,7 @@
+import gc
+import json
+import sys
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -6,6 +10,7 @@ import pytest
 
 import matmom.solutions
 from matmom import (
+    DiscreteMatrixMeasure,
     MomentSequence,
     NumericalInconsistency,
     OperatorIllDefined,
@@ -28,6 +33,7 @@ from matmom import (
     stieltjes_perron_recover,
     verify,
 )
+from matmom.io import read_measure
 from matmom.solutions import _solve, spectral_data
 
 from helpers import random_unitary
@@ -254,6 +260,169 @@ class TestFactorizationBudget:
         assert not any(same(x, gamma_prev) or same(x, gamma_hat) for x in factored)
 
 
+def _indeterminate_seq():
+    # defect dimension 2
+    return moments_of(gen_random_measure(0, 2, 6, -1.0, 2.0), 4)
+
+
+def _copy(seq):
+    """An equal-content sequence that is a different object."""
+    return MomentSequence(seq.a, seq.b, seq.moments)
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls ``solve_odd`` makes to ``matmom.solutions.<name>``."""
+    calls = []
+    original = getattr(matmom.solutions, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(matmom.solutions, name, counted)
+    return calls
+
+
+class TestIntervalReuse:
+    """solve_odd keeps the extension interval of the last odd sequence it
+    solved, keyed by a weak reference: the same object at another K skips
+    check, Gram space, operators and extreme extensions, and nothing else
+    changes."""
+
+    @staticmethod
+    def _same(m1, m2):
+        return (m1.N == m2.N and np.array_equal(m1.positions, m2.positions)
+                and np.array_equal(m1.weights, m2.weights))
+
+    def test_warm_solve_factors_nothing_of_the_moment_matrix(self, monkeypatch):
+        seq = _indeterminate_seq()
+        solve_odd(seq, 0.5)
+        gamma = build_gamma(seq, 2)
+        factored = Counter()
+        gamma_factored = []
+        for name in ("eigh", "eigvalsh", "svd", "norm"):
+            original = getattr(np.linalg, name)
+
+            def recorded(a, *args, _name=name, _original=original, **kwargs):
+                order = args[0] if args else kwargs.get("ord")
+                if _name != "norm" or order == 2:
+                    factored[_name] += 1
+                    arr = np.asarray(a)
+                    gamma_factored.append(arr.shape == gamma.shape
+                                          and np.allclose(arr, gamma, rtol=0, atol=1e-13))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        built = [_count_calls(monkeypatch, name)
+                 for name in ("check_odd", "build_operators", "extremal_extensions")]
+        solve_odd(seq, 0.25)
+        monkeypatch.undo()
+        assert not any(gamma_factored)
+        assert built == [[], [], []]
+        # the moment scales are cached on the sequence too: no SVD is left
+        assert factored["svd"] == 0 and factored["norm"] == 0
+
+    @pytest.mark.parametrize("case", ["0", "0.5", "1", "matrix", "determinate"])
+    def test_warm_equals_cold_bitwise(self, monkeypatch, case):
+        if case == "determinate":
+            seq, k = moments_of(gen_random_measure(3, 2, 1, -1.0, 2.0), 4), 0.5
+        elif case == "matrix":
+            u = random_unitary(np.random.default_rng(4), 2)
+            seq, k = _indeterminate_seq(), (u * [0.2, 0.9]) @ u.conj().T
+        else:
+            seq, k = _indeterminate_seq(), float(case)
+        cold = solve_odd(_copy(seq), k)
+        solve_odd(seq, 0.3)
+        extended = _count_calls(monkeypatch, "extremal_extensions")
+        warm = solve_odd(seq, k)
+        assert extended == []
+        assert self._same(warm, cold)
+
+    def test_interleaved_sequences(self, monkeypatch):
+        seq_a = _indeterminate_seq()
+        seq_b = moments_of(gen_random_measure(1, 2, 6, -1.0, 2.0), 4)
+        first = solve_odd(seq_a, 0.7)
+        old = weakref.ref(matmom.solutions._last_odd[1])
+        # the old interval is dropped before the next one is built
+        extremal = matmom.solutions.extremal_extensions
+
+        def after_release(model):
+            assert old() is None
+            return extremal(model)
+
+        monkeypatch.setattr(matmom.solutions, "extremal_extensions", after_release)
+        solve_odd(seq_b, 0.7)
+        monkeypatch.undo()
+        assert matmom.solutions._last_odd[0]() is seq_b
+        assert self._same(solve_odd(seq_a, 0.7), first)
+        assert matmom.solutions._last_odd[0]() is seq_a
+
+    def test_slot_holds_the_sequence_weakly(self):
+        seq = _indeterminate_seq()
+        solve_odd(seq, 0.5)
+        ref = matmom.solutions._last_odd[0]
+        assert ref() is seq
+        del seq
+        gc.collect()
+        assert ref() is None
+        assert matmom.solutions._last_odd is None
+
+    def test_failures_are_not_stored(self, monkeypatch):
+        unsolvable = scalar_seq(-1, 1, [1, 0, 3])
+        checks = _count_calls(monkeypatch, "check_odd")
+        for _ in range(3):
+            with pytest.raises(Unsolvable):
+                solve_odd(unsolvable)
+            assert matmom.solutions._last_odd is None
+        assert len(checks) == 3
+
+        def ill_defined(space):
+            raise OperatorIllDefined("shift operator is ill-defined")
+
+        seq = _indeterminate_seq()
+        monkeypatch.setattr(matmom.solutions, "build_operators", ill_defined)
+        for _ in range(2):
+            with pytest.raises(NumericalInconsistency):
+                solve_odd(seq)
+            assert matmom.solutions._last_odd is None
+        monkeypatch.undo()
+        assert verify(solve_odd(seq), seq, tol=1e-8).passed
+
+    def test_every_call_validates_and_verifies(self, monkeypatch):
+        seq = _indeterminate_seq()
+        solve_odd(seq, 0.5)
+        verified = _count_calls(monkeypatch, "verify")
+        for k in (0.0, 0.5, 1.0):
+            solve_odd(seq, k)
+        assert len(verified) == 3
+        for bad in (2.0, -0.5, np.diag([0.5, 1.5]), np.eye(3)):
+            with pytest.raises(ValidationError):
+                solve_odd(seq, bad)
+        with pytest.raises(NumericalInconsistency, match="fails verification"):
+            solve_odd(seq, 0.5, verify_tol=0.0)
+        assert matmom.solutions._last_odd[0]() is seq
+
+    def test_threads_sharing_the_slot(self):
+        # threads alternate two sequences through the one slot; a torn or
+        # lost update would hand one sequence the other's interval
+        from concurrent.futures import ThreadPoolExecutor
+
+        seqs = [_indeterminate_seq(), moments_of(gen_random_measure(1, 2, 6, -1.0, 2.0), 4)]
+        ks = np.linspace(0.0, 1.0, 5)
+        expected = [[solve_odd(_copy(seq), float(k)) for k in ks] for seq in seqs]
+        jobs = [(i % 2, j) for i in range(8) for j in range(len(ks))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(solve_odd, seqs[s], float(ks[j])) for s, j in jobs]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for (s, j), measure in zip(jobs, results):
+            assert self._same(measure, expected[s][j])
+
+
 # [0, 1] and [-1, 1] cells past the degree where the kernel-inclusion test
 # once rejected rank-truncation noise: (a, b, N, atoms, l)
 FRONTIER_CELLS = [
@@ -432,6 +601,27 @@ class TestVerify:
                 assert report.passed_at(tol) == verify(measure, seq, tol=tol).passed
             solve = solve_odd if l % 2 == 0 else (lambda s, k: solve_even(s, 0.7, k))
             assert np.array_equal(solve(seq, 0.3).weights, measure.weights)
+
+    @pytest.mark.parametrize("route", ["constructor", "measure_from_atoms", "read_measure"])
+    def test_weights_psd_by_construction(self, tmp_path, route):
+        # verify reports weights_psd_ok without judging the weights again,
+        # because no route into a measure admits a non-PSD weight
+        weights = np.array([np.eye(2), np.diag([1.0, -1e-3])], dtype=complex)
+        with pytest.raises(ValidationError, match="weight 1 is not PSD"):
+            if route == "constructor":
+                DiscreteMatrixMeasure(0.0, 1.0, 2, np.array([0.25, 0.5]), weights)
+            elif route == "measure_from_atoms":
+                measure_from_atoms(0.0, 1.0, [0.25, 0.5], weights)
+            else:
+                path = tmp_path / "m.json"
+                path.write_text(json.dumps({"a": 0.0, "b": 1.0, "N": 2, "atoms": [
+                    {"x": x, "W": [[[w.real, w.imag] for w in row] for row in mat]}
+                    for x, mat in zip((0.25, 0.5), weights)]}))
+                read_measure(path)
+        measure = gen_random_measure(6, 2, 2, 0.0, 1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            measure.weights[0, 0, 0] = -1.0
+        assert verify(measure, moments_of(measure, 2)).weights_psd_ok
 
     def test_passed_at_reads_each_part_of_the_verdict(self):
         mu = gen_random_measure(6, 1, 2, 0.0, 1.0)
