@@ -9,6 +9,7 @@ random solvable problem).  Exit codes: 0 success, 1 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -133,6 +134,8 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+# parsing leaves no state in the parser, so one serves every call
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
     parser = _Parser(prog="matmom",
                      description="Truncated matrix moment problems on [a, b]")

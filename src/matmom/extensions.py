@@ -28,6 +28,7 @@ evaluates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,7 +62,8 @@ class ExtensionInterval:
     """Endpoints of the operator interval of self-adjoint contraction extensions.
 
     ``B_mu`` is the minimal extension on the whole Gram space (standard
-    coordinates) and ``mu_eig`` its eigendecomposition; ``X_mu``/``X_M`` are
+    coordinates) and ``mu_eig`` its eigendecomposition, taken on first use
+    (only the resolvent functions read it); ``X_mu``/``X_M`` are
     the defect-space blocks of the minimal and maximal extension, ``C_R =
     X_M - X_mu`` the defect in defect coordinates with PSD square root
     ``C_R_half``, and ``R0_dim`` the dimension of the defect directions on
@@ -77,7 +79,10 @@ class ExtensionInterval:
     R0_dim: int
     C_R: np.ndarray
     C_R_half: np.ndarray
-    mu_eig: EigDecomposition
+
+    @cached_property
+    def mu_eig(self) -> EigDecomposition:
+        return hermitian_eig(self.B_mu)
 
     @property
     def def_dim(self) -> int:
@@ -133,13 +138,13 @@ def extremal_extensions(model: ContractionModel,
     """Extreme self-adjoint contraction extensions and the defect between them."""
     x_mu, x_m = extremal_completions(model.P, model.Q, rank_tol)
     u = np.hstack([model.dom_basis, model.def_basis])
-    b_mu = herm_part(u @ _assemble(model.P, model.Q, x_mu) @ u.conj().T)
-    mu_eig = hermitian_eig(b_mu)
-    # Both completions are Hermitian, so their norm is the largest |eigenvalue|;
-    # the unitary u carries the minimal one to B_mu.
-    t_m = _assemble(model.P, model.Q, x_m)
-    norms = (np.abs(mu_eig.eigenvalues).max(initial=0.0),
-             np.abs(np.linalg.eigvalsh(t_m)).max(initial=0.0) if t_m.size else 0.0)
+    t_mu = _assemble(model.P, model.Q, x_mu)
+    b_mu = herm_part(u @ t_mu @ u.conj().T)
+    # Both completions are Hermitian, so their norm is the largest |eigenvalue|,
+    # taken for both from one batched eigvalsh.
+    completions = np.stack([t_mu, _assemble(model.P, model.Q, x_m)])
+    norms = (np.abs(np.linalg.eigvalsh(completions)).max(axis=1) if t_mu.size
+             else (0.0, 0.0))
     for name, norm in zip(("minimal", "maximal"), norms):
         if norm > 1.0 + NORM_SLACK:
             raise NumericalInconsistency(
@@ -165,7 +170,6 @@ def extremal_extensions(model: ContractionModel,
         R0_dim=c_r.shape[0] - int(rank_keep(c_dec.eigenvalues, rank_tol).sum()),
         C_R=c_r,
         C_R_half=sqrt_from_eig(c_dec),
-        mu_eig=mu_eig,
     )
 
 

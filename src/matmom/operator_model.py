@@ -43,7 +43,9 @@ class GramSpace:
     """Vectors realizing the moment matrix as a Gram matrix.
 
     ``vectors`` has shape (rank, (d+1)N); column n is x_n and
-    <x_n, x_m> reproduces entry (n, m) of ``gram``.
+    <x_n, x_m> reproduces entry (n, m) of ``gram``.  A space may be shared
+    through the solvability report that carries it, so its arrays, those of
+    ``domain_svd`` included, are read-only.
     """
 
     a: float
@@ -53,6 +55,10 @@ class GramSpace:
     rank: int
     vectors: np.ndarray
     gram: np.ndarray
+
+    def __post_init__(self):
+        self.vectors.setflags(write=False)
+        self.gram.setflags(write=False)
 
     @cached_property
     def norm(self) -> float:
@@ -67,9 +73,13 @@ class GramSpace:
         once per space."""
         dn = self.d * self.N
         if self.rank == 0:
-            return (np.zeros((0, 0), dtype=complex), np.zeros(0),
-                    np.eye(dn, dtype=complex))
-        return np.linalg.svd(self.vectors[:, :dn])
+            factors = (np.zeros((0, 0), dtype=complex), np.zeros(0),
+                       np.eye(dn, dtype=complex))
+        else:
+            factors = np.linalg.svd(self.vectors[:, :dn])
+        for arr in factors:
+            arr.setflags(write=False)
+        return factors
 
 
 @dataclass(frozen=True, eq=False)

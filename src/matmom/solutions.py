@@ -13,7 +13,6 @@ resolvent is provided as a numerical cross-check.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,7 +25,13 @@ from .extensions import (
     extremal_extensions,
 )
 from .linalg import cluster_starts, herm_part, hermitian_eig
-from .moments import DiscreteMatrixMeasure, MomentSequence, measure_from_atoms, moments_of
+from .moments import (
+    DiscreteMatrixMeasure,
+    MomentSequence,
+    _per_sequence,
+    measure_from_atoms,
+    moments_of,
+)
 from .operator_model import GramSpace, build_gram_space, build_operators
 from .solvability import EvenCaseData, SolvabilityReport, check_even, check_l0, check_odd
 
@@ -125,9 +130,10 @@ def solve_odd(seq: MomentSequence, k=0.5, *,
     Returns a canonical discrete matrix measure whose moments reproduce the
     input sequence.  A verification failure, or a shift operator found
     ill-defined after the solvability check passed, raises
-    ``NumericalInconsistency``.  Solving the same ``seq`` object again, at
-    any ``k``, reuses its check, Gram space, operators and extreme
-    extensions; ``k`` is validated and the result verified on every call.
+    ``NumericalInconsistency``.  A :func:`check_odd` just run on the same
+    ``seq`` object is reused, and solving that object again, at any ``k``,
+    reuses its check, Gram space, operators and extreme extensions; ``k`` is
+    validated and the result verified on every call.
     """
     return _solve(seq, k, verify_tol=verify_tol)[0]
 
@@ -141,7 +147,8 @@ def solve_even(seq: MomentSequence, t=0.5, k=0.5, *,
     interval, D its width; the extended problem is then solved as an odd
     case with parameter ``k``.  To supply a raw next moment instead, append
     it with ``seq.extended(s_next)`` and call :func:`solve_odd`, which
-    validates admissibility through the odd-case solvability check.
+    validates admissibility through the odd-case solvability check.  A
+    :func:`check_even` just run on the same ``seq`` object is reused.
     """
     return _solve(seq, k, t, verify_tol=verify_tol)[0]
 
@@ -176,36 +183,17 @@ def _solve(seq: MomentSequence, k, t=None, *, verify_tol: float = SOLVE_VERIFY_T
                             moment_scales=outcome.moment_scales[: seq.l + 1])
 
 
-# The extension interval of the last odd sequence solved, keyed by a weak
-# reference to that sequence.  A MomentSequence is immutable, so the same
-# object has the same interval: solving it at many parameters K checks,
-# factors and extends it once.  The slot never keeps a sequence alive, holds
-# one interval at most and is emptied when its sequence is collected.
-_last_odd: tuple[weakref.ref, ExtensionInterval] | None = None
-
-
+@_per_sequence
 def _odd_interval(seq: MomentSequence) -> ExtensionInterval:
-    """The extension interval of an odd problem, from the slot or built and
-    stored there; an unsolvable or inconsistent problem raises and stores
-    nothing."""
-    global _last_odd
-    slot = _last_odd
-    if slot is not None and slot[0]() is seq:
-        return slot[1]
-    # drop the old interval, the local reference too, before building the
-    # next, so two never coexist
-    slot = _last_odd = None
+    """The extension interval of an odd problem.
+
+    It depends on the moments only, so the last one built is kept for its
+    sequence object: solving that object at many parameters K checks,
+    factors and extends it once.  An unsolvable or inconsistent problem
+    raises and stores nothing.
+    """
     # an odd problem reuses the Gram space its check decided kernel inclusion on
-    interval = _extension_interval(seq, _require_solvable(check_odd(seq)).space)
-    _last_odd = (weakref.ref(seq, _forget_odd), interval)
-    return interval
-
-
-def _forget_odd(ref: weakref.ref) -> None:
-    global _last_odd
-    slot = _last_odd
-    if slot is not None and slot[0] is ref:
-        _last_odd = None
+    return _extension_interval(seq, _require_solvable(check_odd(seq)).space)
 
 
 def _require_solvable(report: SolvabilityReport) -> SolvabilityReport:

@@ -21,7 +21,7 @@ its own threshold, and hard disagreements are logged as errors.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -38,7 +38,13 @@ from .linalg import (
     require_hermitian,
     sqrt_from_eig,
 )
-from .moments import MomentSequence, build_gamma, build_gamma_tilde, build_h_pair
+from .moments import (
+    MomentSequence,
+    _per_sequence,
+    build_gamma,
+    build_gamma_tilde,
+    build_h_pair,
+)
 from .operator_model import GramSpace, gram_space_from_eig, kernel_inclusion
 
 logger = logging.getLogger(__name__)
@@ -82,7 +88,9 @@ class EvenCaseData:
     """Solutions of the even-case block systems and the next-moment interval.
 
     ``width`` is the eigendecomposition of the interval width S_max - S_min
-    that the "S interval nonempty" condition judged.
+    that the "S interval nonempty" condition judged.  A report may be shared
+    by every caller that checks the same sequence, so all arrays are
+    read-only.
     """
 
     X: np.ndarray
@@ -91,16 +99,29 @@ class EvenCaseData:
     S_max: np.ndarray
     width: EigDecomposition
 
+    def __post_init__(self):
+        for arr in (self.X, self.Y, self.S_min, self.S_max, *self.width):
+            arr.setflags(write=False)
+
     @cached_property
     def width_half(self) -> np.ndarray:
         """Square root of the width from the judged spectrum: its eigenvalues
         are clipped at zero, not judged again, and cut by :func:`rank_keep`."""
         w, v = self.width
-        return sqrt_from_eig(EigDecomposition(np.maximum(w, 0.0), v))
+        half = sqrt_from_eig(EigDecomposition(np.maximum(w, 0.0), v))
+        half.setflags(write=False)
+        return half
 
 
 @dataclass(frozen=True)
 class SolvabilityReport:
+    """The verdict on a moment sequence with every condition behind it.
+
+    :func:`check_odd` and :func:`check_even` return the same report again
+    for the same sequence object at equal tolerances, so a report is
+    immutable throughout.
+    """
+
     solvable: bool
     case: str
     conditions: tuple[Condition, ...]
@@ -109,7 +130,11 @@ class SolvabilityReport:
     space: GramSpace | None = None
     cdfk_solvable: bool | None = None
     criteria_agreement: bool | None = None
-    details: dict = field(default_factory=dict)
+
+    @property
+    def details(self) -> dict:
+        """The raw value of each condition by name, in a new dict per call."""
+        return {c.name: c.value for c in self.conditions}
 
 
 def _psd_condition(name: str, matrix: np.ndarray, psd_tol: float) -> Condition:
@@ -205,12 +230,15 @@ def _agreement(case: str, own: tuple[Condition, ...],
     return cdfk_ok, False
 
 
+@_per_sequence
 def check_odd(seq: MomentSequence, psd_tol: float = PSD_TOL,
               rank_tol: float = RANK_TOL) -> SolvabilityReport:
     """Solvability for an odd number of prescribed moments (l = 2d, d >= 1).
 
     The report carries the Gram space of the moment matrix that the
     kernel-inclusion condition was decided on, for :func:`build_operators`.
+    A repeated call on the same sequence object at equal tolerances returns
+    the stored report; :func:`solve_odd` relies on this.
     """
     if seq.l % 2 != 0 or seq.l < 2:
         raise ValidationError(
@@ -238,10 +266,10 @@ def check_odd(seq: MomentSequence, psd_tol: float = PSD_TOL,
         space=space,
         cdfk_solvable=cdfk_ok,
         criteria_agreement=agree,
-        details={c.name: c.value for c in conditions},
     )
 
 
+@_per_sequence
 def check_even(seq: MomentSequence, psd_tol: float = PSD_TOL,
                rank_tol: float = RANK_TOL) -> SolvabilityReport:
     """Solvability for an even number of prescribed moments (l = 2d+1, d >= 0).
@@ -249,7 +277,9 @@ def check_even(seq: MomentSequence, psd_tol: float = PSD_TOL,
     When the PSD conditions hold, the report carries the minimal-norm
     solutions of the two block systems and the admissible interval
     [S_min, S_max] for the next moment; solvability additionally requires
-    both systems consistent and the interval nonempty.
+    both systems consistent and the interval nonempty.  A repeated call on
+    the same sequence object at equal tolerances returns the stored report;
+    :func:`solve_even` relies on this.
     """
     if seq.l % 2 != 1:
         raise ValidationError(f"even-case check requires l = 2d+1, got l={seq.l}")
@@ -313,7 +343,6 @@ def check_even(seq: MomentSequence, psd_tol: float = PSD_TOL,
         even_case=even_case,
         cdfk_solvable=cdfk_ok,
         criteria_agreement=agree,
-        details={c.name: c.value for c in conditions},
     )
 
 
@@ -326,7 +355,6 @@ def check_l0(s0, psd_tol: float = PSD_TOL) -> SolvabilityReport:
         case="l0",
         conditions=(cond,),
         failed_conditions=failed,
-        details={cond.name: cond.value},
     )
 
 

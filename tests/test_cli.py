@@ -423,6 +423,18 @@ class TestUsage:
     def test_missing_required_argument_exits_one(self):
         assert main(["solve"]) == 1
 
+    def test_one_parser_serves_every_call(self, capsys, symmetric_problem):
+        # a usage error from the shared parser leaves nothing behind for the
+        # next call, and keeps its exit code and message
+        assert matmom.cli._build_parser() is matmom.cli._build_parser()
+        assert main(["solve"]) == 1
+        first = capsys.readouterr().err
+        assert first.startswith("matmom solve: ")
+        assert main(["check", symmetric_problem]) == 0
+        capsys.readouterr()
+        assert main(["solve"]) == 1
+        assert capsys.readouterr().err == first
+
     def test_module_entry_point(self, tmp_path):
         path = tmp_path / "p.json"
         write_scalar_problem(path, -1, 1, [1, 0, 1])

@@ -144,6 +144,29 @@ class TestExtremalExtensions:
         assert np.allclose(iv.C, iv.B_M - iv.B_mu)
 
 
+class TestFactorizations:
+    def test_two_eigh_and_one_eigvalsh(self, monkeypatch, matrix_defect_interval):
+        # eigh of P and of the defect; the minimal extension is factored only
+        # when a resolvent function asks for it
+        counts = {"eigh": 0, "eigvalsh": 0}
+        for name in counts:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        iv = extremal_extensions(matrix_defect_interval.model)
+        assert counts == {"eigh": 2, "eigvalsh": 1}
+        w, v = iv.mu_eig
+        assert counts["eigh"] == 3
+        assert iv.mu_eig is iv.mu_eig
+        monkeypatch.undo()
+        w_ref, v_ref = np.linalg.eigh(iv.B_mu)
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+
 class TestCanonicalExtension:
     def test_endpoints_and_midpoint(self, lebesgue_interval):
         iv = lebesgue_interval
@@ -356,6 +379,17 @@ class TestCompletionNormGuard:
                                   Q=np.array([[2.0]], dtype=complex))
         with pytest.raises(NumericalInconsistency, match="minimal completion"):
             extremal_extensions(bad)
+
+    def test_maximal_completion_is_guarded(self, monkeypatch, lebesgue_interval):
+        # both norms come from one batched eigvalsh; each is judged under its
+        # own name
+        def wide(p, q, rank_tol):
+            x_mu, x_m = extremal_completions(p, q, rank_tol)
+            return x_mu, x_m + 4.0 * np.eye(x_m.shape[0])
+
+        monkeypatch.setattr(matmom.extensions, "extremal_completions", wide)
+        with pytest.raises(NumericalInconsistency, match="maximal completion has norm"):
+            extremal_extensions(lebesgue_interval.model)
 
     def test_negative_defect_is_numerical(self, monkeypatch, lebesgue_interval):
         # swapped completions pass both norm guards, and their difference is

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import matmom.solutions
+import matmom.solvability
 from matmom import (
     DiscreteMatrixMeasure,
     MomentSequence,
@@ -23,6 +24,7 @@ from matmom import (
     canonical_extension,
     check,
     check_even,
+    check_odd,
     extremal_extensions,
     gen_random_measure,
     measure_from_atoms,
@@ -34,6 +36,7 @@ from matmom import (
     verify,
 )
 from matmom.io import read_measure
+from matmom.linalg import PSD_TOL, RANK_TOL
 from matmom.solutions import _solve, spectral_data
 
 from helpers import random_unitary
@@ -270,16 +273,17 @@ def _copy(seq):
     return MomentSequence(seq.a, seq.b, seq.moments)
 
 
-def _count_calls(monkeypatch, name):
-    """Count the calls ``solve_odd`` makes to ``matmom.solutions.<name>``."""
+def _count_calls(monkeypatch, name, module=matmom.solutions):
+    """Count the calls made to ``<module>.<name>``, by default the ones
+    ``solve_odd`` makes to ``matmom.solutions.<name>``."""
     calls = []
-    original = getattr(matmom.solutions, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(matmom.solutions, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -342,7 +346,7 @@ class TestIntervalReuse:
         seq_a = _indeterminate_seq()
         seq_b = moments_of(gen_random_measure(1, 2, 6, -1.0, 2.0), 4)
         first = solve_odd(seq_a, 0.7)
-        old = weakref.ref(matmom.solutions._last_odd[1])
+        old = weakref.ref(matmom.solutions._odd_interval.slot[2])
         # the old interval is dropped before the next one is built
         extremal = matmom.solutions.extremal_extensions
 
@@ -353,19 +357,19 @@ class TestIntervalReuse:
         monkeypatch.setattr(matmom.solutions, "extremal_extensions", after_release)
         solve_odd(seq_b, 0.7)
         monkeypatch.undo()
-        assert matmom.solutions._last_odd[0]() is seq_b
+        assert matmom.solutions._odd_interval.slot[0]() is seq_b
         assert self._same(solve_odd(seq_a, 0.7), first)
-        assert matmom.solutions._last_odd[0]() is seq_a
+        assert matmom.solutions._odd_interval.slot[0]() is seq_a
 
     def test_slot_holds_the_sequence_weakly(self):
         seq = _indeterminate_seq()
         solve_odd(seq, 0.5)
-        ref = matmom.solutions._last_odd[0]
+        ref = matmom.solutions._odd_interval.slot[0]
         assert ref() is seq
         del seq
         gc.collect()
         assert ref() is None
-        assert matmom.solutions._last_odd is None
+        assert matmom.solutions._odd_interval.slot is None
 
     def test_failures_are_not_stored(self, monkeypatch):
         unsolvable = scalar_seq(-1, 1, [1, 0, 3])
@@ -373,7 +377,7 @@ class TestIntervalReuse:
         for _ in range(3):
             with pytest.raises(Unsolvable):
                 solve_odd(unsolvable)
-            assert matmom.solutions._last_odd is None
+            assert matmom.solutions._odd_interval.slot is None
         assert len(checks) == 3
 
         def ill_defined(space):
@@ -384,7 +388,7 @@ class TestIntervalReuse:
         for _ in range(2):
             with pytest.raises(NumericalInconsistency):
                 solve_odd(seq)
-            assert matmom.solutions._last_odd is None
+            assert matmom.solutions._odd_interval.slot is None
         monkeypatch.undo()
         assert verify(solve_odd(seq), seq, tol=1e-8).passed
 
@@ -400,27 +404,157 @@ class TestIntervalReuse:
                 solve_odd(seq, bad)
         with pytest.raises(NumericalInconsistency, match="fails verification"):
             solve_odd(seq, 0.5, verify_tol=0.0)
-        assert matmom.solutions._last_odd[0]() is seq
+        assert matmom.solutions._odd_interval.slot[0]() is seq
 
     def test_threads_sharing_the_slot(self):
-        # threads alternate two sequences through the one slot; a torn or
-        # lost update would hand one sequence the other's interval
+        # threads alternate two sequences through the one slot, and run the
+        # interleaving check(A), check(B), solve(A), solve(B) of an odd A and
+        # an even B through the check slots; a torn or lost update would hand
+        # one sequence the interval or report of another
         from concurrent.futures import ThreadPoolExecutor
 
         seqs = [_indeterminate_seq(), moments_of(gen_random_measure(1, 2, 6, -1.0, 2.0), 4)]
+        odd, even = seqs[0], moments_of(gen_random_measure(5, 2, 6, -1.0, 2.0), 5)
         ks = np.linspace(0.0, 1.0, 5)
         expected = [[solve_odd(_copy(seq), float(k)) for k in ks] for seq in seqs]
-        jobs = [(i % 2, j) for i in range(8) for j in range(len(ks))]
+        expected_even = [solve_even(_copy(even), 0.4, float(k)) for k in ks]
+
+        def interleaved(k):
+            check(odd)
+            check(even)
+            return solve_odd(odd, k), solve_even(even, 0.4, k)
+
+        jobs = [(i % 3, j) for i in range(12) for j in range(len(ks))]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(solve_odd, seqs[s], float(ks[j])) for s, j in jobs]
+                futures = [pool.submit(interleaved, float(ks[j])) if s == 2
+                           else pool.submit(solve_odd, seqs[s], float(ks[j]))
+                           for s, j in jobs]
                 results = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-        for (s, j), measure in zip(jobs, results):
-            assert self._same(measure, expected[s][j])
+        for (s, j), result in zip(jobs, results):
+            if s == 2:
+                assert self._same(result[0], expected[0][j])
+                assert self._same(result[1], expected_even[j])
+            else:
+                assert self._same(result, expected[s][j])
+
+
+def _slots():
+    return (check_odd.slot, check_even.slot, matmom.solutions._odd_interval.slot)
+
+
+class TestCheckReuse:
+    """check_odd and check_even keep the report of the last sequence object
+    they checked, so a solve that follows a check of the same object decides
+    solvability once; tolerances key the report, and nothing else changes.
+
+    A check's body is counted by a step only the body runs
+    (``gram_space_from_eig`` for check_odd, ``_cdfk_conditions`` for
+    check_even), not by the check itself, which a slot may answer."""
+
+    def test_check_then_solve_odd_factors_gamma_once(self, monkeypatch):
+        seq = moments_of(gen_random_measure(22, 2, 3, -1.0, 1.0), 6)
+        gamma = build_gamma(seq, 3)
+        factored = []
+        for name in ("eigh", "eigvalsh", "svd"):
+            original = getattr(np.linalg, name)
+
+            def recorded(a, *args, _original=original, **kwargs):
+                factored.append(np.asarray(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        bodies = _count_calls(monkeypatch, "gram_space_from_eig", matmom.solvability)
+        assert check(seq).solvable
+        solve_odd(seq, 0.5)
+        monkeypatch.undo()
+        assert len(bodies) == 1
+        assert sum(x.shape == gamma.shape and np.allclose(x, gamma, rtol=0, atol=1e-13)
+                   for x in factored) == 1
+
+    def test_check_then_solve_even_checks_once(self, monkeypatch):
+        seq = moments_of(gen_random_measure(3, 2, 3, -1.0, 1.5), 5)
+        bodies = _count_calls(monkeypatch, "_cdfk_conditions", matmom.solvability)
+        report = check(seq)
+        solve_even(seq, t=0.3, k=0.5)
+        assert len(bodies) == 1
+        assert check_even(seq) is report
+
+    @pytest.mark.parametrize("case", ["odd", "even", "determinate"])
+    def test_check_then_solve_equals_cold_bitwise(self, case):
+        if case == "odd":
+            seq, solve = _indeterminate_seq(), lambda s: solve_odd(s, 0.3)
+        elif case == "even":
+            seq = moments_of(gen_random_measure(5, 2, 6, -1.0, 2.0), 5)
+            solve = lambda s: solve_even(s, 0.4, 0.6)
+        else:
+            seq = moments_of(gen_random_measure(3, 2, 1, -1.0, 2.0), 4)
+            solve = lambda s: solve_odd(s, 0.5)
+        cold = solve(_copy(seq))
+        assert check(seq).solvable
+        assert TestIntervalReuse._same(solve(seq), cold)
+
+    def test_tolerances_key_the_report(self):
+        # Gamma-tilde is -1e-7: unsolvable at the default PSD_TOL, solvable at 1e-6
+        seq = scalar_seq(-1, 1, [1, 0, 1 + 1e-7])
+        default = check_odd(seq)
+        assert not default.solvable
+        assert check(seq) is default
+        assert check_odd(seq, PSD_TOL, rank_tol=RANK_TOL) is default
+        loose = check_odd(seq, psd_tol=1e-6)
+        assert loose.solvable and loose is not default
+        assert check_odd(seq, 1e-6) is loose
+        assert check_odd(seq, rank_tol=1e-8) is not loose
+        again = check_odd(seq)
+        assert not again.solvable and again is not loose
+        even = moments_of(gen_random_measure(3, 2, 3, -1.0, 1.5), 5)
+        default = check_even(even)
+        assert check_even(even, psd_tol=1e-6) is not default
+
+    def test_unsolvable_report_is_reused(self, monkeypatch):
+        unsolvable = scalar_seq(-1, 1, [1, 0, 3])
+        bodies = _count_calls(monkeypatch, "gram_space_from_eig", matmom.solvability)
+        report = check(unsolvable)
+        assert not report.solvable
+        for _ in range(3):
+            with pytest.raises(Unsolvable, match="GammaTilde PSD"):
+                solve_odd(unsolvable)
+            assert matmom.solutions._odd_interval.slot is None
+        assert len(bodies) == 1
+        even = scalar_seq(0, 1, [1, 2])
+        bodies = _count_calls(monkeypatch, "_cdfk_conditions", matmom.solvability)
+        for _ in range(3):
+            with pytest.raises(Unsolvable):
+                solve_even(even)
+        assert len(bodies) == 1
+
+    def test_validation_error_is_not_stored(self):
+        odd, even = _indeterminate_seq(), scalar_seq(0, 1, [1, 0.5])
+        check(odd)
+        check(even)
+        with pytest.raises(ValidationError):
+            check_odd(even)
+        with pytest.raises(ValidationError):
+            check_even(odd)
+        assert check_odd.slot is None and check_even.slot is None
+
+    def test_slots_hold_their_sequences_weakly(self):
+        odd = _indeterminate_seq()
+        even = moments_of(gen_random_measure(5, 2, 6, -1.0, 2.0), 5)
+        check(odd)
+        check(even)
+        solve_odd(odd, 0.5)
+        solve_even(even, 0.5, 0.5)
+        refs = [slot[0] for slot in _slots()]
+        assert [ref() for ref in refs] == [odd, even, odd]
+        del odd, even
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert _slots() == (None, None, None)
 
 
 # [0, 1] and [-1, 1] cells past the degree where the kernel-inclusion test

@@ -240,3 +240,34 @@ def test_dispatch():
     assert check(scalar_seq(0, 1, [1])).case == "l0"
     assert check(scalar_seq(0, 1, [1, 0.5])).case == "even"
     assert check(scalar_seq(-1, 1, [1, 0, 1])).case == "odd"
+
+
+class TestSharedReportIsImmutable:
+    """A report is returned to every caller that checks the same sequence
+    object, so no caller can change what the next one reads."""
+
+    @staticmethod
+    def _arrays(rep):
+        if rep.case == "odd":
+            space = rep.space
+            return (space.vectors, space.gram, *space.domain_svd)
+        data = rep.even_case
+        return (data.X, data.Y, data.S_min, data.S_max, *data.width, data.width_half)
+
+    @pytest.mark.parametrize("l", [4, 5])
+    def test_arrays_are_read_only(self, l):
+        rep = check(moments_of(gen_random_measure(5, 2, 6, -1.0, 2.0), l))
+        for arr in self._arrays(rep):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+
+    @pytest.mark.parametrize("l", [4, 5])
+    def test_details_is_a_new_dict(self, l):
+        seq = moments_of(gen_random_measure(5, 2, 6, -1.0, 2.0), l)
+        rep = check(seq)
+        expected = {c.name: c.value for c in rep.conditions}
+        rep.details["Gamma PSD"] = 99.0
+        rep.details.clear()
+        assert check(seq) is rep
+        assert check(seq).details == expected
