@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import require_hermitian_stack
-from .moments import DiscreteMatrixMeasure, MomentSequence, measure_from_atoms
+from .moments import DiscreteMatrixMeasure, MomentSequence, _check_interval, measure_from_atoms
 
 # Hermitian symmetry required of matrices arriving from files.
 FILE_HERM_TOL = 1e-10
@@ -151,13 +151,17 @@ def read_problem(path) -> MomentSequence:
         raise FileFormatError(f"{path}: requires a < b")
     stack = _parse_stack(raw, n)
     if stack is not None:
-        return MomentSequence(a, b, tuple(_file_hermitian(stack, path)))
-    # entry by entry, so that the first fault in file order is reported
-    moments = []
-    for i, m in enumerate(raw):
-        mat = pairs_to_matrix(m, n, f"{path}: moments[{i}]")
-        moments.append(_file_hermitian(mat[None], path, f"moments[{i}]")[0])
-    return MomentSequence(a, b, tuple(moments))
+        stack = _file_hermitian(stack, path)
+    else:
+        # entry by entry, so that the first fault in file order is reported
+        stack = np.concatenate([
+            _file_hermitian(pairs_to_matrix(m, n, f"{path}: moments[{i}]")[None],
+                            path, f"moments[{i}]")
+            for i, m in enumerate(raw)])
+    # the stack is checked finite and Hermitian, and symmetrized: only the
+    # endpoints are left to MomentSequence's rule
+    a, b = _check_interval(a, b)
+    return MomentSequence._trusted(a, b, stack)
 
 
 def write_problem(path, seq: MomentSequence) -> None:

@@ -63,16 +63,31 @@ class MomentSequence:
             raise ValidationError("block size N must be positive")
         n = arrs[0].shape[-1] if arrs[0].ndim else 0
         # The moments before the first one that is not n x n are checked in
-        # one pass; that one then fails as it would on its own: not square,
-        # not finite, not Hermitian, or else of the wrong dimension.
+        # one pass; that one then fails as it would on its own.
         good = next((i for i, arr in enumerate(arrs) if arr.shape != (n, n)), len(arrs))
         stack = require_hermitian_stack(np.array(arrs[:good]).reshape(good, n, n),
                                         HERM_TOL, name="S_{}")
         if good < len(arrs):
-            require_hermitian(arrs[good], HERM_TOL, name=f"S_{good}")
-            raise ValidationError(
-                f"S_{good} has dimension {arrs[good].shape[0]}, expected {n}"
-            )
+            _require_moment(arrs[good], good, n)
+        self._freeze(a, b, stack)
+
+    @classmethod
+    def _trusted(cls, a: float, b: float, stack: np.ndarray) -> "MomentSequence":
+        """The sequence of the (l+1, N, N) ``stack`` on the checked interval
+        [a, b], for internal producers whose moments are finite and Hermitian
+        by construction.  The stack is symmetrized as the validating
+        constructor does, so the result is bitwise the one it would build,
+        but not scanned."""
+        # scaled in place: with one more temporary per sequence, building
+        # many sequences that are kept alive fragmented the heap and raised
+        # peak memory measurably
+        sym = stack + stack.conj().transpose(0, 2, 1)
+        sym *= 0.5
+        seq = object.__new__(cls)
+        seq._freeze(a, b, sym)
+        return seq
+
+    def _freeze(self, a: float, b: float, stack: np.ndarray) -> None:
         stack.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "a", a)
@@ -99,11 +114,23 @@ class MomentSequence:
         """The sub-sequence S_0..S_l on the same interval."""
         if not 0 <= l <= self.l:
             raise ValidationError(f"cannot truncate to l={l}, have l={self.l}")
-        return MomentSequence(self.a, self.b, self.moments[: l + 1])
+        return MomentSequence._trusted(self.a, self.b, self._stack[: l + 1])
 
     def extended(self, s_next) -> "MomentSequence":
-        """Append one more moment matrix."""
-        return MomentSequence(self.a, self.b, self.moments + (np.asarray(s_next),))
+        """Append one more moment matrix; only ``s_next`` is validated."""
+        s = _require_moment(np.asarray(s_next, dtype=complex), self.l + 1, self.N)
+        return MomentSequence._trusted(self.a, self.b,
+                                       np.concatenate((self._stack, s[None])))
+
+
+def _require_moment(arr: np.ndarray, i: int, n: int) -> np.ndarray:
+    """``arr`` as the moment S_i of a sequence of block size n, symmetrized:
+    it fails if not square, not finite, not Hermitian, or else of the wrong
+    dimension."""
+    s = require_hermitian(arr, HERM_TOL, name=f"S_{i}")
+    if s.shape != (n, n):
+        raise ValidationError(f"S_{i} has dimension {s.shape[0]}, expected {n}")
+    return s
 
 
 def _per_sequence(fn):
@@ -191,10 +218,11 @@ def build_gamma_hat(seq: MomentSequence, d: int) -> np.ndarray:
 class DiscreteMatrixMeasure:
     """Finite atomic matrix measure: atoms (x_i, W_i) with x_i in [a, b].
 
-    Positions are strictly increasing and every weight is Hermitian PSD
-    within tolerance.  Construct through :func:`measure_from_atoms`, which
-    canonicalizes (sorts, merges near-coincident atoms, prunes negligible
-    weights) so that measure equality is testable.
+    Positions are strictly increasing inside [a, b] and every weight is PSD
+    within ``PSD_TOL``; the constructor rejects anything else.  Build one
+    with :func:`measure_from_atoms`, which also canonicalizes (sorts, merges
+    near-coincident atoms, prunes negligible weights) so that measure
+    equality is testable.  Positions and weights are read-only.
     """
 
     a: float
@@ -219,12 +247,28 @@ class DiscreteMatrixMeasure:
         psd = check_psd_stack(w, PSD_TOL)
         if not psd.all():
             raise ValidationError(f"weight {np.argmin(psd)} is not PSD within tolerance")
-        pos.setflags(write=False)
-        w.setflags(write=False)
+        self._freeze(a, b, pos, w)
+
+    @classmethod
+    def _trusted(cls, a: float, b: float, positions: np.ndarray,
+                 weights: np.ndarray) -> "DiscreteMatrixMeasure":
+        """The measure of canonical atom arrays, as :func:`_canonical` returns
+        them, on the checked interval [a, b], for internal producers whose
+        positions lie in [a, b] and whose weights are PSD by construction:
+        nothing is checked again."""
+        measure = object.__new__(cls)
+        object.__setattr__(measure, "N", weights.shape[-1])
+        measure._freeze(a, b, positions, weights)
+        return measure
+
+    def _freeze(self, a: float, b: float, positions: np.ndarray,
+                weights: np.ndarray) -> None:
+        positions.setflags(write=False)
+        weights.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def num_atoms(self) -> int:
@@ -256,7 +300,8 @@ def measure_from_atoms(a: float, b: float, positions, weights,
     run of atoms whose consecutive gaps are at most ``ATOM_MERGE_REL * (b -
     a)`` into one atom at the run's first position with the summed weight,
     and prunes atoms whose weight norm is not above ``WEIGHT_PRUNE_REL``
-    times the norm of the total mass.
+    times the norm of the total mass.  The result passes every check of the
+    :class:`DiscreteMatrixMeasure` constructor.
     """
     a, b = _check_interval(a, b)
     pos = np.atleast_1d(np.asarray(positions, dtype=float))
@@ -278,27 +323,49 @@ def measure_from_atoms(a: float, b: float, positions, weights,
         raise ValidationError(f"atom {bad} has a non-finite weight")
     if N is None:
         N = w.shape[-1]
+    return DiscreteMatrixMeasure(a, b, N, *_canonical(a, b, pos, w))
 
+
+def _canonical(a: float, b: float, pos: np.ndarray,
+               w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical atoms of nonempty, finite, consistently shaped atom arrays:
+    sorted, merged at ``ATOM_MERGE_REL`` and pruned at ``WEIGHT_PRUNE_REL``
+    as :func:`measure_from_atoms` describes; new arrays."""
     order = np.argsort(pos, kind="stable")
     pos = pos[order]
     starts = cluster_starts(pos, ATOM_MERGE_REL * (b - a))
     merged = np.add.reduceat(w[order], starts, axis=0)
     floor = WEIGHT_PRUNE_REL * np.linalg.norm(merged.sum(axis=0))
     keep = np.linalg.norm(merged, axis=(1, 2)) > floor
-    return DiscreteMatrixMeasure(a, b, N, pos[starts][keep], merged[keep])
+    return pos[starts][keep], merged[keep]
+
+
+def _moment_stack(measure: DiscreteMatrixMeasure, l: int) -> np.ndarray:
+    """S_0..S_l of ``measure`` as one (l+1, N, N) array, not symmetrized.
+
+    The (atoms, l+1) powers of the positions, by repeated multiplication,
+    times the weights as real (atoms, 2 N^2) rows, in one real matrix product.
+    """
+    n = measure.N
+    m = measure.num_atoms
+    if m == 0:
+        return np.zeros((l + 1, n, n), dtype=complex)
+    powers = np.vander(measure.positions, l + 1, increasing=True)
+    w = np.ascontiguousarray(measure.weights).reshape(m, n * n).view(float)
+    return (powers.T @ w).view(complex).reshape(l + 1, n, n)
 
 
 def moments_of(measure: DiscreteMatrixMeasure, l: int) -> MomentSequence:
     """Power moments S_n = sum_i x_i^n W_i for n = 0..l (with 0^0 = 1)."""
     if l < 0:
         raise ValidationError("l must be non-negative")
-    n_mat = measure.N
-    if measure.num_atoms == 0:
-        zero = np.zeros((n_mat, n_mat), dtype=complex)
-        return MomentSequence(measure.a, measure.b, (zero,) * (l + 1))
-    powers = measure.positions[:, None] ** np.arange(l + 1)[None, :]
-    s = np.einsum("in,iab->nab", powers, measure.weights)
-    return MomentSequence(measure.a, measure.b, tuple(s))
+    stack = _moment_stack(measure, l)
+    if not np.isfinite(stack).all():
+        # high powers of positions far from 0 overflow: the validating
+        # constructor names the first moment that did
+        return MomentSequence(measure.a, measure.b, tuple(stack))
+    # the weights are PSD, hence Hermitian, so their moments are too
+    return MomentSequence._trusted(measure.a, measure.b, stack)
 
 
 def gen_random_measure(seed: int, N: int, num_atoms: int, a: float,
@@ -320,4 +387,5 @@ def gen_random_measure(seed: int, N: int, num_atoms: int, a: float,
         (num_atoms, N, N)
     )
     w = np.einsum("iba,ibc->iac", g.conj(), g)
-    return measure_from_atoms(a, b, pos, w, N=N)
+    # positions in [a, b) and weights G* G: valid by construction
+    return DiscreteMatrixMeasure._trusted(a, b, *_canonical(a, b, pos, w))

@@ -28,9 +28,10 @@ from .linalg import cluster_starts, herm_part, hermitian_eig
 from .moments import (
     DiscreteMatrixMeasure,
     MomentSequence,
+    _canonical,
+    _moment_stack,
     _per_sequence,
     measure_from_atoms,
-    moments_of,
 )
 from .operator_model import GramSpace, build_gram_space, build_operators
 from .solvability import EvenCaseData, SolvabilityReport, check_even, check_l0, check_odd
@@ -110,7 +111,12 @@ def _measure_from_spectrum(sd: SpectralData, a: float, b: float) -> DiscreteMatr
     clamped = np.clip(positions, a, b)
     if np.abs(clamped - positions).max(initial=0.0) > band:
         raise NumericalInconsistency("spectral atom positions stray outside [a, b]")
-    return measure_from_atoms(a, b, clamped, sd.weights, N=sd.weights.shape[-1])
+    if clamped.size == 0:
+        return measure_from_atoms(a, b, clamped, sd.weights, N=sd.weights.shape[-1])
+    # Each weight is a sum of y y* over one cluster, made exactly Hermitian,
+    # hence PSD; clamping keeps the positions in [a, b].  Clusters clamped to
+    # the same endpoint still merge into one atom.
+    return DiscreteMatrixMeasure._trusted(a, b, *_canonical(a, b, clamped, sd.weights))
 
 
 def solve_odd(seq: MomentSequence, k=0.5, *,
@@ -250,15 +256,15 @@ def verify(measure: DiscreteMatrixMeasure, seq: MomentSequence,
         raise ValidationError(
             f"block size mismatch: measure has N={measure.N}, sequence N={seq.N}"
         )
-    recomputed = moments_of(measure, seq.l)._stack
-    residuals = np.abs(recomputed - seq._stack).max(axis=(1, 2))
+    residuals = np.abs(_moment_stack(measure, seq.l) - seq._stack).max(axis=(1, 2))
     return VerificationReport(
         tol=tol,
         moment_residuals=residuals,
         moment_scales=seq.moment_scales,
         support_ok=_supported(measure, seq),
         # a DiscreteMatrixMeasure's constructor admits only weights that are
-        # PSD within PSD_TOL, and leaves them read-only
+        # PSD within PSD_TOL, internal producers make only PSD weights, and
+        # both leave them read-only
         weights_psd_ok=True,
     )
 

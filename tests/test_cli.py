@@ -10,7 +10,13 @@ import pytest
 import matmom.cli
 import matmom.solutions
 from helpers import reference_measure_text, reference_problem_text
-from matmom import MomentSequence, gen_random_measure, measure_from_atoms, moments_of
+from matmom import (
+    MomentSequence,
+    ValidationError,
+    gen_random_measure,
+    measure_from_atoms,
+    moments_of,
+)
 from matmom.cli import main
 from matmom.io import (
     FileFormatError,
@@ -176,6 +182,29 @@ class TestFileWriterAndParser:
         assert str(err.value) == (
             f"{path}: moments[2] is not Hermitian: asymmetry 5.590e-01 exceeds "
             "1.0e-10 * max(1, 2.000e+00)")
+
+    @pytest.mark.parametrize("parser", ["stack", "entry by entry"])
+    def test_problem_checked_once_as_the_validating_route(self, tmp_path, parser):
+        # an integer too large for int64 sends the file to the entry parser;
+        # either way the sequence is the one MomentSequence builds from the
+        # parsed matrices, and a non-finite endpoint fails as it does there
+        first = "[[[18446744073709551621, 0.0], [0.5, 0.25]], [[0.5, -0.25], [2.0, 0.0]]]"
+        skewed = "[[[1.0, 0.0], [0.5, 0.25]], [[0.5, -0.2500000000001], [3.0, 0.0]]]"
+        moments = [first if parser != "stack" else GOOD_2X2, skewed, GOOD_2X2]
+        path = tmp_path / "p.json"
+        path.write_text(problem_text(moments))
+        got = read_problem(path)
+        parsed = [np.array([[e[0] + 1j * e[1] for e in row] for row in json.loads(m)])
+                  for m in moments]
+        want = MomentSequence(0.0, 1.0, tuple(0.5 * (m + m.conj().T) for m in parsed))
+        assert got._stack.tobytes() == want._stack.tobytes()
+        assert not got._stack.flags.writeable
+        for a in ("-Infinity", "NaN"):
+            path.write_text(problem_text(moments).replace('"a": 0.0', f'"a": {a}'))
+            with pytest.raises(ValidationError) as err:
+                read_problem(path)
+            assert str(err.value) == {"NaN": f"{path}: requires a < b",
+                                      "-Infinity": "interval endpoints must be finite"}[a]
 
     @pytest.mark.parametrize("big", [2 ** 63 + 1, 2 ** 64 + 5])
     def test_bools_and_big_integers_accepted(self, tmp_path, big):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import matmom.moments
 from matmom import (
+    DiscreteMatrixMeasure,
     MomentSequence,
     ValidationError,
     build_gamma,
@@ -17,6 +19,8 @@ from matmom import (
     measure_from_atoms,
     moments_of,
 )
+from matmom.linalg import HERM_TOL, PSD_TOL, check_psd_stack, require_hermitian_stack
+from matmom.moments import _moment_stack
 
 from helpers import random_hermitian, reference_hankel
 
@@ -201,6 +205,100 @@ class TestMomentsOf:
         seq = moments_of(mu, 2)
         assert all(np.allclose(s, 0) for s in seq.moments)
 
+    @pytest.mark.parametrize("seed, n, atoms, l", [(0, 1, 1, 0), (1, 2, 5, 6),
+                                                   (2, 3, 40, 20), (3, 8, 88, 20)])
+    def test_matches_atom_loop(self, seed, n, atoms, l):
+        # the matrix product sums in another order than the loop: each entry
+        # may differ by a few roundings of the sum of absolute terms
+        mu = gen_random_measure(seed, n, atoms, -2.0, 3.0)
+        got = moments_of(mu, l)._stack
+        for k in range(l + 1):
+            terms = [float(x) ** k * w for x, w in zip(mu.positions, mu.weights)]
+            want = sum(terms)
+            want = 0.5 * (want + want.conj().T)
+            bound = 8 * (atoms + l + 1) * np.finfo(float).eps * sum(np.abs(t) for t in terms)
+            assert np.all(np.abs(got[k] - want) <= bound), k
+
+    def test_overflow_named_as_before(self):
+        # high powers of a wide interval overflow; the first such moment is named
+        mu = measure_from_atoms(-1e200, 1e200, [1e100], [np.eye(1)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError, match=r"^S_4 contains non-finite entries$"):
+                moments_of(mu, 4)
+
+
+class TestValidByConstruction:
+    """Internal producers build measures and sequences without checking them
+    again; each check they skip would pass."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 30),
+           st.integers(0, 12), st.sampled_from([(0.0, 1.0), (-2.0, 3.0), (-1e3, 1e-3)]))
+    def test_generated_weights_and_moments(self, seed, n, atoms, l, interval):
+        mu = gen_random_measure(seed, n, atoms, *interval)
+        assert check_psd_stack(mu.weights, PSD_TOL).all()
+        assert np.all((mu.positions >= interval[0]) & (mu.positions <= interval[1]))
+        assert np.all(np.diff(mu.positions) > 0)
+        stack = _moment_stack(mu, l)
+        require_hermitian_stack(stack, HERM_TOL)
+        assert np.array_equal(moments_of(mu, l)._stack, 0.5 * (stack + stack.conj().transpose(0, 2, 1)))
+
+    def test_moments_of_nearly_hermitian_weights(self):
+        # a weight the constructor admits may be Hermitian only within
+        # HERM_TOL; its moments are symmetrized as the validating route does
+        rng = np.random.default_rng(0)
+        g = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+        w = np.einsum("iab,icb->iac", g, g.conj())
+        w[:, 0, 1] += 1e-13
+        mu = DiscreteMatrixMeasure(-1.0, 2.0, 3, np.array([-0.5, 1.5]), w)
+        got = moments_of(mu, 4)._stack
+        want = MomentSequence(-1.0, 2.0, tuple(_moment_stack(mu, 4)))._stack
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(got, got.conj().transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_generated_measure_equals_the_validating_route(self, seed):
+        n, atoms, a, b = 1 + seed % 3, 1 + 3 * seed, -2.0, 3.0
+        rng = np.random.default_rng(seed)
+        pos = rng.uniform(a, b, size=atoms)
+        g = rng.standard_normal((atoms, n, n)) + 1j * rng.standard_normal((atoms, n, n))
+        want = measure_from_atoms(a, b, pos, np.einsum("iba,ibc->iac", g.conj(), g), N=n)
+        got = gen_random_measure(seed, n, atoms, a, b)
+        assert got.positions.tobytes() == want.positions.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert not got.positions.flags.writeable and not got.weights.flags.writeable
+
+    def test_public_routes_check_once(self, monkeypatch):
+        calls = []
+        original = matmom.moments.check_psd_stack
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(matmom.moments, "check_psd_stack", counted)
+        weights = np.stack([np.eye(2), np.diag([1.0, 2.0])])
+        measure_from_atoms(0.0, 1.0, [0.25, 0.5], weights)
+        assert len(calls) == 1
+        DiscreteMatrixMeasure(0.0, 1.0, 2, np.array([0.25, 0.5]), weights)
+        assert len(calls) == 2
+        gen_random_measure(0, 2, 5, 0.0, 1.0)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_truncated_and_extended_equal_the_validating_route(self, seed):
+        seq = random_seq(seed, n=3, l=5)
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        s_next = raw + raw.conj().T + 1e-14 * raw
+        for got, want in [
+            (seq.truncated(2), MomentSequence(seq.a, seq.b, seq.moments[:3])),
+            (seq.extended(s_next), MomentSequence(seq.a, seq.b, seq.moments + (s_next,))),
+        ]:
+            assert got._stack.tobytes() == want._stack.tobytes()
+            assert not got._stack.flags.writeable
+            assert all(m.base is got._stack for m in got.moments)
+
 
 class TestGenRandomMeasure:
     def test_deterministic(self):
@@ -343,3 +441,6 @@ class TestMomentSequence:
         # the moment after it is malformed too; the first fault is reported
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             MomentSequence(0.0, 1.0, (np.eye(2), np.eye(2), bad, np.ones(3)))
+        # extended validates the new moment alone, with the same messages
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            MomentSequence(0.0, 1.0, (np.eye(2), np.eye(2))).extended(bad)

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import matmom.solutions
 import matmom.solvability
@@ -36,10 +38,10 @@ from matmom import (
     verify,
 )
 from matmom.io import read_measure
-from matmom.linalg import PSD_TOL, RANK_TOL
-from matmom.solutions import _solve, spectral_data
+from matmom.linalg import PSD_TOL, RANK_TOL, check_psd_stack
+from matmom.solutions import SpectralData, _measure_from_spectrum, _solve, spectral_data
 
-from helpers import random_unitary
+from helpers import random_contraction, random_unitary
 
 
 def scalar_seq(a, b, values):
@@ -97,6 +99,7 @@ class TestSolveOdd:
     def test_zero_moments(self):
         measure = solve_odd(scalar_seq(-1, 1, [0, 0, 0]))
         assert measure.num_atoms == 0
+        assert measure.N == 1 and measure.weights.shape == (0, 1, 1)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_round_trip_random_measures(self, seed):
@@ -117,6 +120,73 @@ class TestSolveOdd:
         measure = solve_odd(seq, 0.3)
         scale = max(1.0, np.linalg.norm(seq.moments[0], 2))
         assert np.abs(measure.total_mass() - seq.moments[0]).max() <= 1e-9 * scale
+
+
+class TestValidByConstruction:
+    """A solved measure is built from its spectral data without checking
+    again what the construction guarantees: weights that are sums of y y*
+    and positions clamped into [a, b]."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 5),
+           st.integers(1, 3), st.sampled_from([(0.0, 1.0), (-2.0, 3.0), (-1.0, 1.0)]))
+    def test_spectral_weights_are_psd(self, seed, n, atoms, d, interval):
+        a, b = interval
+        seq = moments_of(gen_random_measure(seed, n, atoms, a, b), 2 * d)
+        ext = extremal_extensions(build_operators(check_odd(seq).space))
+        rng = np.random.default_rng(seed)
+        ks = [0.0, 0.5, 1.0]
+        if ext.def_dim:
+            ks.append(random_contraction(rng, ext.def_dim, (0.0, 1.0)))
+        for k in ks:
+            sd = spectral_data(canonical_extension(ext, k), ext.model.space.vectors[:, :n])
+            assert check_psd_stack(sd.weights, PSD_TOL).all()
+            measure = _measure_from_spectrum(sd, a, b)
+            assert check_psd_stack(measure.weights, PSD_TOL).all()
+            assert np.all((measure.positions >= a) & (measure.positions <= b))
+            assert np.all(np.diff(measure.positions) > 0)
+
+    @pytest.mark.parametrize("seed, n, atoms, l, a, b", [
+        (0, 1, 2, 2, 0.0, 1.0), (1, 2, 3, 4, -2.0, 3.0), (2, 3, 4, 6, -1.0, 1.0),
+        (0, 4, 30, 16, -1.0, 2.0), (1, 8, 40, 20, -1.0, 1.0),
+    ])
+    def test_solved_measure_equals_the_validating_route(self, seed, n, atoms, l, a, b):
+        seq = moments_of(gen_random_measure(seed, n, atoms, a, b), l)
+        ext = matmom.solutions._odd_interval(seq)
+        for k in (0.0, 0.5, 1.0):
+            sd = spectral_data(canonical_extension(ext, k), ext.model.space.vectors[:, :n])
+            positions = np.clip(0.5 * (b - a) * sd.eigenvalues + 0.5 * (a + b), a, b)
+            want = measure_from_atoms(a, b, positions, sd.weights, N=n)
+            got = solve_odd(seq, k)
+            assert got.positions.tobytes() == want.positions.tobytes()
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert not got.positions.flags.writeable and not got.weights.flags.writeable
+
+    def test_clusters_clamped_to_one_endpoint_merge(self):
+        # two clusters of eigenvalues just above 1 both clamp to b
+        weights = np.stack([np.eye(2), 2 * np.eye(2), 3 * np.eye(2)]).astype(complex)
+        sd = SpectralData(np.array([-0.5, 1 + 2e-10, 1 + 1.6e-9]), weights)
+        measure = _measure_from_spectrum(sd, -1.0, 1.0)
+        assert measure.positions.tolist() == [-0.5, 1.0]
+        assert np.array_equal(measure.weights, [np.eye(2), 5 * np.eye(2)])
+
+    def test_warm_solve_checks_nothing_again(self, monkeypatch):
+        seq = _indeterminate_seq()
+        solve_odd(seq, 0.2)
+        calls = Counter()
+        for name, module in list(sys.modules.items()):
+            if name != "matmom" and not name.startswith("matmom."):
+                continue
+            for attr in ("check_psd_stack", "require_hermitian_stack"):
+                if hasattr(module, attr):
+                    def counted(*args, _attr=attr, _original=getattr(module, attr), **kwargs):
+                        calls[_attr] += 1
+                        return _original(*args, **kwargs)
+                    monkeypatch.setattr(module, attr, counted)
+        k_mat = random_contraction(np.random.default_rng(0), 2, (0.0, 1.0))
+        for k in (0.0, 0.7, 1.0, k_mat):
+            assert verify(solve_odd(seq, k), seq).passed
+        assert calls == Counter()
 
 
 class TestPartiallyDeterminedProblem:
