@@ -10,11 +10,19 @@ Schur-complement form
 
     X_min = Q (I + P)^+ Q* - I,      X_max = I - Q (I - P)^+ Q*.
 
-(The pseudo-inverses are safe because the relevant range inclusions hold
-automatically for contraction columns, including the attainable case
-norm(P) = 1.)  The defect C is the gap between the extreme extensions; when
-it vanishes the extension, and hence the solution measure, is unique.  The
-interval is swept by B_min + C^(1/2) K C^(1/2) with a Hermitian parameter
+Whether [P; Q] is a contraction at all is decided here, once, on the
+eigenbasis of P these formulas already take.  If I + P and I - P are PSD
+and Q* lies in the range of both, then by Schur complements and
+(I + P)^+ + (I - P)^+ = 2 (I - P^2)^+ on that range the column is a
+contraction exactly when X_max - X_min is PSD (Krein, Mat. Sb. 20, 1947;
+Davis, Kahan and Weinberger, SIAM J. Numer. Anal. 19, 1982).  Range
+inclusion matters only on the eigenvectors where the rank cutoff drops
+1 + w or 1 - w, including the attainable case norm(P) = 1; there the column
+itself is required to have norm at most 1.
+
+The defect C is the gap between the extreme extensions; when it vanishes
+the extension, and hence the solution measure, is unique.  The interval is
+swept by B_min + C^(1/2) K C^(1/2) with a Hermitian parameter
 0 <= K <= I on the defect space, and each such extension has resolvent
 
     R_K(z) = R_min(z) - R_min(z) C^(1/2) K (I + (Q_mu(z) - I) K)^(-1)
@@ -40,7 +48,6 @@ from .linalg import (
     EigDecomposition,
     herm_part,
     hermitian_eig,
-    pinv_from_eig,
     psd_ok,
     rank_keep,
     require_hermitian,
@@ -111,21 +118,43 @@ def extremal_completions(p_block, q_block,
                          rank_tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Extreme defect blocks X_min, X_max completing the contraction column.
 
-    I + P and I - P share the eigenvectors of P, so one eigendecomposition
-    of P gives both pseudo-inverses; each must be PSD within ``NORM_SLACK``.
+    I + P and I - P share the eigenvectors V of P, so one eigendecomposition
+    of P serves both, and each must be PSD within ``NORM_SLACK``.  With
+    ``qv = Q V`` and lambda the eigenvalues of I + P (for X_min) or of I - P
+    (for X_max) that the rank cutoff keeps, the Schur complements are
+
+        X_min = sum_k qv_k qv_k* / lambda_k - I,
+        X_max = I - sum_k qv_k qv_k* / lambda_k.
+
+    They are the completions only if Q* lies in the range of I + P and of
+    I - P.  So on each eigenvector v of P, eigenvalue w, whose 1 + w or
+    1 - w the cutoff drops, the column must be a contraction by itself:
+    sqrt(w^2 + ||Q v||^2) <= 1 + ``NORM_SLACK``.  Given both tests, [P; Q]
+    is a contraction exactly when X_max - X_min is PSD, which
+    :func:`extremal_extensions` judges.  A failed test raises
+    ``ValidationError``.
     """
     p = require_hermitian(p_block, name="P")
     q = np.asarray(q_block, dtype=complex)
     if q.ndim != 2 or q.shape[1] != p.shape[0]:
         raise ValidationError(f"Q must have {p.shape[0]} columns, got shape {q.shape}")
     w, v = hermitian_eig(p)
+    plus, minus = 1.0 + w, 1.0 - w
+    require_psd(EigDecomposition(plus, v), NORM_SLACK, "I + P")
+    require_psd(EigDecomposition(minus, v), NORM_SLACK, "I - P")
+    keep_plus, keep_minus = rank_keep(plus, rank_tol), rank_keep(minus, rank_tol)
+    qv = q @ v
+    dropped = ~(keep_plus & keep_minus)
+    if dropped.any():
+        norm = np.hypot(w[dropped], np.linalg.norm(qv[:, dropped], axis=0)).max()
+        if norm > 1.0 + NORM_SLACK:
+            raise ValidationError(
+                f"contraction column has norm {norm:.12f} > 1 on the kernel of I + P or I - P"
+            )
     eye_q = np.eye(q.shape[0], dtype=complex)
-    plus = pinv_from_eig(require_psd(EigDecomposition(1.0 + w, v), NORM_SLACK, "I + P"),
-                         rank_tol)
-    minus = pinv_from_eig(require_psd(EigDecomposition(1.0 - w, v), NORM_SLACK, "I - P"),
-                          rank_tol)
-    x_mu = herm_part(q @ plus @ q.conj().T - eye_q)
-    x_m = herm_part(eye_q - q @ minus @ q.conj().T)
+    qp, qm = qv[:, keep_plus], qv[:, keep_minus]
+    x_mu = herm_part((qp / plus[keep_plus]) @ qp.conj().T - eye_q)
+    x_m = herm_part(eye_q - (qm / minus[keep_minus]) @ qm.conj().T)
     return x_mu, x_m
 
 
@@ -135,25 +164,21 @@ def _assemble(p, q, x) -> np.ndarray:
 
 def extremal_extensions(model: ContractionModel,
                         rank_tol: float = RANK_TOL) -> ExtensionInterval:
-    """Extreme self-adjoint contraction extensions and the defect between them."""
-    x_mu, x_m = extremal_completions(model.P, model.Q, rank_tol)
-    u = np.hstack([model.dom_basis, model.def_basis])
-    t_mu = _assemble(model.P, model.Q, x_mu)
-    b_mu = herm_part(u @ t_mu @ u.conj().T)
-    # Both completions are Hermitian, so their norm is the largest |eigenvalue|,
-    # taken for both from one batched eigvalsh.
-    completions = np.stack([t_mu, _assemble(model.P, model.Q, x_m)])
-    norms = (np.abs(np.linalg.eigvalsh(completions)).max(axis=1) if t_mu.size
-             else (0.0, 0.0))
-    for name, norm in zip(("minimal", "maximal"), norms):
-        if norm > 1.0 + NORM_SLACK:
-            raise NumericalInconsistency(
-                f"{name} completion has norm {norm:.12f} > 1; "
-                "upstream PSD or rank decision failed"
-            )
+    """Extreme self-adjoint contraction extensions and the defect between them.
 
-    # the defect is a difference of two completions that the norm guards
-    # above admit up to NORM_SLACK, so it is judged at that slack too
+    This is where the shift column [P; Q] is judged a contraction, once: by
+    the tests of :func:`extremal_completions` on the eigenbasis of P and by
+    the defect X_max - X_min being PSD within ``NORM_SLACK``.  The model is
+    built from moment data, so a column that fails is a numerical
+    inconsistency, not bad input, and raises ``NumericalInconsistency``.
+    """
+    try:
+        x_mu, x_m = extremal_completions(model.P, model.Q, rank_tol)
+    except ValidationError as exc:
+        raise NumericalInconsistency(str(exc)) from exc
+    u = np.hstack([model.dom_basis, model.def_basis])
+    b_mu = herm_part(u @ _assemble(model.P, model.Q, x_mu) @ u.conj().T)
+
     c_r = herm_part(x_m - x_mu)
     c_dec = hermitian_eig(c_r)
     if not psd_ok(c_dec.eigenvalues, NORM_SLACK):

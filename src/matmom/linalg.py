@@ -15,10 +15,10 @@ positivity decisions are consistent across modules:
   in one pass by ``require_hermitian_stack``.
 * ``cluster_starts`` is the one clustering rule for sorted values (atom
   positions, eigenvalues): a cluster ends where a gap exceeds the tolerance.
-* ``pinv_from_eig`` and ``sqrt_from_eig`` build the pseudo-inverse and
-  square root from an eigendecomposition the caller already has, so that
-  one factorization serves several derived matrices; ``pinv_psd`` and
-  ``sqrt_psd`` are the one-matrix forms.
+* ``sqrt_from_eig`` builds the square root from an eigendecomposition the
+  caller already has, so that one factorization serves several derived
+  matrices; ``sqrt_psd`` is the one-matrix form, and ``pinv_psd`` the
+  pseudo-inverse of one matrix.
 
 All matrices are small (dimension at most about a hundred) and dense complex
 double precision; 0x0 matrices are legal values throughout.
@@ -35,12 +35,17 @@ from .errors import ValidationError
 # Default tolerances.  PSD_TOL is the slack allowed below zero for "is PSD"
 # decisions, RANK_TOL the relative eigenvalue cutoff for rank decisions,
 # HERM_TOL the allowed relative asymmetry of Hermitian inputs, NORM_SLACK the
-# rounding slack allowed above 1 in contraction-norm sanity checks (and below
-# zero for I +- P of a contraction P).
+# rounding slack of the one contraction rule (extensions.extremal_completions
+# and extremal_extensions): below zero for I +- P and for the defect, and
+# above 1 for the column norm where the rank cutoff drops 1 +- w.
 PSD_TOL = 1e-10
 RANK_TOL = 1e-10
 HERM_TOL = 1e-12
 NORM_SLACK = 1e-8
+
+# No sum of two entries of at most this magnitude overflows, so only a matrix
+# with a larger entry can fail to symmetrize.
+_HALF_MAX = np.finfo(float).max / 2
 
 
 class EigDecomposition(NamedTuple):
@@ -67,7 +72,8 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
 def require_hermitian(a, tol: float = HERM_TOL, name: str = "matrix") -> np.ndarray:
     """Validate Hermitian symmetry and return the symmetrized matrix.
 
-    The asymmetry bound is relative to the largest absolute entry.
+    The asymmetry bound is relative to the largest absolute entry.  A matrix
+    whose symmetrization (A + A*)/2 would overflow is rejected too.
     """
     arr = as_square_matrix(a, name)
     if arr.size:
@@ -78,6 +84,13 @@ def require_hermitian(a, tol: float = HERM_TOL, name: str = "matrix") -> np.ndar
                 f"{name} is not Hermitian: asymmetry {skew:.3e} exceeds "
                 f"{tol:.1e} * max(1, {scale:.3e})"
             )
+        if scale > _HALF_MAX:
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = np.isfinite(arr + arr.conj().T).all()
+            if not finite:
+                raise ValidationError(
+                    f"{name} has entries too large to symmetrize (largest {scale:.3e})"
+                )
     return 0.5 * (arr + arr.conj().T)
 
 
@@ -140,20 +153,24 @@ def require_hermitian_stack(stack, tol: float = HERM_TOL,
     """:func:`require_hermitian` of every matrix of a ``(k, n, n)`` stack at once.
 
     Applies the same per-matrix rule in one vectorized pass and returns the
-    symmetrized stack.  The first matrix that fails, by a non-finite entry or
-    by its asymmetry, raises ``require_hermitian``'s own error, with the
-    matrix at index i named ``name.format(i)``.
+    symmetrized stack.  The first matrix that fails, by a non-finite entry,
+    by its asymmetry or by entries too large to symmetrize, raises
+    ``require_hermitian``'s own error, with the matrix at index i named
+    ``name.format(i)``.
     """
     arr = np.asarray(stack, dtype=complex)
     adj = arr.conj().transpose(0, 2, 1)
-    with np.errstate(invalid="ignore"):     # non-finite entries fail below
+    # non-finite entries, and finite ones whose symmetrization overflows,
+    # leave a non-finite entry in ``sym`` and fail below
+    with np.errstate(invalid="ignore", over="ignore"):
         scale = np.abs(arr).max(axis=(1, 2), initial=0.0)
         skew = np.abs(arr - adj).max(axis=(1, 2), initial=0.0)
-        bad = ~np.isfinite(arr).all(axis=(1, 2)) | (skew > tol * np.maximum(1.0, scale))
+        sym = 0.5 * (arr + adj)
+        bad = ~np.isfinite(sym).all(axis=(1, 2)) | (skew > tol * np.maximum(1.0, scale))
     if bad.any():
         i = int(np.argmax(bad))
         require_hermitian(arr[i], tol, name=name.format(i))
-    return 0.5 * (arr + adj)
+    return sym
 
 
 def check_psd_stack(stack, tol: float = PSD_TOL) -> np.ndarray:
@@ -193,14 +210,6 @@ def require_psd(dec: EigDecomposition, psd_tol: float = PSD_TOL,
     return dec
 
 
-def pinv_from_eig(dec: EigDecomposition, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Pseudo-inverse from an eigendecomposition, cut by :func:`rank_keep`."""
-    w, v = dec
-    keep = rank_keep(w, rank_tol)
-    vk = v[:, keep]
-    return herm_part((vk / w[keep]) @ vk.conj().T)
-
-
 def sqrt_from_eig(dec: EigDecomposition, rank_tol: float = RANK_TOL) -> np.ndarray:
     """PSD square root from an eigendecomposition, cut by :func:`rank_keep`."""
     w, v = dec
@@ -215,8 +224,10 @@ def pinv_psd(a, rank_tol: float = RANK_TOL, psd_tol: float = PSD_TOL) -> np.ndar
     Eigenvalues below ``rank_tol`` times the largest one are treated as zero.
     A negative eigenvalue beyond ``psd_tol`` slack is a validation error.
     """
-    dec = require_psd(hermitian_eig(a), psd_tol, "pinv_psd input")
-    return pinv_from_eig(dec, rank_tol)
+    w, v = require_psd(hermitian_eig(a), psd_tol, "pinv_psd input")
+    keep = rank_keep(w, rank_tol)
+    vk = v[:, keep]
+    return herm_part((vk / w[keep]) @ vk.conj().T)
 
 
 def sqrt_psd(a, rank_tol: float = RANK_TOL, psd_tol: float = PSD_TOL) -> np.ndarray:

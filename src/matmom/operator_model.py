@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import NumericalInconsistency, OperatorIllDefined, ValidationError
 from .linalg import (
-    NORM_SLACK,
     RANK_TOL,
     EigDecomposition,
     herm_part,
@@ -89,8 +88,9 @@ class ContractionModel:
     ``dom_basis`` (r x p) and ``def_basis`` (r x q) are orthonormal bases of
     the domain H_a = span{x_0..x_{dN-1}} and of its orthogonal complement.
     ``P`` is the Hermitian compression of the contraction to the domain and
-    ``Q`` its component into the complement; the block column [P; Q] has
-    operator norm at most 1 up to rounding.
+    ``Q`` its component into the complement.  The block column [P; Q] is a
+    contraction up to rounding when the moments are solvable; that is
+    decided by :func:`~matmom.extensions.extremal_extensions`, not here.
     """
 
     space: GramSpace
@@ -197,8 +197,9 @@ def build_operators(space: GramSpace, rank_tol: float = RANK_TOL) -> Contraction
     """Construct the shift contraction in block form.
 
     Verifies that the shift is well defined on the domain by
-    :func:`kernel_inclusion` and that the block column is a contraction up
-    to rounding.
+    :func:`kernel_inclusion`.  Whether the block column is a contraction is
+    not judged here: :func:`~matmom.extensions.extremal_extensions` decides
+    it once, on the eigenbasis of P that it factors anyway.
 
     The space's one SVD ``g_dom = U diag(s) Vh`` of the domain vectors
     serves every step.  The singular values kept by the rank cutoff (``s >
@@ -246,8 +247,5 @@ def build_operators(space: GramSpace, rank_tol: float = RANK_TOL) -> Contraction
             raise NumericalInconsistency(
                 f"domain compression is not Hermitian (skew {skew:.3e})"
             )
-    col_norm = opnorm(np.vstack([p_raw, q_mat]))
-    if col_norm > 1.0 + NORM_SLACK:
-        raise NumericalInconsistency(f"contraction column has norm {col_norm:.12f} > 1")
     return ContractionModel(space=space, dom_basis=dom_basis, def_basis=def_basis,
                             P=herm_part(p_raw), Q=q_mat)

@@ -7,6 +7,8 @@ import json
 
 import numpy as np
 
+from matmom.linalg import NORM_SLACK, RANK_TOL, psd_ok, rank_keep
+
 
 def random_unitary(rng, n):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -76,6 +78,49 @@ def reference_hankel(seq, kind: str, k: int) -> np.ndarray:
         for j in range(size):
             out[i * n : (i + 1) * n, j * n : (j + 1) * n] = blocks(i, j)
     return out
+
+
+def reference_completions(p, q, rank_tol=RANK_TOL):
+    """X_min = Q (I + P)^+ Q* - I and X_max = I - Q (I - P)^+ Q*, with each
+    pseudo-inverse formed as a p x p matrix from the eigendecomposition of P
+    and cut by ``rank_keep``: the reference for ``extremal_completions``."""
+    w, v = np.linalg.eigh(0.5 * (p + p.conj().T))
+
+    def pinv(lam):
+        keep = rank_keep(lam, rank_tol)
+        vk = v[:, keep]
+        return (vk / lam[keep]) @ vk.conj().T
+
+    eye = np.eye(q.shape[0], dtype=complex)
+    return (q @ pinv(1.0 + w) @ q.conj().T - eye,
+            eye - q @ pinv(1.0 - w) @ q.conj().T)
+
+
+def _assemble(p, q, x):
+    return np.block([[p, q.conj().T], [q, x]])
+
+
+def reference_contraction_guards(model) -> bool:
+    """Whether the contraction column [P; Q] of ``model`` passes every test
+    the solve path once made of it, at ``NORM_SLACK``: the column's spectral
+    norm, I + P and I - P PSD, the spectral norms of both completions, and
+    the defect X_max - X_min PSD.  The reference for the one contraction
+    rule of ``extremal_completions`` and ``extremal_extensions``."""
+    p, q = model.P, model.Q
+    column = np.vstack([p, q])
+    if column.size and np.linalg.norm(column, 2) > 1.0 + NORM_SLACK:
+        return False
+    w = np.linalg.eigvalsh(p) if p.size else np.zeros(0)
+    if not (psd_ok(1.0 + w, NORM_SLACK) and psd_ok(1.0 - w, NORM_SLACK)):
+        return False
+    x_mu, x_m = reference_completions(p, q)
+    for x in (x_mu, x_m):
+        t = _assemble(p, q, x)
+        if t.size and np.abs(np.linalg.eigvalsh(t)).max() > 1.0 + NORM_SLACK:
+            return False
+    defect = x_m - x_mu
+    return bool(psd_ok(np.linalg.eigvalsh(0.5 * (defect + defect.conj().T))
+                       if defect.size else np.zeros(0), NORM_SLACK))
 
 
 def reference_dump(obj) -> str:

@@ -206,6 +206,19 @@ class TestFileWriterAndParser:
             assert str(err.value) == {"NaN": f"{path}: requires a < b",
                                       "-Infinity": "interval endpoints must be finite"}[a]
 
+    @pytest.mark.parametrize("parser", ["stack", "entry by entry"])
+    def test_symmetrization_overflow_is_a_file_fault(self, tmp_path, parser):
+        # an integer too large for int64 sends the file to the entry parser
+        huge = "[[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]"
+        first = GOOD_2X2 if parser == "stack" else GOOD_2X2.replace(
+            "2.0, 0.0", "18446744073709551621, 0.0")
+        path = tmp_path / "p.json"
+        path.write_text(problem_text([first, huge]))
+        with pytest.raises(FileFormatError) as err:
+            read_problem(path)
+        assert str(err.value) == (
+            f"{path}: moments[1] has entries too large to symmetrize (largest 1.000e+308)")
+
     @pytest.mark.parametrize("big", [2 ** 63 + 1, 2 ** 64 + 5])
     def test_bools_and_big_integers_accepted(self, tmp_path, big):
         bools = "[[[true, false], [false, false]], [[false, false], [1, false]]]"

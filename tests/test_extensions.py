@@ -2,15 +2,20 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+import hypothesis.strategies as st
 
 import matmom.extensions
 from matmom import (
+    ContractionModel,
     MomentSequence,
     NumericalInconsistency,
+    OperatorIllDefined,
     ValidationError,
     build_gram_space,
     build_operators,
     canonical_extension,
+    check_odd,
     extremal_completions,
     extremal_extensions,
     gen_random_measure,
@@ -25,6 +30,8 @@ from helpers import (
     random_contraction_column,
     random_unitaries,
     random_unitary,
+    reference_completions,
+    reference_contraction_guards,
 )
 
 
@@ -52,6 +59,40 @@ def matrix_defect_interval():
 
 def assemble(p, q, x):
     return np.block([[p, q.conj().T], [q, x]])
+
+
+def synthetic_model(p, q):
+    """A contraction model of the column [P; Q] in the standard bases."""
+    eye = np.eye(p.shape[0] + q.shape[0], dtype=complex)
+    return ContractionModel(space=None, dom_basis=eye[:, : p.shape[0]],
+                            def_basis=eye[:, p.shape[0]:], P=p, Q=q)
+
+
+def column_with_norm(rng, p_dim, q_dim, norm):
+    """A random column [P; Q], P Hermitian, scaled to spectral norm ``norm``."""
+    p, q = random_contraction_column(rng, p_dim, q_dim)
+    scale = norm / np.linalg.norm(np.vstack([p, q]), 2)
+    return scale * p, scale * q
+
+
+def unit_norm_column(rng, p_dim, q_dim, sign):
+    """A contraction column whose P has the eigenvalue ``sign`` (+-1) with
+    eigenvector v and Q v = 0; returns P, Q and v as a column."""
+    rest = random_contraction(rng, p_dim - 1 + q_dim)
+    t = np.zeros((p_dim + q_dim,) * 2, dtype=complex)
+    t[0, 0], t[1:, 1:] = sign, rest
+    u = np.eye(p_dim + q_dim, dtype=complex)
+    u[:p_dim, :p_dim] = random_unitary(rng, p_dim)
+    t = u @ t @ u.conj().T
+    return 0.5 * (t[:p_dim, :p_dim] + t[:p_dim, :p_dim].conj().T), t[p_dim:, :p_dim], u[:p_dim, :1]
+
+
+def rule_accepts(model) -> bool:
+    try:
+        extremal_extensions(model)
+    except NumericalInconsistency:
+        return False
+    return True
 
 
 class TestExtremalCompletions:
@@ -145,9 +186,9 @@ class TestExtremalExtensions:
 
 
 class TestFactorizations:
-    def test_two_eigh_and_one_eigvalsh(self, monkeypatch, matrix_defect_interval):
-        # eigh of P and of the defect; the minimal extension is factored only
-        # when a resolvent function asks for it
+    def test_two_eigh_and_no_eigvalsh(self, monkeypatch, matrix_defect_interval):
+        # eigh of P and of the defect decide contractivity; the minimal
+        # extension is factored only when a resolvent function asks for it
         counts = {"eigh": 0, "eigvalsh": 0}
         for name in counts:
             original = getattr(np.linalg, name)
@@ -158,13 +199,99 @@ class TestFactorizations:
 
             monkeypatch.setattr(np.linalg, name, counted)
         iv = extremal_extensions(matrix_defect_interval.model)
-        assert counts == {"eigh": 2, "eigvalsh": 1}
+        assert counts == {"eigh": 2, "eigvalsh": 0}
         w, v = iv.mu_eig
         assert counts["eigh"] == 3
         assert iv.mu_eig is iv.mu_eig
         monkeypatch.undo()
         w_ref, v_ref = np.linalg.eigh(iv.B_mu)
         assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+
+class TestOneContractionRule:
+    """Contractivity of [P; Q] is decided once, on the eigenbasis of P: I + P
+    and I - P PSD, range inclusion where the rank cutoff drops 1 +- w, and
+    the defect PSD.  The tests it replaced are the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 3), atoms=st.integers(1, 6),
+           l=st.sampled_from([2, 4, 6, 8]), ab=st.sampled_from([(0.0, 1.0), (-2.0, 3.0)]),
+           norm=st.sampled_from([None, 1.0 - 1e-3, 1.0 + 1e-3]))
+    def test_accepts_exactly_when_the_old_guards_do(self, seed, n, atoms, l, ab, norm):
+        seq = moments_of(gen_random_measure(seed, n, atoms, *ab), l)
+        report = check_odd(seq)
+        assume(report.solvable)
+        try:
+            model = build_operators(report.space)
+        except OperatorIllDefined:
+            assume(False)
+        assume(model.P.size or norm is None)
+        self._compare(model, norm)
+
+    @pytest.mark.parametrize("norm", [None, 1.0 - 1e-3, 1.0 + 1e-3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_large_shape(self, seed, norm):
+        # N = 8, 40 atoms, l = 20 on [-1, 1], defect dimension 8
+        seq = moments_of(gen_random_measure(seed, 8, 40, -1.0, 1.0), 20)
+        self._compare(build_operators(check_odd(seq).space), norm)
+
+    @staticmethod
+    def _compare(model, norm):
+        # the model as built, or its column scaled to spectral norm ``norm``
+        # just inside or outside the unit ball, clear of the rounding slack
+        if norm is not None:
+            scale = norm / np.linalg.norm(model.column(), 2)
+            model = dataclasses.replace(model, P=scale * model.P, Q=scale * model.Q)
+        accepted = rule_accepts(model)
+        assert accepted == reference_contraction_guards(model)
+        if norm is not None:
+            assert accepted == (norm < 1.0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_column_inside_the_unit_ball_passes(self, seed):
+        rng = np.random.default_rng(seed)
+        p, q = column_with_norm(rng, int(rng.integers(1, 5)), int(rng.integers(1, 4)),
+                                1.0 - 1e-6)
+        assert rule_accepts(synthetic_model(p, q))
+        assert reference_contraction_guards(synthetic_model(p, q))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_column_outside_the_unit_ball_is_numerical(self, seed):
+        rng = np.random.default_rng(seed)
+        p, q = column_with_norm(rng, int(rng.integers(1, 5)), int(rng.integers(1, 4)),
+                                1.0 + 1e-6)
+        with pytest.raises(NumericalInconsistency):
+            extremal_extensions(synthetic_model(p, q))
+        assert not reference_contraction_guards(synthetic_model(p, q))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unit_norm_compression_with_q_orthogonal_passes(self, seed, sign):
+        # norm(P) = 1 is attained, and Q vanishes on that eigenvector
+        p, q, v = unit_norm_column(np.random.default_rng(seed), 3, 2, sign)
+        assert np.abs(q @ v).max() <= 1e-15
+        assert rule_accepts(synthetic_model(p, q))
+        assert reference_contraction_guards(synthetic_model(p, q))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_completions_match_the_pinv_formulas(self, seed):
+        # X_min and X_max as sums over Q V agree with the p x p pseudo-inverse
+        # route up to rounding: each entry is a sum of p terms of size at
+        # most ||Q v_k||^2 / lambda_k, so the bound is 16 (p + q) eps times
+        # 1 + sum_k ||Q v_k||^2 / lambda_k
+        rng = np.random.default_rng(seed)
+        p_dim, q_dim = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        if seed % 3 == 0:
+            p, q, _ = unit_norm_column(rng, p_dim, q_dim, 1.0 if seed % 2 else -1.0)
+        else:
+            p, q = random_contraction_column(rng, p_dim, q_dim)
+        w, v = np.linalg.eigh(p)
+        qv2 = (np.abs(q @ v) ** 2).sum(axis=0)
+        for got, ref, lam in zip(extremal_completions(p, q), reference_completions(p, q),
+                                 (1.0 + w, 1.0 - w)):
+            keep = lam > 1e-10 * lam.max()
+            mass = 1.0 + (qv2[keep] / lam[keep]).sum()
+            assert np.abs(got - ref).max() <= 16 * (p_dim + q_dim) * np.finfo(float).eps * mass
 
 
 class TestCanonicalExtension:
@@ -373,27 +500,29 @@ class TestCompletionNormGuard:
         assert np.linalg.norm(t, 2) > 1.0 + 1e-8
 
     def test_extremal_extensions_rejects_non_contraction(self):
-        # the same column inside a model: the minimal completion has norm 4
+        # the same column inside a model: X_min = 3 and X_max = -3, so the
+        # defect is -6
         model = build_operators(build_gram_space(scalar_seq(-1, 1, [1, 0, 1])))
         bad = dataclasses.replace(model, P=np.zeros((1, 1), dtype=complex),
                                   Q=np.array([[2.0]], dtype=complex))
-        with pytest.raises(NumericalInconsistency, match="minimal completion"):
+        with pytest.raises(NumericalInconsistency, match="defect has negative eigenvalue"):
             extremal_extensions(bad)
 
-    def test_maximal_completion_is_guarded(self, monkeypatch, lebesgue_interval):
-        # both norms come from one batched eigvalsh; each is judged under its
-        # own name
-        def wide(p, q, rank_tol):
-            x_mu, x_m = extremal_completions(p, q, rank_tol)
-            return x_mu, x_m + 4.0 * np.eye(x_m.shape[0])
-
-        monkeypatch.setattr(matmom.extensions, "extremal_completions", wide)
-        with pytest.raises(NumericalInconsistency, match="maximal completion has norm"):
-            extremal_extensions(lebesgue_interval.model)
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_unit_norm_compression_with_q_on_its_eigenvector(self, sign):
+        # the defect cannot see Q on an eigenvector of P whose 1 -+ w the rank
+        # cutoff drops; there the column itself must have norm at most 1
+        p, q, v = unit_norm_column(np.random.default_rng(5), 3, 2, sign)
+        q = q + 1e-3 * np.array([[0.6], [0.8j]]) @ v.conj().T
+        with pytest.raises(ValidationError, match="contraction column has norm 1.0000005"):
+            extremal_completions(p, q)
+        with pytest.raises(NumericalInconsistency, match="contraction column has norm"):
+            extremal_extensions(synthetic_model(p, q))
+        assert not reference_contraction_guards(synthetic_model(p, q))
 
     def test_negative_defect_is_numerical(self, monkeypatch, lebesgue_interval):
-        # swapped completions pass both norm guards, and their difference is
-        # minus the defect
+        # swapped completions pass the tests on the eigenbasis of P, and
+        # their difference is minus the defect
         swapped = lambda p, q, rank_tol: extremal_completions(p, q, rank_tol)[::-1]
         monkeypatch.setattr(matmom.extensions, "extremal_completions", swapped)
         with pytest.raises(NumericalInconsistency, match="defect has negative eigenvalue"):

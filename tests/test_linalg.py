@@ -161,6 +161,21 @@ class TestRequireHermitianStack:
         assert got.tobytes() == want.tobytes()
         assert require_hermitian_stack(np.zeros((0, 3, 3))).shape == (0, 3, 3)
 
+    def test_finite_symmetrization_is_bitwise_and_overflow_fails(self):
+        # subnormal and near-overflow entries symmetrize exactly as
+        # 0.5 * (A + A*); an entry whose sum overflows names its matrix
+        stack = np.array([[[5e-324, 8.9e307j], [-8.9e307j, -8.98e307]],
+                          [[1.0, 3e-324 + 5e-324j], [5e-324 - 3e-324j, 2.0]]])
+        want = 0.5 * (stack + stack.conj().transpose(0, 2, 1))
+        assert require_hermitian_stack(stack).tobytes() == want.tobytes()
+        assert require_hermitian(stack[0]).tobytes() == want[0].tobytes()
+        stack[1, 0, 0] = -1.5e308
+        message = r"^m\[1\] has entries too large to symmetrize \(largest 1.500e\+308\)$"
+        with pytest.raises(ValidationError, match=message):
+            require_hermitian_stack(stack, name="m[{}]")
+        with pytest.raises(ValidationError, match=message):
+            require_hermitian(stack[1], name="m[1]")
+
     def test_first_failing_matrix_raises_its_own_error(self):
         rng = np.random.default_rng(12)
         stack = np.stack([random_hermitian(rng, 2, scale=10.0) for _ in range(5)])

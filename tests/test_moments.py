@@ -421,6 +421,15 @@ class TestMomentSequence:
         with pytest.raises(ValidationError):
             MomentSequence(0.0, 1.0, (np.eye(2), np.eye(3)))
 
+    def test_symmetrization_overflow_is_rejected(self):
+        # (S + S*)/2 of 1e308 once stored inf+nanj; entries whose
+        # symmetrization is finite are kept bitwise
+        with pytest.raises(ValidationError, match=r"^S_0 has entries too large to symmetrize"):
+            MomentSequence(0.0, 1.0, (np.array([[1e308]]),))
+        big = np.array([[8.9e307, 4e307 + 4e307j], [4e307 - 4e307j, 5e-324]])
+        seq = MomentSequence(0.0, 1.0, (big,))
+        assert seq.moments[0].tobytes() == (0.5 * (big + big.conj().T)).tobytes()
+
     @pytest.mark.parametrize("seed", range(4))
     def test_moment_scales_computed_once(self, seed):
         seq = random_seq(seed, n=3, l=5, scale=10.0 ** seed)
@@ -436,6 +445,8 @@ class TestMomentSequence:
         (np.array([[1.0, np.nan], [np.nan, 1.0]]), "S_2 contains non-finite entries"),
         (np.array([[1.0, 1e-3], [0.0, 1.0]]),
          "S_2 is not Hermitian: asymmetry 1.000e-03 exceeds 1.0e-12 * max(1, 1.000e+00)"),
+        (np.array([[1e308, 0.0], [0.0, 1.0]]),
+         "S_2 has entries too large to symmetrize (largest 1.000e+308)"),
     ])
     def test_names_the_failing_moment(self, bad, message):
         # the moment after it is malformed too; the first fault is reported

@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import sys
 import weakref
 from collections import Counter
@@ -87,6 +88,17 @@ class TestSolveOdd:
         with pytest.raises(NumericalInconsistency, match="residual 1.000e-05") as err:
             solve_odd(scalar_seq(-1, 1, [1, 0, 1]))
         assert isinstance(err.value.__cause__, OperatorIllDefined)
+
+    @pytest.mark.parametrize("shift, name", [(2.0, "I - P"), (-2.0, "I + P")])
+    def test_compression_off_the_unit_ball_is_numerical(self, monkeypatch, shift, name):
+        # an I +- P failure on the solve path is a numerical inconsistency,
+        # not bad input
+        build = matmom.solutions.build_operators
+        shifted = lambda space: replace(build(space), P=build(space).P + shift * np.eye(1))
+        monkeypatch.setattr(matmom.solutions, "build_operators", shifted)
+        with pytest.raises(NumericalInconsistency, match=re.escape(name)) as err:
+            solve_odd(scalar_seq(0, 1, [1, 0.5, 1 / 3]))
+        assert not isinstance(err.value, ValidationError)
 
     def test_unsolvable_raises(self):
         with pytest.raises(Unsolvable):
@@ -307,6 +319,28 @@ class TestFactorizationBudget:
             assert counts["pinv"] == 0
             assert counts["svd"] <= 1
         assert few["eigvalsh"] == many["eigvalsh"]
+
+    def test_large_shape_takes_no_norm_and_no_eigvalsh(self, monkeypatch):
+        # a solve after its check decides contractivity on eigh(P) and the
+        # defect's eigh alone: no spectral norm of a matrix (a batched norm
+        # of the moment stack is not one) and no eigenvalue-only solve
+        seq = moments_of(gen_random_measure(0, 8, 40, -1.0, 1.0), 20)
+        assert check(seq).solvable
+        counts = Counter()
+        for name in ("eigvalsh", "norm"):
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, _name=name, _original=original, **kwargs):
+                order = args[0] if args else kwargs.get("ord")
+                if _name != "norm" or (order == 2 and np.ndim(a) == 2):
+                    counts[_name] += 1
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        measure = solve_odd(seq, 0.5)
+        monkeypatch.undo()
+        assert measure.num_atoms == 88
+        assert counts == Counter()
 
     def test_moment_matrix_factored_once(self, monkeypatch):
         # check_odd's one eigh of Gamma serves the PSD verdict, the Gram
