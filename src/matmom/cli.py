@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 import numpy as np
@@ -35,6 +36,18 @@ class _Parser(argparse.ArgumentParser):
     # reserves 2 for mathematical negatives, so route usage errors to 1.
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
+
+
+def _tolerance(text: str) -> float:
+    """The value of a ``--tol`` option: a finite number >= 0.  Anything else
+    is a usage error, raised while parsing, before any file is touched."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
 
 
 def _print_report(report: SolvabilityReport) -> None:
@@ -156,13 +169,13 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("--param-t", default=None,
                          help="matrix file for the even-case moment parameter T")
     p_solve.add_argument("--out", required=True, help="output measure file")
-    p_solve.add_argument("--tol", type=float, default=1e-8)
+    p_solve.add_argument("--tol", type=_tolerance, default=1e-8)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_verify = sub.add_parser("verify", help="check a measure against a problem")
     p_verify.add_argument("measure")
     p_verify.add_argument("problem")
-    p_verify.add_argument("--tol", type=float, default=1e-8)
+    p_verify.add_argument("--tol", type=_tolerance, default=1e-8)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_gen = sub.add_parser("gen", help="generate a seeded solvable problem")

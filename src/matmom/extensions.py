@@ -108,14 +108,13 @@ class ExtensionInterval:
         ur = self.model.def_basis
         return herm_part(ur @ self.C_R @ ur.conj().T)
 
-    def defect_support_basis(self, rank_tol: float = RANK_TOL) -> np.ndarray:
+    def defect_support_basis(self) -> np.ndarray:
         """Orthonormal basis (in defect coordinates) of the range of the defect."""
         dec = hermitian_eig(self.C_R)
-        return dec.eigenvectors[:, rank_keep(dec.eigenvalues, rank_tol)]
+        return dec.eigenvectors[:, rank_keep(dec.eigenvalues, RANK_TOL)]
 
 
-def extremal_completions(p_block, q_block,
-                         rank_tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
+def extremal_completions(p_block, q_block) -> tuple[np.ndarray, np.ndarray]:
     """Extreme defect blocks X_min, X_max completing the contraction column.
 
     I + P and I - P share the eigenvectors V of P, so one eigendecomposition
@@ -142,7 +141,7 @@ def extremal_completions(p_block, q_block,
     plus, minus = 1.0 + w, 1.0 - w
     require_psd(EigDecomposition(plus, v), NORM_SLACK, "I + P")
     require_psd(EigDecomposition(minus, v), NORM_SLACK, "I - P")
-    keep_plus, keep_minus = rank_keep(plus, rank_tol), rank_keep(minus, rank_tol)
+    keep_plus, keep_minus = rank_keep(plus, RANK_TOL), rank_keep(minus, RANK_TOL)
     qv = q @ v
     dropped = ~(keep_plus & keep_minus)
     if dropped.any():
@@ -162,8 +161,7 @@ def _assemble(p, q, x) -> np.ndarray:
     return np.block([[p, q.conj().T], [q, x]])
 
 
-def extremal_extensions(model: ContractionModel,
-                        rank_tol: float = RANK_TOL) -> ExtensionInterval:
+def extremal_extensions(model: ContractionModel) -> ExtensionInterval:
     """Extreme self-adjoint contraction extensions and the defect between them.
 
     This is where the shift column [P; Q] is judged a contraction, once: by
@@ -173,7 +171,7 @@ def extremal_extensions(model: ContractionModel,
     inconsistency, not bad input, and raises ``NumericalInconsistency``.
     """
     try:
-        x_mu, x_m = extremal_completions(model.P, model.Q, rank_tol)
+        x_mu, x_m = extremal_completions(model.P, model.Q)
     except ValidationError as exc:
         raise NumericalInconsistency(str(exc)) from exc
     u = np.hstack([model.dom_basis, model.def_basis])
@@ -192,22 +190,22 @@ def extremal_extensions(model: ContractionModel,
         X_mu=x_mu,
         X_M=x_m,
         determinate=lam_max <= DETERMINATE_TOL,
-        R0_dim=c_r.shape[0] - int(rank_keep(c_dec.eigenvalues, rank_tol).sum()),
+        R0_dim=c_r.shape[0] - int(rank_keep(c_dec.eigenvalues, RANK_TOL).sum()),
         C_R=c_r,
         C_R_half=sqrt_from_eig(c_dec),
     )
 
 
-def as_unit_interval_param(value, dim: int, psd_tol: float = PSD_TOL,
-                           name: str = "parameter") -> np.ndarray:
+def as_unit_interval_param(value, dim: int, name: str = "parameter") -> np.ndarray:
     """Validate a Hermitian parameter with 0 <= K <= I on a ``dim``-space.
 
     Accepts a scalar t in [0, 1] (meaning t times the identity) or a
-    Hermitian ``dim x dim`` matrix with spectrum in [0, 1] up to tolerance.
+    Hermitian ``dim x dim`` matrix with spectrum in [0, 1], each up to
+    ``PSD_TOL``.
     """
     if np.isscalar(value):
         t = complex(value)
-        if abs(t.imag) > psd_tol or not -psd_tol <= t.real <= 1.0 + psd_tol:
+        if abs(t.imag) > PSD_TOL or not -PSD_TOL <= t.real <= 1.0 + PSD_TOL:
             raise ValidationError(f"scalar {name} must lie in [0, 1], got {value}")
         return float(min(max(t.real, 0.0), 1.0)) * np.eye(dim, dtype=complex)
     mat = require_hermitian(value, name=name)
@@ -215,7 +213,7 @@ def as_unit_interval_param(value, dim: int, psd_tol: float = PSD_TOL,
         raise ValidationError(f"{name} must be {dim}x{dim}, got {mat.shape}")
     if mat.size:
         w = np.linalg.eigvalsh(mat)
-        if w.min() < -psd_tol or w.max() > 1.0 + psd_tol:
+        if w.min() < -PSD_TOL or w.max() > 1.0 + PSD_TOL:
             raise ValidationError(
                 f"{name} eigenvalues [{w.min():.3e}, {w.max():.3e}] "
                 "must lie in [0, 1]"

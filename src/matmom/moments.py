@@ -10,7 +10,6 @@ concrete representation of a solution.
 
 from __future__ import annotations
 
-import inspect
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
@@ -134,21 +133,17 @@ def _require_moment(arr: np.ndarray, i: int, n: int) -> np.ndarray:
 
 
 def _per_sequence(fn):
-    """Remember ``fn(seq, ...)`` for the last sequence object it was called on.
+    """Remember ``fn(seq)`` for the last sequence object it was called on.
 
-    A MomentSequence is immutable, so the same object with equal other
-    arguments (defaults filled in) has the same result: such a call returns
-    the stored one.  Any other call empties the slot, the local reference
-    too, before computing, so two results never coexist; an exception
-    propagates and stores nothing.  The slot, attribute ``slot`` of the
-    returned function, holds ``(weak reference to seq, other arguments,
-    result)`` and is emptied when its sequence is collected.  Threads share
-    it: it is read once per call and replaced whole, so a race costs a
-    recomputation, never a wrong result.
+    A MomentSequence is immutable and ``fn`` reads nothing else, so the same
+    object has the same result: a call on it returns the stored one.  A call
+    on any other object empties the slot, the local reference too, before
+    computing, so two results never coexist; an exception propagates and
+    stores nothing.  The slot, attribute ``slot`` of the returned function,
+    holds ``(weak reference to seq, result)`` and is emptied when its
+    sequence is collected.  Threads share it: it is read once per call and
+    replaced whole, so a race costs a recomputation, never a wrong result.
     """
-    signature = inspect.signature(fn)
-    params = list(signature.parameters.values())[1:]
-    defaults = tuple(p.default for p in params)
 
     def forget(ref: weakref.ref) -> None:
         held = remembered.slot
@@ -156,18 +151,13 @@ def _per_sequence(fn):
             remembered.slot = None
 
     @wraps(fn)
-    def remembered(seq, *args, **kwargs):
-        if kwargs:
-            given = signature.bind(seq, *args, **kwargs).arguments
-            key = tuple(given.get(p.name, p.default) for p in params)
-        else:
-            key = args + defaults[len(args):]
+    def remembered(seq):
         held = remembered.slot
-        if held is not None and held[0]() is seq and held[1] == key:
-            return held[2]
+        if held is not None and held[0]() is seq:
+            return held[1]
         held = remembered.slot = None
-        result = fn(seq, *args, **kwargs)
-        remembered.slot = (weakref.ref(seq, forget), key, result)
+        result = fn(seq)
+        remembered.slot = (weakref.ref(seq, forget), result)
         return result
 
     remembered.slot = None

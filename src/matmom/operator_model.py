@@ -44,7 +44,9 @@ class GramSpace:
     ``vectors`` has shape (rank, (d+1)N); column n is x_n and
     <x_n, x_m> reproduces entry (n, m) of ``gram``.  A space may be shared
     through the solvability report that carries it, so its arrays, those of
-    ``domain_svd`` included, are read-only.
+    ``domain_svd`` included, are read-only.  What is derived from the
+    vectors (the norm, the domain SVD, the domain rank and kernel-inclusion
+    residual) is computed once per space, on first use.
     """
 
     a: float
@@ -79,6 +81,22 @@ class GramSpace:
         for arr in factors:
             arr.setflags(write=False)
         return factors
+
+    @cached_property
+    def _domain_cut(self) -> tuple[int, float]:
+        """``(p, residual)``: the domain rank p, the number of singular values
+        of the domain vectors that :func:`rank_keep` keeps, and the
+        kernel-inclusion residual ||g_shift Vh[p:]*||_2.  With p = dN the
+        residual is 0.  A space of full rank (d+1)N has p = dN without an SVD,
+        as :func:`kernel_inclusion` explains."""
+        n, dn = self.N, self.d * self.N
+        if self.rank == dn + n:
+            return dn, 0.0
+        _, sing, vh = self.domain_svd
+        p_dim = int(rank_keep(sing, RANK_TOL).sum())
+        if p_dim == dn:
+            return dn, 0.0
+        return p_dim, opnorm(self.vectors[:, n : n + dn] @ vh[p_dim:].conj().T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,14 +153,14 @@ def _column_phases(u: np.ndarray) -> np.ndarray:
 
 
 def gram_space_from_eig(seq: MomentSequence, gamma: np.ndarray,
-                        dec: EigDecomposition, rank_tol: float = RANK_TOL) -> GramSpace:
+                        dec: EigDecomposition) -> GramSpace:
     """The Gram space of the order-d moment matrix ``gamma`` of ``seq`` from
     its eigendecomposition ``dec``, cut by :func:`rank_keep`.
 
     The factor is the transposed (not conjugated) scaled eigenvector matrix,
     which makes the Gram identity hold in the fixed inner-product convention.
     """
-    keep = rank_keep(dec.eigenvalues, rank_tol)
+    keep = rank_keep(dec.eigenvalues, RANK_TOL)
     w = dec.eigenvalues[keep]
     # x_n[i] = sqrt(w_i) * V[n, i] so that sum_i x_n[i] conj(x_m[i]) = Gamma[n, m]
     vectors = np.sqrt(w)[:, None] * dec.eigenvectors[:, keep].T
@@ -150,7 +168,7 @@ def gram_space_from_eig(seq: MomentSequence, gamma: np.ndarray,
                      vectors=vectors, gram=gamma)
 
 
-def build_gram_space(seq: MomentSequence, rank_tol: float = RANK_TOL) -> GramSpace:
+def build_gram_space(seq: MomentSequence) -> GramSpace:
     """Rank-revealing factorization of the order-d moment matrix.
 
     Requires l = 2d with d >= 1 and a PSD moment matrix.
@@ -161,10 +179,10 @@ def build_gram_space(seq: MomentSequence, rank_tol: float = RANK_TOL) -> GramSpa
     dec = hermitian_eig(gamma)
     if not psd_ok(dec.eigenvalues):
         raise ValidationError("moment matrix is not PSD; refusing Gram-space construction")
-    return gram_space_from_eig(seq, gamma, dec, rank_tol)
+    return gram_space_from_eig(seq, gamma, dec)
 
 
-def kernel_inclusion(space: GramSpace, rank_tol: float = RANK_TOL) -> tuple[bool, float]:
+def kernel_inclusion(space: GramSpace) -> tuple[bool, float]:
     """Whether the shift x_k -> x_{k+N} is well defined on the domain
     vectors, and the residual that decides it.
 
@@ -172,53 +190,50 @@ def kernel_inclusion(space: GramSpace, rank_tol: float = RANK_TOL) -> tuple[bool
     kernel of the domain vectors g_dom = U diag(s) Vh, where p counts the
     singular values kept by :func:`rank_keep`.  The vectors reproduce the
     moment matrix only up to the eigenvalues the rank cutoff drops, each at
-    most ``rank_tol * lambda_max``, so they are known only up to a
-    perturbation of norm sqrt(rank_tol) * ||X||_2; the residual passes iff
+    most ``RANK_TOL * lambda_max``, so they are known only up to a
+    perturbation of norm sqrt(RANK_TOL) * ||X||_2; the residual passes iff
     it is within that bound.
 
     With p = dN the domain vectors have no kernel and the residual is 0.  A
-    space of full rank (d+1)N built with the same ``rank_tol`` needs no SVD
-    to know that: X is square with every singular value above sqrt(rank_tol)
-    * ||X||_2, and the singular values of its column block g_dom lie between
-    those of X.
+    space of full rank (d+1)N needs no SVD to know that: X is square with
+    every singular value above sqrt(RANK_TOL) * ||X||_2, and the singular
+    values of its column block g_dom lie between those of X.  The residual
+    is computed once per space, so :func:`check_odd` and
+    :func:`build_operators` on the same space share it.
     """
-    n, dn = space.N, space.d * space.N
-    if space.rank == dn + n:
-        return True, 0.0
-    _, sing, vh = space.domain_svd
-    p_dim = int(rank_keep(sing, rank_tol).sum())
-    if p_dim == dn:
-        return True, 0.0
-    residual = opnorm(space.vectors[:, n : n + dn] @ vh[p_dim:].conj().T)
-    return residual <= np.sqrt(rank_tol) * space.norm, residual
+    residual = space._domain_cut[1]
+    # a zero residual passes without the norm of X
+    return residual == 0.0 or residual <= np.sqrt(RANK_TOL) * space.norm, residual
 
 
-def build_operators(space: GramSpace, rank_tol: float = RANK_TOL) -> ContractionModel:
+def build_operators(space: GramSpace) -> ContractionModel:
     """Construct the shift contraction in block form.
 
     Verifies that the shift is well defined on the domain by
-    :func:`kernel_inclusion`.  Whether the block column is a contraction is
+    :func:`kernel_inclusion`, whose verdict a :func:`check_odd` of the same
+    space has already computed.  Whether the block column is a contraction is
     not judged here: :func:`~matmom.extensions.extremal_extensions` decides
     it once, on the eigenbasis of P that it factors anyway.
 
     The space's one SVD ``g_dom = U diag(s) Vh`` of the domain vectors
-    serves every step.  The singular values kept by the rank cutoff (``s >
-    rank_tol * s_max``, the rule of ``numpy.linalg.pinv``) give the domain
-    basis ``U[:, :p]``, the defect basis ``U[:, p:]`` and the pseudo-inverse
+    serves every step.  The p singular values kept by the rank cutoff (``s >
+    RANK_TOL * s_max``, the rule of ``numpy.linalg.pinv``), counted once per
+    space with the kernel-inclusion residual, give the domain basis
+    ``U[:, :p]``, the defect basis ``U[:, p:]`` and the pseudo-inverse
     ``Vh[:p]* diag(1/s[:p]) U[:, :p]*``.
     """
     n, dn = space.N, space.d * space.N
     g_dom = space.vectors[:, :dn]
     g_shift = space.vectors[:, n : n + dn]
 
-    passed, residual = kernel_inclusion(space, rank_tol)
+    passed, residual = kernel_inclusion(space)
     if not passed:
         raise OperatorIllDefined(
             f"shift operator is ill-defined: residual {residual:.3e} "
             "(kernel-inclusion condition fails)"
         )
     u_full, sing, vh = space.domain_svd
-    p_dim = int(rank_keep(sing, rank_tol).sum())
+    p_dim = space._domain_cut[0]
 
     u_dom, u_def = u_full[:, :p_dim], u_full[:, p_dim:]
     dom_phase = _column_phases(u_dom)

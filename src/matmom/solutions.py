@@ -86,15 +86,14 @@ class VerificationReport:
         return float((self.moment_residuals / self.moment_scales).max())
 
 
-def spectral_data(extension: np.ndarray, first_vectors: np.ndarray,
-                  cluster_tol: float = CLUSTER_TOL) -> SpectralData:
+def spectral_data(extension: np.ndarray, first_vectors: np.ndarray) -> SpectralData:
     """Cluster the spectrum of an extension and form matrix atom weights."""
     dec = hermitian_eig(extension)
     w, v = dec
     n_vec = first_vectors.shape[1]
     if w.size == 0:
         return SpectralData(np.zeros(0), np.zeros((0, n_vec, n_vec), dtype=complex))
-    starts = cluster_starts(w, cluster_tol)
+    starts = cluster_starts(w, CLUSTER_TOL)
     counts = np.diff(np.append(starts, w.size))
     # With y = V* X, the weight of a cluster c is sum_{i in c} y_i y_i*: entry
     # (j, n) is <proj x_j, x_n> = x_n^H proj x_j for the cluster projector.
@@ -119,8 +118,7 @@ def _measure_from_spectrum(sd: SpectralData, a: float, b: float) -> DiscreteMatr
     return DiscreteMatrixMeasure._trusted(a, b, *_canonical(a, b, clamped, sd.weights))
 
 
-def solve_odd(seq: MomentSequence, k=0.5, *,
-              verify_tol: float = SOLVE_VERIFY_TOL) -> DiscreteMatrixMeasure:
+def solve_odd(seq: MomentSequence, k=0.5) -> DiscreteMatrixMeasure:
     """Solve the odd case (l = 2d) with a constant extension parameter.
 
     Parameters
@@ -130,22 +128,20 @@ def solve_odd(seq: MomentSequence, k=0.5, *,
     k : scalar in [0, 1] or Hermitian matrix on the defect space
         Selects the canonical extension; 0 and 1 give the extreme solutions.
         Ignored when the problem is determinate.
-    verify_tol : float
-        Relative tolerance of the internal round-trip verification.
 
     Returns a canonical discrete matrix measure whose moments reproduce the
-    input sequence.  A verification failure, or a shift operator found
+    input sequence within ``SOLVE_VERIFY_TOL``, checked by :func:`verify`
+    on every call.  A verification failure, or a shift operator found
     ill-defined after the solvability check passed, raises
     ``NumericalInconsistency``.  A :func:`check_odd` just run on the same
     ``seq`` object is reused, and solving that object again, at any ``k``,
     reuses its check, Gram space, operators and extreme extensions; ``k`` is
     validated and the result verified on every call.
     """
-    return _solve(seq, k, verify_tol=verify_tol)[0]
+    return _solve(seq, k)[0]
 
 
-def solve_even(seq: MomentSequence, t=0.5, k=0.5, *,
-               verify_tol: float = SOLVE_VERIFY_TOL) -> DiscreteMatrixMeasure:
+def solve_even(seq: MomentSequence, t=0.5, k=0.5) -> DiscreteMatrixMeasure:
     """Solve the even case (l = 2d+1) by choosing the next moment.
 
     ``t`` (scalar in [0, 1] or Hermitian N x N matrix with 0 <= T <= I)
@@ -156,11 +152,11 @@ def solve_even(seq: MomentSequence, t=0.5, k=0.5, *,
     validates admissibility through the odd-case solvability check.  A
     :func:`check_even` just run on the same ``seq`` object is reused.
     """
-    return _solve(seq, k, t, verify_tol=verify_tol)[0]
+    return _solve(seq, k, t)[0]
 
 
-def _solve(seq: MomentSequence, k, t=None, *, verify_tol: float = SOLVE_VERIFY_TOL
-           ) -> tuple[DiscreteMatrixMeasure, VerificationReport]:
+def _solve(seq: MomentSequence, k,
+           t=None) -> tuple[DiscreteMatrixMeasure, VerificationReport]:
     """:func:`solve_odd`, or with ``t`` given :func:`solve_even`.
 
     Also returns the report of the internal verification restricted to
@@ -177,10 +173,10 @@ def _solve(seq: MomentSequence, k, t=None, *, verify_tol: float = SOLVE_VERIFY_T
     extension = canonical_extension(interval, k)
     sd = spectral_data(extension, interval.model.space.vectors[:, : seq.N])
     measure = _measure_from_spectrum(sd, seq.a, seq.b)
-    outcome = verify(measure, odd, tol=verify_tol)
+    outcome = verify(measure, odd, tol=SOLVE_VERIFY_TOL)
     if not outcome.passed:
         raise NumericalInconsistency(
-            f"solved measure fails verification at tol {verify_tol:.1e} "
+            f"solved measure fails verification at tol {SOLVE_VERIFY_TOL:.1e} "
             f"(max relative residual {outcome.max_relative_residual:.3e})"
         )
     # the moments of S_0..S_l do not depend on how many are computed

@@ -118,8 +118,7 @@ class SolvabilityReport:
     """The verdict on a moment sequence with every condition behind it.
 
     :func:`check_odd` and :func:`check_even` return the same report again
-    for the same sequence object at equal tolerances, so a report is
-    immutable throughout.
+    for the same sequence object, so a report is immutable throughout.
     """
 
     solvable: bool
@@ -137,17 +136,20 @@ class SolvabilityReport:
         return {c.name: c.value for c in self.conditions}
 
 
-def _psd_condition(name: str, matrix: np.ndarray, psd_tol: float) -> Condition:
-    if matrix.size == 0:
-        return Condition(name, True, "psd", np.inf, psd_tol, 0.0)
+def _psd_condition(name: str, matrix: np.ndarray) -> Condition:
+    """The PSD condition on ``matrix``, judged on its eigenvalues alone."""
     return _psd_condition_eig(
-        name, np.linalg.eigvalsh(require_hermitian(matrix, name=name)), psd_tol)
+        name, np.linalg.eigvalsh(require_hermitian(matrix, name=name)))
 
 
-def _psd_condition_eig(name: str, w: np.ndarray, psd_tol: float) -> Condition:
+def _psd_condition_eig(name: str, w: np.ndarray) -> Condition:
+    """The PSD condition on a matrix with eigenvalues ``w``; an empty
+    matrix passes."""
+    if w.size == 0:
+        return Condition(name, True, "psd", np.inf, PSD_TOL, 0.0)
     scale = max(1.0, float(np.abs(w).max()))
     rel_min = float(w.min()) / scale
-    return Condition(name, rel_min >= -psd_tol, "psd", rel_min, psd_tol,
+    return Condition(name, rel_min >= -PSD_TOL, "psd", rel_min, PSD_TOL,
                      float(w.min()))
 
 
@@ -160,9 +162,10 @@ def _residual_condition(name: str, residual: float, scale: float,
     return Condition(name, rel <= tol, "residual", rel, tol, residual)
 
 
-def _range_solve(mat: np.ndarray, rhs: np.ndarray,
-                 rank_tol: float) -> tuple[np.ndarray, float, np.ndarray]:
-    """Minimal-norm solution of a PSD system with a stable residual.
+def _range_solve(dec: EigDecomposition,
+                 rhs: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """Minimal-norm solution of a PSD system, given the eigendecomposition
+    ``dec`` of its matrix, with a stable residual.
 
     Works in the eigenbasis: the residual of the pseudo-inverse solution of a
     consistent system is exactly the component of ``rhs`` on the numerical
@@ -171,8 +174,8 @@ def _range_solve(mat: np.ndarray, rhs: np.ndarray,
     eps * cond(mat) for ill-conditioned moment matrices).  Also returns the
     quadratic form x* mat x evaluated the same stable way.
     """
-    w, v = hermitian_eig(mat)
-    kept = rank_keep(w, rank_tol)
+    w, v = dec
+    kept = rank_keep(w, RANK_TOL)
     coeff = v.conj().T @ rhs
     ck = coeff[kept]
     wk = w[kept][:, None]
@@ -182,33 +185,33 @@ def _range_solve(mat: np.ndarray, rhs: np.ndarray,
     return x, residual, quad
 
 
-def _kernel_condition(space: GramSpace, rank_tol: float) -> Condition:
-    passed, residual = kernel_inclusion(space, rank_tol)
+def _kernel_condition(space: GramSpace) -> Condition:
+    passed, residual = kernel_inclusion(space)
     rel = residual / space.norm if residual else 0.0
     return Condition("kernel inclusion", passed, "residual", rel,
-                     float(np.sqrt(rank_tol)), residual)
+                     float(np.sqrt(RANK_TOL)), residual)
 
 
-def _cdfk_conditions(seq: MomentSequence, psd_tol: float) -> tuple[Condition, ...]:
+def _cdfk_conditions(seq: MomentSequence) -> tuple[Condition, ...]:
     if seq.l < 1:
         raise ValidationError("cross-check requires at least two moments (l >= 1)")
     if seq.l % 2 == 0:
         d = seq.l // 2
         return (
-            _psd_condition("Gamma PSD", build_gamma(seq, d), psd_tol),
-            _psd_condition("GammaTilde PSD", build_gamma_tilde(seq, d), psd_tol),
+            _psd_condition("Gamma PSD", build_gamma(seq, d)),
+            _psd_condition("GammaTilde PSD", build_gamma_tilde(seq, d)),
         )
     d = (seq.l - 1) // 2
     h, ht = build_h_pair(seq, d)
     return (
-        _psd_condition("H PSD", h, psd_tol),
-        _psd_condition("HTilde PSD", ht, psd_tol),
+        _psd_condition("H PSD", h),
+        _psd_condition("HTilde PSD", ht),
     )
 
 
-def check_cdfk(seq: MomentSequence, psd_tol: float = PSD_TOL) -> bool:
+def check_cdfk(seq: MomentSequence) -> bool:
     """Cross-check criterion: PSD of the applicable block Hankel pair."""
-    return all(c.passed for c in _cdfk_conditions(seq, psd_tol))
+    return all(c.passed for c in _cdfk_conditions(seq))
 
 
 def _agreement(case: str, own: tuple[Condition, ...],
@@ -231,14 +234,14 @@ def _agreement(case: str, own: tuple[Condition, ...],
 
 
 @_per_sequence
-def check_odd(seq: MomentSequence, psd_tol: float = PSD_TOL,
-              rank_tol: float = RANK_TOL) -> SolvabilityReport:
+def check_odd(seq: MomentSequence) -> SolvabilityReport:
     """Solvability for an odd number of prescribed moments (l = 2d, d >= 1).
 
     The report carries the Gram space of the moment matrix that the
-    kernel-inclusion condition was decided on, for :func:`build_operators`.
-    A repeated call on the same sequence object at equal tolerances returns
-    the stored report; :func:`solve_odd` relies on this.
+    kernel-inclusion condition was decided on, for :func:`build_operators`,
+    which reads that decision instead of repeating it.  A repeated call on
+    the same sequence object returns the stored report; :func:`solve_odd`
+    relies on this.
     """
     if seq.l % 2 != 0 or seq.l < 2:
         raise ValidationError(
@@ -249,11 +252,11 @@ def check_odd(seq: MomentSequence, psd_tol: float = PSD_TOL,
     # vectors the kernel-inclusion condition is decided on
     gamma = build_gamma(seq, d)
     dec = hermitian_eig(gamma)
-    space = gram_space_from_eig(seq, gamma, dec, rank_tol)
+    space = gram_space_from_eig(seq, gamma, dec)
     conditions = (
-        _psd_condition_eig("Gamma PSD", dec.eigenvalues, psd_tol),
-        _psd_condition("GammaTilde PSD", build_gamma_tilde(seq, d), psd_tol),
-        _kernel_condition(space, rank_tol),
+        _psd_condition_eig("Gamma PSD", dec.eigenvalues),
+        _psd_condition("GammaTilde PSD", build_gamma_tilde(seq, d)),
+        _kernel_condition(space),
     )
     # for l = 2d the cross-check pair is the first two own conditions
     cdfk_ok, agree = _agreement("odd", conditions, conditions[:2])
@@ -270,16 +273,17 @@ def check_odd(seq: MomentSequence, psd_tol: float = PSD_TOL,
 
 
 @_per_sequence
-def check_even(seq: MomentSequence, psd_tol: float = PSD_TOL,
-               rank_tol: float = RANK_TOL) -> SolvabilityReport:
+def check_even(seq: MomentSequence) -> SolvabilityReport:
     """Solvability for an even number of prescribed moments (l = 2d+1, d >= 0).
 
     When the PSD conditions hold, the report carries the minimal-norm
     solutions of the two block systems and the admissible interval
     [S_min, S_max] for the next moment; solvability additionally requires
-    both systems consistent and the interval nonempty.  A repeated call on
-    the same sequence object at equal tolerances returns the stored report;
-    :func:`solve_even` relies on this.
+    both systems consistent and the interval nonempty.  The moment matrix
+    and its interval-weighted companion are each factored once, by ``eigh``:
+    the PSD conditions read the eigenvalues and the block systems are solved
+    on the same eigenbasis.  A repeated call on the same sequence object
+    returns the stored report; :func:`solve_even` relies on this.
     """
     if seq.l % 2 != 1:
         raise ValidationError(f"even-case check requires l = 2d+1, got l={seq.l}")
@@ -287,16 +291,17 @@ def check_even(seq: MomentSequence, psd_tol: float = PSD_TOL,
     s = seq.moments
     a, b, n = seq.a, seq.b, seq.N
 
-    gamma = build_gamma(seq, d)
-    gtilde = build_gamma_tilde(seq, d)
+    # for d = 0 the companion is 0 x 0: it passes and is not factored
+    gamma_dec = hermitian_eig(build_gamma(seq, d))
+    gtilde_dec = hermitian_eig(build_gamma_tilde(seq, d))
     conditions = [
-        _psd_condition("Gamma PSD", gamma, psd_tol),
-        _psd_condition("GammaTilde PSD", gtilde, psd_tol),
+        _psd_condition_eig("Gamma PSD", gamma_dec.eigenvalues),
+        _psd_condition_eig("GammaTilde PSD", gtilde_dec.eigenvalues),
     ]
     even_case = None
     if all(c.passed for c in conditions):
         rhs_x = np.vstack([s[d + 1 + i] for i in range(d + 1)])
-        x_sol, res_x, s_min = _range_solve(gamma, rhs_x, rank_tol)
+        x_sol, res_x, s_min = _range_solve(gamma_dec, rhs_x)
         conditions.append(_residual_condition(
             "X system consistent", res_x, float(np.linalg.norm(rhs_x)),
             CONSISTENCY_TOL,
@@ -306,7 +311,7 @@ def check_even(seq: MomentSequence, psd_tol: float = PSD_TOL,
                 -a * b * s[d + i] + (a + b) * s[d + i + 1] - s[d + i + 2]
                 for i in range(d)
             ])
-            y_sol, res_y, y_quad = _range_solve(gtilde, rhs_y, rank_tol)
+            y_sol, res_y, y_quad = _range_solve(gtilde_dec, rhs_y)
             conditions.append(_residual_condition(
                 "Y system consistent", res_y, float(np.linalg.norm(rhs_y)),
                 CONSISTENCY_TOL,
@@ -328,12 +333,12 @@ def check_even(seq: MomentSequence, psd_tol: float = PSD_TOL,
         # the endpoint scale rather than by the (possibly zero) width
         scale = max(1.0, opnorm(s_min), opnorm(s_max))
         rel_min = float(width.eigenvalues.min()) / scale
-        conditions.append(Condition("S interval nonempty", rel_min >= -psd_tol,
-                                    "psd", rel_min, psd_tol,
+        conditions.append(Condition("S interval nonempty", rel_min >= -PSD_TOL,
+                                    "psd", rel_min, PSD_TOL,
                                     float(width.eigenvalues.min())))
 
     conditions = tuple(conditions)
-    cdfk_ok, agree = _agreement("even", conditions, _cdfk_conditions(seq, psd_tol))
+    cdfk_ok, agree = _agreement("even", conditions, _cdfk_conditions(seq))
     failed = tuple(c.name for c in conditions if not c.passed)
     return SolvabilityReport(
         solvable=not failed,
@@ -346,9 +351,9 @@ def check_even(seq: MomentSequence, psd_tol: float = PSD_TOL,
     )
 
 
-def check_l0(s0, psd_tol: float = PSD_TOL) -> SolvabilityReport:
+def check_l0(s0) -> SolvabilityReport:
     """Solvability with only S_0 prescribed: S_0 PSD."""
-    cond = _psd_condition("S0 PSD", require_hermitian(s0, name="S_0"), psd_tol)
+    cond = _psd_condition("S0 PSD", require_hermitian(s0, name="S_0"))
     failed = () if cond.passed else (cond.name,)
     return SolvabilityReport(
         solvable=cond.passed,
@@ -358,10 +363,9 @@ def check_l0(s0, psd_tol: float = PSD_TOL) -> SolvabilityReport:
     )
 
 
-def check(seq: MomentSequence, psd_tol: float = PSD_TOL) -> SolvabilityReport:
+def check(seq: MomentSequence) -> SolvabilityReport:
     """Dispatch on the number of prescribed moments."""
-    if seq.l == 0:
-        return check_l0(seq.moments[0], psd_tol)
-    if seq.l % 2 == 0:
-        return check_odd(seq, psd_tol)
-    return check_even(seq, psd_tol)
+    l = seq.l
+    if l == 0:
+        return check_l0(seq.moments[0])
+    return check_odd(seq) if l % 2 == 0 else check_even(seq)

@@ -477,6 +477,32 @@ class TestUsage:
         assert main(["solve"]) == 1
         assert capsys.readouterr().err == first
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_tol_must_be_finite_and_non_negative(self, tmp_path, capsys,
+                                                 symmetric_problem, tol):
+        # a usage error (1), not a failed verification (2), found while
+        # parsing: no file is read or written
+        solved = tmp_path / "solved.json"
+        assert main(["solve", symmetric_problem, "--out", str(solved)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "m.json"
+        assert main(["solve", symmetric_problem, "--out", str(out), "--tol", tol]) == 1
+        assert not out.exists()
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert "argument --tol: expected a finite number >= 0" in printed.err
+        assert main(["verify", str(solved), symmetric_problem, "--tol", tol]) == 1
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert "argument --tol: expected a finite number >= 0" in printed.err
+        # zero is a tolerance
+        assert main(["solve", symmetric_problem, "--out", str(out), "--tol", "0"]) != 1
+        assert out.exists()
+        assert main(["verify", str(out), symmetric_problem, "--tol", "0"]) != 1
+        printed = capsys.readouterr()
+        assert printed.err == ""
+        assert "verified: " in printed.out
+
     def test_module_entry_point(self, tmp_path):
         path = tmp_path / "p.json"
         write_scalar_problem(path, -1, 1, [1, 0, 1])

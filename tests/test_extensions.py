@@ -523,7 +523,7 @@ class TestCompletionNormGuard:
     def test_negative_defect_is_numerical(self, monkeypatch, lebesgue_interval):
         # swapped completions pass the tests on the eigenbasis of P, and
         # their difference is minus the defect
-        swapped = lambda p, q, rank_tol: extremal_completions(p, q, rank_tol)[::-1]
+        swapped = lambda p, q: extremal_completions(p, q)[::-1]
         monkeypatch.setattr(matmom.extensions, "extremal_completions", swapped)
         with pytest.raises(NumericalInconsistency, match="defect has negative eigenvalue"):
             extremal_extensions(lebesgue_interval.model)

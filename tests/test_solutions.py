@@ -39,7 +39,7 @@ from matmom import (
     verify,
 )
 from matmom.io import read_measure
-from matmom.linalg import PSD_TOL, RANK_TOL, check_psd_stack
+from matmom.linalg import PSD_TOL, check_psd_stack
 from matmom.solutions import SpectralData, _measure_from_spectrum, _solve, spectral_data
 
 from helpers import random_contraction, random_unitary
@@ -450,7 +450,7 @@ class TestIntervalReuse:
         seq_a = _indeterminate_seq()
         seq_b = moments_of(gen_random_measure(1, 2, 6, -1.0, 2.0), 4)
         first = solve_odd(seq_a, 0.7)
-        old = weakref.ref(matmom.solutions._odd_interval.slot[2])
+        old = weakref.ref(matmom.solutions._odd_interval.slot[-1])
         # the old interval is dropped before the next one is built
         extremal = matmom.solutions.extremal_extensions
 
@@ -506,8 +506,9 @@ class TestIntervalReuse:
         for bad in (2.0, -0.5, np.diag([0.5, 1.5]), np.eye(3)):
             with pytest.raises(ValidationError):
                 solve_odd(seq, bad)
+        monkeypatch.setattr(matmom.solutions, "SOLVE_VERIFY_TOL", 0.0)
         with pytest.raises(NumericalInconsistency, match="fails verification"):
-            solve_odd(seq, 0.5, verify_tol=0.0)
+            solve_odd(seq, 0.5)
         assert matmom.solutions._odd_interval.slot[0]() is seq
 
     def test_threads_sharing_the_slot(self):
@@ -554,7 +555,8 @@ def _slots():
 class TestCheckReuse:
     """check_odd and check_even keep the report of the last sequence object
     they checked, so a solve that follows a check of the same object decides
-    solvability once; tolerances key the report, and nothing else changes.
+    solvability once; the sequence object alone keys the report, and nothing
+    else changes.
 
     A check's body is counted by a step only the body runs
     (``gram_space_from_eig`` for check_odd, ``_cdfk_conditions`` for
@@ -580,6 +582,29 @@ class TestCheckReuse:
         assert sum(x.shape == gamma.shape and np.allclose(x, gamma, rtol=0, atol=1e-13)
                    for x in factored) == 1
 
+    def test_check_then_solve_odd_computes_the_kernel_residual_once(self, monkeypatch):
+        # rank 2 of 6 with N = 2, d = 2: the domain vectors have a kernel, so
+        # the residual is a matrix 2-norm; check_odd computes it and
+        # build_operators reads it from the same space
+        seq = moments_of(gen_random_measure(5, 2, 1, 0.0, 1.0), 4)
+        norms = []
+        original = np.linalg.norm
+
+        def counted(a, *args, **kwargs):
+            order = args[0] if args else kwargs.get("ord")
+            if order == 2 and np.ndim(a) == 2:
+                norms.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        report = check_odd(seq)
+        measure = solve_odd(seq, 0.5)
+        monkeypatch.undo()
+        assert report.solvable and report.space.rank == 2
+        assert report.details["kernel inclusion"] > 0.0
+        assert norms == [(2, 2)]
+        assert verify(measure, seq, tol=1e-8).passed
+
     def test_check_then_solve_even_checks_once(self, monkeypatch):
         seq = moments_of(gen_random_measure(3, 2, 3, -1.0, 1.5), 5)
         bodies = _count_calls(monkeypatch, "_cdfk_conditions", matmom.solvability)
@@ -602,22 +627,19 @@ class TestCheckReuse:
         assert check(seq).solvable
         assert TestIntervalReuse._same(solve(seq), cold)
 
-    def test_tolerances_key_the_report(self):
-        # Gamma-tilde is -1e-7: unsolvable at the default PSD_TOL, solvable at 1e-6
+    def test_the_sequence_alone_keys_the_report(self):
+        # Gamma-tilde is -1e-7: unsolvable at PSD_TOL
         seq = scalar_seq(-1, 1, [1, 0, 1 + 1e-7])
         default = check_odd(seq)
         assert not default.solvable
+        assert default.failed_conditions == ("GammaTilde PSD",)
+        assert default.conditions[1].threshold == PSD_TOL
         assert check(seq) is default
-        assert check_odd(seq, PSD_TOL, rank_tol=RANK_TOL) is default
-        loose = check_odd(seq, psd_tol=1e-6)
-        assert loose.solvable and loose is not default
-        assert check_odd(seq, 1e-6) is loose
-        assert check_odd(seq, rank_tol=1e-8) is not loose
-        again = check_odd(seq)
-        assert not again.solvable and again is not loose
+        assert check_odd(seq) is default
+        assert check_odd.slot[-1] is default
         even = moments_of(gen_random_measure(3, 2, 3, -1.0, 1.5), 5)
         default = check_even(even)
-        assert check_even(even, psd_tol=1e-6) is not default
+        assert check(even) is default and check_even(even) is default
 
     def test_unsolvable_report_is_reused(self, monkeypatch):
         unsolvable = scalar_seq(-1, 1, [1, 0, 3])

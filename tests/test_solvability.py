@@ -1,10 +1,18 @@
+import inspect
+
 import numpy as np
 import pytest
 
+import matmom.extensions
+import matmom.operator_model
+import matmom.solutions
+import matmom.solvability
 from matmom import (
     MomentSequence,
     ValidationError,
     build_gamma,
+    build_gamma_tilde,
+    build_h_pair,
     check,
     check_cdfk,
     check_even,
@@ -112,6 +120,35 @@ class TestCheckEven:
     def test_parity_error(self):
         with pytest.raises(ValidationError):
             check_even(scalar_seq(0, 1, [1, 0.5, 1 / 3]))
+
+    def test_each_moment_matrix_factored_once(self, monkeypatch):
+        # one eigh each of Gamma_d and Gamma-tilde_d serves the PSD verdicts
+        # and the block systems; the width takes the third eigh, and the two
+        # eigvalsh calls are the H pair of the cross-check
+        seq = moments_of(gen_random_measure(3, 2, 3, -1.0, 1.5), 7)
+        gamma, gtilde = build_gamma(seq, 3), build_gamma_tilde(seq, 3)
+        factored = {"eigh": [], "eigvalsh": []}
+        for name, mats in factored.items():
+            original = getattr(np.linalg, name)
+
+            def recorded(a, *args, _mats=mats, _original=original, **kwargs):
+                _mats.append(np.asarray(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        rep = check_even(seq)
+        monkeypatch.undo()
+        assert rep.solvable
+        assert {name: len(mats) for name, mats in factored.items()} == {
+            "eigh": 3, "eigvalsh": 2}
+        same = lambda x, y: x.shape == y.shape and np.allclose(x, y, rtol=0, atol=1e-13)
+        assert not any(same(x, gamma) or same(x, gtilde) for x in factored["eigvalsh"])
+        h, ht = build_h_pair(seq, 3)
+        assert [same(x, y) for x, y in zip(factored["eigvalsh"], (h, ht))] == [True, True]
+        # the PSD conditions read the eigenvalues of the factorizations
+        eig = lambda m: np.linalg.eigh(m)[0].min()
+        assert rep.details["Gamma PSD"] == eig(gamma)
+        assert rep.details["GammaTilde PSD"] == eig(gtilde)
 
 
 class TestCheckL0:
@@ -234,6 +271,31 @@ class TestUnitaryInvariance:
             u.conj().T @ s @ u for s in seq.moments
         ))
         assert check_odd(seq).solvable == check_odd(rotated).solvable
+
+
+def test_chain_takes_no_tolerance_parameters():
+    # the chain's tolerances are module constants: no public function or
+    # method of its four modules takes one
+    modules = (matmom.solvability, matmom.operator_model, matmom.extensions,
+               matmom.solutions)
+    callables = []
+    for module in modules:
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                callables.append((name, obj))
+            elif inspect.isclass(obj):
+                callables += [(f"{name}.{attr}", member)
+                              for attr, member in vars(obj).items()
+                              if inspect.isfunction(member) and not attr.startswith("_")]
+    names = {name for name, _ in callables}
+    assert {"check", "check_odd", "build_operators", "extremal_extensions",
+            "ExtensionInterval.defect_support_basis", "solve_odd"} <= names
+    offending = [(name, param) for name, fn in callables
+                 for param in inspect.signature(fn).parameters
+                 if param.endswith("_tol")]
+    assert offending == []
 
 
 def test_dispatch():
