@@ -47,7 +47,6 @@ from .linalg import (
     RANK_TOL,
     EigDecomposition,
     herm_part,
-    hermitian_eig,
     psd_ok,
     rank_keep,
     require_hermitian,
@@ -89,7 +88,7 @@ class ExtensionInterval:
 
     @cached_property
     def mu_eig(self) -> EigDecomposition:
-        return hermitian_eig(self.B_mu)
+        return EigDecomposition(*np.linalg.eigh(self.B_mu))
 
     @property
     def def_dim(self) -> int:
@@ -110,8 +109,8 @@ class ExtensionInterval:
 
     def defect_support_basis(self) -> np.ndarray:
         """Orthonormal basis (in defect coordinates) of the range of the defect."""
-        dec = hermitian_eig(self.C_R)
-        return dec.eigenvectors[:, rank_keep(dec.eigenvalues, RANK_TOL)]
+        w, v = np.linalg.eigh(self.C_R)
+        return v[:, rank_keep(w, RANK_TOL)]
 
 
 def extremal_completions(p_block, q_block) -> tuple[np.ndarray, np.ndarray]:
@@ -137,7 +136,10 @@ def extremal_completions(p_block, q_block) -> tuple[np.ndarray, np.ndarray]:
     q = np.asarray(q_block, dtype=complex)
     if q.ndim != 2 or q.shape[1] != p.shape[0]:
         raise ValidationError(f"Q must have {p.shape[0]} columns, got shape {q.shape}")
-    w, v = hermitian_eig(p)
+    if not np.isfinite(q).all():
+        raise ValidationError("Q contains non-finite entries")
+    # P is validated and symmetrized above
+    w, v = np.linalg.eigh(p)
     plus, minus = 1.0 + w, 1.0 - w
     require_psd(EigDecomposition(plus, v), NORM_SLACK, "I + P")
     require_psd(EigDecomposition(minus, v), NORM_SLACK, "I - P")
@@ -178,7 +180,7 @@ def extremal_extensions(model: ContractionModel) -> ExtensionInterval:
     b_mu = herm_part(u @ _assemble(model.P, model.Q, x_mu) @ u.conj().T)
 
     c_r = herm_part(x_m - x_mu)
-    c_dec = hermitian_eig(c_r)
+    c_dec = EigDecomposition(*np.linalg.eigh(c_r))
     if not psd_ok(c_dec.eigenvalues, NORM_SLACK):
         raise NumericalInconsistency(
             f"defect has negative eigenvalue {c_dec.eigenvalues.min():.3e} beyond tolerance"

@@ -100,6 +100,15 @@ def _load_json(path) -> dict:
     return doc
 
 
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path``; a failure is the file's fault, as on reading."""
+    path = Path(path)
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+
+
 def _get(doc: dict, key: str, types, path) -> object:
     if key not in doc:
         raise FileFormatError(f"{path}: missing key {key!r}")
@@ -166,10 +175,8 @@ def read_problem(path) -> MomentSequence:
 
 def write_problem(path, seq: MomentSequence) -> None:
     moments = _fill_list(_matrix_template(seq.N), _reals(seq.moments))
-    Path(path).write_text(
-        f'{{"a": {format_float(seq.a)}, "b": {format_float(seq.b)}, '
-        f'"N": {int(seq.N)}, "moments": {moments}}}\n'
-    )
+    _write_text(path, f'{{"a": {format_float(seq.a)}, "b": {format_float(seq.b)}, '
+                      f'"N": {int(seq.N)}, "moments": {moments}}}\n')
 
 
 def read_measure(path) -> DiscreteMatrixMeasure:
@@ -207,10 +214,8 @@ def write_measure(path, measure: DiscreteMatrixMeasure) -> None:
     values = np.concatenate(
         (np.asarray(measure.positions, dtype=float).reshape(k, 1),
          _reals(measure.weights).reshape(k, 2 * n * n)), axis=1)
-    Path(path).write_text(
-        f'{{"a": {format_float(measure.a)}, "b": {format_float(measure.b)}, '
-        f'"N": {int(n)}, "atoms": {_fill_list(atom, values)}}}\n'
-    )
+    _write_text(path, f'{{"a": {format_float(measure.a)}, "b": {format_float(measure.b)}, '
+                      f'"N": {int(n)}, "atoms": {_fill_list(atom, values)}}}\n')
 
 
 def read_matrix_param(path) -> np.ndarray:

@@ -1,7 +1,13 @@
 """Dense Hermitian linear algebra with explicit tolerance rules.
 
-Everything in this package runs through the helpers here, so that rank and
-positivity decisions are consistent across modules:
+Every rank, positivity and clustering decision in this package runs through
+the rules here, so that they are consistent across modules.  Matrices are
+validated once, where they enter: ``require_hermitian`` and the helpers that
+call it (``hermitian_eig``, ``check_psd``, ``pinv_psd``, ``sqrt_psd``,
+``loewner_leq``) are the validating entry points for matrices from outside
+the chain.  A matrix the chain builds from validated moments (a block Hankel
+matrix, a Hermitian part) is Hermitian by construction and is factored by
+``numpy.linalg.eigh`` directly, without a second scan.
 
 * ``rank_keep`` is the one rank cutoff: an eigenvalue (or singular value)
   counts as nonzero iff it exceeds ``rank_tol`` times the largest one
@@ -107,11 +113,14 @@ def opnorm(a: np.ndarray) -> float:
 
 
 def hermitian_eig(a, tol: float = HERM_TOL) -> EigDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix from outside the chain.
 
-    Ascending real eigenvalues with orthonormal eigenvectors.  The input must
-    be Hermitian within ``tol`` (relative); it is symmetrized before the
-    solve so that repeated runs are bitwise identical on one platform.
+    Ascending real eigenvalues with orthonormal eigenvectors.  This is the
+    validating entry point: the input must be finite and Hermitian within
+    ``tol`` (relative), and it is symmetrized before the solve so that
+    repeated runs are bitwise identical on one platform.  A matrix that is
+    Hermitian by construction needs none of that and goes to
+    ``numpy.linalg.eigh`` directly.
     """
     h = require_hermitian(a, tol)
     if h.shape[0] == 0:

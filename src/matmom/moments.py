@@ -10,6 +10,7 @@ concrete representation of a solution.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
@@ -31,6 +32,8 @@ from .linalg import (
 # total-mass norm are dropped.
 ATOM_MERGE_REL = 1e-12
 WEIGHT_PRUNE_REL = 1e-12
+# Range of the total-mass norm in which the prune norms are taken unscaled.
+_PRUNE_SAFE = (2.0 ** -300, 2.0 ** 300)
 
 
 def _check_interval(a: float, b: float) -> tuple[float, float]:
@@ -178,23 +181,46 @@ def build_gamma(seq: MomentSequence, k: int) -> np.ndarray:
     return _hankel(seq._stack, k + 1)
 
 
+def _finite_blocks(blocks: np.ndarray, name: str) -> np.ndarray:
+    """``blocks``, combinations of finite moments, if no entry overflowed.
+
+    The callers form the combinations with overflow warnings off: an
+    overflow is reported here, once, as a ``ValidationError``.
+    """
+    if not np.isfinite(blocks).all():
+        raise ValidationError(
+            f"{name} contains non-finite entries: a combination of the moments overflows")
+    return blocks
+
+
 def build_gamma_tilde(seq: MomentSequence, k: int) -> np.ndarray:
     """Interval-weighted block Hankel: blocks -ab S_{i+j} + (a+b) S_{i+j+1} - S_{i+j+2}.
 
-    Indices run 0 <= i, j <= k-1, so k = 0 yields the empty 0x0 matrix.
+    Indices run 0 <= i, j <= k-1, so k = 0 yields the empty 0x0 matrix.  The
+    blocks are real combinations of the moments, so the matrix is exactly
+    Hermitian; a block that overflows is a ``ValidationError``.
     """
     if k < 0 or 2 * k > seq.l:
         raise ValidationError(f"insufficient moments for order k={k} (l={seq.l})")
-    a, b, s = seq.a, seq.b, seq._stack
-    return _hankel(-a * b * s[:-2] + (a + b) * s[1:-1] - s[2:], k)
+    a, b, s = seq.a, seq.b, seq._stack[: 2 * k + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = -a * b * s[:-2] + (a + b) * s[1:-1] - s[2:]
+    return _hankel(_finite_blocks(blocks, "GammaTilde"), k)
 
 
 def build_h_pair(seq: MomentSequence, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint-weighted pair: blocks -a S_{i+j} + S_{i+j+1} and b S_{i+j} - S_{i+j+1}."""
+    """Endpoint-weighted pair: blocks -a S_{i+j} + S_{i+j+1} and b S_{i+j} - S_{i+j+1}.
+
+    Both are exactly Hermitian, as in :func:`build_gamma_tilde`, and a block
+    that overflows is a ``ValidationError``.
+    """
     if k < 0 or 2 * k + 1 > seq.l:
         raise ValidationError(f"insufficient moments for order k={k} (l={seq.l})")
-    a, b, s = seq.a, seq.b, seq._stack
-    return _hankel(-a * s[:-1] + s[1:], k + 1), _hankel(b * s[:-1] - s[1:], k + 1)
+    a, b, s = seq.a, seq.b, seq._stack[: 2 * k + 2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        h, h_tilde = -a * s[:-1] + s[1:], b * s[:-1] - s[1:]
+    return (_hankel(_finite_blocks(h, "H"), k + 1),
+            _hankel(_finite_blocks(h_tilde, "HTilde"), k + 1))
 
 
 def build_gamma_hat(seq: MomentSequence, d: int) -> np.ndarray:
@@ -325,8 +351,20 @@ def _canonical(a: float, b: float, pos: np.ndarray,
     pos = pos[order]
     starts = cluster_starts(pos, ATOM_MERGE_REL * (b - a))
     merged = np.add.reduceat(w[order], starts, axis=0)
-    floor = WEIGHT_PRUNE_REL * np.linalg.norm(merged.sum(axis=0))
-    keep = np.linalg.norm(merged, axis=(1, 2)) > floor
+    # The prune norms square the entries.  With the total-mass norm inside
+    # _PRUNE_SAFE, no entry of a PSD weight has a square that overflows, and
+    # a weight near the floor has entries whose squares are far from
+    # underflow.  Outside it, the norms are taken on the weights scaled by a
+    # power of two to a largest entry in [1/2, 1): that is exact, so the
+    # decision is the one at scale 1.
+    normed = merged
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.linalg.norm(normed.sum(axis=0))
+    if not _PRUNE_SAFE[0] <= total <= _PRUNE_SAFE[1]:
+        exponent = math.frexp(float(np.abs(merged.view(float)).max()))[1]
+        normed = merged * math.ldexp(1.0, -max(exponent, -1021))
+        total = np.linalg.norm(normed.sum(axis=0))
+    keep = np.linalg.norm(normed, axis=(1, 2)) > WEIGHT_PRUNE_REL * total
     return pos[starts][keep], merged[keep]
 
 
@@ -370,6 +408,8 @@ def gen_random_measure(seed: int, N: int, num_atoms: int, a: float,
         raise ValidationError("num_atoms must be at least 1")
     if N < 1:
         raise ValidationError("N must be at least 1")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     a, b = _check_interval(a, b)
     rng = np.random.default_rng(seed)
     pos = rng.uniform(a, b, size=num_atoms)

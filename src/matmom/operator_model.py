@@ -23,7 +23,6 @@ from .linalg import (
     RANK_TOL,
     EigDecomposition,
     herm_part,
-    hermitian_eig,
     opnorm,
     psd_ok,
     rank_keep,
@@ -176,7 +175,8 @@ def build_gram_space(seq: MomentSequence) -> GramSpace:
     if seq.l % 2 != 0 or seq.l < 2:
         raise ValidationError(f"Gram-space construction requires l = 2d, d >= 1, got l={seq.l}")
     gamma = build_gamma(seq, seq.l // 2)
-    dec = hermitian_eig(gamma)
+    # gathered from the validated moments: exactly Hermitian, not scanned
+    dec = EigDecomposition(*np.linalg.eigh(gamma))
     if not psd_ok(dec.eigenvalues):
         raise ValidationError("moment matrix is not PSD; refusing Gram-space construction")
     return gram_space_from_eig(seq, gamma, dec)

@@ -32,7 +32,6 @@ from .linalg import (
     RANK_TOL,
     EigDecomposition,
     herm_part,
-    hermitian_eig,
     opnorm,
     rank_keep,
     require_hermitian,
@@ -137,9 +136,13 @@ class SolvabilityReport:
 
 
 def _psd_condition(name: str, matrix: np.ndarray) -> Condition:
-    """The PSD condition on ``matrix``, judged on its eigenvalues alone."""
-    return _psd_condition_eig(
-        name, np.linalg.eigvalsh(require_hermitian(matrix, name=name)))
+    """The PSD condition on ``matrix``, judged on its eigenvalues alone.
+
+    ``matrix`` is finite and exactly Hermitian: S_0 as :func:`check_l0`
+    validated it, or a block Hankel matrix built from validated moments, so
+    it is not scanned again.
+    """
+    return _psd_condition_eig(name, np.linalg.eigvalsh(matrix))
 
 
 def _psd_condition_eig(name: str, w: np.ndarray) -> Condition:
@@ -249,9 +252,10 @@ def check_odd(seq: MomentSequence) -> SolvabilityReport:
         )
     d = seq.l // 2
     # one eigendecomposition of Gamma gives its PSD verdict and the Gram
-    # vectors the kernel-inclusion condition is decided on
+    # vectors the kernel-inclusion condition is decided on; Gamma is gathered
+    # from the validated moments, so it is exactly Hermitian and not scanned
     gamma = build_gamma(seq, d)
-    dec = hermitian_eig(gamma)
+    dec = EigDecomposition(*np.linalg.eigh(gamma))
     space = gram_space_from_eig(seq, gamma, dec)
     conditions = (
         _psd_condition_eig("Gamma PSD", dec.eigenvalues),
@@ -291,9 +295,10 @@ def check_even(seq: MomentSequence) -> SolvabilityReport:
     s = seq.moments
     a, b, n = seq.a, seq.b, seq.N
 
-    # for d = 0 the companion is 0 x 0: it passes and is not factored
-    gamma_dec = hermitian_eig(build_gamma(seq, d))
-    gtilde_dec = hermitian_eig(build_gamma_tilde(seq, d))
+    # both are built from the validated moments, so they are exactly
+    # Hermitian and not scanned; for d = 0 the companion is 0 x 0 and passes
+    gamma_dec = EigDecomposition(*np.linalg.eigh(build_gamma(seq, d)))
+    gtilde_dec = EigDecomposition(*np.linalg.eigh(build_gamma_tilde(seq, d)))
     conditions = [
         _psd_condition_eig("Gamma PSD", gamma_dec.eigenvalues),
         _psd_condition_eig("GammaTilde PSD", gtilde_dec.eigenvalues),

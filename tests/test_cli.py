@@ -36,6 +36,12 @@ def write_scalar_problem(path, a, b, values):
     return str(path)
 
 
+def assert_one_error_line(err: str) -> None:
+    """The exit-code contract's usage failure: one ``error:`` line, no traceback."""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 @pytest.fixture
 def symmetric_problem(tmp_path):
     return write_scalar_problem(tmp_path / "p.json", -1, 1, [1, 0, 1])
@@ -272,6 +278,18 @@ class TestCheckCommand:
         else:
             assert label in ("disagree within tolerance band", "HARD DISAGREEMENT")
 
+    @pytest.mark.parametrize("l", [2, 3])
+    def test_overflowing_combination_exits_one(self, tmp_path, l):
+        # an error in the scale of the data, never "unsolvable"; run as a
+        # program, where a numpy overflow warning would reach stderr too
+        path = tmp_path / "p.json"
+        write_problem(path, MomentSequence(-2.0, 3.0, (8e307 * np.eye(2),) * (l + 1)))
+        proc = subprocess.run([sys.executable, "-m", "matmom", "check", str(path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert_one_error_line(proc.stderr)
+        assert "GammaTilde contains non-finite entries" in proc.stderr
+
     def test_truncated_file_exits_one(self, tmp_path):
         path = tmp_path / "t.json"
         path.write_text('{"a": 0.0, "b": 1.0')
@@ -457,6 +475,12 @@ class TestGenCommand:
         assert main(["gen", "--seed", "1", "--atoms", "0",
                      "--out", str(tmp_path / "p.json")]) == 1
 
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "p.json"
+        assert main(["gen", "--seed", "-1", "--out", str(out)]) == 1
+        assert_one_error_line(capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestUsage:
     def test_unknown_command_exits_one(self):
@@ -520,6 +544,36 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert "check" in proc.stdout and "solve" in proc.stdout
+
+
+class TestUnwritableOutput:
+    """A file that cannot be written is a usage error, as one that cannot be
+    read is."""
+
+    @pytest.mark.parametrize("option", ["--out", "--measure-out"])
+    def test_gen(self, tmp_path, capsys, option):
+        paths = {"--out": str(tmp_path / "p.json"), "--measure-out": str(tmp_path / "m.json")}
+        paths[option] = str(tmp_path / "missing" / "f.json")
+        argv = ["gen", "--seed", "1"] + [x for kv in paths.items() for x in kv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert paths[option] in err
+
+    def test_solve(self, symmetric_problem, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "m.json")
+        assert main(["solve", symmetric_problem, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert out in err
+
+    def test_writers_raise_a_file_fault(self, tmp_path):
+        seq = scalar_seq(-1, 1, [1, 0, 1])
+        with pytest.raises(FileFormatError, match="missing"):
+            write_problem(tmp_path / "missing" / "p.json", seq)
+        with pytest.raises(FileFormatError, match="missing"):
+            write_measure(tmp_path / "missing" / "m.json",
+                          measure_from_atoms(-1, 1, [0.0], [np.eye(1)]))
 
 
 class TestFileValidation:

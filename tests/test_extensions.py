@@ -520,6 +520,11 @@ class TestCompletionNormGuard:
             extremal_extensions(synthetic_model(p, q))
         assert not reference_contraction_guards(synthetic_model(p, q))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_q_is_rejected(self, value):
+        with pytest.raises(ValidationError, match="Q contains non-finite entries"):
+            extremal_completions(np.zeros((1, 1)), [[value]])
+
     def test_negative_defect_is_numerical(self, monkeypatch, lebesgue_interval):
         # swapped completions pass the tests on the eigenbasis of P, and
         # their difference is minus the defect

@@ -325,6 +325,11 @@ class TestGenRandomMeasure:
         with pytest.raises(ValidationError):
             gen_random_measure(0, 1, 1, 1.0, 0.0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            gen_random_measure(seed, 1, 1, 0.0, 1.0)
+
 
 class TestMeasureCanonicalization:
     def test_sorting(self):
@@ -370,6 +375,18 @@ class TestMeasureCanonicalization:
         mu = measure_from_atoms(0, 1, [0.3, 0.6], [np.eye(1), 1e-14 * np.eye(1)])
         assert mu.num_atoms == 1
         assert np.allclose(mu.positions, [0.3])
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300, 1e-200, 1e-300])
+    def test_prune_at_any_scale(self, scale):
+        # the Frobenius norms of such weights overflow or underflow, and
+        # every atom used to be pruned
+        mu = measure_from_atoms(0, 1, [0.25, 0.75], [[[scale]], [[scale]]])
+        assert mu.positions.tolist() == [0.25, 0.75]
+        assert mu.weights[:, 0, 0].tolist() == [scale, scale]
+        # and a negligible weight is still pruned relative to the total mass
+        mu = measure_from_atoms(0, 1, [0.25, 0.5, 0.75],
+                                [[[scale]], [[1e-14 * scale]], [[scale]]])
+        assert mu.positions.tolist() == [0.25, 0.75]
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValidationError):

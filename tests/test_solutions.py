@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import matmom.linalg
 import matmom.solutions
 import matmom.solvability
 from matmom import (
@@ -124,6 +125,17 @@ class TestSolveOdd:
         seq = moments_of(mu, 2 * d)
         measure = solve_odd(seq, 0.5)
         assert verify(measure, seq, tol=1e-8).passed
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-200, 1e300, 1e-300])
+    def test_solution_scales_with_the_moments(self, scale):
+        # the measure of c S is c times the measure of S; its weights once
+        # overflowed or underflowed the prune norms and every atom was dropped
+        seq = moments_of(gen_random_measure(3, 2, 3, 0.0, 1.0), 4)
+        want = solve_odd(seq)
+        got = solve_odd(MomentSequence(seq.a, seq.b, tuple(scale * s for s in seq.moments)))
+        assert got.num_atoms == want.num_atoms == 6
+        assert np.abs(got.positions - want.positions).max() <= 1e-13
+        assert np.abs(got.weights / scale - want.weights).max() <= 3e-12
 
     @pytest.mark.parametrize("seed", range(8))
     def test_total_mass_is_zeroth_moment(self, seed):
@@ -365,6 +377,37 @@ class TestFactorizationBudget:
         same = lambda x, y: x.shape == y.shape and np.allclose(x, y, rtol=0, atol=1e-13)
         assert sum(same(x, gamma) for x in factored) == 1
         assert not any(same(x, gamma_prev) or same(x, gamma_hat) for x in factored)
+
+
+class TestScanAtTheBoundary:
+    """The chain factors the Hermitian matrices it builds without scanning
+    them again: after the moments are validated, a check scans nothing, and
+    a solve scans only P in ``extremal_completions`` and the extension in
+    ``spectral_data``, which are exported functions of their own."""
+
+    @staticmethod
+    def _count_scans(monkeypatch):
+        calls = []
+        original = matmom.linalg.require_hermitian
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("name"))
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if (name == "matmom" or name.startswith("matmom.")) and hasattr(
+                    module, "require_hermitian"):
+                monkeypatch.setattr(module, "require_hermitian", counted)
+        return calls
+
+    @pytest.mark.parametrize("l, solve", [(4, solve_odd), (5, solve_even)])
+    def test_scans_per_call(self, monkeypatch, l, solve):
+        seq = moments_of(gen_random_measure(3, 2, 3, 0.0, 1.0), l)
+        calls = self._count_scans(monkeypatch)
+        assert check(seq).solvable
+        assert calls == []
+        solve(seq)
+        assert calls == ["P", None]
 
 
 def _indeterminate_seq():

@@ -151,6 +151,19 @@ class TestCheckEven:
         assert rep.details["GammaTilde PSD"] == eig(gtilde)
 
 
+class TestOverflowingCombinations:
+    """Gamma-tilde and the H pair combine finite moments and can overflow;
+    that is an error in the data's scale, never a verdict of unsolvable."""
+
+    @pytest.mark.parametrize("l", [2, 3])
+    def test_check_raises(self, l):
+        seq = MomentSequence(-2.0, 3.0, (8e307 * np.eye(2),) * (l + 1))
+        with pytest.raises(ValidationError, match="non-finite entries"):
+            check(seq)
+        with pytest.raises(ValidationError, match="non-finite entries"):
+            check_cdfk(seq)
+
+
 class TestCheckL0:
     def test_identity(self):
         assert check_l0(np.eye(2)).solvable
