@@ -137,8 +137,6 @@ def _cmd_gen(args) -> int:
         raise _UsageError("--l must be non-negative")
     if not args.a < args.b:
         raise _UsageError("--a must be smaller than --b")
-    if args.seed < 0:
-        raise _UsageError("--seed must be non-negative")
     measure = gen_random_measure(args.seed, args.N, args.atoms, args.a, args.b)
     seq = moments_of(measure, args.l)
     mio.write_problem(args.out, seq)

@@ -122,10 +122,7 @@ def hermitian_eig(a, tol: float = HERM_TOL) -> EigDecomposition:
     Hermitian by construction needs none of that and goes to
     ``numpy.linalg.eigh`` directly.
     """
-    h = require_hermitian(a, tol)
-    if h.shape[0] == 0:
-        return EigDecomposition(np.zeros(0), np.zeros((0, 0), dtype=complex))
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(require_hermitian(a, tol))
     return EigDecomposition(w, v)
 
 

@@ -32,8 +32,6 @@ from .linalg import (
 # total-mass norm are dropped.
 ATOM_MERGE_REL = 1e-12
 WEIGHT_PRUNE_REL = 1e-12
-# Range of the total-mass norm in which the prune norms are taken unscaled.
-_PRUNE_SAFE = (2.0 ** -300, 2.0 ** 300)
 
 
 def _check_interval(a: float, b: float) -> tuple[float, float]:
@@ -351,19 +349,12 @@ def _canonical(a: float, b: float, pos: np.ndarray,
     pos = pos[order]
     starts = cluster_starts(pos, ATOM_MERGE_REL * (b - a))
     merged = np.add.reduceat(w[order], starts, axis=0)
-    # The prune norms square the entries.  With the total-mass norm inside
-    # _PRUNE_SAFE, no entry of a PSD weight has a square that overflows, and
-    # a weight near the floor has entries whose squares are far from
-    # underflow.  Outside it, the norms are taken on the weights scaled by a
-    # power of two to a largest entry in [1/2, 1): that is exact, so the
-    # decision is the one at scale 1.
-    normed = merged
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = np.linalg.norm(normed.sum(axis=0))
-    if not _PRUNE_SAFE[0] <= total <= _PRUNE_SAFE[1]:
-        exponent = math.frexp(float(np.abs(merged.view(float)).max()))[1]
-        normed = merged * math.ldexp(1.0, -max(exponent, -1021))
-        total = np.linalg.norm(normed.sum(axis=0))
+    # The prune norms square the entries, which overflow or underflow far
+    # from scale 1; scaling by a power of two is exact, so the norms are
+    # taken on the weights scaled to a largest entry in [1/2, 1).
+    exponent = math.frexp(float(np.abs(merged.view(float)).max()))[1]
+    normed = merged * math.ldexp(1.0, -max(exponent, -1021))
+    total = np.linalg.norm(normed.sum(axis=0))
     keep = np.linalg.norm(normed, axis=(1, 2)) > WEIGHT_PRUNE_REL * total
     return pos[starts][keep], merged[keep]
 
