@@ -20,7 +20,7 @@ from .errors import MatmomError, Unsolvable, ValidationError
 from .io import format_float
 from .moments import gen_random_measure, moments_of
 from .solvability import SolvabilityReport, check
-from .solutions import _solve, solve_l0, verify
+from .solutions import SOLVE_VERIFY_TOL, _solve, solve_l0, verify
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -129,14 +129,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.atoms < 1:
-        raise _UsageError("--atoms must be at least 1")
-    if args.N < 1:
-        raise _UsageError("--N must be at least 1")
-    if args.l < 0:
-        raise _UsageError("--l must be non-negative")
-    if not args.a < args.b:
-        raise _UsageError("--a must be smaller than --b")
     measure = gen_random_measure(args.seed, args.N, args.atoms, args.a, args.b)
     seq = moments_of(measure, args.l)
     mio.write_problem(args.out, seq)
@@ -169,13 +161,13 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("--param-t", default=None,
                          help="matrix file for the even-case moment parameter T")
     p_solve.add_argument("--out", required=True, help="output measure file")
-    p_solve.add_argument("--tol", type=_tolerance, default=1e-8)
+    p_solve.add_argument("--tol", type=_tolerance, default=SOLVE_VERIFY_TOL)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_verify = sub.add_parser("verify", help="check a measure against a problem")
     p_verify.add_argument("measure")
     p_verify.add_argument("problem")
-    p_verify.add_argument("--tol", type=_tolerance, default=1e-8)
+    p_verify.add_argument("--tol", type=_tolerance, default=SOLVE_VERIFY_TOL)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_gen = sub.add_parser("gen", help="generate a seeded solvable problem")

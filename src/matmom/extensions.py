@@ -44,7 +44,6 @@ from .errors import NumericalInconsistency, ValidationError
 from .linalg import (
     NORM_SLACK,
     PSD_TOL,
-    RANK_TOL,
     EigDecomposition,
     herm_part,
     psd_ok,
@@ -110,7 +109,7 @@ class ExtensionInterval:
     def defect_support_basis(self) -> np.ndarray:
         """Orthonormal basis (in defect coordinates) of the range of the defect."""
         w, v = np.linalg.eigh(self.C_R)
-        return v[:, rank_keep(w, RANK_TOL)]
+        return v[:, rank_keep(w)]
 
 
 def extremal_completions(p_block, q_block) -> tuple[np.ndarray, np.ndarray]:
@@ -141,9 +140,9 @@ def extremal_completions(p_block, q_block) -> tuple[np.ndarray, np.ndarray]:
     # P is validated and symmetrized above
     w, v = np.linalg.eigh(p)
     plus, minus = 1.0 + w, 1.0 - w
-    require_psd(EigDecomposition(plus, v), NORM_SLACK, "I + P")
-    require_psd(EigDecomposition(minus, v), NORM_SLACK, "I - P")
-    keep_plus, keep_minus = rank_keep(plus, RANK_TOL), rank_keep(minus, RANK_TOL)
+    require_psd(plus, NORM_SLACK, "I + P")
+    require_psd(minus, NORM_SLACK, "I - P")
+    keep_plus, keep_minus = rank_keep(plus), rank_keep(minus)
     qv = q @ v
     dropped = ~(keep_plus & keep_minus)
     if dropped.any():
@@ -192,7 +191,7 @@ def extremal_extensions(model: ContractionModel) -> ExtensionInterval:
         X_mu=x_mu,
         X_M=x_m,
         determinate=lam_max <= DETERMINATE_TOL,
-        R0_dim=c_r.shape[0] - int(rank_keep(c_dec.eigenvalues, RANK_TOL).sum()),
+        R0_dim=c_r.shape[0] - int(rank_keep(c_dec.eigenvalues).sum()),
         C_R=c_r,
         C_R_half=sqrt_from_eig(c_dec),
     )

@@ -10,13 +10,13 @@ matrix, a Hermitian part) is Hermitian by construction and is factored by
 ``numpy.linalg.eigh`` directly, without a second scan.
 
 * ``rank_keep`` is the one rank cutoff: an eigenvalue (or singular value)
-  counts as nonzero iff it exceeds ``rank_tol`` times the largest one
+  counts as nonzero iff it exceeds ``RANK_TOL`` times the largest one
   (clipped at zero).  Every rank, kernel and support decision uses it.
 * ``psd_ok`` is the one positive-semidefiniteness rule on eigenvalues: the
   smallest may sit at most ``tol * max(1, max |eigenvalue|)`` below zero.
   ``check_psd`` applies it to one matrix, ``check_psd_stack`` to a
   ``(k, n, n)`` stack with one batched ``eigvalsh``, matrix by matrix with
-  the same validation and scale as ``check_psd``.
+  the same validation and scale as ``check_psd`` at ``PSD_TOL``.
 * ``require_hermitian`` is the one Hermitian-input rule, applied to a stack
   in one pass by ``require_hermitian_stack``.
 * ``cluster_starts`` is the one clustering rule for sorted values (atom
@@ -25,6 +25,16 @@ matrix, a Hermitian part) is Hermitian by construction and is factored by
   caller already has, so that one factorization serves several derived
   matrices; ``sqrt_psd`` is the one-matrix form, and ``pinv_psd`` the
   pseudo-inverse of one matrix.
+
+A rule takes its tolerance as a parameter only where its callers use two
+values: ``psd_ok`` and ``require_psd`` (``PSD_TOL``, ``NORM_SLACK``),
+``require_hermitian`` and ``require_hermitian_stack`` (``HERM_TOL``,
+``io.FILE_HERM_TOL``), ``check_psd`` and ``loewner_leq`` (``PSD_TOL`` or a
+looser slack), and ``cluster_starts`` (``solutions.CLUSTER_TOL``, and
+``moments.ATOM_MERGE_REL`` times the interval length).  Everything else
+reads the constants below: ``rank_keep`` and ``sqrt_from_eig`` read
+``RANK_TOL``, ``hermitian_eig`` reads ``HERM_TOL``, ``check_psd_stack``
+reads ``PSD_TOL``, and ``pinv_psd`` and ``sqrt_psd`` read all three.
 
 All matrices are small (dimension at most about a hundred) and dense complex
 double precision; 0x0 matrices are legal values throughout.
@@ -112,28 +122,28 @@ def opnorm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def hermitian_eig(a, tol: float = HERM_TOL) -> EigDecomposition:
+def hermitian_eig(a) -> EigDecomposition:
     """Eigendecomposition of a Hermitian matrix from outside the chain.
 
     Ascending real eigenvalues with orthonormal eigenvectors.  This is the
     validating entry point: the input must be finite and Hermitian within
-    ``tol`` (relative), and it is symmetrized before the solve so that
+    ``HERM_TOL`` (relative), and it is symmetrized before the solve so that
     repeated runs are bitwise identical on one platform.  A matrix that is
     Hermitian by construction needs none of that and goes to
     ``numpy.linalg.eigh`` directly.
     """
-    w, v = np.linalg.eigh(require_hermitian(a, tol))
+    w, v = np.linalg.eigh(require_hermitian(a))
     return EigDecomposition(w, v)
 
 
-def rank_keep(w: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+def rank_keep(w: np.ndarray) -> np.ndarray:
     """Mask of the values counted as nonzero by the shared rank cutoff.
 
     ``w`` holds eigenvalues or singular values; a value is kept iff it
-    exceeds ``rank_tol`` times the largest one, clipped at zero, so an
+    exceeds ``RANK_TOL`` times the largest one, clipped at zero, so an
     all-nonpositive (or empty) ``w`` keeps nothing.
     """
-    return w > rank_tol * w.max(initial=0.0)
+    return w > RANK_TOL * w.max(initial=0.0)
 
 
 def psd_ok(w: np.ndarray, tol: float = PSD_TOL):
@@ -148,10 +158,7 @@ def psd_ok(w: np.ndarray, tol: float = PSD_TOL):
 
 def check_psd(a, tol: float = PSD_TOL) -> bool:
     """True iff the Hermitian matrix has min eigenvalue >= -tol * max(1, norm)."""
-    h = require_hermitian(a)
-    if h.shape[0] == 0:
-        return True
-    return bool(psd_ok(np.linalg.eigvalsh(h), tol))
+    return bool(psd_ok(np.linalg.eigvalsh(require_hermitian(a)), tol))
 
 
 def require_hermitian_stack(stack, tol: float = HERM_TOL,
@@ -179,18 +186,15 @@ def require_hermitian_stack(stack, tol: float = HERM_TOL,
     return sym
 
 
-def check_psd_stack(stack, tol: float = PSD_TOL) -> np.ndarray:
+def check_psd_stack(stack) -> np.ndarray:
     """:func:`check_psd` of every matrix of a ``(k, n, n)`` stack at once.
 
     Each matrix is validated by :func:`require_hermitian_stack` (the first
     failing one raises ``ValidationError``) and passes iff the spectrum of
-    its symmetrized form passes :func:`psd_ok`.  Returns a bool array of
-    length k.
+    its symmetrized form passes :func:`psd_ok` at ``PSD_TOL``.  Returns a
+    bool array of length k.
     """
-    arr = require_hermitian_stack(stack)
-    if arr.size == 0:
-        return np.ones(arr.shape[0], dtype=bool)
-    return psd_ok(np.linalg.eigvalsh(arr), tol)
+    return psd_ok(np.linalg.eigvalsh(require_hermitian_stack(stack)))
 
 
 def cluster_starts(sorted_values: np.ndarray, tol: float) -> np.ndarray:
@@ -203,43 +207,44 @@ def cluster_starts(sorted_values: np.ndarray, tol: float) -> np.ndarray:
     return np.concatenate(([0], np.flatnonzero(np.diff(sorted_values) > tol) + 1))
 
 
-def require_psd(dec: EigDecomposition, psd_tol: float = PSD_TOL,
-                name: str = "matrix") -> EigDecomposition:
-    """Pass an eigendecomposition through if its spectrum passes :func:`psd_ok`.
-
-    A negative eigenvalue beyond the slack is a validation error.
-    """
-    if not psd_ok(dec.eigenvalues, psd_tol):
-        raise ValidationError(
-            f"{name} has negative eigenvalue {dec.eigenvalues.min():.3e} beyond tolerance"
-        )
-    return dec
+def require_psd(w: np.ndarray, psd_tol: float, name: str = "matrix") -> None:
+    """Raise ``ValidationError`` unless the eigenvalues ``w`` pass
+    :func:`psd_ok` at ``psd_tol``."""
+    if not psd_ok(w, psd_tol):
+        raise ValidationError(f"{name} has negative eigenvalue {w.min():.3e} beyond tolerance")
 
 
-def sqrt_from_eig(dec: EigDecomposition, rank_tol: float = RANK_TOL) -> np.ndarray:
+def sqrt_from_eig(dec: EigDecomposition) -> np.ndarray:
     """PSD square root from an eigendecomposition, cut by :func:`rank_keep`."""
     w, v = dec
-    keep = rank_keep(w, rank_tol)
+    keep = rank_keep(w)
     vk = v[:, keep]
     return herm_part((vk * np.sqrt(w[keep])) @ vk.conj().T)
 
 
-def pinv_psd(a, rank_tol: float = RANK_TOL, psd_tol: float = PSD_TOL) -> np.ndarray:
+def pinv_psd(a) -> np.ndarray:
     """Moore-Penrose pseudo-inverse of a PSD matrix.
 
-    Eigenvalues below ``rank_tol`` times the largest one are treated as zero.
-    A negative eigenvalue beyond ``psd_tol`` slack is a validation error.
+    Eigenvalues not above ``RANK_TOL`` times the largest one are treated as
+    zero.  A negative eigenvalue beyond the ``PSD_TOL`` slack is a validation
+    error.
     """
-    w, v = require_psd(hermitian_eig(a), psd_tol, "pinv_psd input")
-    keep = rank_keep(w, rank_tol)
+    w, v = hermitian_eig(a)
+    require_psd(w, PSD_TOL, "pinv_psd input")
+    keep = rank_keep(w)
     vk = v[:, keep]
     return herm_part((vk / w[keep]) @ vk.conj().T)
 
 
-def sqrt_psd(a, rank_tol: float = RANK_TOL, psd_tol: float = PSD_TOL) -> np.ndarray:
-    """The PSD square root of a PSD matrix via eigendecomposition."""
-    dec = require_psd(hermitian_eig(a), psd_tol, "sqrt_psd input")
-    return sqrt_from_eig(dec, rank_tol)
+def sqrt_psd(a) -> np.ndarray:
+    """The PSD square root of a PSD matrix via eigendecomposition.
+
+    A negative eigenvalue beyond the ``PSD_TOL`` slack is a validation error;
+    eigenvalues not above ``RANK_TOL`` times the largest one count as zero.
+    """
+    dec = hermitian_eig(a)
+    require_psd(dec.eigenvalues, PSD_TOL, "sqrt_psd input")
+    return sqrt_from_eig(dec)
 
 
 def loewner_leq(a, b, tol: float = PSD_TOL) -> bool:

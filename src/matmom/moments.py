@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ValidationError
 from .linalg import (
     HERM_TOL,
-    PSD_TOL,
     check_psd_stack,
     cluster_starts,
     require_hermitian,
@@ -258,7 +257,7 @@ class DiscreteMatrixMeasure:
                 raise ValidationError("atom positions must lie inside [a, b]")
             if np.any(np.diff(pos) <= 0):
                 raise ValidationError("atom positions must be strictly increasing")
-        psd = check_psd_stack(w, PSD_TOL)
+        psd = check_psd_stack(w)
         if not psd.all():
             raise ValidationError(f"weight {np.argmin(psd)} is not PSD within tolerance")
         self._freeze(a, b, pos, w)
@@ -290,8 +289,6 @@ class DiscreteMatrixMeasure:
 
     def total_mass(self) -> np.ndarray:
         """Sum of all weights; equals the zeroth moment."""
-        if self.num_atoms == 0:
-            return np.zeros((self.N, self.N), dtype=complex)
         return self.weights.sum(axis=0)
 
     def isclose(self, other: "DiscreteMatrixMeasure", pos_tol: float = 1e-9,

@@ -92,7 +92,7 @@ class GramSpace:
         if self.rank == dn + n:
             return dn, 0.0
         _, sing, vh = self.domain_svd
-        p_dim = int(rank_keep(sing, RANK_TOL).sum())
+        p_dim = int(rank_keep(sing).sum())
         if p_dim == dn:
             return dn, 0.0
         return p_dim, opnorm(self.vectors[:, n : n + dn] @ vh[p_dim:].conj().T)
@@ -159,7 +159,7 @@ def gram_space_from_eig(seq: MomentSequence, gamma: np.ndarray,
     The factor is the transposed (not conjugated) scaled eigenvector matrix,
     which makes the Gram identity hold in the fixed inner-product convention.
     """
-    keep = rank_keep(dec.eigenvalues, RANK_TOL)
+    keep = rank_keep(dec.eigenvalues)
     w = dec.eigenvalues[keep]
     # x_n[i] = sqrt(w_i) * V[n, i] so that sum_i x_n[i] conj(x_m[i]) = Gamma[n, m]
     vectors = np.sqrt(w)[:, None] * dec.eigenvectors[:, keep].T

@@ -39,10 +39,14 @@ from .solvability import EvenCaseData, SolvabilityReport, check_even, check_l0, 
 # Eigenvalues closer than CLUSTER_TOL are merged into one atom; positions
 # within CLAMP_REL * (b - a) outside the interval (rounding of eigenvalues at
 # +-1) are clamped to the endpoint; solved measures are re-verified at
-# SOLVE_VERIFY_TOL before being returned.
+# SOLVE_VERIFY_TOL before being returned.  The Stieltjes-Perron cross-check
+# integrates over [-1 - STIELTJES_PAD, 1 + STIELTJES_PAD] and keeps the cells
+# whose density trace exceeds STIELTJES_FLOOR times the largest one.
 CLUSTER_TOL = 1e-9
 CLAMP_REL = 1e-9
 SOLVE_VERIFY_TOL = 1e-8
+STIELTJES_PAD = 0.1
+STIELTJES_FLOOR = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,9 +85,7 @@ class VerificationReport:
 
     @property
     def max_relative_residual(self) -> float:
-        if self.moment_residuals.size == 0:
-            return 0.0
-        return float((self.moment_residuals / self.moment_scales).max())
+        return float((self.moment_residuals / self.moment_scales).max(initial=0.0))
 
 
 def spectral_data(extension: np.ndarray, first_vectors: np.ndarray) -> SpectralData:
@@ -245,7 +247,7 @@ def solve_l0(s0, a: float, b: float) -> DiscreteMatrixMeasure:
 
 
 def verify(measure: DiscreteMatrixMeasure, seq: MomentSequence,
-           tol: float = 1e-8) -> VerificationReport:
+           tol: float = SOLVE_VERIFY_TOL) -> VerificationReport:
     """Re-compute the measure's moments and compare with the prescription.
 
     Passes iff every moment matches entrywise within ``tol * max(1, |S_n|)``
@@ -309,30 +311,30 @@ def _resolvent_density(interval: ExtensionInterval, kk: np.ndarray,
 
 
 def stieltjes_perron_recover(interval: ExtensionInterval, k=0.5, *,
-                             eps: float = 1e-4, step: float = 1e-4,
-                             pad: float = 0.1,
-                             density_floor: float = 1e-3) -> DiscreteMatrixMeasure:
+                             eps: float = 1e-4,
+                             step: float = 1e-4) -> DiscreteMatrixMeasure:
     """Approximate the spectral measure by Stieltjes-Perron inversion.
 
     Integrates the matrix density (G(t) - G(t)*)/(2 pi i), where G(t) holds
     the generalized-resolvent inner products between the first N Gram
-    vectors at t + i*eps, over a uniform grid on [-1-pad, 1+pad], then
-    groups the cells into clusters separated at density minima.  Each cell
-    is integrated by two midpoint subsamples: a uniform comb at spacing
-    step/2 keeps the aliasing error of the width-``eps`` Poisson kernel
-    negligible even when ``step`` equals ``eps``.  The result approximates
+    vectors at t + i*eps, over a uniform grid on [-1 - STIELTJES_PAD,
+    1 + STIELTJES_PAD], then groups the cells above ``STIELTJES_FLOOR``
+    times the largest density into clusters separated at density minima.
+    Each cell is integrated by two midpoint subsamples: a uniform comb at
+    spacing step/2 keeps the aliasing error of the width-``eps`` Poisson
+    kernel negligible even when ``step`` equals ``eps``.  The result approximates
     the solution in the reference coordinates on [-1, 1]; atom locations
     and total mass converge as ``eps`` and ``step`` shrink together.
     """
-    if eps <= 0 or step <= 0 or pad < 0:
-        raise ValidationError("eps and step must be positive, pad non-negative")
+    if eps <= 0 or step <= 0:
+        raise ValidationError("eps and step must be positive")
     n = interval.model.space.N
     kk = as_unit_interval_param(k, interval.def_dim, name="extension parameter")
     empty = measure_from_atoms(-1.0, 1.0, [], np.zeros((0, n, n)), N=n)
     if interval.mu_eig.eigenvalues.size == 0:
         return empty
 
-    lo, hi = -1.0 - pad, 1.0 + pad
+    lo, hi = -1.0 - STIELTJES_PAD, 1.0 + STIELTJES_PAD
     n_cells = max(int(np.ceil((hi - lo) / step)), 1)
     mids = lo + step * (np.arange(n_cells) + 0.5)
     d_lo = _resolvent_density(interval, kk, mids - 0.25 * step, eps)
@@ -344,7 +346,7 @@ def stieltjes_perron_recover(interval: ExtensionInterval, k=0.5, *,
         return empty
 
     # cores above the relative floor, split between cores at the density minimum
-    above = trace > density_floor * trace.max()
+    above = trace > STIELTJES_FLOOR * trace.max()
     runs = []
     idx = 0
     while idx < above.size:

@@ -178,7 +178,7 @@ def _range_solve(dec: EigDecomposition,
     quadratic form x* mat x evaluated the same stable way.
     """
     w, v = dec
-    kept = rank_keep(w, RANK_TOL)
+    kept = rank_keep(w)
     coeff = v.conj().T @ rhs
     ck = coeff[kept]
     wk = w[kept][:, None]

@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 
-from matmom.linalg import NORM_SLACK, RANK_TOL, psd_ok, rank_keep
+from matmom.linalg import NORM_SLACK, psd_ok, rank_keep
 
 
 def random_unitary(rng, n):
@@ -80,14 +80,14 @@ def reference_hankel(seq, kind: str, k: int) -> np.ndarray:
     return out
 
 
-def reference_completions(p, q, rank_tol=RANK_TOL):
+def reference_completions(p, q):
     """X_min = Q (I + P)^+ Q* - I and X_max = I - Q (I - P)^+ Q*, with each
     pseudo-inverse formed as a p x p matrix from the eigendecomposition of P
     and cut by ``rank_keep``: the reference for ``extremal_completions``."""
     w, v = np.linalg.eigh(0.5 * (p + p.conj().T))
 
     def pinv(lam):
-        keep = rank_keep(lam, rank_tol)
+        keep = rank_keep(lam)
         vk = v[:, keep]
         return (vk / lam[keep]) @ vk.conj().T
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 import subprocess
@@ -25,6 +26,7 @@ from matmom.io import (
     write_measure,
     write_problem,
 )
+from matmom.solutions import SOLVE_VERIFY_TOL
 
 
 def scalar_seq(a, b, values):
@@ -471,9 +473,15 @@ class TestGenCommand:
                      "--measure-out", str(m)]) == 0
         assert main(["verify", str(m), str(p)]) == 0
 
-    def test_zero_atoms_exits_one(self, tmp_path):
-        assert main(["gen", "--seed", "1", "--atoms", "0",
-                     "--out", str(tmp_path / "p.json")]) == 1
+    @pytest.mark.parametrize("args", [["--atoms", "0"], ["--N", "0"], ["--l", "-1"],
+                                      ["--a", "1", "--b", "0"]],
+                             ids=["atoms", "N", "l", "interval"])
+    def test_invalid_argument_exits_one(self, tmp_path, capsys, args):
+        # the library rejects each before anything is written
+        out = tmp_path / "p.json"
+        assert main(["gen", "--seed", "1", *args, "--out", str(out)]) == 1
+        assert_one_error_line(capsys.readouterr().err)
+        assert not out.exists()
 
     def test_negative_seed_exits_one(self, tmp_path, capsys):
         out = tmp_path / "p.json"
@@ -526,6 +534,13 @@ class TestUsage:
         printed = capsys.readouterr()
         assert printed.err == ""
         assert "verified: " in printed.out
+
+    def test_default_tol_is_the_round_trip_contract(self):
+        parser = matmom.cli._build_parser()
+        for argv in (["solve", "p.json", "--out", "m.json"], ["verify", "m.json", "p.json"]):
+            assert parser.parse_args(argv).tol == SOLVE_VERIFY_TOL
+        default = inspect.signature(matmom.solutions.verify).parameters["tol"].default
+        assert default == SOLVE_VERIFY_TOL == 1e-8
 
     def test_module_entry_point(self, tmp_path):
         path = tmp_path / "p.json"

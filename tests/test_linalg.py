@@ -115,11 +115,6 @@ class TestCheckPsdStack:
             assert got.tolist() == want
             assert any(want) and (count == 1 or not all(want))
 
-    def test_tolerance_argument(self):
-        stack = np.stack([np.diag([1.0, -1e-6]), np.eye(2)])
-        assert check_psd_stack(stack).tolist() == [False, True]
-        assert check_psd_stack(stack, tol=1e-5).tolist() == [True, True]
-
     def test_non_hermitian_member_raises(self):
         rng = np.random.default_rng(7)
         stack = self._stack(rng, 4, 3)
@@ -137,6 +132,7 @@ class TestCheckPsdStack:
 
     def test_empty_stack(self):
         assert check_psd_stack(np.zeros((0, 3, 3))).shape == (0,)
+        assert check_psd_stack(np.zeros((3, 0, 0))).tolist() == [True] * 3
 
     def test_scalar_weights(self):
         stack = np.array([[[2.0]], [[0.0]], [[-1e-11]], [[-1e-9]]])
@@ -148,7 +144,6 @@ def test_rank_keep_rule():
     assert rank_keep(np.array([1e-12, 1e-9, 1.0])).tolist() == [False, True, True]
     assert rank_keep(np.array([-1.0, 0.0])).tolist() == [False, False]
     assert rank_keep(np.zeros(0)).shape == (0,)
-    assert rank_keep(np.array([0.5, 1.0]), rank_tol=0.6).tolist() == [False, True]
 
 
 class TestRequireHermitianStack:

@@ -19,7 +19,7 @@ from matmom import (
     measure_from_atoms,
     moments_of,
 )
-from matmom.linalg import HERM_TOL, PSD_TOL, check_psd_stack, require_hermitian_stack
+from matmom.linalg import HERM_TOL, check_psd_stack, require_hermitian_stack
 from matmom.moments import _moment_stack
 
 from helpers import random_hermitian, reference_hankel
@@ -204,6 +204,8 @@ class TestMomentsOf:
         mu = measure_from_atoms(0, 1, [], np.zeros((0, 2, 2)), N=2)
         seq = moments_of(mu, 2)
         assert all(np.allclose(s, 0) for s in seq.moments)
+        mass = mu.total_mass()
+        assert mass.dtype == complex and mass.shape == (2, 2) and not mass.any()
 
     @pytest.mark.parametrize("seed, n, atoms, l", [(0, 1, 1, 0), (1, 2, 5, 6),
                                                    (2, 3, 40, 20), (3, 8, 88, 20)])
@@ -236,7 +238,7 @@ class TestValidByConstruction:
            st.integers(0, 12), st.sampled_from([(0.0, 1.0), (-2.0, 3.0), (-1e3, 1e-3)]))
     def test_generated_weights_and_moments(self, seed, n, atoms, l, interval):
         mu = gen_random_measure(seed, n, atoms, *interval)
-        assert check_psd_stack(mu.weights, PSD_TOL).all()
+        assert check_psd_stack(mu.weights).all()
         assert np.all((mu.positions >= interval[0]) & (mu.positions <= interval[1]))
         assert np.all(np.diff(mu.positions) > 0)
         stack = _moment_stack(mu, l)

@@ -41,7 +41,13 @@ from matmom import (
 )
 from matmom.io import read_measure
 from matmom.linalg import PSD_TOL, check_psd_stack
-from matmom.solutions import SpectralData, _measure_from_spectrum, _solve, spectral_data
+from matmom.solutions import (
+    SpectralData,
+    VerificationReport,
+    _measure_from_spectrum,
+    _solve,
+    spectral_data,
+)
 
 from helpers import random_contraction, random_unitary
 
@@ -164,9 +170,9 @@ class TestValidByConstruction:
             ks.append(random_contraction(rng, ext.def_dim, (0.0, 1.0)))
         for k in ks:
             sd = spectral_data(canonical_extension(ext, k), ext.model.space.vectors[:, :n])
-            assert check_psd_stack(sd.weights, PSD_TOL).all()
+            assert check_psd_stack(sd.weights).all()
             measure = _measure_from_spectrum(sd, a, b)
-            assert check_psd_stack(measure.weights, PSD_TOL).all()
+            assert check_psd_stack(measure.weights).all()
             assert np.all((measure.positions >= a) & (measure.positions <= b))
             assert np.all(np.diff(measure.positions) > 0)
 
@@ -863,6 +869,12 @@ class TestSolveL0:
 
 
 class TestVerify:
+    def test_empty_report_has_zero_residual(self):
+        report = VerificationReport(tol=1e-8, moment_residuals=np.zeros(0),
+                                    moment_scales=np.ones(0), support_ok=True,
+                                    weights_psd_ok=True)
+        assert report.max_relative_residual == 0.0
+
     def test_exact_round_trip_passes(self):
         mu = gen_random_measure(5, 2, 3, 0.0, 1.0)
         assert verify(mu, moments_of(mu, 4), tol=1e-12).passed

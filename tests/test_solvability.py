@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import matmom.extensions
+import matmom.linalg
 import matmom.operator_model
 import matmom.solutions
 import matmom.solvability
@@ -309,6 +310,21 @@ def test_chain_takes_no_tolerance_parameters():
                  for param in inspect.signature(fn).parameters
                  if param.endswith("_tol")]
     assert offending == []
+
+
+def test_linalg_takes_a_tolerance_only_where_two_values_reach_it():
+    # every other rule of linalg reads its module constant, and the
+    # Stieltjes-Perron oracle keeps only its grid as parameters
+    taking = {(name, param) for name, fn in vars(matmom.linalg).items()
+              if inspect.isfunction(fn) and fn.__module__ == matmom.linalg.__name__
+              for param in inspect.signature(fn).parameters
+              if param == "tol" or param.endswith("_tol")}
+    assert taking == {("psd_ok", "tol"), ("require_psd", "psd_tol"),
+                      ("require_hermitian", "tol"), ("require_hermitian_stack", "tol"),
+                      ("check_psd", "tol"), ("loewner_leq", "tol"),
+                      ("cluster_starts", "tol")}
+    params = inspect.signature(matmom.solutions.stieltjes_perron_recover).parameters
+    assert list(params) == ["interval", "k", "eps", "step"]
 
 
 def test_dispatch():
