@@ -129,7 +129,8 @@ def extremal_completions(p_block, q_block) -> tuple[np.ndarray, np.ndarray]:
     sqrt(w^2 + ||Q v||^2) <= 1 + ``NORM_SLACK``.  Given both tests, [P; Q]
     is a contraction exactly when X_max - X_min is PSD, which
     :func:`extremal_extensions` judges.  A failed test raises
-    ``ValidationError``.
+    ``ValidationError``.  P and Q may come from outside the chain, so they
+    are validated first: P Hermitian, Q finite with one column per row of P.
     """
     p = require_hermitian(p_block, name="P")
     q = np.asarray(q_block, dtype=complex)
@@ -137,7 +138,13 @@ def extremal_completions(p_block, q_block) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(f"Q must have {p.shape[0]} columns, got shape {q.shape}")
     if not np.isfinite(q).all():
         raise ValidationError("Q contains non-finite entries")
-    # P is validated and symmetrized above
+    return _extremal_completions(p, q)
+
+
+def _extremal_completions(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`extremal_completions` of an exactly Hermitian P and a finite Q
+    of matching shape, taken as they are: the P and Q of a
+    :func:`~matmom.operator_model.build_operators` model are."""
     w, v = np.linalg.eigh(p)
     plus, minus = 1.0 + w, 1.0 - w
     require_psd(plus, NORM_SLACK, "I + P")
@@ -172,7 +179,7 @@ def extremal_extensions(model: ContractionModel) -> ExtensionInterval:
     inconsistency, not bad input, and raises ``NumericalInconsistency``.
     """
     try:
-        x_mu, x_m = extremal_completions(model.P, model.Q)
+        x_mu, x_m = _extremal_completions(model.P, model.Q)
     except ValidationError as exc:
         raise NumericalInconsistency(str(exc)) from exc
     u = np.hstack([model.dom_basis, model.def_basis])

@@ -70,7 +70,10 @@ class GramSpace:
     @cached_property
     def domain_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Full SVD ``(U, s, Vh)`` of the domain vectors x_0..x_{dN-1}, taken
-        once per space."""
+        once per space.  Only a rank-deficient space takes it: it decides the
+        domain rank and kernel inclusion there and gives the operators' bases.
+        A space of full rank (d+1)N needs neither, and its operators come
+        from a QR factor (see :func:`build_operators`)."""
         dn = self.d * self.N
         if self.rank == 0:
             factors = (np.zeros((0, 0), dtype=complex), np.zeros(0),
@@ -215,6 +218,65 @@ def build_operators(space: GramSpace) -> ContractionModel:
     not judged here: :func:`~matmom.extensions.extremal_extensions` decides
     it once, on the eigenbasis of P that it factors anyway.
 
+    A space of full rank (d+1)N takes one QR factor of the Gram vectors and
+    no SVD (:func:`_gram_schmidt_blocks`); a rank-deficient space takes the
+    domain SVD it decided kernel inclusion on (:func:`_domain_svd_blocks`).
+    Either way P and Q must be finite (an interval so short that 2/(b - a)
+    overflows makes them not), and P's asymmetry is bounded by ``SKEW_TOL``
+    before P is made exactly Hermitian:
+    :func:`~matmom.extensions.extremal_extensions` takes them as they are.
+    """
+    passed, residual = kernel_inclusion(space)
+    if not passed:
+        raise OperatorIllDefined(
+            f"shift operator is ill-defined: residual {residual:.3e} "
+            "(kernel-inclusion condition fails)"
+        )
+    scale = 2.0 / (space.b - space.a)
+    shift = (space.a + space.b) / (space.b - space.a)
+    if space.rank == space.vectors.shape[1]:
+        dom_basis, def_basis, p_raw, q_mat = _gram_schmidt_blocks(space, scale, shift)
+    else:
+        dom_basis, def_basis, p_raw, q_mat = _domain_svd_blocks(space, scale, shift)
+    for name, block in (("P", p_raw), ("Q", q_mat)):
+        if not np.isfinite(block).all():
+            raise NumericalInconsistency(f"{name} contains non-finite entries")
+    if p_raw.size:
+        skew = np.abs(p_raw - p_raw.conj().T).max()
+        if skew > SKEW_TOL * max(1.0, np.abs(p_raw).max()):
+            raise NumericalInconsistency(
+                f"domain compression is not Hermitian (skew {skew:.3e})"
+            )
+    return ContractionModel(space=space, dom_basis=dom_basis, def_basis=def_basis,
+                            P=herm_part(p_raw), Q=q_mat)
+
+
+def _gram_schmidt_blocks(space: GramSpace, scale: float, shift: float):
+    """Bases, raw P and Q of a full-rank space from one QR factor.
+
+    With X = U R, R's diagonal made real positive, the columns of U are the
+    Gram-Schmidt orthonormalization of x_0, x_1, ... in order: the domain
+    basis is U[:, :dN] and the defect basis U[:, dN:], the Gram-Schmidt
+    vectors of the top block x_{dN}..x_{(d+1)N-1}.  The domain basis is
+    g_dom R_dd^-1 with R_dd = R[:dN, :dN], so the shift maps it to
+    g_shift R_dd^-1 = U T with T = R[:, N:N+dN] R_dd^-1: P = scale T[:dN] -
+    shift I (the truncated block Jacobi matrix of the orthonormal
+    polynomials) and Q = scale T[dN:], zero outside its last block column.
+    """
+    n, dn = space.N, space.d * space.N
+    u_full, r = np.linalg.qr(space.vectors)
+    # nonzero at full rank: |R_ii| is at least the smallest kept singular value
+    phase = np.diagonal(r) / np.abs(np.diagonal(r))
+    u_full = u_full * phase
+    r = phase.conj()[:, None] * r
+    coords = scale * (r[:, n : n + dn] @ np.linalg.inv(r[:dn, :dn]))
+    p_raw = coords[:dn] - shift * np.eye(dn, dtype=complex)
+    return u_full[:, :dn], u_full[:, dn:], p_raw, coords[dn:]
+
+
+def _domain_svd_blocks(space: GramSpace, scale: float, shift: float):
+    """Bases, raw P and Q of a rank-deficient space from its domain SVD.
+
     The space's one SVD ``g_dom = U diag(s) Vh`` of the domain vectors
     serves every step.  The p singular values kept by the rank cutoff (``s >
     RANK_TOL * s_max``, the rule of ``numpy.linalg.pinv``), counted once per
@@ -225,13 +287,6 @@ def build_operators(space: GramSpace) -> ContractionModel:
     n, dn = space.N, space.d * space.N
     g_dom = space.vectors[:, :dn]
     g_shift = space.vectors[:, n : n + dn]
-
-    passed, residual = kernel_inclusion(space)
-    if not passed:
-        raise OperatorIllDefined(
-            f"shift operator is ill-defined: residual {residual:.3e} "
-            "(kernel-inclusion condition fails)"
-        )
     u_full, sing, vh = space.domain_svd
     p_dim = space._domain_cut[0]
 
@@ -240,8 +295,6 @@ def build_operators(space: GramSpace) -> ContractionModel:
     dom_basis = u_dom * dom_phase
     def_basis = u_def * _column_phases(u_def)
 
-    scale = 2.0 / (space.b - space.a)
-    shift = (space.a + space.b) / (space.b - space.a)
     # pinv(g_dom) @ dom_basis, with U* U = I
     coeff = vh[:p_dim].conj().T * (dom_phase / sing[:p_dim])
 
@@ -256,11 +309,4 @@ def build_operators(space: GramSpace) -> ContractionModel:
     # the -shift * dom_basis term of the shifted vectors is orthogonal to the
     # defect space
     q_mat = scale * (def_basis.conj().T @ (g_shift @ coeff))
-    if p_raw.size:
-        skew = np.abs(p_raw - p_raw.conj().T).max()
-        if skew > SKEW_TOL * max(1.0, np.abs(p_raw).max()):
-            raise NumericalInconsistency(
-                f"domain compression is not Hermitian (skew {skew:.3e})"
-            )
-    return ContractionModel(space=space, dom_basis=dom_basis, def_basis=def_basis,
-                            P=herm_part(p_raw), Q=q_mat)
+    return dom_basis, def_basis, p_raw, q_mat

@@ -24,7 +24,7 @@ from .extensions import (
     canonical_extension,
     extremal_extensions,
 )
-from .linalg import cluster_starts, herm_part, hermitian_eig
+from .linalg import cluster_starts, herm_part, require_hermitian
 from .moments import (
     DiscreteMatrixMeasure,
     MomentSequence,
@@ -89,9 +89,18 @@ class VerificationReport:
 
 
 def spectral_data(extension: np.ndarray, first_vectors: np.ndarray) -> SpectralData:
-    """Cluster the spectrum of an extension and form matrix atom weights."""
-    dec = hermitian_eig(extension)
-    w, v = dec
+    """Cluster the spectrum of an extension and form matrix atom weights.
+
+    The extension may come from outside the chain, so it is validated as
+    Hermitian and symmetrized first.
+    """
+    return _spectral_data(require_hermitian(extension), first_vectors)
+
+
+def _spectral_data(extension: np.ndarray, first_vectors: np.ndarray) -> SpectralData:
+    """:func:`spectral_data` of an exactly Hermitian extension, factored
+    without a scan: :func:`canonical_extension` returns a Hermitian part."""
+    w, v = np.linalg.eigh(extension)
     n_vec = first_vectors.shape[1]
     if w.size == 0:
         return SpectralData(np.zeros(0), np.zeros((0, n_vec, n_vec), dtype=complex))
@@ -173,7 +182,7 @@ def _solve(seq: MomentSequence, k,
         interval = _extension_interval(odd)
     # everything above depends on the moments only; K enters here
     extension = canonical_extension(interval, k)
-    sd = spectral_data(extension, interval.model.space.vectors[:, : seq.N])
+    sd = _spectral_data(extension, interval.model.space.vectors[:, : seq.N])
     measure = _measure_from_spectrum(sd, seq.a, seq.b)
     outcome = verify(measure, odd, tol=SOLVE_VERIFY_TOL)
     if not outcome.passed:

@@ -528,8 +528,9 @@ class TestCompletionNormGuard:
     def test_negative_defect_is_numerical(self, monkeypatch, lebesgue_interval):
         # swapped completions pass the tests on the eigenbasis of P, and
         # their difference is minus the defect
-        swapped = lambda p, q: extremal_completions(p, q)[::-1]
-        monkeypatch.setattr(matmom.extensions, "extremal_completions", swapped)
+        core = matmom.extensions._extremal_completions
+        swapped = lambda p, q: core(p, q)[::-1]
+        monkeypatch.setattr(matmom.extensions, "_extremal_completions", swapped)
         with pytest.raises(NumericalInconsistency, match="defect has negative eigenvalue"):
             extremal_extensions(lebesgue_interval.model)
 

@@ -341,11 +341,12 @@ class TestFactorizationBudget:
     def test_large_shape_takes_no_norm_and_no_eigvalsh(self, monkeypatch):
         # a solve after its check decides contractivity on eigh(P) and the
         # defect's eigh alone: no spectral norm of a matrix (a batched norm
-        # of the moment stack is not one) and no eigenvalue-only solve
+        # of the moment stack is not one) and no eigenvalue-only solve; its
+        # Gram space has full rank, so its operators take a QR and no SVD
         seq = moments_of(gen_random_measure(0, 8, 40, -1.0, 1.0), 20)
         assert check(seq).solvable
         counts = Counter()
-        for name in ("eigvalsh", "norm"):
+        for name in ("eigvalsh", "norm", "svd"):
             original = getattr(np.linalg, name)
 
             def counted(a, *args, _name=name, _original=original, **kwargs):
@@ -387,9 +388,9 @@ class TestFactorizationBudget:
 
 class TestScanAtTheBoundary:
     """The chain factors the Hermitian matrices it builds without scanning
-    them again: after the moments are validated, a check scans nothing, and
-    a solve scans only P in ``extremal_completions`` and the extension in
-    ``spectral_data``, which are exported functions of their own."""
+    them again: after the moments are validated, neither a check nor a
+    solve scans anything.  The exported ``extremal_completions`` and
+    ``spectral_data`` still scan P and the extension they are handed."""
 
     @staticmethod
     def _count_scans(monkeypatch):
@@ -413,7 +414,7 @@ class TestScanAtTheBoundary:
         assert check(seq).solvable
         assert calls == []
         solve(seq)
-        assert calls == ["P", None]
+        assert calls == []
 
 
 def _indeterminate_seq():
