@@ -66,11 +66,12 @@ COND_LIMIT = 1e12
 class ExtensionInterval:
     """Endpoints of the operator interval of self-adjoint contraction extensions.
 
-    ``B_mu`` is the minimal extension on the whole Gram space (standard
-    coordinates) and ``mu_eig`` its eigendecomposition, taken on first use
-    (only the resolvent functions read it); ``X_mu``/``X_M`` are
+    Every matrix is in the coordinates of ``model``, domain first and
+    defect after.  ``B_mu = [[P, Q*], [Q, X_mu]]`` is the minimal extension
+    on the whole Gram space and ``mu_eig`` its eigendecomposition, taken on
+    first use (only the resolvent functions read it); ``X_mu``/``X_M`` are
     the defect-space blocks of the minimal and maximal extension, ``C_R =
-    X_M - X_mu`` the defect in defect coordinates with PSD square root
+    X_M - X_mu`` the defect on the defect space with PSD square root
     ``C_R_half``, and ``R0_dim`` the dimension of the defect directions on
     which both endpoints agree.  The maximal extension ``B_M`` and the
     full-space defect ``C = B_M - B_mu`` are derived on demand.
@@ -96,15 +97,12 @@ class ExtensionInterval:
     @property
     def B_M(self) -> np.ndarray:
         """The maximal extension on the whole Gram space."""
-        m = self.model
-        u = np.hstack([m.dom_basis, m.def_basis])
-        return herm_part(u @ _assemble(m.P, m.Q, self.X_M) @ u.conj().T)
+        return _assemble(self.model.P, self.model.Q, self.X_M)
 
     @property
     def C(self) -> np.ndarray:
-        """The defect B_M - B_mu on the whole Gram space."""
-        ur = self.model.def_basis
-        return herm_part(ur @ self.C_R @ ur.conj().T)
+        """The defect B_M - B_mu on the whole Gram space: ``C_R`` in its defect block."""
+        return self.B_M - self.B_mu
 
     def defect_support_basis(self) -> np.ndarray:
         """Orthonormal basis (in defect coordinates) of the range of the defect."""
@@ -182,8 +180,7 @@ def extremal_extensions(model: ContractionModel) -> ExtensionInterval:
         x_mu, x_m = _extremal_completions(model.P, model.Q)
     except ValidationError as exc:
         raise NumericalInconsistency(str(exc)) from exc
-    u = np.hstack([model.dom_basis, model.def_basis])
-    b_mu = herm_part(u @ _assemble(model.P, model.Q, x_mu) @ u.conj().T)
+    b_mu = _assemble(model.P, model.Q, x_mu)
 
     c_r = herm_part(x_m - x_mu)
     c_dec = EigDecomposition(*np.linalg.eigh(c_r))
@@ -232,13 +229,17 @@ def as_unit_interval_param(value, dim: int, name: str = "parameter") -> np.ndarr
 def canonical_extension(interval: ExtensionInterval, k) -> np.ndarray:
     """The extension B_min + C^(1/2) K C^(1/2) for a parameter 0 <= K <= I.
 
+    K acts on the defect space in the model's coordinates, so the extension
+    is B_min with C_R^(1/2) K C_R^(1/2) added to its trailing defect block.
     K = 0 gives the minimal extension, K = I the maximal one; directions off
     the defect support are fixed automatically by the sandwich.
     """
     kk = as_unit_interval_param(k, interval.def_dim, name="extension parameter")
-    ur = interval.model.def_basis
     bump = interval.C_R_half @ kk @ interval.C_R_half
-    return herm_part(interval.B_mu + ur @ bump @ ur.conj().T)
+    ext = interval.B_mu.copy()
+    p = interval.model.dom_dim
+    ext[p:, p:] = herm_part(interval.X_mu + bump)
+    return ext
 
 
 def _require_admissible(interval: ExtensionInterval, z: complex) -> complex:
@@ -265,8 +266,8 @@ def qmu(interval: ExtensionInterval, z: complex) -> np.ndarray:
     if q == 0:
         return np.zeros((0, 0), dtype=complex)
     w, v = interval.mu_eig
-    ur_v = v.conj().T @ interval.model.def_basis  # defect basis in eigencoordinates
-    middle = ur_v.conj().T @ (ur_v / (w - z)[:, None])
+    v_def = v[interval.model.dom_dim :]  # defect rows of the eigenvectors
+    middle = (v_def / (w - z)) @ v_def.conj().T
     return interval.C_R_half @ middle @ interval.C_R_half + np.eye(q, dtype=complex)
 
 
@@ -274,7 +275,8 @@ def generalized_resolvent(interval: ExtensionInterval, k, z: complex) -> np.ndar
     """Resolvent of the canonical extension with parameter K, evaluated at z.
 
     Equals (B_min - z)^(-1) corrected by a defect-space term; for K = 0, or
-    when the defect vanishes, the correction is zero.
+    when the defect vanishes, the correction is zero.  It is in the model's
+    coordinates, like the extensions.
     """
     kk = as_unit_interval_param(k, interval.def_dim, name="extension parameter")
     z = _require_admissible(interval, z)
@@ -289,7 +291,7 @@ def generalized_resolvent(interval: ExtensionInterval, k, z: complex) -> np.ndar
             f"resolvent middle factor is numerically singular at z={z}"
         )
     middle = kk @ np.linalg.inv(mid_base)
-    ur = interval.model.def_basis
-    left = r_mu @ ur @ interval.C_R_half
-    right = interval.C_R_half @ ur.conj().T @ r_mu
+    p = interval.model.dom_dim
+    left = r_mu[:, p:] @ interval.C_R_half
+    right = interval.C_R_half @ r_mu[p:]
     return r_mu - left @ middle @ right

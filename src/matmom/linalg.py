@@ -152,7 +152,7 @@ def psd_ok(w: np.ndarray, tol: float = PSD_TOL):
     True iff the smallest eigenvalue is at least ``-tol * max(1, max |w|)``;
     an empty spectrum is PSD.  ``w`` may be one spectrum or a stack of them.
     """
-    scale = np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))
+    scale = np.abs(w).max(axis=-1, initial=1.0)
     return w.min(axis=-1, initial=np.inf) >= -tol * scale
 
 

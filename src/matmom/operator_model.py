@@ -5,10 +5,11 @@ x_0..x_{(d+1)N-1} in an r-dimensional inner-product space (r its numerical
 rank).  On the span of the first dN vectors, the shift x_k -> x_{k+N} is a
 well-defined linear operator exactly when the solvability kernel condition
 holds, and rescaling it affinely to the reference interval [-1, 1] yields a
-Hermitian contraction.  This module builds concrete matrices for all of it:
-orthonormal bases of the domain and its orthogonal complement, the
-compression P of the contraction to the domain, and its component Q into the
-complement.
+Hermitian contraction.  This module builds concrete matrices for all of it,
+in orthonormal coordinates of the space, domain first and its orthogonal
+complement (the defect space) after: the compression P of the contraction
+to the domain, its component Q into the complement, and the coordinates of
+the first N vectors.
 """
 
 from __future__ import annotations
@@ -105,27 +106,28 @@ class GramSpace:
 class ContractionModel:
     """The shift contraction in block form over domain and defect subspaces.
 
-    ``dom_basis`` (r x p) and ``def_basis`` (r x q) are orthonormal bases of
-    the domain H_a = span{x_0..x_{dN-1}} and of its orthogonal complement.
-    ``P`` is the Hermitian compression of the contraction to the domain and
-    ``Q`` its component into the complement.  The block column [P; Q] is a
-    contraction up to rounding when the moments are solvable; that is
-    decided by :func:`~matmom.extensions.extremal_extensions`, not here.
+    Every matrix is in the model's orthonormal coordinates of the Gram
+    space, the p of the domain H_a = span{x_0..x_{dN-1}} first and the q of
+    its orthogonal complement (the defect space) after.  ``first_vectors``
+    (r x N) holds x_0..x_{N-1}.  ``P`` is the Hermitian compression of the
+    contraction to the domain and ``Q`` its component into the complement.
+    The block column [P; Q] is a contraction up to rounding when the
+    moments are solvable; that is decided by
+    :func:`~matmom.extensions.extremal_extensions`, not here.
     """
 
     space: GramSpace
-    dom_basis: np.ndarray
-    def_basis: np.ndarray
+    first_vectors: np.ndarray
     P: np.ndarray
     Q: np.ndarray
 
     @property
     def dom_dim(self) -> int:
-        return self.dom_basis.shape[1]
+        return self.P.shape[0]
 
     @property
     def def_dim(self) -> int:
-        return self.def_basis.shape[1]
+        return self.Q.shape[0]
 
     @property
     def no_defect(self) -> bool:
@@ -133,7 +135,7 @@ class ContractionModel:
         return self.def_dim == 0
 
     def column(self) -> np.ndarray:
-        """The block column [P; Q] in the orthonormal (domain, defect) basis."""
+        """The block column [P; Q] in the model's (domain, defect) coordinates."""
         return np.vstack([self.P, self.Q])
 
 
@@ -218,9 +220,10 @@ def build_operators(space: GramSpace) -> ContractionModel:
     not judged here: :func:`~matmom.extensions.extremal_extensions` decides
     it once, on the eigenbasis of P that it factors anyway.
 
-    A space of full rank (d+1)N takes one QR factor of the Gram vectors and
-    no SVD (:func:`_gram_schmidt_blocks`); a rank-deficient space takes the
-    domain SVD it decided kernel inclusion on (:func:`_domain_svd_blocks`).
+    The model's coordinates come from the triangular factor of one QR of the
+    Gram vectors on a space of full rank (d+1)N, with no SVD
+    (:func:`_gram_schmidt_blocks`), and from the domain SVD that decided
+    kernel inclusion on a rank-deficient space (:func:`_domain_svd_blocks`).
     Either way P and Q must be finite (an interval so short that 2/(b - a)
     overflows makes them not), and P's asymmetry is bounded by ``SKEW_TOL``
     before P is made exactly Hermitian:
@@ -235,9 +238,9 @@ def build_operators(space: GramSpace) -> ContractionModel:
     scale = 2.0 / (space.b - space.a)
     shift = (space.a + space.b) / (space.b - space.a)
     if space.rank == space.vectors.shape[1]:
-        dom_basis, def_basis, p_raw, q_mat = _gram_schmidt_blocks(space, scale, shift)
+        first, p_raw, q_mat = _gram_schmidt_blocks(space, scale, shift)
     else:
-        dom_basis, def_basis, p_raw, q_mat = _domain_svd_blocks(space, scale, shift)
+        first, p_raw, q_mat = _domain_svd_blocks(space, scale, shift)
     for name, block in (("P", p_raw), ("Q", q_mat)):
         if not np.isfinite(block).all():
             raise NumericalInconsistency(f"{name} contains non-finite entries")
@@ -247,42 +250,44 @@ def build_operators(space: GramSpace) -> ContractionModel:
             raise NumericalInconsistency(
                 f"domain compression is not Hermitian (skew {skew:.3e})"
             )
-    return ContractionModel(space=space, dom_basis=dom_basis, def_basis=def_basis,
-                            P=herm_part(p_raw), Q=q_mat)
+    return ContractionModel(space=space, first_vectors=first, P=herm_part(p_raw), Q=q_mat)
 
 
 def _gram_schmidt_blocks(space: GramSpace, scale: float, shift: float):
-    """Bases, raw P and Q of a full-rank space from one QR factor.
+    """First vectors, raw P and Q of a full-rank space from one QR's R.
 
     With X = U R, R's diagonal made real positive, the columns of U are the
-    Gram-Schmidt orthonormalization of x_0, x_1, ... in order: the domain
-    basis is U[:, :dN] and the defect basis U[:, dN:], the Gram-Schmidt
-    vectors of the top block x_{dN}..x_{(d+1)N-1}.  The domain basis is
-    g_dom R_dd^-1 with R_dd = R[:dN, :dN], so the shift maps it to
-    g_shift R_dd^-1 = U T with T = R[:, N:N+dN] R_dd^-1: P = scale T[:dN] -
-    shift I (the truncated block Jacobi matrix of the orthonormal
-    polynomials) and Q = scale T[dN:], zero outside its last block column.
+    Gram-Schmidt orthonormalization of x_0, x_1, ... in order, and they are
+    the model's coordinates: the domain is spanned by the first dN and the
+    defect space by the Gram-Schmidt vectors of the top block
+    x_{dN}..x_{(d+1)N-1}.  In them x_n is column n of R, so the first
+    vectors are R[:, :N].  The domain basis is g_dom R_dd^-1 with R_dd =
+    R[:dN, :dN], so the shift maps it to g_shift R_dd^-1 = U T with T =
+    R[:, N:N+dN] R_dd^-1: P = scale T[:dN] - shift I (the truncated block
+    Jacobi matrix of the orthonormal polynomials) and Q = scale T[dN:], zero
+    outside its last block column.
     """
     n, dn = space.N, space.d * space.N
-    u_full, r = np.linalg.qr(space.vectors)
+    r = np.linalg.qr(space.vectors, mode="r")
     # nonzero at full rank: |R_ii| is at least the smallest kept singular value
     phase = np.diagonal(r) / np.abs(np.diagonal(r))
-    u_full = u_full * phase
     r = phase.conj()[:, None] * r
     coords = scale * (r[:, n : n + dn] @ np.linalg.inv(r[:dn, :dn]))
     p_raw = coords[:dn] - shift * np.eye(dn, dtype=complex)
-    return u_full[:, :dn], u_full[:, dn:], p_raw, coords[dn:]
+    return r[:, :n], p_raw, coords[dn:]
 
 
 def _domain_svd_blocks(space: GramSpace, scale: float, shift: float):
-    """Bases, raw P and Q of a rank-deficient space from its domain SVD.
+    """First vectors, raw P and Q of a rank-deficient space from its domain SVD.
 
     The space's one SVD ``g_dom = U diag(s) Vh`` of the domain vectors
     serves every step.  The p singular values kept by the rank cutoff (``s >
     RANK_TOL * s_max``, the rule of ``numpy.linalg.pinv``), counted once per
     space with the kernel-inclusion residual, give the domain basis
     ``U[:, :p]``, the defect basis ``U[:, p:]`` and the pseudo-inverse
-    ``Vh[:p]* diag(1/s[:p]) U[:, :p]*``.
+    ``Vh[:p]* diag(1/s[:p]) U[:, :p]*``.  The columns of U, with pinned
+    phases, are the model's coordinates, in which the first vectors are
+    ``U* X[:, :N]``.
     """
     n, dn = space.N, space.d * space.N
     g_dom = space.vectors[:, :dn]
@@ -290,12 +295,10 @@ def _domain_svd_blocks(space: GramSpace, scale: float, shift: float):
     u_full, sing, vh = space.domain_svd
     p_dim = space._domain_cut[0]
 
-    u_dom, u_def = u_full[:, :p_dim], u_full[:, p_dim:]
-    dom_phase = _column_phases(u_dom)
-    dom_basis = u_dom * dom_phase
-    def_basis = u_def * _column_phases(u_def)
+    dom_phase = _column_phases(u_full[:, :p_dim])
+    basis = u_full * np.concatenate([dom_phase, _column_phases(u_full[:, p_dim:])])
 
-    # pinv(g_dom) @ dom_basis, with U* U = I
+    # pinv(g_dom) @ basis[:, :p], with U* U = I
     coeff = vh[:p_dim].conj().T * (dom_phase / sing[:p_dim])
 
     # The domain compression is contracted against the shift block of the
@@ -306,7 +309,7 @@ def _domain_svd_blocks(space: GramSpace, scale: float, shift: float):
     p_raw = scale * (coeff.conj().T @ shift_block @ coeff) - shift * np.eye(
         p_dim, dtype=complex
     )
-    # the -shift * dom_basis term of the shifted vectors is orthogonal to the
-    # defect space
-    q_mat = scale * (def_basis.conj().T @ (g_shift @ coeff))
-    return dom_basis, def_basis, p_raw, q_mat
+    # the -shift * basis[:, :p] term of the shifted vectors is orthogonal to
+    # the defect space
+    q_mat = scale * (basis[:, p_dim:].conj().T @ (g_shift @ coeff))
+    return basis.conj().T @ g_dom[:, :n], p_raw, q_mat

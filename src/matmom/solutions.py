@@ -91,7 +91,9 @@ class VerificationReport:
 def spectral_data(extension: np.ndarray, first_vectors: np.ndarray) -> SpectralData:
     """Cluster the spectrum of an extension and form matrix atom weights.
 
-    The extension may come from outside the chain, so it is validated as
+    ``first_vectors`` are x_0..x_{N-1} in the extension's coordinates,
+    ``interval.model.first_vectors`` for an extension of ``interval``.  The
+    extension may come from outside the chain, so it is validated as
     Hermitian and symmetrized first.
     """
     return _spectral_data(require_hermitian(extension), first_vectors)
@@ -182,7 +184,7 @@ def _solve(seq: MomentSequence, k,
         interval = _extension_interval(odd)
     # everything above depends on the moments only; K enters here
     extension = canonical_extension(interval, k)
-    sd = _spectral_data(extension, interval.model.space.vectors[:, : seq.N])
+    sd = _spectral_data(extension, interval.model.first_vectors)
     measure = _measure_from_spectrum(sd, seq.a, seq.b)
     outcome = verify(measure, odd, tol=SOLVE_VERIFY_TOL)
     if not outcome.passed:
@@ -295,15 +297,13 @@ def _resolvent_density(interval: ExtensionInterval, kk: np.ndarray,
     forms the Hermitian density between the first N Gram vectors.
     """
     model = interval.model
-    n = model.space.N
-    first = model.space.vectors[:, :n]
     w, v = interval.mu_eig
     zs = ts + 1j * eps
-    xv = v.conj().T @ first                      # (r, N)
+    xv = v.conj().T @ model.first_vectors        # (r, N)
     g = 1.0 / (w[None, :] - zs[:, None])         # (nz, r)
     raw = np.einsum("ri,tr,rj->tij", xv.conj(), g, xv)
     if interval.def_dim:
-        ur_v = v.conj().T @ model.def_basis      # (r, q)
+        ur_v = v[model.dom_dim :].conj().T       # (r, q): defect rows of v
         ch = interval.C_R_half
         q_dim = interval.def_dim
         qm = np.einsum("ri,tr,rj->tij", ur_v.conj(), g, ur_v)
@@ -356,18 +356,11 @@ def stieltjes_perron_recover(interval: ExtensionInterval, k=0.5, *,
 
     # cores above the relative floor, split between cores at the density minimum
     above = trace > STIELTJES_FLOOR * trace.max()
-    runs = []
-    idx = 0
-    while idx < above.size:
-        if above[idx]:
-            start = idx
-            while idx < above.size and above[idx]:
-                idx += 1
-            runs.append((start, idx))
-        else:
-            idx += 1
+    # the runs of ``above`` are [starts[i], ends[i])
+    edges = np.flatnonzero(np.diff(above, prepend=False, append=False))
+    starts, ends = edges[0::2], edges[1::2]
     cuts = [0]
-    for (_, e0), (s1, _) in zip(runs[:-1], runs[1:]):
+    for e0, s1 in zip(ends[:-1], starts[1:]):
         cuts.append(e0 + int(np.argmin(trace[e0:s1])))
     cuts.append(above.size)
 

@@ -33,6 +33,7 @@ from .linalg import (
     EigDecomposition,
     herm_part,
     opnorm,
+    psd_ok,
     rank_keep,
     require_hermitian,
     sqrt_from_eig,
@@ -146,14 +147,13 @@ def _psd_condition(name: str, matrix: np.ndarray) -> Condition:
 
 
 def _psd_condition_eig(name: str, w: np.ndarray) -> Condition:
-    """The PSD condition on a matrix with eigenvalues ``w``; an empty
-    matrix passes."""
+    """The PSD condition on a matrix with eigenvalues ``w``, decided by
+    :func:`psd_ok`; an empty matrix passes."""
     if w.size == 0:
         return Condition(name, True, "psd", np.inf, PSD_TOL, 0.0)
+    w_min = float(w.min())
     scale = max(1.0, float(np.abs(w).max()))
-    rel_min = float(w.min()) / scale
-    return Condition(name, rel_min >= -PSD_TOL, "psd", rel_min, PSD_TOL,
-                     float(w.min()))
+    return Condition(name, bool(psd_ok(w)), "psd", w_min / scale, PSD_TOL, w_min)
 
 
 def _residual_condition(name: str, residual: float, scale: float,

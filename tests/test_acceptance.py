@@ -152,9 +152,8 @@ def test_05_resolvent_formula():
             bprime = recon[0]
             assert np.abs(bprime - bprime.conj().T).max() <= 1e-8
             assert np.linalg.norm(bprime, 2) <= 1.0 + 1e-8
-            u_all = np.hstack([model.dom_basis, model.def_basis])
-            column = u_all.conj().T @ bprime @ model.dom_basis
-            assert np.abs(column - model.column()).max() <= 1e-8
+            # the model's coordinates put the domain first
+            assert np.abs(bprime[:, : model.dom_dim] - model.column()).max() <= 1e-8
             reconstructions.append(bprime)
         # injectivity of the parameter map
         for i in range(len(reconstructions)):

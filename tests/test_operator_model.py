@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 
@@ -14,13 +15,19 @@ from matmom import (
     build_gamma_tilde,
     build_gram_space,
     build_operators,
+    canonical_extension,
     check_odd,
+    extremal_extensions,
     gen_random_measure,
     kernel_inclusion,
     measure_from_atoms,
     moments_of,
+    solve_odd,
 )
-from matmom.linalg import RANK_TOL, rank_keep
+from matmom.linalg import RANK_TOL, EigDecomposition, rank_keep, sqrt_from_eig
+from matmom.solutions import spectral_data
+
+from helpers import random_contraction
 
 
 def scalar_seq(a, b, values):
@@ -96,8 +103,12 @@ class TestBuildOperators:
         model = build_operators(build_gram_space(moments_of(mu, 4)))
         assert np.linalg.norm(model.column(), 2) <= 1.0 + 1e-10
         assert np.allclose(model.P, model.P.conj().T, atol=1e-12)
-        u = np.hstack([model.dom_basis, model.def_basis])
-        assert np.allclose(u.conj().T @ u, np.eye(model.space.rank), atol=1e-12)
+        # the model's r coordinates split into domain and defect, and the
+        # first vectors keep their Gram matrix S_0
+        assert model.dom_dim + model.def_dim == model.space.rank
+        f = model.first_vectors
+        assert f.shape == (model.space.rank, n)
+        assert np.abs(f.T @ f.conj() - model.space.gram[:n, :n]).max() <= 1e-9
 
 
 def _reference_operators(space, rank_tol=1e-10):
@@ -125,6 +136,18 @@ def _reference_operators(space, rank_tol=1e-10):
     p_raw = scale * (coeff.conj().T @ block @ coeff) - shift * np.eye(p_dim)
     q = dfc.conj().T @ (scale * (g_shift @ coeff) - shift * dom)
     return dom, dfc, 0.5 * (p_raw + p_raw.conj().T), q, residual
+
+
+def _model_bases(space):
+    """``(U, p)``: explicit bases of the coordinates the model documents, as
+    the columns of one unitary r x r matrix U with the domain's p first.
+    At full rank they are Gram-Schmidt of x_0, x_1, ... (a QR with R's
+    diagonal made positive), otherwise the reference's SVD bases."""
+    if space.rank == space.vectors.shape[1]:
+        u, r = np.linalg.qr(space.vectors)
+        return u * (np.diagonal(r) / np.abs(np.diagonal(r))), space.d * space.N
+    dom, dfc = _reference_operators(space)[:2]
+    return np.hstack([dom, dfc]), dom.shape[1]
 
 
 def _rank_one_weight_measure(seed, n, atoms, a, b):
@@ -163,19 +186,22 @@ class TestOneSvdOperators:
         # each is 2e-11 from a 60-digit evaluation of the same formula.
         sing = np.linalg.svd(space.vectors[:, : d * space.N], compute_uv=False)
         tol = 1e-12 * max(1.0, sing[0] / sing[model.dom_dim - 1])
-        # The routes pick different bases of the same subspaces, so compare
-        # what no basis changes: the domain projector, the compression and
-        # the defect component as operators on the Gram space.
-        dom_g, dfc_g = model.dom_basis, model.def_basis
+        # The model is written in the coordinates of explicit bases of the
+        # Gram space, which hold the first vectors as the model does.  The
+        # full-rank route's bases are not the reference's, so compare what
+        # no basis changes: the domain projector, the compression and the
+        # defect component as operators on the Gram space.
+        u, p = _model_bases(space)
+        first = u.conj().T @ space.vectors[:, : space.N]
+        assert np.abs(model.first_vectors - first).max() <= 1e-12 * space.norm
+        dom_g, dfc_g = u[:, :p], u[:, p:]
         assert np.abs(dom_g @ dom_g.conj().T - dom @ dom.conj().T).max() <= 1e-12
         assert np.abs(dom_g @ model.P @ dom_g.conj().T
                       - dom @ p_ref @ dom.conj().T).max() <= tol
         assert np.abs(dfc_g @ model.Q @ dom_g.conj().T
                       - dfc @ q_ref @ dom.conj().T).max(initial=0.0) <= tol
         if space.rank < space.vectors.shape[1]:
-            # the SVD route's own bases are the reference's
-            assert np.abs(dom_g - dom).max(initial=0.0) <= 1e-12
-            assert np.abs(dfc_g - dfc).max(initial=0.0) <= 1e-12
+            # the SVD route's coordinates are the reference's
             assert np.abs(model.P - p_ref).max(initial=0.0) <= tol
             assert np.abs(model.Q - q_ref).max(initial=0.0) <= tol
 
@@ -298,12 +324,12 @@ class TestGramSchmidtOperators:
         n, dn = space.N, d * space.N
         assert space.rank == dn + n
         model = build_operators(space)
-        # dom_basis* g_dom is the triangular factor of the domain vectors
-        r = model.dom_basis.conj().T @ space.vectors[:, :dn]
-        size = np.abs(r).max()
-        assert np.abs(np.tril(r, -1)).max(initial=0.0) <= 1e-12 * size
-        assert np.abs(np.diagonal(r).imag).max() <= 1e-12 * size
-        assert np.diagonal(r).real.min() > 0
+        # x_0..x_{N-1} come first in Gram-Schmidt order: their coordinates
+        # are upper triangular with a positive diagonal, and zero below row N
+        f = model.first_vectors
+        assert not np.tril(f, -1).any()
+        assert np.abs(np.diagonal(f).imag).max() <= 1e-12 * np.abs(f).max()
+        assert np.diagonal(f).real.min() > 0
         # P couples each block only to its neighbours (the off-band entries
         # measure 8.0e-10 of the largest on the family problem)
         block = np.arange(dn) // n
@@ -324,6 +350,73 @@ class TestGramSchmidtOperators:
             assert space.rank == space.vectors.shape[1]
             got = np.linalg.eigvalsh(build_operators(space).P)
             assert np.abs(got - _mp_shift_eigenvalues(seq)).max() <= 1e-9
+
+
+def _mapped_moments(seq):
+    """M_k = sum_i C(k, i) scale^i (-shift)^(k-i) S_i for k <= l: the moments
+    of the representing measures mapped from [a, b] to [-1, 1] by the affine
+    map of :func:`build_operators`."""
+    scale = 2.0 / (seq.b - seq.a)
+    shift = (seq.a + seq.b) / (seq.b - seq.a)
+    return [sum(math.comb(k, i) * scale**i * (-shift) ** (k - i) * seq.moments[i]
+                for i in range(k + 1))
+            for k in range(seq.l + 1)]
+
+
+class TestModelCoordinates:
+    """The model, its extensions and its first vectors share one coordinate
+    system of the Gram space, whichever route built it."""
+
+    @pytest.mark.parametrize("case", range(len(ONE_SVD_CASES) + len(FULL_RANK_CASES)))
+    def test_extensions_reproduce_the_moments(self, case):
+        # every self-adjoint extension B of the shift contraction maps x_j
+        # to the mapped x_{N+j} while x_j lies in the domain, so for k <= 2d
+        # the moments are <B^k x_j, x_n>, basis-free; the worst relative
+        # error measured was 1.2e-12, on the family problem (case 6)
+        make, d = (ONE_SVD_CASES + FULL_RANK_CASES)[case]
+        seq = moments_of(make(), 2 * d)
+        interval = extremal_extensions(build_operators(build_gram_space(seq)))
+        f = interval.model.first_vectors
+        extensions = [interval.B_mu, interval.B_M, canonical_extension(interval, 0.3)]
+        if interval.def_dim:
+            k = random_contraction(np.random.default_rng(case), interval.def_dim, (0.0, 1.0))
+            extensions.append(canonical_extension(interval, k))
+        want = _mapped_moments(seq)
+        size = max(1.0, np.abs(want[0]).max())
+        for ext in extensions:
+            bk_f = f
+            for k in range(2 * d + 1):
+                assert np.abs((f.conj().T @ bk_f).T - want[k]).max() <= 1e-10 * size
+                bk_f = ext @ bk_f
+
+    @pytest.mark.parametrize("make, d", [
+        (lambda: gen_random_measure(0, 4, 30, -1.0, 2.0), 8),
+        (lambda: _rank_one_weight_measure(21, 3, 5, 0.0, 1.0), 1),
+    ], ids=["family", "rank-deficient"])
+    def test_matrix_k_acts_in_the_documented_coordinates(self, make, d):
+        # A matrix K acts on the defect space in the coordinates the README
+        # states: Gram-Schmidt at full rank, pinned-phase SVD otherwise.
+        # Rotated back to the Gram space's eigen coordinates by those bases,
+        # B_K must give the measure the solver gives.
+        seq = moments_of(make(), 2 * d)
+        space = build_gram_space(seq)
+        interval = extremal_extensions(build_operators(space))
+        model = interval.model
+        u, p = _model_bases(space)
+        assert p == model.dom_dim and interval.def_dim == model.def_dim >= 2
+        k = random_contraction(np.random.default_rng(d), interval.def_dim, (0.0, 1.0))
+        c_half = sqrt_from_eig(EigDecomposition(*np.linalg.eigh(interval.C_R)))
+        x_k = interval.X_mu + c_half @ k @ c_half
+        b_k = u @ np.block([[model.P, model.Q.conj().T], [model.Q, x_k]]) @ u.conj().T
+        sd = spectral_data(0.5 * (b_k + b_k.conj().T), space.vectors[:, : seq.N])
+        positions = np.clip(0.5 * (seq.b - seq.a) * sd.eigenvalues + 0.5 * (seq.a + seq.b),
+                            seq.a, seq.b)
+        want = measure_from_atoms(seq.a, seq.b, positions, sd.weights, N=seq.N)
+        got = solve_odd(seq, k)
+        assert got.num_atoms == want.num_atoms
+        assert np.abs(got.positions - want.positions).max() <= 1e-10
+        size = np.abs(seq.moments[0]).max()
+        assert np.abs(got.weights - want.weights).max() <= 1e-10 * size
 
 
 def test_import_loads_no_scipy():
@@ -369,17 +462,16 @@ class TestOperatorIdentities:
         seq = moments_of(mu, 4)
         space = build_gram_space(seq)
         model = build_operators(space)
-        # <B u, v> = <u, B v> for domain vectors u, v
+        # <B u, v> = <u, B v> for domain vectors u, v; in the model's
+        # coordinates the domain comes first, and B maps it by [P; Q]
         p, q = model.dom_dim, model.def_dim
-        b_on_dom = np.vstack([model.P, model.Q])
-        u_all = np.hstack([model.dom_basis, model.def_basis])
         for _ in range(5):
             cu = rng.standard_normal(p) + 1j * rng.standard_normal(p)
             cv = rng.standard_normal(p) + 1j * rng.standard_normal(p)
-            bu = u_all @ (b_on_dom @ cu)
-            bv = u_all @ (b_on_dom @ cv)
-            u = model.dom_basis @ cu
-            v = model.dom_basis @ cv
+            bu = model.column() @ cu
+            bv = model.column() @ cv
+            u = np.concatenate([cu, np.zeros(q)])
+            v = np.concatenate([cv, np.zeros(q)])
             assert abs(np.vdot(v, bu) - np.vdot(bv, u)) <= 1e-9 * max(
                 1.0, np.abs(cu).max() * np.abs(cv).max()
             )

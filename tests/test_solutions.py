@@ -169,7 +169,7 @@ class TestValidByConstruction:
         if ext.def_dim:
             ks.append(random_contraction(rng, ext.def_dim, (0.0, 1.0)))
         for k in ks:
-            sd = spectral_data(canonical_extension(ext, k), ext.model.space.vectors[:, :n])
+            sd = spectral_data(canonical_extension(ext, k), ext.model.first_vectors)
             assert check_psd_stack(sd.weights).all()
             measure = _measure_from_spectrum(sd, a, b)
             assert check_psd_stack(measure.weights).all()
@@ -184,7 +184,7 @@ class TestValidByConstruction:
         seq = moments_of(gen_random_measure(seed, n, atoms, a, b), l)
         ext = matmom.solutions._odd_interval(seq)
         for k in (0.0, 0.5, 1.0):
-            sd = spectral_data(canonical_extension(ext, k), ext.model.space.vectors[:, :n])
+            sd = spectral_data(canonical_extension(ext, k), ext.model.first_vectors)
             positions = np.clip(0.5 * (b - a) * sd.eigenvalues + 0.5 * (a + b), a, b)
             want = measure_from_atoms(a, b, positions, sd.weights, N=n)
             got = solve_odd(seq, k)
@@ -248,9 +248,8 @@ class TestPartiallyDeterminedProblem:
 class TestSpectralData:
     def test_weights_resolve_zeroth_moment(self):
         seq = scalar_seq(0, 1, [1, 0.5, 1 / 3])
-        space = build_gram_space(seq)
         iv = interval_for(seq)
-        sd = spectral_data(canonical_extension(iv, 0.25), space.vectors[:, :1])
+        sd = spectral_data(canonical_extension(iv, 0.25), iv.model.first_vectors)
         assert np.abs(sd.weights.sum(axis=0) - seq.moments[0]).max() <= 1e-9
         assert np.all(sd.eigenvalues >= -1.0 - 1e-12)
         assert np.all(sd.eigenvalues <= 1.0 + 1e-12)
@@ -300,10 +299,10 @@ class TestSpectralDataVectorized:
 
     def test_solved_extension(self):
         seq = moments_of(gen_random_measure(3, 2, 5, -1.0, 2.0), 4)
-        space = build_gram_space(seq)
-        ext = canonical_extension(interval_for(seq), 0.5)
-        sd = spectral_data(ext, space.vectors[:, :2])
-        ref_lams, ref_weights = _projector_spectral_data(ext, space.vectors[:, :2])
+        iv = interval_for(seq)
+        ext = canonical_extension(iv, 0.5)
+        sd = spectral_data(ext, iv.model.first_vectors)
+        ref_lams, ref_weights = _projector_spectral_data(ext, iv.model.first_vectors)
         assert np.abs(sd.eigenvalues - ref_lams).max() <= 1e-14
         assert np.abs(sd.weights - ref_weights).max() <= 1e-12
 
