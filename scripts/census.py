@@ -1,0 +1,176 @@
+#!/usr/bin/env python3
+"""Correctness census: solve fixed populations of genuine problems and count
+the outcomes.
+
+Every problem is the moment sequence of a measure made by
+``gen_random_measure``, so every one is solvable; a failure is the
+pipeline's.  The recipes draw, for generator seed g, from
+``rng = np.random.default_rng(g)`` in the order given:
+
+- endpoint: g = 10000-10599; N = rng.integers(1, 4), atoms =
+  rng.integers(1, 5), l = rng.choice([3, 5, 7]) on [0, 1]; ``solve_even`` at
+  t in {0, 1} (the ends of the moment interval) and k in {0, 1}.
+- wide: g = 20000-21999; N and atoms as above, l = 7 on [-2, 3];
+  ``solve_even`` at t = k = 0.5.
+- determinate: g = 30000-32999 on [0, 1] and on [-2, 3]; d =
+  rng.integers(2, 4), N = rng.integers(1, 4), atoms = rng.integers(1, d + 1),
+  l = 2d; ``solve_odd`` at k = 0.5.  The solution is unique, so a solved
+  measure with another atom count than the generator's is a split.
+- frontier: the degree/conditioning cells of ``FRONTIER_CELLS``, seeds 0-9
+  (those of ``matmom gen --seed``); ``solve_odd`` at k = 0.5.
+
+Each instance is recorded with its recipe, seed, interval, N, atoms, l, t
+and k, its outcome ("solved" or the exception class), the message with its
+numbers cut off, the solved atom count and the generator's atom count.  The
+summary counts outcomes and messages per group (a recipe, split by t or by
+interval, or one frontier cell), counts the splits of determinate groups,
+and gives a SHA-256 over the bytes of the solved measures' positions and
+weights.  It is printed as JSON; ``--out`` also writes every instance.
+``--quick`` takes every fifth seed.
+
+The exit status is 1 when any instance is reported ``Unsolvable``: the
+moments are genuine, so that verdict is always wrong.
+
+    python scripts/census.py [--quick] [--out census.json]
+"""
+
+import argparse
+import hashlib
+import json
+import re
+import sys
+import time
+from collections import Counter
+
+import numpy as np
+
+from matmom import (
+    MatmomError,
+    Unsolvable,
+    gen_random_measure,
+    moments_of,
+    solve_even,
+    solve_odd,
+)
+
+# (a, b, N, atoms, l)
+FRONTIER_CELLS = [
+    (0.0, 1.0, 1, 12, 8),
+    (0.0, 1.0, 1, 18, 12),
+    (0.0, 1.0, 1, 21, 14),
+    (0.0, 1.0, 1, 24, 16),
+    (0.0, 1.0, 1, 75, 50),
+    (0.0, 1.0, 3, 24, 16),
+    (0.0, 1.0, 3, 36, 24),
+    (0.0, 1.0, 3, 60, 40),
+    (-1.0, 1.0, 1, 36, 24),
+    (-1.0, 1.0, 1, 48, 32),
+    (-1.0, 1.0, 1, 60, 40),
+    (-1.0, 1.0, 6, 12, 20),
+    (-2.0, 3.0, 4, 20, 16),
+]
+
+
+def _interval(a, b):
+    return f"[{a:g}, {b:g}]"
+
+
+def instances(step):
+    """``(group, recipe, seed, a, b, N, atoms, l, t, k)`` of every solve,
+    every ``step``-th seed of each recipe."""
+    for g in range(10000, 10600, step):
+        rng = np.random.default_rng(g)
+        n, atoms = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        l = int(rng.choice([3, 5, 7]))
+        for t in (0.0, 1.0):
+            for k in (0.0, 1.0):
+                yield f"endpoint t={t:g}", "endpoint", g, 0.0, 1.0, n, atoms, l, t, k
+    for g in range(20000, 22000, step):
+        rng = np.random.default_rng(g)
+        n, atoms = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        yield "wide", "wide", g, -2.0, 3.0, n, atoms, 7, 0.5, 0.5
+    for a, b in ((0.0, 1.0), (-2.0, 3.0)):
+        for g in range(30000, 33000, step):
+            rng = np.random.default_rng(g)
+            d = int(rng.integers(2, 4))
+            n = int(rng.integers(1, 4))
+            atoms = int(rng.integers(1, d + 1))
+            yield (f"determinate {_interval(a, b)}", "determinate", g, a, b, n, atoms,
+                   2 * d, None, 0.5)
+    for a, b, n, atoms, l in FRONTIER_CELLS:
+        group = f"frontier {_interval(a, b)} N={n} atoms={atoms} l={l}"
+        for g in range(0, 10, step):
+            yield group, "frontier", g, a, b, n, atoms, l, None, 0.5
+
+
+def message_prefix(message: str) -> str:
+    """The message up to its first number, so that equal failures count together."""
+    return re.split(r"\s[-+]?\.?\d", message, maxsplit=1)[0].rstrip(" ,;:(")
+
+
+def run(step):
+    records, digests, unsolvable = [], {}, 0
+    for group, recipe, g, a, b, n, atoms, l, t, k in instances(step):
+        source = gen_random_measure(g, n, atoms, a, b)
+        seq = moments_of(source, l)
+        record = {"group": group, "recipe": recipe, "seed": g, "interval": [a, b],
+                  "N": n, "atoms": atoms, "l": l, "t": t, "k": k,
+                  "outcome": "solved", "message": "", "solved_atoms": None,
+                  "generator_atoms": source.num_atoms}
+        digest = digests.setdefault(group, hashlib.sha256())
+        try:
+            measure = solve_odd(seq, k) if t is None else solve_even(seq, t, k)
+        except MatmomError as exc:
+            record.update(outcome=type(exc).__name__, message=message_prefix(str(exc)))
+            unsolvable += isinstance(exc, Unsolvable)
+        else:
+            record["solved_atoms"] = measure.num_atoms
+            digest.update(np.ascontiguousarray(measure.positions).tobytes())
+            digest.update(np.ascontiguousarray(measure.weights).tobytes())
+        records.append(record)
+    return records, {group: h.hexdigest() for group, h in digests.items()}, unsolvable
+
+
+def summarize(records, digests):
+    summary = {}
+    for r in records:
+        determinate = r["recipe"] == "determinate"
+        s = summary.setdefault(r["group"], {"instances": 0, "solved": 0,
+                                            **({"splits": 0} if determinate else {}),
+                                            "failures": Counter()})
+        s["instances"] += 1
+        if r["outcome"] == "solved":
+            s["solved"] += 1
+            if determinate:
+                s["splits"] += r["solved_atoms"] != r["generator_atoms"]
+        else:
+            s["failures"][f"{r['outcome']}: {r['message']}"] += 1
+    for group, s in summary.items():
+        s["failures"] = dict(s["failures"].most_common())
+        s["sha256"] = digests[group]
+    return summary
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--quick", action="store_true", help="every fifth seed")
+    parser.add_argument("--out", default=None, help="write every instance and the summary")
+    args = parser.parse_args()
+
+    start = time.monotonic()
+    records, digests, unsolvable = run(5 if args.quick else 1)
+    summary = summarize(records, digests)
+    result = {"quick": args.quick, "seconds": round(time.monotonic() - start, 1),
+              "unsolvable": unsolvable, "summary": summary}
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(dict(result, instances=records), fh, indent=1)
+    json.dump(result, sys.stdout, indent=1)
+    print()
+    if unsolvable:
+        print(f"{unsolvable} genuine instances reported Unsolvable", file=sys.stderr)
+        sys.exit(1)
+
+
+if __name__ == "__main__":
+    main()

@@ -67,6 +67,17 @@ def _fill_list(item: str, values: np.ndarray) -> str:
     return ("[" + ", ".join([item] * len(values)) + "]") % tuple(values.ravel().tolist())
 
 
+def _file_float(value, where: str) -> float:
+    """A JSON number as a float.  JSON integers have no bound, so one beyond
+    the double range is a fault of the file."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise FileFormatError(
+            f"{where}: integer of {len(str(abs(value)))} digits exceeds the double range"
+        ) from None
+
+
 def pairs_to_matrix(data, n: int, where: str) -> np.ndarray:
     """Parse a row-major nested list of [re, im] pairs into an n x n matrix."""
     if not isinstance(data, list) or len(data) != n:
@@ -79,7 +90,7 @@ def pairs_to_matrix(data, n: int, where: str) -> np.ndarray:
             if (not isinstance(entry, list) or len(entry) != 2
                     or not all(isinstance(v, (int, float)) for v in entry)):
                 raise FileFormatError(f"{where}[{i}][{j}]: expected an [re, im] pair")
-            out[i, j] = complex(entry[0], entry[1])
+            out[i, j] = complex(*(_file_float(v, f"{where}[{i}][{j}]") for v in entry))
     return out
 
 
@@ -95,6 +106,9 @@ def _load_json(path) -> dict:
         raise FileFormatError(
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:
+        # an integer literal longer than Python's limit for converting text
+        raise FileFormatError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top-level value must be an object")
     return doc
@@ -116,6 +130,10 @@ def _get(doc: dict, key: str, types, path) -> object:
     if not isinstance(value, types):
         raise FileFormatError(f"{path}: key {key!r} has wrong type")
     return value
+
+
+def _get_float(doc: dict, key: str, path) -> float:
+    return _file_float(_get(doc, key, (int, float), path), f"{path}: key {key!r}")
 
 
 def _parse_stack(raw: list, n: int) -> np.ndarray | None:
@@ -148,8 +166,8 @@ def _file_hermitian(stack: np.ndarray, path, name: str = "moments[{}]") -> np.nd
 def read_problem(path) -> MomentSequence:
     """Parse a problem file into a moment sequence."""
     doc = _load_json(path)
-    a = float(_get(doc, "a", (int, float), path))
-    b = float(_get(doc, "b", (int, float), path))
+    a = _get_float(doc, "a", path)
+    b = _get_float(doc, "b", path)
     n = int(_get(doc, "N", int, path))
     raw = _get(doc, "moments", list, path)
     if n < 1:
@@ -182,8 +200,8 @@ def write_problem(path, seq: MomentSequence) -> None:
 def read_measure(path) -> DiscreteMatrixMeasure:
     """Parse a measure file into a canonical discrete matrix measure."""
     doc = _load_json(path)
-    a = float(_get(doc, "a", (int, float), path))
-    b = float(_get(doc, "b", (int, float), path))
+    a = _get_float(doc, "a", path)
+    b = _get_float(doc, "b", path)
     n = int(_get(doc, "N", int, path))
     raw = _get(doc, "atoms", list, path)
     weights = _parse_stack(
@@ -194,7 +212,7 @@ def read_measure(path) -> DiscreteMatrixMeasure:
     for i, atom in enumerate(raw):
         if not isinstance(atom, dict):
             raise FileFormatError(f"{path}: atoms[{i}] must be an object")
-        positions.append(float(_get(atom, "x", (int, float), f"{path}: atoms[{i}]")))
+        positions.append(_get_float(atom, "x", f"{path}: atoms[{i}]"))
         if weights is None:
             parsed.append(pairs_to_matrix(
                 _get(atom, "W", list, f"{path}: atoms[{i}]"), n, f"{path}: atoms[{i}].W"

@@ -9,7 +9,9 @@ Hermitian contraction.  This module builds concrete matrices for all of it,
 in orthonormal coordinates of the space, domain first and its orthogonal
 complement (the defect space) after: the compression P of the contraction
 to the domain, its component Q into the complement, and the coordinates of
-the first N vectors.
+the first N vectors.  Gram-Schmidt coordinates from one QR serve a space of
+full rank, and the domain SVD that decides kernel inclusion serves a
+rank-deficient one; P and Q come from one formula in either.
 """
 
 from __future__ import annotations
@@ -29,9 +31,6 @@ from .linalg import (
     rank_keep,
 )
 from .moments import MomentSequence, build_gamma
-
-# Ceiling on the Hermitian asymmetry of the computed domain compression.
-SKEW_TOL = 1e-6
 
 # Inner products follow the convention <u, v> = sum_i u_i * conj(v_i), so all
 # operator matrices below are plain numpy matrices in orthonormal bases.
@@ -220,13 +219,16 @@ def build_operators(space: GramSpace) -> ContractionModel:
     not judged here: :func:`~matmom.extensions.extremal_extensions` decides
     it once, on the eigenbasis of P that it factors anyway.
 
-    The model's coordinates come from the triangular factor of one QR of the
-    Gram vectors on a space of full rank (d+1)N, with no SVD
-    (:func:`_gram_schmidt_blocks`), and from the domain SVD that decided
-    kernel inclusion on a rank-deficient space (:func:`_domain_svd_blocks`).
-    Either way P and Q must be finite (an interval so short that 2/(b - a)
-    overflows makes them not), and P's asymmetry is bounded by ``SKEW_TOL``
-    before P is made exactly Hermitian:
+    The two routes differ only in the coordinates they choose: one QR of
+    the Gram vectors on a space of full rank (d+1)N, with no SVD
+    (:func:`_gram_schmidt_coords`), and the domain SVD that decided kernel
+    inclusion on a rank-deficient space (:func:`_domain_svd_coords`).  Each
+    gives the coordinates of x_0..x_{N-1}, those of the shifted domain
+    vectors x_N..x_{N+dN-1}, and a right inverse of the domain vectors onto
+    the p domain coordinates.  The shift maps those domain basis vectors to
+    T = scale * shifted @ right_inv, so P = herm(T[:p] - shift I), exactly
+    Hermitian, and Q = T[p:].  Both must be finite (an interval so short
+    that 2/(b - a) overflows makes them not):
     :func:`~matmom.extensions.extremal_extensions` takes them as they are.
     """
     passed, residual = kernel_inclusion(space)
@@ -238,33 +240,31 @@ def build_operators(space: GramSpace) -> ContractionModel:
     scale = 2.0 / (space.b - space.a)
     shift = (space.a + space.b) / (space.b - space.a)
     if space.rank == space.vectors.shape[1]:
-        first, p_raw, q_mat = _gram_schmidt_blocks(space, scale, shift)
+        first, shifted, right_inv = _gram_schmidt_coords(space)
     else:
-        first, p_raw, q_mat = _domain_svd_blocks(space, scale, shift)
+        first, shifted, right_inv = _domain_svd_coords(space)
+    p_dim = right_inv.shape[1]
+    t_mat = scale * (shifted @ right_inv)
+    # the -shift term maps the domain into itself, so it enters P only
+    p_raw = t_mat[:p_dim] - shift * np.eye(p_dim, dtype=complex)
+    q_mat = t_mat[p_dim:]
     for name, block in (("P", p_raw), ("Q", q_mat)):
         if not np.isfinite(block).all():
             raise NumericalInconsistency(f"{name} contains non-finite entries")
-    if p_raw.size:
-        skew = np.abs(p_raw - p_raw.conj().T).max()
-        if skew > SKEW_TOL * max(1.0, np.abs(p_raw).max()):
-            raise NumericalInconsistency(
-                f"domain compression is not Hermitian (skew {skew:.3e})"
-            )
     return ContractionModel(space=space, first_vectors=first, P=herm_part(p_raw), Q=q_mat)
 
 
-def _gram_schmidt_blocks(space: GramSpace, scale: float, shift: float):
-    """First vectors, raw P and Q of a full-rank space from one QR's R.
+def _gram_schmidt_coords(space: GramSpace):
+    """First vectors, shifted domain vectors and right inverse of a full-rank
+    space, from one QR's R.
 
     With X = U R, R's diagonal made real positive, the columns of U are the
     Gram-Schmidt orthonormalization of x_0, x_1, ... in order, and they are
     the model's coordinates: the domain is spanned by the first dN and the
     defect space by the Gram-Schmidt vectors of the top block
-    x_{dN}..x_{(d+1)N-1}.  In them x_n is column n of R, so the first
-    vectors are R[:, :N].  The domain basis is g_dom R_dd^-1 with R_dd =
-    R[:dN, :dN], so the shift maps it to g_shift R_dd^-1 = U T with T =
-    R[:, N:N+dN] R_dd^-1: P = scale T[:dN] - shift I (the truncated block
-    Jacobi matrix of the orthonormal polynomials) and Q = scale T[dN:], zero
+    x_{dN}..x_{(d+1)N-1}.  In them x_n is column n of R, and the domain
+    basis is g_dom R_dd^-1 with R_dd = R[:dN, :dN].  So P is the truncated
+    block Jacobi matrix of the orthonormal polynomials, and Q is zero
     outside its last block column.
     """
     n, dn = space.N, space.d * space.N
@@ -272,44 +272,25 @@ def _gram_schmidt_blocks(space: GramSpace, scale: float, shift: float):
     # nonzero at full rank: |R_ii| is at least the smallest kept singular value
     phase = np.diagonal(r) / np.abs(np.diagonal(r))
     r = phase.conj()[:, None] * r
-    coords = scale * (r[:, n : n + dn] @ np.linalg.inv(r[:dn, :dn]))
-    p_raw = coords[:dn] - shift * np.eye(dn, dtype=complex)
-    return r[:, :n], p_raw, coords[dn:]
+    return r[:, :n], r[:, n : n + dn], np.linalg.inv(r[:dn, :dn])
 
 
-def _domain_svd_blocks(space: GramSpace, scale: float, shift: float):
-    """First vectors, raw P and Q of a rank-deficient space from its domain SVD.
+def _domain_svd_coords(space: GramSpace):
+    """First vectors, shifted domain vectors and right inverse of a
+    rank-deficient space, from its domain SVD.
 
     The space's one SVD ``g_dom = U diag(s) Vh`` of the domain vectors
     serves every step.  The p singular values kept by the rank cutoff (``s >
     RANK_TOL * s_max``, the rule of ``numpy.linalg.pinv``), counted once per
-    space with the kernel-inclusion residual, give the domain basis
-    ``U[:, :p]``, the defect basis ``U[:, p:]`` and the pseudo-inverse
-    ``Vh[:p]* diag(1/s[:p]) U[:, :p]*``.  The columns of U, with pinned
-    phases, are the model's coordinates, in which the first vectors are
-    ``U* X[:, :N]``.
+    space with the kernel-inclusion residual, split the columns of U, with
+    pinned phases, into the domain basis ``B[:, :p]`` and the defect basis
+    ``B[:, p:]``: the model's coordinates.  The right inverse
+    ``Vh[:p]* diag(phase / s[:p])`` maps g_dom onto the domain basis.
     """
     n, dn = space.N, space.d * space.N
-    g_dom = space.vectors[:, :dn]
-    g_shift = space.vectors[:, n : n + dn]
     u_full, sing, vh = space.domain_svd
     p_dim = space._domain_cut[0]
-
     dom_phase = _column_phases(u_full[:, :p_dim])
     basis = u_full * np.concatenate([dom_phase, _column_phases(u_full[:, p_dim:])])
-
-    # pinv(g_dom) @ basis[:, :p], with U* U = I
-    coeff = vh[:p_dim].conj().T * (dom_phase / sing[:p_dim])
-
-    # The domain compression is contracted against the shift block of the
-    # Gram matrix, whose Hermitian symmetry is a property of the moment data;
-    # symmetrizing that block first keeps rank-truncation noise from being
-    # amplified through the pseudo-inverse into an asymmetric P.
-    shift_block = herm_part(g_dom.conj().T @ g_shift)
-    p_raw = scale * (coeff.conj().T @ shift_block @ coeff) - shift * np.eye(
-        p_dim, dtype=complex
-    )
-    # the -shift * basis[:, :p] term of the shifted vectors is orthogonal to
-    # the defect space
-    q_mat = scale * (basis[:, p_dim:].conj().T @ (g_shift @ coeff))
-    return basis.conj().T @ g_dom[:, :n], p_raw, q_mat
+    coords = basis.conj().T @ space.vectors[:, : n + dn]
+    return coords[:, :n], coords[:, n:], vh[:p_dim].conj().T * (dom_phase / sing[:p_dim])

@@ -629,3 +629,54 @@ class TestFileValidation:
         )
         measure = read_measure(path)
         assert np.allclose(measure.positions, [0.2, 0.7])
+
+
+class TestIntegersBeyondTheDoubleRange:
+    """JSON integers have no bound.  One beyond the double range is a fault
+    of the file wherever it stands: exit 1 with one error line naming it."""
+
+    # place: (file, keys of the entry in its document, the entry as named)
+    PLACES = {
+        "moment": ("p.json", ["moments", 1, 0, 1, 0], "moments[1][0][1]"),
+        "problem a": ("p.json", ["a"], "key 'a'"),
+        "problem b": ("p.json", ["b"], "key 'b'"),
+        "weight": ("m.json", ["atoms", 1, "W", 0, 1, 1], "atoms[1].W[0][1]"),
+        "measure a": ("m.json", ["a"], "key 'a'"),
+        "measure b": ("m.json", ["b"], "key 'b'"),
+        "atom x": ("m.json", ["atoms", 1, "x"], "atoms[1]: key 'x'"),
+        "matrix parameter": ("k.json", ["matrix", 1, 0, 0], "matrix[1][0]"),
+    }
+
+    @pytest.mark.parametrize("place", sorted(PLACES))
+    def test_exits_one_naming_the_entry(self, tmp_path, capsys, place):
+        problem, measure, param = (tmp_path / name for name in ("p.json", "m.json", "k.json"))
+        assert main(["gen", "--seed", "1", "--N", "2", "--atoms", "2", "--a", "0",
+                     "--b", "1", "--l", "2", "--out", str(problem),
+                     "--measure-out", str(measure)]) == 0
+        param.write_text('{"matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}')
+        name, keys, where = self.PLACES[place]
+        path = tmp_path / name
+        doc = json.loads(path.read_text())
+        entry = doc
+        for key in keys[:-1]:
+            entry = entry[key]
+        entry[keys[-1]] = 10 ** 400
+        path.write_text(json.dumps(doc))
+        argv = {"p.json": ["check", str(problem)],
+                "m.json": ["verify", str(measure), str(problem)],
+                "k.json": ["solve", str(problem), "--param-k", str(param),
+                           "--out", str(tmp_path / "out.json")]}[name]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert err == f"error: {path}: {where}: integer of 401 digits exceeds the double range\n"
+
+    def test_integer_past_the_text_conversion_limit(self, tmp_path, capsys):
+        # json.loads itself refuses an integer literal of more than 4300 digits
+        path = tmp_path / "p.json"
+        path.write_text('{"a": 0, "b": 1, "N": 1, "moments": [[[[1' + "0" * 5000 + ", 0]]]]}")
+        assert main(["check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert err.startswith(f"error: {path}: Exceeds the limit")

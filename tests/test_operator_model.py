@@ -281,6 +281,28 @@ FULL_RANK_CASES = [
     (lambda: gen_random_measure(5, 3, 10, -2.0, 3.0), 1),
 ]
 
+
+def _hermitian_test_spaces():
+    """Gram spaces of both routes, including some on which T[:p] is far from
+    Hermitian: bent spaces whose kernel inclusion holds only within its
+    bound, and the [-1, 1], N = 1, 60-atom, l = 40 frontier space, whose raw
+    T[:p] on the rank-deficient route is 5.1e-2 asymmetric (relative)."""
+    for make, d in ONE_SVD_CASES + FULL_RANK_CASES:
+        yield build_gram_space(moments_of(make(), 2 * d))
+    for case in range(4):
+        for eps in (1e-12, 1e-8):
+            yield TestOneSvdOperators._bent_space(case, eps)[1]
+    yield build_gram_space(moments_of(gen_random_measure(0, 1, 60, -1.0, 1.0), 40))
+
+
+def test_p_is_exactly_hermitian_on_every_route():
+    # extremal_extensions factors P with eigh, which reads one triangle only
+    for space in _hermitian_test_spaces():
+        model = build_operators(space)
+        assert np.array_equal(model.P, model.P.conj().T)
+        assert np.isfinite(model.Q).all()
+
+
 # (interval, N, atoms, l) of the high-precision oracle; (d+1)N <= 18
 ORACLE_CELLS = [
     ((0.0, 1.0), 1, 12, 8),
