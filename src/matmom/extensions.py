@@ -29,8 +29,11 @@ swept by B_min + C^(1/2) K C^(1/2) with a Hermitian parameter
              C^(1/2) R_min(z),
 
 where Q_mu(z) = (C^(1/2) R_min(z) C^(1/2) + I) restricted to the defect
-space; the identity is plain Woodbury algebra and is what this module
-evaluates.
+space; the identity is plain Woodbury algebra.  It is evaluated in one
+place, batched over z: :func:`generalized_resolvent`, :func:`qmu` and the
+Stieltjes-Perron density of :mod:`matmom.solutions` all read it, so the
+``COND_LIMIT`` bound on the middle factor I + (Q_mu(z) - I) K guards each
+of them at every z.
 """
 
 from __future__ import annotations
@@ -254,20 +257,40 @@ def _require_admissible(interval: ExtensionInterval, z: complex) -> complex:
     return z
 
 
-def _mu_resolvent(interval: ExtensionInterval, z: complex) -> np.ndarray:
+def _resolvent_forms(interval: ExtensionInterval, kk: np.ndarray, zs: np.ndarray,
+                     vecs: np.ndarray) -> np.ndarray:
+    """vecs* R_K(z) vecs for every z of ``zs``, stacked as (len(zs), m, m).
+
+    The one evaluation of the resolvent formula, batched over ``zs`` on the
+    eigendecomposition of the minimal extension.  The m columns of ``vecs``
+    are in the model's coordinates.  A middle factor I + (Q_mu(z) - I) K
+    whose condition number exceeds ``COND_LIMIT`` at any z raises
+    ``NumericalInconsistency``.
+    """
     w, v = interval.mu_eig
-    return (v / (w - z)) @ v.conj().T
+    m = vecs.shape[1]
+    # R_min's forms between vecs and the defect coordinates, in one block
+    y = np.hstack((v.conj().T @ vecs, v[interval.model.dom_dim :].conj().T))
+    blocks = np.einsum("ri,tr,rj->tij", y.conj(), 1.0 / (w - zs[:, None]), y)
+    if interval.def_dim == 0:
+        return blocks
+    ch = interval.C_R_half
+    # the trailing block sandwiched by C^(1/2) is Q_mu(z) - I
+    mid_base = np.eye(interval.def_dim) + ch @ blocks[:, m:, m:] @ ch @ kk
+    singular = np.linalg.cond(mid_base) > COND_LIMIT
+    if singular.any():
+        raise NumericalInconsistency("resolvent middle factor is numerically singular "
+                                     f"at z={complex(zs[singular.argmax()])}")
+    left, right = blocks[:, :m, m:] @ ch, ch @ blocks[:, m:, :m]
+    return blocks[:, :m, :m] - left @ (kk @ np.linalg.inv(mid_base)) @ right
 
 
 def qmu(interval: ExtensionInterval, z: complex) -> np.ndarray:
     """The defect-space function C^(1/2) (B_min - z)^(-1) C^(1/2) + I."""
     z = _require_admissible(interval, z)
     q = interval.def_dim
-    if q == 0:
-        return np.zeros((0, 0), dtype=complex)
-    w, v = interval.mu_eig
-    v_def = v[interval.model.dom_dim :]  # defect rows of the eigenvectors
-    middle = (v_def / (w - z)) @ v_def.conj().T
+    defect = np.eye(interval.B_mu.shape[0], dtype=complex)[:, interval.model.dom_dim :]
+    middle = _resolvent_forms(interval, np.zeros((q, q)), np.array([z]), defect)[0]
     return interval.C_R_half @ middle @ interval.C_R_half + np.eye(q, dtype=complex)
 
 
@@ -280,18 +303,5 @@ def generalized_resolvent(interval: ExtensionInterval, k, z: complex) -> np.ndar
     """
     kk = as_unit_interval_param(k, interval.def_dim, name="extension parameter")
     z = _require_admissible(interval, z)
-    r_mu = _mu_resolvent(interval, z)
-    q = interval.def_dim
-    if q == 0:
-        return r_mu
-    eye_q = np.eye(q, dtype=complex)
-    mid_base = eye_q + (qmu(interval, z) - eye_q) @ kk
-    if np.linalg.cond(mid_base) > COND_LIMIT:
-        raise NumericalInconsistency(
-            f"resolvent middle factor is numerically singular at z={z}"
-        )
-    middle = kk @ np.linalg.inv(mid_base)
-    p = interval.model.dom_dim
-    left = r_mu[:, p:] @ interval.C_R_half
-    right = interval.C_R_half @ r_mu[p:]
-    return r_mu - left @ middle @ right
+    eye = np.eye(interval.B_mu.shape[0], dtype=complex)
+    return _resolvent_forms(interval, kk, np.array([z]), eye)[0]

@@ -31,7 +31,13 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import require_hermitian_stack
-from .moments import DiscreteMatrixMeasure, MomentSequence, _check_interval, measure_from_atoms
+from .moments import (
+    DiscreteMatrixMeasure,
+    MomentSequence,
+    _check_interval,
+    _empty_weights,
+    measure_from_atoms,
+)
 
 # Hermitian symmetry required of matrices arriving from files.
 FILE_HERM_TOL = 1e-10
@@ -204,6 +210,10 @@ def read_measure(path) -> DiscreteMatrixMeasure:
     b = _get_float(doc, "b", path)
     n = int(_get(doc, "N", int, path))
     raw = _get(doc, "atoms", list, path)
+    try:
+        empty = _empty_weights(n)
+    except ValidationError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
     weights = _parse_stack(
         [atom.get("W") if isinstance(atom, dict) else None for atom in raw], n)
     # without a stack, weights are parsed entry by entry in file order below
@@ -218,7 +228,7 @@ def read_measure(path) -> DiscreteMatrixMeasure:
                 _get(atom, "W", list, f"{path}: atoms[{i}]"), n, f"{path}: atoms[{i}].W"
             ))
     if weights is None:
-        weights = np.stack(parsed) if parsed else np.zeros((0, n, n))
+        weights = np.stack(parsed) if parsed else empty
     try:
         return measure_from_atoms(a, b, np.array(positions), weights, N=n)
     except ValidationError as exc:

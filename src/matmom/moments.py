@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import (
+    _HALF_MAX,
     HERM_TOL,
     check_psd_stack,
     cluster_starts,
@@ -246,6 +247,7 @@ class DiscreteMatrixMeasure:
 
     def __post_init__(self):
         a, b = _check_interval(self.a, self.b)
+        _empty_weights(self.N)
         pos = np.asarray(self.positions, dtype=float)
         w = np.asarray(self.weights, dtype=complex)
         if pos.ndim != 1 or w.ndim != 3 or w.shape[0] != pos.shape[0]:
@@ -303,6 +305,21 @@ class DiscreteMatrixMeasure:
         return bool(np.abs(self.weights - other.weights).max() <= weight_tol)
 
 
+def _empty_weights(n) -> np.ndarray:
+    """The (0, n, n) weight stack of an empty measure of block size ``n``.
+
+    This is the rule for a measure's block size: a positive integer for
+    which that stack can be allocated (numpy refuses it once n*n*16 bytes
+    exceed the largest array size, from n = 759,250,125 on 64-bit platforms).
+    """
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValidationError(f"block size N must be a positive integer, got {n!r}")
+    try:
+        return np.zeros((0, n, n), dtype=complex)
+    except (ValueError, OverflowError):
+        raise ValidationError(f"block size N={n} is too large for a weight array") from None
+
+
 def measure_from_atoms(a: float, b: float, positions, weights,
                        N: int | None = None) -> DiscreteMatrixMeasure:
     """Build a canonical measure from raw atom data.
@@ -322,18 +339,21 @@ def measure_from_atoms(a: float, b: float, positions, weights,
     if pos.size == 0:
         if N is None:
             raise ValidationError("empty measure needs an explicit block size N")
-        return DiscreteMatrixMeasure(a, b, N, np.zeros(0),
-                                     np.zeros((0, N, N), dtype=complex))
+        return DiscreteMatrixMeasure(a, b, N, np.zeros(0), _empty_weights(N))
     if pos.ndim != 1 or w.ndim != 3 or w.shape[0] != pos.size:
         raise ValidationError("atom arrays have inconsistent shapes")
+    N = w.shape[-1] if N is None else N
+    # the block size and the weights' shape are checked before the weights
+    # are reduced, which an empty weight matrix cannot be
+    _empty_weights(N)
+    if w.shape[1:] != (N, N):
+        raise ValidationError(f"weights must be {N}x{N}")
     # a non-finite weight would turn the prune floor non-finite and drop every atom
     if not np.isfinite(pos).all():
         raise ValidationError(f"atom {np.argmin(np.isfinite(pos))} has a non-finite position")
     if not np.isfinite(w).all():
         bad = np.argmin(np.isfinite(w).all(axis=(1, 2)))
         raise ValidationError(f"atom {bad} has a non-finite weight")
-    if N is None:
-        N = w.shape[-1]
     return DiscreteMatrixMeasure(a, b, N, *_canonical(a, b, pos, w))
 
 
@@ -376,9 +396,10 @@ def moments_of(measure: DiscreteMatrixMeasure, l: int) -> MomentSequence:
     if l < 0:
         raise ValidationError("l must be non-negative")
     stack = _moment_stack(measure, l)
-    if not np.isfinite(stack).all():
-        # high powers of positions far from 0 overflow: the validating
-        # constructor names the first moment that did
+    if not np.abs(stack).max() <= _HALF_MAX:
+        # high powers of positions far from 0 overflow, and so does the
+        # symmetrization of a moment beyond half the largest double: the
+        # validating constructor names the first moment that did
         return MomentSequence(measure.a, measure.b, tuple(stack))
     # the weights are PSD, hence Hermitian, so their moments are too
     return MomentSequence._trusted(measure.a, measure.b, stack)

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import NumericalInconsistency, OperatorIllDefined, Unsolvable, ValidationError
 from .extensions import (
     ExtensionInterval,
+    _resolvent_forms,
     as_unit_interval_param,
     canonical_extension,
     extremal_extensions,
@@ -292,28 +293,11 @@ def _resolvent_density(interval: ExtensionInterval, kk: np.ndarray,
                        ts: np.ndarray, eps: float) -> np.ndarray:
     """Matrix spectral density (1/pi Im of the resolvent inner products).
 
-    Evaluates the generalized resolvent at every t + i*eps through the
-    eigendecomposition of the minimal extension (batched over ``ts``) and
-    forms the Hermitian density between the first N Gram vectors.
+    Evaluates the generalized resolvent's forms between the first N Gram
+    vectors at every t + i*eps of ``ts`` in one batch and forms their
+    Hermitian density.
     """
-    model = interval.model
-    w, v = interval.mu_eig
-    zs = ts + 1j * eps
-    xv = v.conj().T @ model.first_vectors        # (r, N)
-    g = 1.0 / (w[None, :] - zs[:, None])         # (nz, r)
-    raw = np.einsum("ri,tr,rj->tij", xv.conj(), g, xv)
-    if interval.def_dim:
-        ur_v = v[model.dom_dim :].conj().T       # (r, q): defect rows of v
-        ch = interval.C_R_half
-        q_dim = interval.def_dim
-        qm = np.einsum("ri,tr,rj->tij", ur_v.conj(), g, ur_v)
-        qm = ch @ qm @ ch + np.eye(q_dim, dtype=complex)
-        mid = np.linalg.inv(
-            np.eye(q_dim, dtype=complex) + (qm - np.eye(q_dim)) @ kk
-        )
-        left = np.einsum("ri,tr,rj->tij", xv.conj(), g, ur_v) @ ch
-        right = ch @ np.einsum("ri,tr,rj->tij", ur_v.conj(), g, xv)
-        raw = raw - left @ (kk @ mid) @ right
+    raw = _resolvent_forms(interval, kk, ts + 1j * eps, interval.model.first_vectors)
     # entry (j, n) of the density comes from <R x_j, x_n> = raw[n, j]
     g_mat = np.transpose(raw, (0, 2, 1))
     return (g_mat - g_mat.conj().transpose(0, 2, 1)) / (2j * np.pi)
@@ -333,7 +317,11 @@ def stieltjes_perron_recover(interval: ExtensionInterval, k=0.5, *,
     spacing step/2 keeps the aliasing error of the width-``eps`` Poisson
     kernel negligible even when ``step`` equals ``eps``.  The result approximates
     the solution in the reference coordinates on [-1, 1]; atom locations
-    and total mass converge as ``eps`` and ``step`` shrink together.
+    and total mass converge as ``eps`` and ``step`` shrink together.  A
+    middle factor of the resolvent formula whose condition number exceeds
+    ``extensions.COND_LIMIT`` at any grid point raises
+    ``NumericalInconsistency``, as in
+    :func:`~matmom.extensions.generalized_resolvent`.
     """
     if eps <= 0 or step <= 0:
         raise ValidationError("eps and step must be positive")
@@ -346,9 +334,9 @@ def stieltjes_perron_recover(interval: ExtensionInterval, k=0.5, *,
     lo, hi = -1.0 - STIELTJES_PAD, 1.0 + STIELTJES_PAD
     n_cells = max(int(np.ceil((hi - lo) / step)), 1)
     mids = lo + step * (np.arange(n_cells) + 0.5)
-    d_lo = _resolvent_density(interval, kk, mids - 0.25 * step, eps)
-    d_hi = _resolvent_density(interval, kk, mids + 0.25 * step, eps)
-    cell = (d_lo + d_hi) * (0.5 * step)
+    density = _resolvent_density(
+        interval, kk, np.concatenate((mids - 0.25 * step, mids + 0.25 * step)), eps)
+    cell = (density[:n_cells] + density[n_cells:]) * (0.5 * step)
 
     trace = np.einsum("tii->t", cell).real
     if trace.max(initial=0.0) <= 0.0:

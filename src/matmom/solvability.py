@@ -21,6 +21,7 @@ its own threshold, and hard disagreements are logged as errors.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,6 +41,7 @@ from .linalg import (
 )
 from .moments import (
     MomentSequence,
+    _finite_blocks,
     _per_sequence,
     build_gamma,
     build_gamma_tilde,
@@ -165,6 +167,17 @@ def _residual_condition(name: str, residual: float, scale: float,
     return Condition(name, rel <= tol, "residual", rel, tol, residual)
 
 
+def _frobenius(a: np.ndarray) -> float:
+    """Frobenius norm of ``a``.  The squares of entries beyond 1e154
+    overflow, so an infinite norm is taken again on ``a`` scaled by the
+    power of two that brings its largest entry into [1/2, 1), which is exact."""
+    norm = float(np.linalg.norm(a))
+    if norm == math.inf:
+        exponent = math.frexp(float(np.abs(a).max()))[1]
+        norm = math.ldexp(float(np.linalg.norm(a * math.ldexp(1.0, -exponent))), exponent)
+    return norm
+
+
 def _range_solve(dec: EigDecomposition,
                  rhs: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     """Minimal-norm solution of a PSD system, given the eigendecomposition
@@ -183,7 +196,7 @@ def _range_solve(dec: EigDecomposition,
     ck = coeff[kept]
     wk = w[kept][:, None]
     x = v[:, kept] @ (ck / wk)
-    residual = float(np.linalg.norm(coeff[~kept]))
+    residual = _frobenius(coeff[~kept])
     quad = herm_part(ck.conj().T @ (ck / wk))
     return x, residual, quad
 
@@ -305,33 +318,40 @@ def check_even(seq: MomentSequence) -> SolvabilityReport:
     ]
     even_case = None
     if all(c.passed for c in conditions):
-        rhs_x = np.vstack([s[d + 1 + i] for i in range(d + 1)])
-        x_sol, res_x, s_min = _range_solve(gamma_dec, rhs_x)
-        conditions.append(_residual_condition(
-            "X system consistent", res_x, float(np.linalg.norm(rhs_x)),
-            CONSISTENCY_TOL,
-        ))
-        if d > 0:
-            rhs_y = np.vstack([
-                -a * b * s[d + i] + (a + b) * s[d + i + 1] - s[d + i + 2]
-                for i in range(d)
-            ])
-            y_sol, res_y, y_quad = _range_solve(gtilde_dec, rhs_y)
+        # the right sides, quadratic forms and interval ends combine finite
+        # moments with overflow warnings off; one that overflows is reported
+        # by name, as for GammaTilde and the H pair
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs_x = np.vstack([s[d + 1 + i] for i in range(d + 1)])
+            x_sol, res_x, s_min = _range_solve(gamma_dec, rhs_x)
+            _finite_blocks(s_min, "S_min")
             conditions.append(_residual_condition(
-                "Y system consistent", res_y, float(np.linalg.norm(rhs_y)),
+                "X system consistent", res_x, _frobenius(rhs_x),
                 CONSISTENCY_TOL,
             ))
-        else:
-            y_sol = np.zeros((0, n), dtype=complex)
-            y_quad = np.zeros((n, n), dtype=complex)
-            conditions.append(Condition("Y system consistent", True, "residual",
-                                        0.0, CONSISTENCY_TOL, 0.0))
+            if d > 0:
+                rhs_y = _finite_blocks(np.vstack([
+                    -a * b * s[d + i] + (a + b) * s[d + i + 1] - s[d + i + 2]
+                    for i in range(d)
+                ]), "Y right side")
+                y_sol, res_y, y_quad = _range_solve(gtilde_dec, rhs_y)
+                _finite_blocks(y_quad, "Y quadratic form")
+                conditions.append(_residual_condition(
+                    "Y system consistent", res_y, _frobenius(rhs_y),
+                    CONSISTENCY_TOL,
+                ))
+            else:
+                y_sol = np.zeros((0, n), dtype=complex)
+                y_quad = np.zeros((n, n), dtype=complex)
+                conditions.append(Condition("Y system consistent", True, "residual",
+                                            0.0, CONSISTENCY_TOL, 0.0))
 
-        s_max = herm_part(
-            -a * b * s[2 * d] + (a + b) * s[2 * d + 1] - y_quad
-        )
-        # both ends are Hermitian parts, so their difference is exactly Hermitian
-        width = EigDecomposition(*np.linalg.eigh(s_max - s_min))
+            s_max = _finite_blocks(herm_part(
+                -a * b * s[2 * d] + (a + b) * s[2 * d + 1] - y_quad
+            ), "S_max")
+            # both ends are Hermitian parts, so their difference is exactly Hermitian
+            width = EigDecomposition(*np.linalg.eigh(
+                _finite_blocks(s_max - s_min, "S_max - S_min")))
         even_case = EvenCaseData(X=x_sol, Y=y_sol, S_min=s_min, S_max=s_max,
                                  width=width)
         # the interval may collapse to a point, so normalize its PSD test by

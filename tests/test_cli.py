@@ -292,6 +292,20 @@ class TestCheckCommand:
         assert_one_error_line(proc.stderr)
         assert "GammaTilde contains non-finite entries" in proc.stderr
 
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_even_interval_overflow_exits_one(self, tmp_path, command):
+        # genuine moments whose next-moment interval overflows: an error in
+        # the data's scale, once reported as "solvable: no" and "unsolvable"
+        path = tmp_path / "big-even.json"
+        mu = measure_from_atoms(-2.0, 3.0, [-2.0, 0.1, 3.0], [3e306 * np.eye(1)] * 3)
+        write_problem(path, moments_of(mu, 3))
+        out = [] if command == "check" else ["--out", str(tmp_path / "m.json")]
+        proc = subprocess.run([sys.executable, "-m", "matmom", command, str(path), *out],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert_one_error_line(proc.stderr)
+        assert "S_min contains non-finite entries" in proc.stderr
+
     def test_truncated_file_exits_one(self, tmp_path):
         path = tmp_path / "t.json"
         path.write_text('{"a": 0.0, "b": 1.0')
@@ -483,6 +497,19 @@ class TestGenCommand:
         assert_one_error_line(capsys.readouterr().err)
         assert not out.exists()
 
+    def test_unsymmetrizable_moment_exits_one(self, tmp_path):
+        # S_4 = 1.68e308 is finite but its symmetrization is not: once
+        # written as inf/nan tokens that no JSON reader accepts
+        out = tmp_path / "p.json"
+        proc = subprocess.run([sys.executable, "-m", "matmom", "gen", "--seed", "5",
+                               "--N", "1", "--atoms", "1", "--a", "9e76", "--b", "1e77",
+                               "--l", "4", "--out", str(out)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert_one_error_line(proc.stderr)
+        assert "S_4 has entries too large to symmetrize" in proc.stderr
+        assert not out.exists()
+
     def test_negative_seed_exits_one(self, tmp_path, capsys):
         out = tmp_path / "p.json"
         assert main(["gen", "--seed", "-1", "--out", str(out)]) == 1
@@ -629,6 +656,37 @@ class TestFileValidation:
         )
         measure = read_measure(path)
         assert np.allclose(measure.positions, [0.2, 0.7])
+
+
+class TestMeasureBlockSize:
+    """A measure file's N is a positive integer whose empty weight stack
+    exists; any other is a fault of the file: exit 1, one error line."""
+
+    CASES = {
+        "2^32": ('{"a": 0, "b": 1, "N": 4294967296, "atoms": []}', "is too large"),
+        "negative": ('{"a": 0, "b": 1, "N": -1, "atoms": []}', "positive integer, got -1"),
+        "zero with an atom": ('{"a": 0, "b": 1, "N": 0, "atoms": [{"x": 0.5, "W": []}]}',
+                              "positive integer, got 0"),
+        "zero": ('{"a": 0, "b": 1, "N": 0, "atoms": []}', "positive integer, got 0"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_read_measure_rejects(self, tmp_path, case):
+        text, message = self.CASES[case]
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: block size N"):
+            read_measure(path)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_verify_exits_one(self, tmp_path, capsys, symmetric_problem, case):
+        text, message = self.CASES[case]
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        assert main(["verify", str(path), symmetric_problem]) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert message in err
 
 
 class TestIntegersBeyondTheDoubleRange:

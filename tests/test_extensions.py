@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 import matmom.extensions
+import matmom.solutions
 from matmom import (
     ContractionModel,
     MomentSequence,
@@ -481,6 +483,55 @@ class TestGeneralizedResolvent:
             generalized_resolvent(lebesgue_interval, 2.0, 2j)
         with pytest.raises(ValidationError):
             generalized_resolvent(lebesgue_interval, 0.5, 0.25)
+
+
+def random_unit_interval_param(rng, dim):
+    """A random Hermitian K with spectrum in [0, 1]."""
+    u = random_unitary(rng, dim)
+    return (u * rng.uniform(0.0, 1.0, dim)) @ u.conj().T
+
+
+class TestResolventDensity:
+    """The Stieltjes-Perron density is (G - G*)/(2 pi i) of the resolvent
+    forms G = (X* (B_K - z)^(-1) X)^T between the first N Gram vectors X."""
+
+    @pytest.fixture(scope="class")
+    def wide_interval(self):
+        iv = interval_for(moments_of(gen_random_measure(3, 2, 6, -1.0, 2.0), 4))
+        assert iv.def_dim == 2
+        return iv
+
+    @pytest.mark.parametrize("name", ["matrix_defect_interval", "wide_interval"])
+    def test_matches_dense_resolvent(self, request, name):
+        iv = request.getfixturevalue(name)
+        kk = random_unit_interval_param(np.random.default_rng(5), iv.def_dim)
+        ts, eps = np.linspace(-1.05, 1.05, 1001), 1e-3
+        ext, x = canonical_extension(iv, kk), iv.model.first_vectors
+        eye = np.eye(ext.shape[0])
+        g = np.stack([(x.conj().T @ np.linalg.solve(ext - (t + 1j * eps) * eye, x)).T
+                      for t in ts])
+        want = (g - g.conj().transpose(0, 2, 1)) / (2j * np.pi)
+        got = matmom.solutions._resolvent_density(iv, kk, ts, eps)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_middle_factor_guard_names_the_first_failing_point(
+            self, monkeypatch, matrix_defect_interval):
+        iv = matrix_defect_interval
+        kk = random_unit_interval_param(np.random.default_rng(6), iv.def_dim)
+        ts, eps = np.linspace(-1.05, 1.05, 201), 1e-3
+        w, v = iv.mu_eig
+        defect = v[iv.model.dom_dim :].conj().T
+        conds = []
+        for t in ts:
+            q_mu = iv.C_R_half @ (defect.conj().T / (w - (t + 1j * eps))) @ defect @ iv.C_R_half
+            conds.append(np.linalg.cond(np.eye(iv.def_dim) + q_mu @ kk))
+        # a bound between the largest condition number and the next one
+        limit = 0.5 * sum(sorted(conds)[-2:])
+        first = ts[int(np.argmax(np.array(conds) > limit))]
+        monkeypatch.setattr(matmom.extensions, "COND_LIMIT", limit)
+        with pytest.raises(NumericalInconsistency,
+                           match=re.escape(f"singular at z={complex(first + 1j * eps)}")):
+            matmom.solutions._resolvent_density(iv, kk, ts, eps)
 
 
 class TestCompletionNormGuard:

@@ -228,6 +228,15 @@ class TestMomentsOf:
             with pytest.raises(ValidationError, match=r"^S_4 contains non-finite entries$"):
                 moments_of(mu, 4)
 
+    def test_symmetrization_overflow_named(self):
+        # S_4 = 1.68e308 is finite, but (S + S*)/2 overflows: rejected by the
+        # validating constructor's rule, not stored as inf
+        mu = gen_random_measure(5, 1, 1, 9e76, 1e77)
+        with pytest.raises(ValidationError,
+                           match=r"^S_4 has entries too large to symmetrize"):
+            moments_of(mu, 4)
+        assert np.isfinite(moments_of(mu, 3)._stack).all()
+
 
 class TestValidByConstruction:
     """Internal producers build measures and sequences without checking them
@@ -406,6 +415,23 @@ class TestMeasureCanonicalization:
         weights[2] = np.array([[1.0, 1e-3], [0.0, 1.0]])
         with pytest.raises(ValidationError, match="not Hermitian"):
             measure_from_atoms(0, 1, [0.1, 0.2, 0.3, 0.4], weights)
+
+    @pytest.mark.parametrize("n, message", [
+        (-1, "must be a positive integer"), (0, "must be a positive integer"),
+        (2.0, "must be a positive integer"), (2 ** 32, "too large"), (10 ** 23, "too large"),
+    ])
+    def test_block_size_rule(self, n, message):
+        # one rule for N: a positive integer whose empty weight stack exists
+        with pytest.raises(ValidationError, match=f"^block size N.*{message}"):
+            measure_from_atoms(0, 1, [], [], N=n)
+
+    def test_zero_block_size_with_atoms(self):
+        with pytest.raises(ValidationError, match="^block size N must be a positive integer"):
+            measure_from_atoms(0, 1, [0.5], np.zeros((1, 0, 0)), N=0)
+        with pytest.raises(ValidationError, match="^block size N must be a positive integer"):
+            measure_from_atoms(0, 1, [0.5], np.zeros((1, 0, 0)))
+        with pytest.raises(ValidationError, match="^block size N must be a positive integer"):
+            DiscreteMatrixMeasure(0.0, 1.0, 0, np.zeros(0), np.zeros((0, 0, 0)))
 
     def test_empty_needs_block_size(self):
         mu = measure_from_atoms(0, 1, [], np.zeros((0, 2, 2)), N=2)

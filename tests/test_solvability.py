@@ -1,4 +1,5 @@
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,27 @@ class TestOverflowingCombinations:
             check(seq)
         with pytest.raises(ValidationError, match="non-finite entries"):
             check_cdfk(seq)
+
+    def test_even_interval_overflow_raises(self):
+        # genuine moments: the block systems' quadratic forms and the ends of
+        # the next-moment interval overflow (the next moment itself would),
+        # which was judged "S interval nonempty: FAIL" on a NaN width
+        mu = measure_from_atoms(-2.0, 3.0, [-2.0, 0.1, 3.0], [3e306 * np.eye(1)] * 3)
+        seq = moments_of(mu, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^S_min contains non-finite entries"):
+                check_even(seq)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e250, 1e290])
+    @pytest.mark.parametrize("atoms, l", [([0.3], 3), ([0.2, 0.7], 5)])
+    def test_consistency_residuals_at_large_scale(self, scale, atoms, l):
+        # a rank-deficient Gamma: the squares in the residual's norm and its
+        # scale overflowed, and inf/inf failed "X system consistent"
+        mu = measure_from_atoms(0.0, 1.0, atoms, [scale * np.eye(1)] * len(atoms))
+        report = check_even(moments_of(mu, l))
+        assert report.solvable, report.failed_conditions
+        assert report.details["X system consistent"] <= 1e-8 * scale
 
 
 class TestCheckL0:
