@@ -7,7 +7,8 @@ call it (``hermitian_eig``, ``check_psd``, ``pinv_psd``, ``sqrt_psd``,
 ``loewner_leq``) are the validating entry points for matrices from outside
 the chain.  A matrix the chain builds from validated moments (a block Hankel
 matrix, a Hermitian part) is Hermitian by construction and is factored by
-``numpy.linalg.eigh`` directly, without a second scan.
+``numpy.linalg`` directly (``eigh``, ``eigvalsh``, or ``cholesky`` for a
+moment matrix of full rank), without a second scan.
 
 * ``rank_keep`` is the one rank cutoff: an eigenvalue (or singular value)
   counts as nonzero iff it exceeds ``RANK_TOL`` times the largest one

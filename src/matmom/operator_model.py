@@ -9,9 +9,11 @@ Hermitian contraction.  This module builds concrete matrices for all of it,
 in orthonormal coordinates of the space, domain first and its orthogonal
 complement (the defect space) after: the compression P of the contraction
 to the domain, its component Q into the complement, and the coordinates of
-the first N vectors.  Gram-Schmidt coordinates from one QR serve a space of
-full rank, and the domain SVD that decides kernel inclusion serves a
-rank-deficient one; P and Q come from one formula in either.
+the first N vectors.  The spectrum of the moment matrix decides its rank.
+A space of full rank takes the Cholesky factor as its vectors, which are
+already its Gram-Schmidt coordinates; a rank-deficient one takes
+eigen-scaled vectors, and the domain SVD that decides kernel inclusion
+gives its coordinates.  P and Q come from one formula in either.
 """
 
 from __future__ import annotations
@@ -41,11 +43,15 @@ class GramSpace:
     """Vectors realizing the moment matrix as a Gram matrix.
 
     ``vectors`` has shape (rank, (d+1)N); column n is x_n and
-    <x_n, x_m> reproduces entry (n, m) of ``gram``.  A space may be shared
-    through the solvability report that carries it, so its arrays, those of
-    ``domain_svd`` included, are read-only.  What is derived from the
-    vectors (the norm, the domain SVD, the domain rank and kernel-inclusion
-    residual) is computed once per space, on first use.
+    <x_n, x_m> reproduces entry (n, m) of ``gram``.  At full rank they are
+    the upper Cholesky factor of conj(``gram``); a rank-deficient space has
+    the eigen-scaled rows sqrt(w_i) v_i^T (see :func:`gram_space_from_eig`).
+    ``spectrum`` holds the ascending eigenvalues of ``gram`` that the rank
+    was decided on, or None for a space assembled from vectors alone.  A
+    space may be shared through the solvability report that carries it, so
+    its arrays, those of ``domain_svd`` included, are read-only.  What is
+    derived from the vectors (the norm, the domain SVD, the domain rank and
+    kernel-inclusion residual) is computed once per space, on first use.
     """
 
     a: float
@@ -55,17 +61,23 @@ class GramSpace:
     rank: int
     vectors: np.ndarray
     gram: np.ndarray
+    spectrum: np.ndarray | None = None
 
     def __post_init__(self):
-        self.vectors.setflags(write=False)
-        self.gram.setflags(write=False)
+        for arr in (self.vectors, self.gram, self.spectrum):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @cached_property
     def norm(self) -> float:
         """||X||_2 of the vector matrix X = ``vectors``, sqrt(lambda_max) of
-        the moment matrix: the rows sqrt(w_i) v_i^T of the factor are
-        orthogonal, so it is the largest row norm."""
-        return float(np.linalg.norm(self.vectors, axis=1).max(initial=0.0))
+        the moment matrix.  The eigen-scaled rows of a rank-deficient space
+        are orthogonal, so there it is the largest row norm; the rows of a
+        Cholesky factor are not, and a full-rank space reads lambda_max from
+        ``spectrum``."""
+        if self.rank < self.vectors.shape[1]:
+            return float(np.linalg.norm(self.vectors, axis=1).max(initial=0.0))
+        return float(np.sqrt(self.spectrum[-1]))
 
     @cached_property
     def domain_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -155,32 +167,56 @@ def _column_phases(u: np.ndarray) -> np.ndarray:
     return phase
 
 
+def gram_spectrum(gamma: np.ndarray) -> EigDecomposition:
+    """The spectrum of the moment matrix ``gamma`` that its PSD verdict and
+    its rank are decided on, with eigenvectors only where they are needed.
+
+    ``eigvalsh`` decides first.  If :func:`rank_keep` keeps every eigenvalue,
+    the Gram vectors are a Cholesky factor, and the eigenvectors are None.
+    Otherwise ``eigh`` factors ``gamma`` and its own spectrum decides, with
+    the eigenvectors that the eigen-scaled vectors need.  ``gamma`` is
+    gathered from validated moments: exactly Hermitian, and not scanned.
+    """
+    w = np.linalg.eigvalsh(gamma)
+    if rank_keep(w).all():
+        return EigDecomposition(w, None)
+    return EigDecomposition(*np.linalg.eigh(gamma))
+
+
 def gram_space_from_eig(seq: MomentSequence, gamma: np.ndarray,
                         dec: EigDecomposition) -> GramSpace:
     """The Gram space of the order-d moment matrix ``gamma`` of ``seq`` from
-    its eigendecomposition ``dec``, cut by :func:`rank_keep`.
+    its spectrum ``dec``, as :func:`gram_spectrum` returns it.
 
-    The factor is the transposed (not conjugated) scaled eigenvector matrix,
-    which makes the Gram identity hold in the fixed inner-product convention.
+    Without eigenvectors every eigenvalue is kept, so cond(gamma) <
+    1/RANK_TOL and the Cholesky factor gamma = L L^H exists.  The vectors
+    are then R = L^T (transposed, not conjugated), the upper Cholesky factor
+    of conj(gamma): R^H R = conj(gamma) gives sum_i R[i, n] conj(R[i, m]) =
+    gamma[n, m].  Otherwise they are the eigenvectors kept by
+    :func:`rank_keep`, scaled and transposed (not conjugated), which makes
+    the Gram identity hold in the fixed inner-product convention.
     """
-    keep = rank_keep(dec.eigenvalues)
-    w = dec.eigenvalues[keep]
-    # x_n[i] = sqrt(w_i) * V[n, i] so that sum_i x_n[i] conj(x_m[i]) = Gamma[n, m]
-    vectors = np.sqrt(w)[:, None] * dec.eigenvectors[:, keep].T
-    return GramSpace(a=seq.a, b=seq.b, N=seq.N, d=seq.l // 2, rank=int(keep.sum()),
-                     vectors=vectors, gram=gamma)
+    w, v = dec
+    if v is None:
+        vectors = np.linalg.cholesky(gamma).T
+    else:
+        keep = rank_keep(w)
+        # x_n[i] = sqrt(w_i) * V[n, i] so that sum_i x_n[i] conj(x_m[i]) = Gamma[n, m]
+        vectors = np.sqrt(w[keep])[:, None] * v[:, keep].T
+    return GramSpace(a=seq.a, b=seq.b, N=seq.N, d=seq.l // 2, rank=vectors.shape[0],
+                     vectors=vectors, gram=gamma, spectrum=w)
 
 
 def build_gram_space(seq: MomentSequence) -> GramSpace:
-    """Rank-revealing factorization of the order-d moment matrix.
+    """Rank-revealing factorization of the order-d moment matrix, on the
+    spectrum of :func:`gram_spectrum`.
 
     Requires l = 2d with d >= 1 and a PSD moment matrix.
     """
     if seq.l % 2 != 0 or seq.l < 2:
         raise ValidationError(f"Gram-space construction requires l = 2d, d >= 1, got l={seq.l}")
     gamma = build_gamma(seq, seq.l // 2)
-    # gathered from the validated moments: exactly Hermitian, not scanned
-    dec = EigDecomposition(*np.linalg.eigh(gamma))
+    dec = gram_spectrum(gamma)
     if not psd_ok(dec.eigenvalues):
         raise ValidationError("moment matrix is not PSD; refusing Gram-space construction")
     return gram_space_from_eig(seq, gamma, dec)
@@ -265,13 +301,17 @@ def _gram_schmidt_coords(space: GramSpace):
     x_{dN}..x_{(d+1)N-1}.  In them x_n is column n of R, and the domain
     basis is g_dom R_dd^-1 with R_dd = R[:dN, :dN].  So P is the truncated
     block Jacobi matrix of the orthonormal polynomials, and Q is zero
-    outside its last block column.
+    outside its last block column.  The Cholesky factor that
+    :func:`gram_space_from_eig` gives a full-rank space is already such an
+    R, and the QR returns it unchanged.
     """
     n, dn = space.N, space.d * space.N
     r = np.linalg.qr(space.vectors, mode="r")
-    # nonzero at full rank: |R_ii| is at least the smallest kept singular value
-    phase = np.diagonal(r) / np.abs(np.diagonal(r))
-    r = phase.conj()[:, None] * r
+    # LAPACK's R has a real diagonal, nonzero at full rank (|R_ii| is at least
+    # the smallest kept singular value); negating the rows where it is
+    # negative is exact, so a Cholesky factor comes back bitwise
+    flip = np.diagonal(r).real < 0
+    r[flip] = -r[flip]
     return r[:, :n], r[:, n : n + dn], np.linalg.inv(r[:dn, :dn])
 
 

@@ -47,7 +47,7 @@ from .moments import (
     build_gamma_tilde,
     build_h_pair,
 )
-from .operator_model import GramSpace, gram_space_from_eig, kernel_inclusion
+from .operator_model import GramSpace, gram_space_from_eig, gram_spectrum, kernel_inclusion
 
 logger = logging.getLogger(__name__)
 
@@ -264,11 +264,11 @@ def check_odd(seq: MomentSequence) -> SolvabilityReport:
             f"odd-case check requires l = 2d with d >= 1, got l={seq.l}"
         )
     d = seq.l // 2
-    # one eigendecomposition of Gamma gives its PSD verdict and the Gram
-    # vectors the kernel-inclusion condition is decided on; Gamma is gathered
-    # from the validated moments, so it is exactly Hermitian and not scanned
+    # one spectrum of Gamma gives its PSD verdict and the route to the Gram
+    # vectors that kernel inclusion is decided on: a Cholesky factor at full
+    # rank, eigen-scaled eigenvectors from eigh otherwise
     gamma = build_gamma(seq, d)
-    dec = EigDecomposition(*np.linalg.eigh(gamma))
+    dec = gram_spectrum(gamma)
     space = gram_space_from_eig(seq, gamma, dec)
     conditions = (
         _psd_condition_eig("Gamma PSD", dec.eigenvalues),

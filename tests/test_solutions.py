@@ -361,28 +361,58 @@ class TestFactorizationBudget:
         assert counts == Counter()
 
     def test_moment_matrix_factored_once(self, monkeypatch):
-        # check_odd's one eigh of Gamma serves the PSD verdict, the Gram
-        # vectors and kernel inclusion: Gamma is factored once, and neither
-        # Gamma_{d-1} nor the shifted Hankel Gamma-hat is factored at all
+        # rank 6 of 8: check_odd's eigvalsh of Gamma drops an eigenvalue, so
+        # one eigh of Gamma gives the PSD verdict, the eigen-scaled Gram
+        # vectors and kernel inclusion, and neither Gamma_{d-1} nor the
+        # shifted Hankel Gamma-hat is factored at all
         seq = moments_of(gen_random_measure(22, 2, 3, -1.0, 1.0), 6)
         gamma, gamma_prev, gamma_hat = (build_gamma(seq, 3), build_gamma(seq, 2),
                                         build_gamma_hat(seq, 3))
-        factored = []
-        for name in ("eigh", "eigvalsh", "svd", "norm"):
-            original = getattr(np.linalg, name)
+        factored = _record_factorizations(monkeypatch, lambda: solve_odd(seq, 0.5))
+        assert build_gram_space(seq).rank == 6
+        assert Counter(name for name, x in factored if _same(x, gamma)) == Counter(
+            eigvalsh=1, eigh=1)
+        assert not any(_same(x, gamma_prev) or _same(x, gamma_hat) for _, x in factored)
 
-            def recorded(a, *args, _name=name, _original=original, **kwargs):
-                order = args[0] if args else kwargs.get("ord")
-                if _name != "norm" or order == 2:
-                    factored.append(np.asarray(a))
-                return _original(a, *args, **kwargs)
+    def test_full_rank_moment_matrix_takes_no_eigenvectors(self, monkeypatch):
+        # rank 8 of 8: eigvalsh of Gamma keeps every eigenvalue, so the Gram
+        # vectors are the Cholesky factor of conj(Gamma), and across check
+        # and solve Gamma takes no eigh and no SVD
+        seq = moments_of(gen_random_measure(21, 2, 8, -1.0, 1.0), 6)
+        gamma = build_gamma(seq, 3)
+        factored = _record_factorizations(monkeypatch, lambda: _check_then_solve(seq))
+        assert check_odd(seq).space.rank == 8
+        assert Counter(name for name, x in factored
+                       if _same(x, gamma) or _same(x, gamma.conj())) == Counter(
+            eigvalsh=1, cholesky=1)
 
-            monkeypatch.setattr(np.linalg, name, recorded)
-        solve_odd(seq, 0.5)
-        monkeypatch.undo()
-        same = lambda x, y: x.shape == y.shape and np.allclose(x, y, rtol=0, atol=1e-13)
-        assert sum(same(x, gamma) for x in factored) == 1
-        assert not any(same(x, gamma_prev) or same(x, gamma_hat) for x in factored)
+
+def _check_then_solve(seq):
+    assert check(seq).solvable
+    solve_odd(seq, 0.5)
+
+
+def _same(x, y):
+    return x.shape == y.shape and np.allclose(x, y, rtol=0, atol=1e-13)
+
+
+def _record_factorizations(monkeypatch, run):
+    """``(name, matrix)`` of every eigh, eigvalsh, svd, cholesky and matrix
+    2-norm that ``run()`` takes."""
+    factored = []
+    for name in ("eigh", "eigvalsh", "svd", "cholesky", "norm"):
+        original = getattr(np.linalg, name)
+
+        def recorded(a, *args, _name=name, _original=original, **kwargs):
+            order = args[0] if args else kwargs.get("ord")
+            if _name != "norm" or order == 2:
+                factored.append((_name, np.asarray(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    run()
+    monkeypatch.undo()
+    return factored
 
 
 class TestScanAtTheBoundary:
@@ -612,24 +642,14 @@ class TestCheckReuse:
     check_even), not by the check itself, which a slot may answer."""
 
     def test_check_then_solve_odd_factors_gamma_once(self, monkeypatch):
+        # rank 6 of 8: Gamma takes one eigvalsh and one eigh, in one check body
         seq = moments_of(gen_random_measure(22, 2, 3, -1.0, 1.0), 6)
         gamma = build_gamma(seq, 3)
-        factored = []
-        for name in ("eigh", "eigvalsh", "svd"):
-            original = getattr(np.linalg, name)
-
-            def recorded(a, *args, _original=original, **kwargs):
-                factored.append(np.asarray(a))
-                return _original(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, recorded)
         bodies = _count_calls(monkeypatch, "gram_space_from_eig", matmom.solvability)
-        assert check(seq).solvable
-        solve_odd(seq, 0.5)
-        monkeypatch.undo()
+        factored = _record_factorizations(monkeypatch, lambda: _check_then_solve(seq))
         assert len(bodies) == 1
-        assert sum(x.shape == gamma.shape and np.allclose(x, gamma, rtol=0, atol=1e-13)
-                   for x in factored) == 1
+        assert Counter(name for name, x in factored if _same(x, gamma)) == Counter(
+            eigvalsh=1, eigh=1)
 
     def test_check_then_solve_odd_computes_the_kernel_residual_once(self, monkeypatch):
         # rank 2 of 6 with N = 2, d = 2: the domain vectors have a kernel, so
