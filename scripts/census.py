@@ -19,6 +19,17 @@ pipeline's.  The recipes draw, for generator seed g, from
 - frontier: the degree/conditioning cells of ``FRONTIER_CELLS``, seeds 0-9
   (those of ``matmom gen --seed``); ``solve_odd`` at k = 0.5.
 
+The digest pins the bits of the chain rather than its outcomes, for
+changes meant to keep them.  For g = 40000-40599 it draws N =
+rng.integers(1, 4), d = rng.integers(1, 5), atoms = rng.integers(1, d + 3)
+and the interval [0, 1], [-1, 1] or [-2, 3] (rng.integers(3)), and takes l
+= 2d.  Each instance goes to its route, "full rank" when the Gram space of
+``check_odd`` has rank (d+1)N and "rank-deficient" otherwise.  Per route it
+gives a SHA-256 of the model (the bytes of P, Q and ``first_vectors`` of
+``build_operators``) and one of the measure (``solve_odd`` at k = 0.5);
+either hashes an exception's class and message in place of a failed step.
+The digest only prints: the exit status reads the census alone.
+
 Each instance is recorded with its recipe, seed, interval, N, atoms, l, t
 and k, its outcome ("solved" or the exception class), the message with its
 numbers cut off, the solved atom count and the generator's atom count.  The
@@ -47,6 +58,8 @@ import numpy as np
 from matmom import (
     MatmomError,
     Unsolvable,
+    build_operators,
+    check_odd,
     gen_random_measure,
     moments_of,
     solve_even,
@@ -151,6 +164,48 @@ def summarize(records, digests):
     return summary
 
 
+def _hash_failure(hasher, exc: MatmomError) -> str:
+    """Hash a failed step's exception class and message; return the count key."""
+    hasher.update(f"{type(exc).__name__}: {exc}".encode())
+    return f"{type(exc).__name__}: {message_prefix(str(exc))}"
+
+
+def digest():
+    """Per route, the instance count, the SHA-256 of the models and of the
+    measures, and the failures counted by message."""
+    routes = {}
+    for g in range(40000, 40600):
+        rng = np.random.default_rng(g)
+        n, d = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        atoms = int(rng.integers(1, d + 3))
+        a, b = ((0.0, 1.0), (-1.0, 1.0), (-2.0, 3.0))[int(rng.integers(3))]
+        seq = moments_of(gen_random_measure(g, n, atoms, a, b), 2 * d)
+        space = check_odd(seq).space
+        route = routes.setdefault(
+            "full rank" if space.rank == space.vectors.shape[1] else "rank-deficient",
+            {"instances": 0, "model": hashlib.sha256(), "measure": hashlib.sha256(),
+             "failures": Counter()})
+        route["instances"] += 1
+        try:
+            model = build_operators(space)
+        except MatmomError as exc:
+            route["failures"]["model " + _hash_failure(route["model"], exc)] += 1
+        else:
+            for block in (model.P, model.Q, model.first_vectors):
+                route["model"].update(np.ascontiguousarray(block).tobytes())
+        try:
+            measure = solve_odd(seq, 0.5)
+        except MatmomError as exc:
+            route["failures"]["measure " + _hash_failure(route["measure"], exc)] += 1
+        else:
+            route["measure"].update(np.ascontiguousarray(measure.positions).tobytes())
+            route["measure"].update(np.ascontiguousarray(measure.weights).tobytes())
+    return {name: {"instances": r["instances"], "model": r["model"].hexdigest(),
+                   "measure": r["measure"].hexdigest(),
+                   "failures": dict(r["failures"].most_common())}
+            for name, r in sorted(routes.items())}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--quick", action="store_true", help="every fifth seed")
@@ -161,7 +216,7 @@ def main() -> None:
     records, digests, unsolvable = run(5 if args.quick else 1)
     summary = summarize(records, digests)
     result = {"quick": args.quick, "seconds": round(time.monotonic() - start, 1),
-              "unsolvable": unsolvable, "summary": summary}
+              "unsolvable": unsolvable, "summary": summary, "digest": digest()}
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(dict(result, instances=records), fh, indent=1)

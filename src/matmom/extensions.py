@@ -10,15 +10,17 @@ Schur-complement form
 
     X_min = Q (I + P)^+ Q* - I,      X_max = I - Q (I - P)^+ Q*.
 
-Whether [P; Q] is a contraction at all is decided here, once, on the
-eigenbasis of P these formulas already take.  If I + P and I - P are PSD
-and Q* lies in the range of both, then by Schur complements and
-(I + P)^+ + (I - P)^+ = 2 (I - P^2)^+ on that range the column is a
-contraction exactly when X_max - X_min is PSD (Krein, Mat. Sb. 20, 1947;
-Davis, Kahan and Weinberger, SIAM J. Numer. Anal. 19, 1982).  Range
-inclusion matters only on the eigenvectors where the rank cutoff drops
-1 + w or 1 - w, including the attainable case norm(P) = 1; there the column
-itself is required to have norm at most 1.
+Whether [P; Q] is a contraction at all is decided here, once.  If I + P
+and I - P are PSD and Q* lies in the range of both, then by Schur
+complements and (I + P)^+ + (I - P)^+ = 2 (I - P^2)^+ on that range the
+column is a contraction exactly when X_max - X_min is PSD (Krein, Mat. Sb.
+20, 1947; Davis, Kahan and Weinberger, SIAM J. Numer. Anal. 19, 1982).
+Range inclusion matters only on the eigenvectors of P where the rank cutoff
+drops 1 + w or 1 - w, including the attainable case norm(P) = 1; there the
+column itself is required to have norm at most 1.  Usually one Cholesky
+factorization of the pair I +- P proves that the cutoff drops nothing, and
+the pseudo-inverses are inverses, applied by one batched solve; only
+otherwise is P factored by ``eigh`` (see :func:`extremal_completions`).
 
 The defect C is the gap between the extreme extensions; when it vanishes
 the extension, and hence the solution measure, is unique.  The interval is
@@ -49,6 +51,7 @@ from .linalg import (
     PSD_TOL,
     EigDecomposition,
     herm_part,
+    keeps_every_eigenvalue,
     psd_ok,
     rank_keep,
     require_hermitian,
@@ -116,8 +119,9 @@ class ExtensionInterval:
 def extremal_completions(p_block, q_block) -> tuple[np.ndarray, np.ndarray]:
     """Extreme defect blocks X_min, X_max completing the contraction column.
 
-    I + P and I - P share the eigenvectors V of P, so one eigendecomposition
-    of P serves both, and each must be PSD within ``NORM_SLACK``.  With
+    The rule is stated on the eigendecomposition of P.  I + P and I - P
+    share the eigenvectors V of P, so one eigendecomposition of P serves
+    both, and each must be PSD within ``NORM_SLACK``.  With
     ``qv = Q V`` and lambda the eigenvalues of I + P (for X_min) or of I - P
     (for X_max) that the rank cutoff keeps, the Schur complements are
 
@@ -132,6 +136,16 @@ def extremal_completions(p_block, q_block) -> tuple[np.ndarray, np.ndarray]:
     :func:`extremal_extensions` judges.  A failed test raises
     ``ValidationError``.  P and Q may come from outside the chain, so they
     are validated first: P Hermitian, Q finite with one column per row of P.
+
+    Most columns do not need the eigendecomposition.  When one Cholesky
+    factorization of the pair I +- P, each shifted down as
+    :func:`~matmom.linalg.keeps_every_eigenvalue` states, proves both PSD
+    with every 1 +- w kept, the rule passes with nothing dropped, and
+
+        X_min = Q (I + P)^-1 Q* - I,      X_max = I - Q (I - P)^-1 Q*
+
+    come from one batched solve.  Only a failed proof, or an empty P, takes
+    the eigendecomposition, with its messages and numbers.
     """
     p = require_hermitian(p_block, name="P")
     q = np.asarray(q_block, dtype=complex)
@@ -145,7 +159,30 @@ def extremal_completions(p_block, q_block) -> tuple[np.ndarray, np.ndarray]:
 def _extremal_completions(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`extremal_completions` of an exactly Hermitian P and a finite Q
     of matching shape, taken as they are: the P and Q of a
-    :func:`~matmom.operator_model.build_operators` model are."""
+    :func:`~matmom.operator_model.build_operators` model are.
+
+    When :func:`~matmom.linalg.keeps_every_eigenvalue` proves that I + P and
+    I - P are PSD and that the rank cutoff keeps every 1 +- w, the rule of
+    :func:`_eig_completions` passes with nothing dropped, and the completions
+    are the plain Schur complements Q (I +- P)^-1 Q*, from one batched
+    solve.  Otherwise, and for an empty P, the eigendecomposition of P
+    decides, with its own messages.
+    """
+    if p.size:
+        eye = np.eye(p.shape[0])
+        pair = np.stack((eye + p, eye - p))
+        if keeps_every_eigenvalue(pair):
+            # Q* as a stack of one matrix: a bare (m, r) right-hand side is
+            # read as a stack of vectors by numpy before 2.0
+            schur = q @ np.linalg.solve(pair, q.conj().T[None])
+            eye_q = np.eye(q.shape[0], dtype=complex)
+            return herm_part(schur[0] - eye_q), herm_part(eye_q - schur[1])
+    return _eig_completions(p, q)
+
+
+def _eig_completions(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_extremal_completions` on the eigendecomposition of P, the
+    rule that :func:`extremal_completions` states."""
     w, v = np.linalg.eigh(p)
     plus, minus = 1.0 + w, 1.0 - w
     require_psd(plus, NORM_SLACK, "I + P")
@@ -167,15 +204,23 @@ def _extremal_completions(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _assemble(p, q, x) -> np.ndarray:
-    return np.block([[p, q.conj().T], [q, x]])
+    """The block matrix [[P, Q*], [Q, X]], written into one array."""
+    m = p.shape[0]
+    out = np.empty((m + x.shape[0],) * 2, dtype=np.result_type(p, q, x))
+    out[:m, :m] = p
+    out[:m, m:] = q.conj().T
+    out[m:, :m] = q
+    out[m:, m:] = x
+    return out
 
 
 def extremal_extensions(model: ContractionModel) -> ExtensionInterval:
     """Extreme self-adjoint contraction extensions and the defect between them.
 
     This is where the shift column [P; Q] is judged a contraction, once: by
-    the tests of :func:`extremal_completions` on the eigenbasis of P and by
-    the defect X_max - X_min being PSD within ``NORM_SLACK``.  The model is
+    the tests of :func:`extremal_completions` (a Cholesky proof for I +- P,
+    or the eigendecomposition of P) and by the defect X_max - X_min being
+    PSD within ``NORM_SLACK``.  The model is
     built from moment data, so a column that fails is a numerical
     inconsistency, not bad input, and raises ``NumericalInconsistency``.
     """

@@ -13,6 +13,9 @@ moment matrix of full rank), without a second scan.
 * ``rank_keep`` is the one rank cutoff: an eigenvalue (or singular value)
   counts as nonzero iff it exceeds ``RANK_TOL`` times the largest one
   (clipped at zero).  Every rank, kernel and support decision uses it.
+  ``keeps_every_eigenvalue`` proves, from one Cholesky factorization and
+  no eigensolve, that the cutoff keeps every eigenvalue of a Hermitian
+  matrix, with a margin for the rounding of a computed spectrum.
 * ``psd_ok`` is the one positive-semidefiniteness rule on eigenvalues: the
   smallest may sit at most ``tol * max(1, max |eigenvalue|)`` below zero.
   ``check_psd`` applies it to one matrix, ``check_psd_stack`` to a
@@ -35,7 +38,8 @@ looser slack), and ``cluster_starts`` (``solutions.CLUSTER_TOL``, and
 ``moments.ATOM_MERGE_REL`` times the interval length).  Everything else
 reads the constants below: ``rank_keep`` and ``sqrt_from_eig`` read
 ``RANK_TOL``, ``hermitian_eig`` reads ``HERM_TOL``, ``check_psd_stack``
-reads ``PSD_TOL``, and ``pinv_psd`` and ``sqrt_psd`` read all three.
+reads ``PSD_TOL``, ``keeps_every_eigenvalue`` reads ``RANK_TOL``, and
+``pinv_psd`` and ``sqrt_psd`` read all three.
 
 All matrices are small (dimension at most about a hundred) and dense complex
 double precision; 0x0 matrices are legal values throughout.
@@ -145,6 +149,43 @@ def rank_keep(w: np.ndarray) -> np.ndarray:
     all-nonpositive (or empty) ``w`` keeps nothing.
     """
     return w > RANK_TOL * w.max(initial=0.0)
+
+
+def keeps_every_eigenvalue(stack: np.ndarray) -> bool:
+    """Whether a Cholesky factorization proves, with no eigensolve, that
+    each Hermitian matrix A of the ``(k, n, n)`` stack has every eigenvalue
+    kept by :func:`rank_keep` and passes :func:`psd_ok`.
+
+    Each A is shifted down by tau = (2 RANK_TOL + 8 n^2 u) ||A||_1, with u
+    = 2^-53 the unit roundoff, and factored; the answer is True iff every
+    factorization runs to completion.  Then lambda_min(A) > 2 RANK_TOL
+    ||A||_1 >= 2 RANK_TOL lambda_max(A), because ||A||_2 <= ||A||_1 for a
+    Hermitian A.  So every exact eigenvalue clears the cutoff by a factor 2.
+    The second RANK_TOL ||A||_1 absorbs the rounding of a computed spectrum,
+    which for ``eigh`` is of order n u ||A||_2, unless A is far smaller in
+    norm than the matrices it was formed from.  A False answer proves
+    nothing.
+
+    The 8 n^2 u term is the backward error of the factorization
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    Thm 10.3).  Cholesky of a Hermitian B that runs to completion gives a
+    nonsingular R with R* R = B + dB, |dB| <= gamma_{n+1} |R*| |R|, where
+    gamma_k = k u / (1 - k u).  Since || |R| ||_2^2 <= n ||R||_2^2 = n ||B +
+    dB||_2, this gives ||dB||_2 <= n gamma_{n+1} ||B||_2 / (1 - n
+    gamma_{n+1}), about n (n + 1) u ||B||_2; complex arithmetic scales
+    gamma by at most 2 sqrt(2) (Higham, Sec. 3.6).  Forming B = A - tau I
+    rounds each diagonal entry once, by at most u ||A||_1.  With ||B||_2 <=
+    ||A||_1 + tau, both together stay below 8 n^2 u ||A||_1 for every n >= 1
+    while n^2 u << 1.  The computed B plus dB is R* R, positive definite, so
+    by Weyl lambda_min(A) - tau > -8 n^2 u ||A||_1, which is the claim.
+    """
+    n = stack.shape[-1]
+    tau = (2.0 * RANK_TOL + 8.0 * n * n * 2.0**-53) * np.abs(stack).sum(axis=-2).max(axis=-1)
+    try:
+        np.linalg.cholesky(stack - tau[:, None, None] * np.eye(n))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def psd_ok(w: np.ndarray, tol: float = PSD_TOL):

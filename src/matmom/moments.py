@@ -105,8 +105,11 @@ class MomentSequence:
     @cached_property
     def moment_scales(self) -> np.ndarray:
         """max(1, ||S_n||_2) for n = 0..l, the scales :func:`verify` judges
-        the moment residuals against; read-only."""
-        scales = np.maximum(1.0, np.linalg.norm(self._stack, 2, axis=(1, 2)))
+        the moment residuals against; read-only.  The moments are Hermitian,
+        so ||S_n||_2 is the largest |eigenvalue|, from one batched
+        ``eigvalsh``."""
+        w = np.linalg.eigvalsh(self._stack)
+        scales = np.maximum(1.0, np.abs(w).max(axis=-1))
         scales.setflags(write=False)
         return scales
 

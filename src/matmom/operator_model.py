@@ -11,9 +11,11 @@ complement (the defect space) after: the compression P of the contraction
 to the domain, its component Q into the complement, and the coordinates of
 the first N vectors.  The spectrum of the moment matrix decides its rank.
 A space of full rank takes the Cholesky factor as its vectors, which are
-already its Gram-Schmidt coordinates; a rank-deficient one takes
-eigen-scaled vectors, and the domain SVD that decides kernel inclusion
-gives its coordinates.  P and Q come from one formula in either.
+already its Gram-Schmidt coordinates.  There P is the truncated block Jacobi
+matrix, block tridiagonal, and Q reaches only its last block, so both are
+formed block by block from the N x N blocks of that factor, with no dN x dN
+inverse.  A rank-deficient space takes eigen-scaled vectors, and the domain
+SVD that decides kernel inclusion gives its coordinates and its P and Q.
 """
 
 from __future__ import annotations
@@ -71,10 +73,13 @@ class GramSpace:
     @cached_property
     def norm(self) -> float:
         """||X||_2 of the vector matrix X = ``vectors``, sqrt(lambda_max) of
-        the moment matrix.  The eigen-scaled rows of a rank-deficient space
-        are orthogonal, so there it is the largest row norm; the rows of a
-        Cholesky factor are not, and a full-rank space reads lambda_max from
-        ``spectrum``."""
+        the moment matrix.  A space assembled from vectors alone takes
+        ||X||_2 itself.  Otherwise the eigen-scaled rows of a rank-deficient
+        space are orthogonal, so there it is the largest row norm; the rows
+        of a Cholesky factor are not, and a full-rank space reads lambda_max
+        from ``spectrum``."""
+        if self.spectrum is None:
+            return opnorm(self.vectors)
         if self.rank < self.vectors.shape[1]:
             return float(np.linalg.norm(self.vectors, axis=1).max(initial=0.0))
         return float(np.sqrt(self.spectrum[-1]))
@@ -253,19 +258,21 @@ def build_operators(space: GramSpace) -> ContractionModel:
     :func:`kernel_inclusion`, whose verdict a :func:`check_odd` of the same
     space has already computed.  Whether the block column is a contraction is
     not judged here: :func:`~matmom.extensions.extremal_extensions` decides
-    it once, on the eigenbasis of P that it factors anyway.
+    it once.
 
-    The two routes differ only in the coordinates they choose: one QR of
-    the Gram vectors on a space of full rank (d+1)N, with no SVD
-    (:func:`_gram_schmidt_coords`), and the domain SVD that decided kernel
-    inclusion on a rank-deficient space (:func:`_domain_svd_coords`).  Each
-    gives the coordinates of x_0..x_{N-1}, those of the shifted domain
-    vectors x_N..x_{N+dN-1}, and a right inverse of the domain vectors onto
-    the p domain coordinates.  The shift maps those domain basis vectors to
-    T = scale * shifted @ right_inv, so P = herm(T[:p] - shift I), exactly
-    Hermitian, and Q = T[p:].  Both must be finite (an interval so short
-    that 2/(b - a) overflows makes them not):
-    :func:`~matmom.extensions.extremal_extensions` takes them as they are.
+    The shift maps the domain basis to T = scale * shifted @ right_inv,
+    where ``shifted`` holds the coordinates of x_N..x_{N+dN-1} and
+    ``right_inv`` maps the domain vectors onto the p domain coordinates; then
+    P = herm(T[:p] - shift I) and Q = T[p:].  The two routes differ in the
+    coordinates and in how much of T they form.  A space of full rank (d+1)N
+    is in Gram-Schmidt coordinates, where P is block tridiagonal and Q is
+    zero outside its last block column, so :func:`_block_jacobi_operators`
+    forms only those blocks, with no SVD and no inverse of the dN x dN
+    factor.  A rank-deficient space takes the domain SVD that decided kernel
+    inclusion (:func:`_domain_svd_operators`).  P is exactly Hermitian on
+    both.  P and Q must be finite (an interval so short that 2/(b - a)
+    overflows makes them not): :func:`~matmom.extensions.extremal_extensions`
+    takes them as they are.
     """
     passed, residual = kernel_inclusion(space)
     if not passed:
@@ -276,48 +283,76 @@ def build_operators(space: GramSpace) -> ContractionModel:
     scale = 2.0 / (space.b - space.a)
     shift = (space.a + space.b) / (space.b - space.a)
     if space.rank == space.vectors.shape[1]:
-        first, shifted, right_inv = _gram_schmidt_coords(space)
+        first, p_mat, q_mat = _block_jacobi_operators(space, scale, shift)
     else:
-        first, shifted, right_inv = _domain_svd_coords(space)
-    p_dim = right_inv.shape[1]
-    t_mat = scale * (shifted @ right_inv)
-    # the -shift term maps the domain into itself, so it enters P only
-    p_raw = t_mat[:p_dim] - shift * np.eye(p_dim, dtype=complex)
-    q_mat = t_mat[p_dim:]
-    for name, block in (("P", p_raw), ("Q", q_mat)):
+        first, p_mat, q_mat = _domain_svd_operators(space, scale, shift)
+    for name, block in (("P", p_mat), ("Q", q_mat)):
         if not np.isfinite(block).all():
             raise NumericalInconsistency(f"{name} contains non-finite entries")
-    return ContractionModel(space=space, first_vectors=first, P=herm_part(p_raw), Q=q_mat)
+    return ContractionModel(space=space, first_vectors=first, P=p_mat, Q=q_mat)
 
 
-def _gram_schmidt_coords(space: GramSpace):
-    """First vectors, shifted domain vectors and right inverse of a full-rank
-    space, from one QR's R.
+def _block_jacobi_operators(space: GramSpace, scale: float, shift: float):
+    """First vectors, P and Q of a full-rank space, from the N x N blocks
+    R_ij of one QR's R.
 
     With X = U R, R's diagonal made real positive, the columns of U are the
     Gram-Schmidt orthonormalization of x_0, x_1, ... in order, and they are
     the model's coordinates: the domain is spanned by the first dN and the
     defect space by the Gram-Schmidt vectors of the top block
-    x_{dN}..x_{(d+1)N-1}.  In them x_n is column n of R, and the domain
-    basis is g_dom R_dd^-1 with R_dd = R[:dN, :dN].  So P is the truncated
-    block Jacobi matrix of the orthonormal polynomials, and Q is zero
-    outside its last block column.  The Cholesky factor that
-    :func:`gram_space_from_eig` gives a full-rank space is already such an
-    R, and the QR returns it unchanged.
+    x_{dN}..x_{(d+1)N-1}.  In them x_n is column n of R, and T = scale *
+    R[:, N:N+dN] R_dd^-1 with R_dd = R[:dN, :dN] block upper triangular.
+    Multiplied out block by block, T is block tridiagonal up to its last
+    block row (it is the truncated block Jacobi matrix of the orthonormal
+    polynomials), with
+
+        A_i = scale R_{i+1,i+1} R_ii^-1                      (block (i+1, i))
+        B_i = scale (R_{i,i+1} - R_ii R_{i-1,i-1}^-1 R_{i-1,i}) R_ii^-1
+                                                            (block (i, i))
+
+    for i < d (no R_{-1,-1} term at i = 0).  P has the diagonal blocks
+    herm(B_i) - shift I and the off-diagonal blocks A_i and A_i*, and every
+    other entry exactly 0; Q = [0 ... 0 A_{d-1}].  One batched inverse of
+    the d blocks R_ii serves them all.
+
+    The Cholesky factor that :func:`gram_space_from_eig` gives a full-rank
+    space is already such an R, and the QR returns it unchanged; the QR
+    keeps a space assembled from other vectors correct.
     """
-    n, dn = space.N, space.d * space.N
+    n, d = space.N, space.d
     r = np.linalg.qr(space.vectors, mode="r")
     # LAPACK's R has a real diagonal, nonzero at full rank (|R_ii| is at least
     # the smallest kept singular value); negating the rows where it is
     # negative is exact, so a Cholesky factor comes back bitwise
     flip = np.diagonal(r).real < 0
     r[flip] = -r[flip]
-    return r[:, :n], r[:, n : n + dn], np.linalg.inv(r[:dn, :dn])
+    # R's diagonal blocks R_ii (i <= d) and those above them, R_{i,i+1} (i < d)
+    blocks = r.reshape(d + 1, n, d + 1, n)
+    r_diag = blocks.diagonal(0, 0, 2).transpose(2, 0, 1)
+    r_up = blocks.diagonal(1, 0, 2).transpose(2, 0, 1)
+    inv = np.linalg.inv(r_diag[:-1])
+    # ratio[i] = R_{i+1,i+1} R_ii^-1, so A_i = scale * ratio[i]
+    ratio = r_diag[1:] @ inv
+    inner = r_up.copy()
+    inner[1:] -= ratio[:-1] @ r_up[:-1]
+    diag = scale * (inner @ inv)
+    diag += diag.conj().transpose(0, 2, 1)
+    diag *= 0.5
+    diag -= shift * np.eye(n)
+    sub = scale * ratio
+    # T's block column i holds B_i at row i, A_i at row i + 1 and, above the
+    # diagonal, A_{i-1}*; P is its first d block rows and Q its last
+    i = np.arange(d)
+    t_mat = np.zeros(((d + 1) * n, d * n), dtype=complex)
+    t_blocks = t_mat.reshape(d + 1, n, d, n)
+    t_blocks[i, :, i, :] = diag
+    t_blocks[i + 1, :, i, :] = sub
+    t_blocks[i[:-1], :, i[1:], :] = sub[:-1].conj().transpose(0, 2, 1)
+    return r[:, :n], t_mat[: d * n], t_mat[d * n :]
 
 
-def _domain_svd_coords(space: GramSpace):
-    """First vectors, shifted domain vectors and right inverse of a
-    rank-deficient space, from its domain SVD.
+def _domain_svd_operators(space: GramSpace, scale: float, shift: float):
+    """First vectors, P and Q of a rank-deficient space, from its domain SVD.
 
     The space's one SVD ``g_dom = U diag(s) Vh`` of the domain vectors
     serves every step.  The p singular values kept by the rank cutoff (``s >
@@ -333,4 +368,8 @@ def _domain_svd_coords(space: GramSpace):
     dom_phase = _column_phases(u_full[:, :p_dim])
     basis = u_full * np.concatenate([dom_phase, _column_phases(u_full[:, p_dim:])])
     coords = basis.conj().T @ space.vectors[:, : n + dn]
-    return coords[:, :n], coords[:, n:], vh[:p_dim].conj().T * (dom_phase / sing[:p_dim])
+    right_inv = vh[:p_dim].conj().T * (dom_phase / sing[:p_dim])
+    t_mat = scale * (coords[:, n:] @ right_inv)
+    # the -shift term maps the domain into itself, so it enters P only
+    p_raw = t_mat[:p_dim] - shift * np.eye(p_dim, dtype=complex)
+    return coords[:, :n], herm_part(p_raw), t_mat[p_dim:]

@@ -33,7 +33,6 @@ from .linalg import (
     RANK_TOL,
     EigDecomposition,
     herm_part,
-    opnorm,
     psd_ok,
     rank_keep,
     require_hermitian,
@@ -355,8 +354,10 @@ def check_even(seq: MomentSequence) -> SolvabilityReport:
         even_case = EvenCaseData(X=x_sol, Y=y_sol, S_min=s_min, S_max=s_max,
                                  width=width)
         # the interval may collapse to a point, so normalize its PSD test by
-        # the endpoint scale rather than by the (possibly zero) width
-        scale = max(1.0, opnorm(s_min), opnorm(s_max))
+        # the endpoint scale rather than by the (possibly zero) width: the
+        # larger spectral norm of the two Hermitian ends, from one eigvalsh
+        ends = np.linalg.eigvalsh(np.stack((s_min, s_max)))
+        scale = max(1.0, float(np.abs(ends).max()))
         rel_min = float(width.eigenvalues.min()) / scale
         conditions.append(Condition("S interval nonempty", rel_min >= -PSD_TOL,
                                     "psd", rel_min, PSD_TOL,

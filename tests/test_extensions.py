@@ -25,6 +25,7 @@ from matmom import (
     loewner_leq,
     moments_of,
     qmu,
+    solve_odd,
 )
 
 from helpers import (
@@ -185,27 +186,109 @@ class TestExtremalExtensions:
         assert np.allclose(iv.C, iv.B_M - iv.B_mu)
 
 
+def _count_linalg(monkeypatch, names):
+    """Calls of each ``numpy.linalg`` function of ``names``, counted live."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
 class TestFactorizations:
     def test_two_eigh_and_no_eigvalsh(self, monkeypatch, matrix_defect_interval):
-        # eigh of P and of the defect decide contractivity; the minimal
-        # extension is factored only when a resolvent function asks for it
-        counts = {"eigh": 0, "eigvalsh": 0}
-        for name in counts:
-            original = getattr(np.linalg, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                counts[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+        # a Cholesky pair proves that I + P and I - P keep every eigenvalue,
+        # and one solve pair gives the completions: P is not factored.  The
+        # defect takes one eigh, and the minimal extension the second, only
+        # when a resolvent function asks for it
+        counts = _count_linalg(monkeypatch, ("eigh", "eigvalsh", "cholesky", "solve"))
         iv = extremal_extensions(matrix_defect_interval.model)
-        assert counts == {"eigh": 2, "eigvalsh": 0}
+        assert counts == {"eigh": 1, "eigvalsh": 0, "cholesky": 1, "solve": 1}
         w, v = iv.mu_eig
-        assert counts["eigh"] == 3
+        assert counts["eigh"] == 2
         assert iv.mu_eig is iv.mu_eig
         monkeypatch.undo()
         w_ref, v_ref = np.linalg.eigh(iv.B_mu)
         assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+
+# (measure, d) with Gram spaces of full rank (d+1)N, the large shape last
+CERTIFIED_CASES = [
+    (lambda: gen_random_measure(0, 4, 30, -1.0, 2.0), 8),
+    (lambda: gen_random_measure(16, 2, 6, -1.0, 1.0), 2),
+    (lambda: gen_random_measure(3, 1, 12, 0.0, 1.0), 5),
+    (lambda: gen_random_measure(5, 3, 10, -2.0, 3.0), 1),
+    # P and Q square, of sizes 2 and 1: the solve's right-hand side must
+    # stay a matrix, not a stack of vectors
+    (lambda: gen_random_measure(7, 2, 3, -1.0, 1.0), 1),
+    (lambda: gen_random_measure(7, 1, 3, 0.0, 1.0), 1),
+    (lambda: gen_random_measure(0, 8, 40, -1.0, 1.0), 10),
+]
+
+
+class TestCholeskyCertificate:
+    """Where one Cholesky pair proves that the rank cutoff keeps every 1 +- w,
+    the completions are Q (I +- P)^-1 Q* from one solve pair, and P takes no
+    eigendecomposition.  Everywhere else the eigendecomposition of P decides,
+    with the messages it always gave."""
+
+    @pytest.mark.parametrize("case", range(len(CERTIFIED_CASES) + 6))
+    def test_certified_completions_match_the_reference(self, case, monkeypatch):
+        if case < len(CERTIFIED_CASES):
+            make, d = CERTIFIED_CASES[case]
+            model = build_operators(build_gram_space(moments_of(make(), 2 * d)))
+            p, q = model.P, model.Q
+        else:
+            rng = np.random.default_rng(case)
+            p, q = random_contraction_column(rng, int(rng.integers(1, 6)),
+                                             int(rng.integers(1, 4)))
+        counts = _count_linalg(monkeypatch, ("eigh", "cholesky", "solve"))
+        got = extremal_completions(p, q)
+        assert counts == {"eigh": 0, "cholesky": 1, "solve": 1}
+        monkeypatch.undo()
+        for x, ref in zip(got, reference_completions(p, q)):
+            assert np.array_equal(x, x.conj().T)
+            assert np.abs(x - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("p", [np.eye(1), -np.eye(1), np.diag([1.0 - 1e-12, 0.3]),
+                                   np.diag([-1.0 + 1e-12, 0.3])],
+                             ids=["one", "minus-one", "near-one", "near-minus-one"])
+    def test_eigenvalue_at_the_cutoff_takes_eigh(self, p, monkeypatch):
+        # 1 - w or 1 + w is dropped (or nearly so), so no certificate
+        # exists; Q reaches only the eigenvector 0.3, if there is one
+        q = np.zeros((2, p.shape[0]))
+        q[0, 1:] = 0.5
+        counts = _count_linalg(monkeypatch, ("eigh", "cholesky", "solve"))
+        got = extremal_completions(p, q)
+        assert counts == {"eigh": 1, "cholesky": 1, "solve": 0}
+        monkeypatch.undo()
+        for x, ref in zip(got, reference_completions(p, q)):
+            assert np.abs(x - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("p, message", [
+        (np.array([[1.0 + 1e-6]]), "I - P has negative eigenvalue -1.000e-06 beyond tolerance"),
+        (np.array([[-1.0 - 1e-6]]), "I + P has negative eigenvalue -1.000e-06 beyond tolerance"),
+    ])
+    def test_failed_certificate_keeps_the_messages(self, p, message, monkeypatch):
+        counts = _count_linalg(monkeypatch, ("eigh", "cholesky"))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            extremal_completions(p, np.zeros((1, 1)))
+        assert counts == {"eigh": 1, "cholesky": 1}
+
+    def test_empty_p_is_not_certified(self, monkeypatch):
+        def refuse(stack):
+            raise AssertionError("certificate reached")
+
+        monkeypatch.setattr(matmom.extensions, "keeps_every_eigenvalue", refuse)
+        x_mu, x_m = extremal_completions(np.zeros((0, 0)), np.zeros((2, 0)))
+        assert np.array_equal(x_mu, -np.eye(2)) and np.array_equal(x_m, np.eye(2))
+        # zero moments: a rank-0 space, whose P is 0 x 0
+        assert solve_odd(scalar_seq(-1, 1, [0, 0, 0])).num_atoms == 0
 
 
 class TestOneContractionRule:

@@ -12,8 +12,11 @@ from matmom import (
     sqrt_psd,
 )
 from matmom.linalg import (
+    RANK_TOL,
     check_psd_stack,
     herm_part,
+    keeps_every_eigenvalue,
+    psd_ok,
     rank_keep,
     require_hermitian,
     require_hermitian_stack,
@@ -144,6 +147,50 @@ def test_rank_keep_rule():
     assert rank_keep(np.array([1e-12, 1e-9, 1.0])).tolist() == [False, True, True]
     assert rank_keep(np.array([-1.0, 0.0])).tolist() == [False, False]
     assert rank_keep(np.zeros(0)).shape == (0,)
+
+
+def _with_spectrum(rng, w):
+    u = random_unitary(rng, len(w))
+    return herm_part((u * np.asarray(w)) @ u.conj().T)
+
+
+class TestKeepsEveryEigenvalue:
+    """A Cholesky factorization of A - tau I, tau = (2 RANK_TOL + 8 n^2 u)
+    ||A||_1, proves that rank_keep keeps every eigenvalue of A."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_clear_margins_decide(self, seed):
+        # lambda_max <= ||A||_1 <= sqrt(n) lambda_max, so a smallest
+        # eigenvalue of 3 sqrt(n) RANK_TOL lambda_max clears the shift, and
+        # one of 1.5 RANK_TOL lambda_max does not
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        u = random_unitary(rng, n)
+        w = rng.uniform(0.5, 2.0, n)
+        a, above, below = (herm_part((u * v) @ u.conj().T) for v in (
+            w, np.r_[3.0 * np.sqrt(n) * RANK_TOL * w.max(), w[1:]],
+            np.r_[1.5 * RANK_TOL * w[1:].max(), w[1:]]))
+        assert keeps_every_eigenvalue(np.stack([a, above]))
+        assert not keeps_every_eigenvalue(np.stack([a, below]))
+        assert not keeps_every_eigenvalue(np.stack([-a]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+           exponent=st.floats(-12.0, -8.0))
+    def test_a_proof_is_never_wrong(self, seed, n, exponent):
+        # eigenvalues down to 10**exponent of the largest, across the cutoff
+        rng = np.random.default_rng(seed)
+        w = np.sort(rng.uniform(0.1, 1.0, n))
+        w[0] = 10.0**exponent
+        a = _with_spectrum(rng, w)
+        if keeps_every_eigenvalue(a[None]):
+            got = np.linalg.eigvalsh(a)
+            assert rank_keep(got).all() and psd_ok(got)
+            assert got.min() > 1.9 * RANK_TOL * got.max()
+
+    def test_stack_of_identities(self):
+        assert keeps_every_eigenvalue(np.stack([np.eye(3), 2.0 * np.eye(3)]))
+        assert not keeps_every_eigenvalue(np.stack([np.eye(3), np.diag([1.0, 1.0, 0.0])]))
 
 
 class TestRequireHermitianStack:

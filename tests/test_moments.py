@@ -479,8 +479,12 @@ class TestMomentSequence:
     def test_moment_scales_computed_once(self, seed):
         seq = random_seq(seed, n=3, l=5, scale=10.0 ** seed)
         scales = seq.moment_scales
-        expected = np.maximum(1.0, np.linalg.norm(np.stack(seq.moments), 2, axis=(1, 2)))
+        stack = np.stack(seq.moments)
+        # the largest |eigenvalue| of each Hermitian moment is its spectral norm
+        expected = np.maximum(1.0, np.abs(np.linalg.eigvalsh(stack)).max(axis=-1))
         assert np.array_equal(scales, expected)
+        svd = np.maximum(1.0, np.linalg.norm(stack, 2, axis=(1, 2)))
+        assert (np.abs(scales - svd) <= 1e-15 * svd).all()
         assert seq.moment_scales is scales
         assert not scales.flags.writeable
 

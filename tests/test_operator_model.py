@@ -25,7 +25,6 @@ from matmom import (
     solve_odd,
 )
 from matmom.linalg import RANK_TOL, EigDecomposition, rank_keep, sqrt_from_eig
-from matmom.operator_model import _gram_schmidt_coords
 from matmom.solutions import spectral_data
 
 from helpers import random_contraction
@@ -295,7 +294,7 @@ class TestGramVectors:
         assert abs(space.norm - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("case", range(1 + len(FULL_RANK_CASES)))
-    def test_full_rank_vectors_are_the_gram_schmidt_factor(self, case):
+    def test_full_rank_vectors_are_the_gram_schmidt_factor(self, case, monkeypatch):
         # the QR of an upper-triangular factor with a positive diagonal
         # returns it unchanged, so the coordinates are the vectors themselves
         make, d = (ONE_SVD_CASES[-1:] + FULL_RANK_CASES)[case]
@@ -304,8 +303,37 @@ class TestGramVectors:
         assert space.rank == x.shape[1]
         assert not np.tril(x, -1).any()
         assert not np.diagonal(x).imag.any() and np.diagonal(x).real.min() > 0
-        first, shifted, _ = _gram_schmidt_coords(space)
-        assert np.hstack([first, shifted]).tobytes() == x.tobytes()
+        factors, qr = [], np.linalg.qr
+
+        def recording_qr(a, mode="reduced"):
+            out = qr(a, mode=mode)
+            factors.append(out.copy())
+            return out
+
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        first = build_operators(space).first_vectors
+        (r,) = factors
+        flip = np.diagonal(r).real < 0
+        r[flip] = -r[flip]
+        assert r.tobytes() == x.tobytes()
+        assert first.tobytes() == x[:, : space.N].tobytes()
+
+    @pytest.mark.parametrize("make, d", [
+        (lambda: gen_random_measure(0, 2, 8, -1.0, 1.0), 3),
+        (lambda: gen_random_measure(11, 2, 2, -1.0, 1.0), 3),
+    ], ids=["full-rank", "rank-deficient"])
+    def test_norm_of_a_space_from_vectors_alone(self, make, d):
+        # a space assembled from vectors has no spectrum to read lambda_max
+        # from; these vectors are the space's own in other orthonormal
+        # coordinates, so the Gram matrix and ||X||_2 stay, but the rows of
+        # the rank-deficient ones are no longer orthogonal
+        space = build_gram_space(moments_of(make(), 2 * d))
+        rotation = np.linalg.qr(np.random.default_rng(d).standard_normal((space.rank,) * 2))[0]
+        bare = GramSpace(a=space.a, b=space.b, N=space.N, d=space.d, rank=space.rank,
+                         vectors=rotation @ space.vectors, gram=space.gram)
+        assert bare.spectrum is None
+        assert bare.norm == np.linalg.norm(bare.vectors, 2)
+        assert abs(bare.norm - space.norm) <= 1e-12 * space.norm
 
 
 def _hermitian_test_spaces():
@@ -360,6 +388,23 @@ def _mp_shift_eigenvalues(seq, dps=50):
         return np.sort([float((2 * x - a - b) / (b - a)) for x in w])
 
 
+# the large benchmark shape: N = 8, 40 atoms, l = 20 on [-1, 1]
+LARGE_CASE = (lambda: gen_random_measure(0, 8, 40, -1.0, 1.0), 10)
+
+
+def _dense_operators(space):
+    """P and Q of a full-rank space by the dense formula: with R the
+    vectors (an upper-triangular factor, see TestGramVectors), T = scale *
+    R[:, N:N+dN] R_dd^-1 over the whole dN x dN block R_dd, P = herm(T[:dN])
+    - shift I and Q = T[dN:]."""
+    n, dn = space.N, space.d * space.N
+    r = space.vectors
+    scale = 2.0 / (space.b - space.a)
+    shift = (space.a + space.b) / (space.b - space.a)
+    t = scale * (r[:, n : n + dn] @ np.linalg.inv(r[:dn, :dn]))
+    return 0.5 * (t[:dn] + t[:dn].conj().T) - shift * np.eye(dn), t[dn:]
+
+
 class TestGramSchmidtOperators:
     """On a full-rank space the bases are Gram-Schmidt of x_0, x_1, ... in
     order, so P is the truncated block Jacobi matrix of the orthonormal
@@ -378,19 +423,37 @@ class TestGramSchmidtOperators:
         assert not np.tril(f, -1).any()
         assert np.abs(np.diagonal(f).imag).max() <= 1e-12 * np.abs(f).max()
         assert np.diagonal(f).real.min() > 0
-        # P couples each block only to its neighbours (the off-band entries
-        # measure 8.8e-12 of the largest on the family problem)
+        # P couples each block only to its neighbours, and the shift leaves
+        # the domain only from its last block: exactly
         block = np.arange(dn) // n
         off_band = np.abs(block[:, None] - block[None, :]) > 1
-        assert np.abs(model.P[off_band]).max(initial=0.0) <= 1e-7 * np.abs(model.P).max()
-        # the shift leaves the domain only from its last block: exactly
+        assert not model.P[off_band].any()
         assert not model.Q[:, : dn - n].any()
+
+    def test_d_zero_has_empty_operators(self):
+        # a space assembled by hand with no domain: P is 0 x 0, Q is N x 0
+        gram = np.array([[2.0, 0.5], [0.5, 1.0]])
+        space = GramSpace(a=-1.0, b=1.0, N=2, d=0, rank=2,
+                          vectors=np.linalg.cholesky(gram).T, gram=gram)
+        model = build_operators(space)
+        assert model.P.shape == (0, 0) and model.Q.shape == (2, 0)
+
+    @pytest.mark.parametrize("case", range(len(FULL_RANK_CASES) + 1))
+    def test_block_formulas_match_the_dense_formula(self, case):
+        # the worst relative error measured was 4.0e-11, on the large shape
+        make, d = (FULL_RANK_CASES + [LARGE_CASE])[case]
+        space = build_gram_space(moments_of(make(), 2 * d))
+        model = build_operators(space)
+        p_ref, q_ref = _dense_operators(space)
+        size = np.linalg.norm(model.P, 2)
+        assert np.abs(model.P - p_ref).max() <= 1e-10 * size
+        assert np.abs(model.Q - q_ref).max() <= 1e-10 * size
 
     @pytest.mark.parametrize("cell", ORACLE_CELLS)
     def test_p_spectrum_matches_50_digit_oracle(self, cell):
         # the 15 oracle evaluations, at (d+1)N <= 18, take about 1 s on one
         # core of a 2-vCPU x86-64 VM; the float errors measured were at most
-        # 5.1e-10, on [0, 1], l = 12
+        # 5.0e-10, on [0, 1], l = 12
         (a, b), n, atoms, l = cell
         for seed in range(3):
             seq = moments_of(gen_random_measure(seed, n, atoms, a, b), l)

@@ -338,13 +338,15 @@ class TestFactorizationBudget:
         assert few["eigvalsh"] == many["eigvalsh"]
 
     def test_large_shape_takes_no_norm_and_no_eigvalsh(self, monkeypatch):
-        # a solve after its check decides contractivity on eigh(P) and the
-        # defect's eigh alone: no spectral norm of a matrix (a batched norm
-        # of the moment stack is not one) and no eigenvalue-only solve; its
-        # Gram space has full rank, so its operators take a QR and no SVD
+        # a solve after its check decides contractivity on a Cholesky pair and
+        # the defect's eigh alone: no spectral norm of a matrix and no
+        # eigenvalue-only solve, except the one batched eigvalsh of the moment
+        # stack that gives verify its scales; its Gram space has full rank,
+        # so its operators take a QR and no SVD
         seq = moments_of(gen_random_measure(0, 8, 40, -1.0, 1.0), 20)
         assert check(seq).solvable
         counts = Counter()
+        stacks = []
         for name in ("eigvalsh", "norm", "svd"):
             original = getattr(np.linalg, name)
 
@@ -352,13 +354,36 @@ class TestFactorizationBudget:
                 order = args[0] if args else kwargs.get("ord")
                 if _name != "norm" or (order == 2 and np.ndim(a) == 2):
                     counts[_name] += 1
+                    stacks.append(np.shape(a))
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
         measure = solve_odd(seq, 0.5)
         monkeypatch.undo()
         assert measure.num_atoms == 88
-        assert counts == Counter()
+        assert counts == Counter(eigvalsh=1)
+        assert stacks == [(21, 8, 8)]
+
+    def test_large_shape_factors_no_p(self, monkeypatch):
+        # the solve takes one eigh of the 88 x 88 extension and one of the
+        # 8 x 8 defect, one Cholesky pair and one solve pair of I +- P, and
+        # one batched inverse of the 10 diagonal 8 x 8 blocks of the Gram
+        # factor: no factorization of P and no 80 x 80 inverse
+        seq = moments_of(gen_random_measure(0, 8, 40, -1.0, 1.0), 20)
+        assert check(seq).solvable
+        shapes = {name: [] for name in ("eigh", "cholesky", "solve", "inv", "qr")}
+        for name, seen in shapes.items():
+            original = getattr(np.linalg, name)
+
+            def recorded(a, *args, _seen=seen, _original=original, **kwargs):
+                _seen.append(np.shape(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        solve_odd(seq, 0.5)
+        monkeypatch.undo()
+        assert shapes == {"eigh": [(8, 8), (88, 88)], "cholesky": [(2, 80, 80)],
+                          "solve": [(2, 80, 80)], "inv": [(10, 8, 8)], "qr": [(88, 88)]}
 
     def test_moment_matrix_factored_once(self, monkeypatch):
         # rank 6 of 8: check_odd's eigvalsh of Gamma drops an eigenvalue, so

@@ -125,8 +125,9 @@ class TestCheckEven:
 
     def test_each_moment_matrix_factored_once(self, monkeypatch):
         # one eigh each of Gamma_d and Gamma-tilde_d serves the PSD verdicts
-        # and the block systems; the width takes the third eigh, and the two
-        # eigvalsh calls are the H pair of the cross-check
+        # and the block systems; the width takes the third eigh.  One
+        # eigvalsh of the stacked ends S_min, S_max gives the interval's
+        # scale, and the other two are the H pair of the cross-check
         seq = moments_of(gen_random_measure(3, 2, 3, -1.0, 1.5), 7)
         gamma, gtilde = build_gamma(seq, 3), build_gamma_tilde(seq, 3)
         factored = {"eigh": [], "eigvalsh": []}
@@ -142,11 +143,13 @@ class TestCheckEven:
         monkeypatch.undo()
         assert rep.solvable
         assert {name: len(mats) for name, mats in factored.items()} == {
-            "eigh": 3, "eigvalsh": 2}
+            "eigh": 3, "eigvalsh": 3}
         same = lambda x, y: x.shape == y.shape and np.allclose(x, y, rtol=0, atol=1e-13)
         assert not any(same(x, gamma) or same(x, gtilde) for x in factored["eigvalsh"])
+        ends = np.stack([rep.even_case.S_min, rep.even_case.S_max])
         h, ht = build_h_pair(seq, 3)
-        assert [same(x, y) for x, y in zip(factored["eigvalsh"], (h, ht))] == [True, True]
+        assert [same(x, y) for x, y in zip(factored["eigvalsh"], (ends, h, ht))] == [
+            True, True, True]
         # the PSD conditions read the eigenvalues of the factorizations
         eig = lambda m: np.linalg.eigh(m)[0].min()
         assert rep.details["Gamma PSD"] == eig(gamma)
