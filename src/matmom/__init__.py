@@ -22,14 +22,7 @@ from .extensions import (
     generalized_resolvent,
     qmu,
 )
-from .linalg import (
-    EigDecomposition,
-    check_psd,
-    hermitian_eig,
-    loewner_leq,
-    pinv_psd,
-    sqrt_psd,
-)
+from .linalg import EigDecomposition
 from .moments import (
     DiscreteMatrixMeasure,
     MomentSequence,
@@ -98,22 +91,17 @@ __all__ = [
     "check_even",
     "check_l0",
     "check_odd",
-    "check_psd",
     "extremal_completions",
     "extremal_extensions",
     "gen_random_measure",
     "generalized_resolvent",
-    "hermitian_eig",
     "kernel_inclusion",
-    "loewner_leq",
     "measure_from_atoms",
     "moments_of",
-    "pinv_psd",
     "qmu",
     "solve_even",
     "solve_l0",
     "solve_odd",
-    "sqrt_psd",
     "stieltjes_perron_recover",
     "verify",
 ]

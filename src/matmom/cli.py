@@ -123,7 +123,6 @@ def _cmd_verify(args) -> int:
         ok = "PASS" if res <= args.tol * scale else "FAIL"
         print(f"{i}  {format_float(res)}  {format_float(scale)}  {ok}")
     print(f"support inside [a, b]: {'yes' if outcome.support_ok else 'NO'}")
-    print(f"weights PSD: {'yes' if outcome.weights_psd_ok else 'NO'}")
     print(f"verified: {'yes' if outcome.passed else 'no'}")
     return EXIT_OK if outcome.passed else EXIT_NEGATIVE
 

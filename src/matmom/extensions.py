@@ -52,7 +52,6 @@ from .linalg import (
     EigDecomposition,
     herm_part,
     keeps_every_eigenvalue,
-    psd_ok,
     rank_keep,
     require_hermitian,
     require_psd,
@@ -109,11 +108,6 @@ class ExtensionInterval:
     def C(self) -> np.ndarray:
         """The defect B_M - B_mu on the whole Gram space: ``C_R`` in its defect block."""
         return self.B_M - self.B_mu
-
-    def defect_support_basis(self) -> np.ndarray:
-        """Orthonormal basis (in defect coordinates) of the range of the defect."""
-        w, v = np.linalg.eigh(self.C_R)
-        return v[:, rank_keep(w)]
 
 
 def extremal_completions(p_block, q_block) -> tuple[np.ndarray, np.ndarray]:
@@ -185,8 +179,8 @@ def _eig_completions(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarr
     rule that :func:`extremal_completions` states."""
     w, v = np.linalg.eigh(p)
     plus, minus = 1.0 + w, 1.0 - w
-    require_psd(plus, NORM_SLACK, "I + P")
-    require_psd(minus, NORM_SLACK, "I - P")
+    require_psd(plus, "I + P")
+    require_psd(minus, "I - P")
     keep_plus, keep_minus = rank_keep(plus), rank_keep(minus)
     qv = q @ v
     dropped = ~(keep_plus & keep_minus)
@@ -220,22 +214,19 @@ def extremal_extensions(model: ContractionModel) -> ExtensionInterval:
     This is where the shift column [P; Q] is judged a contraction, once: by
     the tests of :func:`extremal_completions` (a Cholesky proof for I +- P,
     or the eigendecomposition of P) and by the defect X_max - X_min being
-    PSD within ``NORM_SLACK``.  The model is
+    PSD.  Each PSD test on a spectrum, of I + P, I - P or the defect, is
+    :func:`~matmom.linalg.require_psd` at ``NORM_SLACK``.  The model is
     built from moment data, so a column that fails is a numerical
     inconsistency, not bad input, and raises ``NumericalInconsistency``.
     """
     try:
         x_mu, x_m = _extremal_completions(model.P, model.Q)
+        c_r = herm_part(x_m - x_mu)
+        c_dec = EigDecomposition(*np.linalg.eigh(c_r))
+        require_psd(c_dec.eigenvalues, "defect")
     except ValidationError as exc:
         raise NumericalInconsistency(str(exc)) from exc
     b_mu = _assemble(model.P, model.Q, x_mu)
-
-    c_r = herm_part(x_m - x_mu)
-    c_dec = EigDecomposition(*np.linalg.eigh(c_r))
-    if not psd_ok(c_dec.eigenvalues, NORM_SLACK):
-        raise NumericalInconsistency(
-            f"defect has negative eigenvalue {c_dec.eigenvalues.min():.3e} beyond tolerance"
-        )
     lam_max = float(c_dec.eigenvalues.max(initial=0.0))
     return ExtensionInterval(
         model=model,

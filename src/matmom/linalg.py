@@ -2,13 +2,12 @@
 
 Every rank, positivity and clustering decision in this package runs through
 the rules here, so that they are consistent across modules.  Matrices are
-validated once, where they enter: ``require_hermitian`` and the helpers that
-call it (``hermitian_eig``, ``check_psd``, ``pinv_psd``, ``sqrt_psd``,
-``loewner_leq``) are the validating entry points for matrices from outside
-the chain.  A matrix the chain builds from validated moments (a block Hankel
-matrix, a Hermitian part) is Hermitian by construction and is factored by
-``numpy.linalg`` directly (``eigh``, ``eigvalsh``, or ``cholesky`` for a
-moment matrix of full rank), without a second scan.
+validated once, where they enter: ``require_hermitian`` is the validating
+entry point for matrices from outside the chain.  A matrix the chain builds
+from validated moments (a block Hankel matrix, a Hermitian part) is
+Hermitian by construction and is factored by ``numpy.linalg`` directly
+(``eigh``, ``eigvalsh``, or ``cholesky`` for a moment matrix of full rank),
+without a second scan.
 
 * ``rank_keep`` is the one rank cutoff: an eigenvalue (or singular value)
   counts as nonzero iff it exceeds ``RANK_TOL`` times the largest one
@@ -18,28 +17,25 @@ moment matrix of full rank), without a second scan.
   matrix, with a margin for the rounding of a computed spectrum.
 * ``psd_ok`` is the one positive-semidefiniteness rule on eigenvalues: the
   smallest may sit at most ``tol * max(1, max |eigenvalue|)`` below zero.
-  ``check_psd`` applies it to one matrix, ``check_psd_stack`` to a
-  ``(k, n, n)`` stack with one batched ``eigvalsh``, matrix by matrix with
-  the same validation and scale as ``check_psd`` at ``PSD_TOL``.
+  ``check_psd_stack`` applies it at ``PSD_TOL`` to a ``(k, n, n)`` stack
+  with one batched ``eigvalsh``, matrix by matrix, and ``require_psd``
+  at ``NORM_SLACK`` to the spectra of the contraction rule.
 * ``require_hermitian`` is the one Hermitian-input rule, applied to a stack
   in one pass by ``require_hermitian_stack``.
 * ``cluster_starts`` is the one clustering rule for sorted values (atom
   positions, eigenvalues): a cluster ends where a gap exceeds the tolerance.
 * ``sqrt_from_eig`` builds the square root from an eigendecomposition the
   caller already has, so that one factorization serves several derived
-  matrices; ``sqrt_psd`` is the one-matrix form, and ``pinv_psd`` the
-  pseudo-inverse of one matrix.
+  matrices.
 
 A rule takes its tolerance as a parameter only where its callers use two
-values: ``psd_ok`` and ``require_psd`` (``PSD_TOL``, ``NORM_SLACK``),
-``require_hermitian`` and ``require_hermitian_stack`` (``HERM_TOL``,
-``io.FILE_HERM_TOL``), ``check_psd`` and ``loewner_leq`` (``PSD_TOL`` or a
-looser slack), and ``cluster_starts`` (``solutions.CLUSTER_TOL``, and
+values: ``psd_ok`` (``PSD_TOL``, ``NORM_SLACK``), ``require_hermitian`` and
+``require_hermitian_stack`` (``HERM_TOL``, ``io.FILE_HERM_TOL``), and
+``cluster_starts`` (``solutions.CLUSTER_TOL``, and
 ``moments.ATOM_MERGE_REL`` times the interval length).  Everything else
-reads the constants below: ``rank_keep`` and ``sqrt_from_eig`` read
-``RANK_TOL``, ``hermitian_eig`` reads ``HERM_TOL``, ``check_psd_stack``
-reads ``PSD_TOL``, ``keeps_every_eigenvalue`` reads ``RANK_TOL``, and
-``pinv_psd`` and ``sqrt_psd`` read all three.
+reads the constants below: ``rank_keep``, ``sqrt_from_eig`` and
+``keeps_every_eigenvalue`` read ``RANK_TOL``, ``check_psd_stack`` reads
+``PSD_TOL``, and ``require_psd`` reads ``NORM_SLACK``.
 
 All matrices are small (dimension at most about a hundred) and dense complex
 double precision; 0x0 matrices are legal values throughout.
@@ -93,7 +89,8 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
 def require_hermitian(a, tol: float = HERM_TOL, name: str = "matrix") -> np.ndarray:
     """Validate Hermitian symmetry and return the symmetrized matrix.
 
-    The asymmetry bound is relative to the largest absolute entry.  A matrix
+    This is the entry point for a matrix from outside the chain.  The
+    asymmetry bound is relative to the largest absolute entry.  A matrix
     whose symmetrization (A + A*)/2 would overflow is rejected too.
     """
     arr = as_square_matrix(a, name)
@@ -125,20 +122,6 @@ def opnorm(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
-
-
-def hermitian_eig(a) -> EigDecomposition:
-    """Eigendecomposition of a Hermitian matrix from outside the chain.
-
-    Ascending real eigenvalues with orthonormal eigenvectors.  This is the
-    validating entry point: the input must be finite and Hermitian within
-    ``HERM_TOL`` (relative), and it is symmetrized before the solve so that
-    repeated runs are bitwise identical on one platform.  A matrix that is
-    Hermitian by construction needs none of that and goes to
-    ``numpy.linalg.eigh`` directly.
-    """
-    w, v = np.linalg.eigh(require_hermitian(a))
-    return EigDecomposition(w, v)
 
 
 def rank_keep(w: np.ndarray) -> np.ndarray:
@@ -198,11 +181,6 @@ def psd_ok(w: np.ndarray, tol: float = PSD_TOL):
     return w.min(axis=-1, initial=np.inf) >= -tol * scale
 
 
-def check_psd(a, tol: float = PSD_TOL) -> bool:
-    """True iff the Hermitian matrix has min eigenvalue >= -tol * max(1, norm)."""
-    return bool(psd_ok(np.linalg.eigvalsh(require_hermitian(a)), tol))
-
-
 def require_hermitian_stack(stack, tol: float = HERM_TOL,
                             name: str = "matrix {}") -> np.ndarray:
     """:func:`require_hermitian` of every matrix of a ``(k, n, n)`` stack at once.
@@ -229,7 +207,7 @@ def require_hermitian_stack(stack, tol: float = HERM_TOL,
 
 
 def check_psd_stack(stack) -> np.ndarray:
-    """:func:`check_psd` of every matrix of a ``(k, n, n)`` stack at once.
+    """The PSD verdict on every matrix of a ``(k, n, n)`` stack at once.
 
     Each matrix is validated by :func:`require_hermitian_stack` (the first
     failing one raises ``ValidationError``) and passes iff the spectrum of
@@ -249,10 +227,10 @@ def cluster_starts(sorted_values: np.ndarray, tol: float) -> np.ndarray:
     return np.concatenate(([0], np.flatnonzero(np.diff(sorted_values) > tol) + 1))
 
 
-def require_psd(w: np.ndarray, psd_tol: float, name: str = "matrix") -> None:
+def require_psd(w: np.ndarray, name: str = "matrix") -> None:
     """Raise ``ValidationError`` unless the eigenvalues ``w`` pass
-    :func:`psd_ok` at ``psd_tol``."""
-    if not psd_ok(w, psd_tol):
+    :func:`psd_ok` at ``NORM_SLACK``, the slack of the contraction rule."""
+    if not psd_ok(w, NORM_SLACK):
         raise ValidationError(f"{name} has negative eigenvalue {w.min():.3e} beyond tolerance")
 
 
@@ -262,39 +240,3 @@ def sqrt_from_eig(dec: EigDecomposition) -> np.ndarray:
     keep = rank_keep(w)
     vk = v[:, keep]
     return herm_part((vk * np.sqrt(w[keep])) @ vk.conj().T)
-
-
-def pinv_psd(a) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of a PSD matrix.
-
-    Eigenvalues not above ``RANK_TOL`` times the largest one are treated as
-    zero.  A negative eigenvalue beyond the ``PSD_TOL`` slack is a validation
-    error.
-    """
-    w, v = hermitian_eig(a)
-    require_psd(w, PSD_TOL, "pinv_psd input")
-    keep = rank_keep(w)
-    vk = v[:, keep]
-    return herm_part((vk / w[keep]) @ vk.conj().T)
-
-
-def sqrt_psd(a) -> np.ndarray:
-    """The PSD square root of a PSD matrix via eigendecomposition.
-
-    A negative eigenvalue beyond the ``PSD_TOL`` slack is a validation error;
-    eigenvalues not above ``RANK_TOL`` times the largest one count as zero.
-    """
-    dec = hermitian_eig(a)
-    require_psd(dec.eigenvalues, PSD_TOL, "sqrt_psd input")
-    return sqrt_from_eig(dec)
-
-
-def loewner_leq(a, b, tol: float = PSD_TOL) -> bool:
-    """Loewner order test: True iff B - A is PSD within ``tol``."""
-    ah = require_hermitian(a, name="left operand")
-    bh = require_hermitian(b, name="right operand")
-    if ah.shape != bh.shape:
-        raise ValidationError(
-            f"dimension mismatch in Loewner comparison: {ah.shape} vs {bh.shape}"
-        )
-    return check_psd(bh - ah, tol)

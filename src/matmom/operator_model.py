@@ -73,16 +73,14 @@ class GramSpace:
     @cached_property
     def norm(self) -> float:
         """||X||_2 of the vector matrix X = ``vectors``, sqrt(lambda_max) of
-        the moment matrix.  A space assembled from vectors alone takes
-        ||X||_2 itself.  Otherwise the eigen-scaled rows of a rank-deficient
-        space are orthogonal, so there it is the largest row norm; the rows
-        of a Cholesky factor are not, and a full-rank space reads lambda_max
-        from ``spectrum``."""
+        the moment matrix, read from ``spectrum``: X^H X reproduces the
+        moment matrix, exactly at full rank and up to the eigenvalues the
+        rank cutoff drops otherwise, which never include a positive
+        lambda_max (a space with none has no vectors and norm 0).  A space
+        assembled from vectors alone takes ||X||_2 itself."""
         if self.spectrum is None:
             return opnorm(self.vectors)
-        if self.rank < self.vectors.shape[1]:
-            return float(np.linalg.norm(self.vectors, axis=1).max(initial=0.0))
-        return float(np.sqrt(self.spectrum[-1]))
+        return float(np.sqrt(max(self.spectrum[-1], 0.0)))
 
     @cached_property
     def domain_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -144,15 +142,6 @@ class ContractionModel:
     @property
     def def_dim(self) -> int:
         return self.Q.shape[0]
-
-    @property
-    def no_defect(self) -> bool:
-        """True when the domain is the whole space, forcing a unique extension."""
-        return self.def_dim == 0
-
-    def column(self) -> np.ndarray:
-        """The block column [P; Q] in the model's (domain, defect) coordinates."""
-        return np.vstack([self.P, self.Q])
 
 
 def _column_phases(u: np.ndarray) -> np.ndarray:

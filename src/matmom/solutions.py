@@ -71,7 +71,6 @@ class VerificationReport:
     moment_residuals: np.ndarray
     moment_scales: np.ndarray
     support_ok: bool
-    weights_psd_ok: bool
 
     @property
     def passed(self) -> bool:
@@ -80,9 +79,9 @@ class VerificationReport:
 
     def passed_at(self, tol: float) -> bool:
         """The verdict of :func:`verify` at tolerance ``tol``: every moment
-        within ``tol`` times its scale, support inside [a, b], weights PSD."""
+        within ``tol`` times its scale and support inside [a, b]."""
         return (bool(np.all(self.moment_residuals <= tol * self.moment_scales))
-                and self.support_ok and self.weights_psd_ok)
+                and self.support_ok)
 
     @property
     def max_relative_residual(self) -> float:
@@ -276,10 +275,6 @@ def verify(measure: DiscreteMatrixMeasure, seq: MomentSequence,
         moment_residuals=residuals,
         moment_scales=seq.moment_scales,
         support_ok=_supported(measure, seq),
-        # a DiscreteMatrixMeasure's constructor admits only weights that are
-        # PSD within PSD_TOL, internal producers make only PSD weights, and
-        # both leave them read-only
-        weights_psd_ok=True,
     )
 
 

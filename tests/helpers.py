@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 
-from matmom.linalg import NORM_SLACK, psd_ok, rank_keep
+from matmom.linalg import NORM_SLACK, PSD_TOL, psd_ok, rank_keep, require_hermitian
 
 
 def random_unitary(rng, n):
@@ -78,6 +78,26 @@ def reference_hankel(seq, kind: str, k: int) -> np.ndarray:
         for j in range(size):
             out[i * n : (i + 1) * n, j * n : (j + 1) * n] = blocks(i, j)
     return out
+
+
+def reference_check_psd(a, tol=PSD_TOL) -> bool:
+    """True iff the Hermitian matrix ``a`` passes ``psd_ok`` at ``tol``: one
+    matrix validated by ``require_hermitian`` and one ``eigvalsh``.  The
+    reference for ``check_psd_stack``."""
+    return bool(psd_ok(np.linalg.eigvalsh(require_hermitian(a)), tol))
+
+
+def loewner_leq(a, b) -> bool:
+    """Loewner order A <= B within the tests' slack: A and B are Hermitian
+    within ``HERM_TOL`` and B - A is PSD within 1e-9."""
+    return reference_check_psd(require_hermitian(b) - require_hermitian(a), 1e-9)
+
+
+def defect_support_basis(interval) -> np.ndarray:
+    """Orthonormal basis, in defect coordinates, of the range of the defect
+    ``interval.C_R``, cut by ``rank_keep``."""
+    w, v = np.linalg.eigh(interval.C_R)
+    return v[:, rank_keep(w)]
 
 
 def reference_completions(p, q):

@@ -3,14 +3,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from matmom import (
-    ValidationError,
-    check_psd,
-    hermitian_eig,
-    loewner_leq,
-    pinv_psd,
-    sqrt_psd,
-)
+from matmom import EigDecomposition, ValidationError
 from matmom.linalg import (
     RANK_TOL,
     check_psd_stack,
@@ -20,76 +13,15 @@ from matmom.linalg import (
     rank_keep,
     require_hermitian,
     require_hermitian_stack,
+    sqrt_from_eig,
 )
 
-from helpers import random_hermitian, random_psd, random_unitary
-
-
-def herm_cases(max_dim=10, scale=5.0):
-    return st.tuples(st.integers(1, max_dim), st.integers(0, 2**32 - 1),
-                     st.just(scale))
-
-
-def _make_herm(case):
-    n, seed, scale = case
-    return random_hermitian(np.random.default_rng(seed), n, scale)
-
-
-class TestHermitianEig:
-    def test_identity(self):
-        dec = hermitian_eig(np.eye(2))
-        assert np.allclose(dec.eigenvalues, [1.0, 1.0])
-
-    def test_swap_matrix(self):
-        dec = hermitian_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(dec.eigenvalues, [-1.0, 1.0])
-
-    def test_two_by_two_against_quadratic_formula(self):
-        a = np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]])
-        # roots of lambda^2 - (4/3) lambda + 1/12
-        tr, det = 4.0 / 3.0, 1.0 / 12.0
-        disc = np.sqrt(tr**2 - 4 * det)
-        expected = np.array([(tr - disc) / 2, (tr + disc) / 2])
-        dec = hermitian_eig(a)
-        assert np.allclose(dec.eigenvalues, expected, atol=1e-12)
-        assert np.allclose(dec.eigenvalues, [0.0657, 1.2676], atol=1e-4)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValidationError):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_empty_matrix(self):
-        dec = hermitian_eig(np.zeros((0, 0)))
-        assert dec.eigenvalues.shape == (0,)
-        assert dec.eigenvectors.shape == (0, 0)
-
-    @settings(max_examples=60, deadline=None)
-    @given(herm_cases(max_dim=12))
-    def test_reconstruction_and_orthonormality(self, case):
-        a = _make_herm(case)
-        w, v = hermitian_eig(a)
-        scale = max(1.0, np.linalg.norm(a, 2))
-        assert np.linalg.norm((v * w) @ v.conj().T - a, 2) <= 1e-10 * scale
-        assert np.linalg.norm(v.conj().T @ v - np.eye(a.shape[0]), 2) <= 1e-10
-        assert np.all(np.diff(w) >= 0)
-
-
-class TestCheckPsd:
-    def test_zero_scalar(self):
-        assert check_psd(np.zeros((1, 1)))
-
-    def test_indefinite(self):
-        assert not check_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_tolerance_rule(self):
-        assert check_psd(np.diag([1.0, -1e-14]), tol=1e-10)
-
-    def test_empty(self):
-        assert check_psd(np.zeros((0, 0)))
+from helpers import random_hermitian, random_psd, random_unitary, reference_check_psd
 
 
 class TestCheckPsdStack:
-    """The batched helper must decide exactly as check_psd does per matrix."""
+    """The batched helper must decide exactly as reference_check_psd does
+    per matrix."""
 
     @staticmethod
     def _stack(rng, count, n):
@@ -113,7 +45,7 @@ class TestCheckPsdStack:
         for count in (1, 7, 40):
             stack = self._stack(rng, count, n)
             got = check_psd_stack(stack)
-            want = [check_psd(m) for m in stack]
+            want = [reference_check_psd(m) for m in stack]
             assert got.shape == (count,)
             assert got.tolist() == want
             assert any(want) and (count == 1 or not all(want))
@@ -123,7 +55,7 @@ class TestCheckPsdStack:
         stack = self._stack(rng, 4, 3)
         stack[2, 0, 1] += 1e-6
         with pytest.raises(ValidationError):
-            check_psd(stack[2])
+            reference_check_psd(stack[2])
         with pytest.raises(ValidationError):
             check_psd_stack(stack)
 
@@ -139,7 +71,7 @@ class TestCheckPsdStack:
 
     def test_scalar_weights(self):
         stack = np.array([[[2.0]], [[0.0]], [[-1e-11]], [[-1e-9]]])
-        assert check_psd_stack(stack).tolist() == [check_psd(m) for m in stack]
+        assert check_psd_stack(stack).tolist() == [reference_check_psd(m) for m in stack]
         assert check_psd_stack(stack).tolist() == [True, True, True, False]
 
 
@@ -232,87 +164,35 @@ class TestRequireHermitianStack:
             require_hermitian_stack(np.delete(stack, 2, axis=0), 1e-9, name="m[{}]")
 
 
-class TestPinvPsd:
-    def test_rank_one(self):
-        a = np.ones((2, 2))
-        assert np.allclose(pinv_psd(a), np.full((2, 2), 0.25), atol=1e-14)
-
-    def test_identity(self):
-        assert np.allclose(pinv_psd(np.eye(3)), np.eye(3), atol=1e-14)
-
-    def test_diagonal_with_kernel(self):
-        assert np.allclose(pinv_psd(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]),
-                           atol=1e-14)
-
-    def test_empty_is_itself(self):
-        assert pinv_psd(np.zeros((0, 0))).shape == (0, 0)
-
-    def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(ValidationError):
-            pinv_psd(np.diag([1.0, -1.0]))
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
-    def test_penrose_identities(self, n, seed):
-        rng = np.random.default_rng(seed)
-        a = random_psd(rng, n, rank=rng.integers(1, n + 1))
-        ap = pinv_psd(a)
-        scale = max(1.0, np.linalg.norm(a, 2))
-        pscale = max(1.0, np.linalg.norm(ap, 2))
-        assert np.linalg.norm(a @ ap @ a - a, 2) <= 1e-9 * scale
-        assert np.linalg.norm(ap @ a @ ap - ap, 2) <= 1e-9 * pscale
-        assert np.linalg.norm(a @ ap - (a @ ap).conj().T, 2) <= 1e-9
-        assert np.linalg.norm(ap @ a - (ap @ a).conj().T, 2) <= 1e-9
-
-
 class TestSqrtPsd:
+    """The PSD square root from a spectrum the caller already has."""
+
+    @staticmethod
+    def _sqrt(a):
+        return sqrt_from_eig(EigDecomposition(*np.linalg.eigh(a)))
+
     def test_diagonal(self):
-        assert np.allclose(sqrt_psd(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]),
+        assert np.allclose(self._sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]),
                            atol=1e-14)
 
     def test_zero(self):
-        assert np.allclose(sqrt_psd(np.zeros((2, 2))), np.zeros((2, 2)))
+        assert np.allclose(self._sqrt(np.zeros((2, 2))), np.zeros((2, 2)))
 
     def test_full_matrix_squares_back(self):
         a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        root = sqrt_psd(a)
+        root = self._sqrt(a)
         assert np.allclose(root @ root, a, atol=1e-12)
-        assert check_psd(root)
+        assert reference_check_psd(root)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 10), st.integers(0, 2**32 - 1))
     def test_square_reconstructs(self, n, seed):
         rng = np.random.default_rng(seed)
         a = random_psd(rng, n, rank=rng.integers(1, n + 1))
-        root = sqrt_psd(a)
+        root = self._sqrt(a)
         scale = max(1.0, np.linalg.norm(a, 2))
         assert np.linalg.norm(root @ root - a, 2) <= 1e-9 * scale
-        assert check_psd(root)
-
-
-class TestLoewner:
-    def test_examples(self):
-        z, i = np.zeros((2, 2)), np.eye(2)
-        assert loewner_leq(z, i)
-        assert not loewner_leq(i, z)
-        assert loewner_leq(np.diag([1.0, 0.0]), i)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            loewner_leq(np.eye(2), np.eye(3))
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
-    def test_reflexive_and_antisymmetric(self, n, seed):
-        rng = np.random.default_rng(seed)
-        a = random_psd(rng, n)
-        assert loewner_leq(a, a)
-        # a pair ordered both ways must be equal up to the tolerance slack
-        tol = 1e-10
-        b = a + (tol / 4) * herm_part(random_hermitian(rng, n))
-        if loewner_leq(a, b, tol) and loewner_leq(b, a, tol):
-            scale = max(1.0, np.linalg.norm(a, 2), np.linalg.norm(b, 2))
-            assert np.linalg.norm(a - b, 2) <= 1.1 * tol * scale
+        assert reference_check_psd(root)
 
 
 def test_require_hermitian_symmetrizes():

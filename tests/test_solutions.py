@@ -916,8 +916,7 @@ class TestSolveL0:
 class TestVerify:
     def test_empty_report_has_zero_residual(self):
         report = VerificationReport(tol=1e-8, moment_residuals=np.zeros(0),
-                                    moment_scales=np.ones(0), support_ok=True,
-                                    weights_psd_ok=True)
+                                    moment_scales=np.ones(0), support_ok=True)
         assert report.max_relative_residual == 0.0
 
     def test_exact_round_trip_passes(self):
@@ -964,8 +963,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("route", ["constructor", "measure_from_atoms", "read_measure"])
     def test_weights_psd_by_construction(self, tmp_path, route):
-        # verify reports weights_psd_ok without judging the weights again,
-        # because no route into a measure admits a non-PSD weight
+        # verify does not judge the weights, because no route into a
+        # measure admits a non-PSD weight
         weights = np.array([np.eye(2), np.diag([1.0, -1e-3])], dtype=complex)
         with pytest.raises(ValidationError, match="weight 1 is not PSD"):
             if route == "constructor":
@@ -981,7 +980,6 @@ class TestVerify:
         measure = gen_random_measure(6, 2, 2, 0.0, 1.0)
         with pytest.raises(ValueError, match="read-only"):
             measure.weights[0, 0, 0] = -1.0
-        assert verify(measure, moments_of(measure, 2)).weights_psd_ok
 
     def test_passed_at_reads_each_part_of_the_verdict(self):
         mu = gen_random_measure(6, 1, 2, 0.0, 1.0)
@@ -993,7 +991,6 @@ class TestVerify:
         assert not report.passed_at(0.5 * worst)
         assert report.passed_at(worst * (1 + 1e-12))
         assert not replace(report, support_ok=False).passed_at(1.0)
-        assert not replace(report, weights_psd_ok=False).passed_at(1.0)
 
 
 class TestDeterminateRecovery:
