@@ -10,12 +10,13 @@ in orthonormal coordinates of the space, domain first and its orthogonal
 complement (the defect space) after: the compression P of the contraction
 to the domain, its component Q into the complement, and the coordinates of
 the first N vectors.  The spectrum of the moment matrix decides its rank.
-A space of full rank takes the Cholesky factor as its vectors, which are
-already its Gram-Schmidt coordinates.  There P is the truncated block Jacobi
-matrix, block tridiagonal, and Q reaches only its last block, so both are
-formed block by block from the N x N blocks of that factor, with no dN x dN
-inverse.  A rank-deficient space takes eigen-scaled vectors, and the domain
-SVD that decides kernel inclusion gives its coordinates and its P and Q.
+A space of full rank takes the upper Cholesky factor R of conj(Gamma) as
+its vectors, which are already its Gram-Schmidt coordinates.  There P is the
+truncated block Jacobi matrix, block tridiagonal, and Q reaches only its
+last block, so both are formed from the N x N blocks of R, with no
+factorization of R and no dN x dN inverse.  A rank-deficient space takes
+eigen-scaled vectors, and the domain SVD that decides kernel inclusion gives
+its coordinates and its P and Q.
 """
 
 from __future__ import annotations
@@ -26,14 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericalInconsistency, OperatorIllDefined, ValidationError
-from .linalg import (
-    RANK_TOL,
-    EigDecomposition,
-    herm_part,
-    opnorm,
-    psd_ok,
-    rank_keep,
-)
+from .linalg import RANK_TOL, herm_part, opnorm, psd_ok, rank_keep
 from .moments import MomentSequence, build_gamma
 
 # Inner products follow the convention <u, v> = sum_i u_i * conj(v_i), so all
@@ -45,11 +39,13 @@ class GramSpace:
     """Vectors realizing the moment matrix as a Gram matrix.
 
     ``vectors`` has shape (rank, (d+1)N); column n is x_n and
-    <x_n, x_m> reproduces entry (n, m) of ``gram``.  At full rank they are
-    the upper Cholesky factor of conj(``gram``); a rank-deficient space has
-    the eigen-scaled rows sqrt(w_i) v_i^T (see :func:`gram_space_from_eig`).
-    ``spectrum`` holds the ascending eigenvalues of ``gram`` that the rank
-    was decided on, or None for a space assembled from vectors alone.  A
+    <x_n, x_m> reproduces entry (n, m) of the moment matrix.  ``spectrum``
+    holds the ascending eigenvalues of the moment matrix that the rank was
+    decided on.  The vectors are square exactly when that spectrum keeps
+    every eigenvalue, and then they are the upper Cholesky factor R of
+    conj(moment matrix), the Gram-Schmidt factor that
+    :func:`build_operators` reads; a rank-deficient space has the
+    eigen-scaled rows sqrt(w_i) v_i^T (see :func:`gram_space_from_eig`).  A
     space may be shared through the solvability report that carries it, so
     its arrays, those of ``domain_svd`` included, are read-only.  What is
     derived from the vectors (the norm, the domain SVD, the domain rank and
@@ -60,15 +56,16 @@ class GramSpace:
     b: float
     N: int
     d: int
-    rank: int
     vectors: np.ndarray
-    gram: np.ndarray
-    spectrum: np.ndarray | None = None
+    spectrum: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.vectors, self.gram, self.spectrum):
-            if arr is not None:
-                arr.setflags(write=False)
+        self.vectors.setflags(write=False)
+        self.spectrum.setflags(write=False)
+
+    @property
+    def rank(self) -> int:
+        return self.vectors.shape[0]
 
     @cached_property
     def norm(self) -> float:
@@ -76,10 +73,7 @@ class GramSpace:
         the moment matrix, read from ``spectrum``: X^H X reproduces the
         moment matrix, exactly at full rank and up to the eigenvalues the
         rank cutoff drops otherwise, which never include a positive
-        lambda_max (a space with none has no vectors and norm 0).  A space
-        assembled from vectors alone takes ||X||_2 itself."""
-        if self.spectrum is None:
-            return opnorm(self.vectors)
+        lambda_max (a space with none has no vectors and norm 0)."""
         return float(np.sqrt(max(self.spectrum[-1], 0.0)))
 
     @cached_property
@@ -88,7 +82,7 @@ class GramSpace:
         once per space.  Only a rank-deficient space takes it: it decides the
         domain rank and kernel inclusion there and gives the operators' bases.
         A space of full rank (d+1)N needs neither, and its operators come
-        from a QR factor (see :func:`build_operators`)."""
+        from the blocks of its vectors (see :func:`build_operators`)."""
         dn = self.d * self.N
         if self.rank == 0:
             factors = (np.zeros((0, 0), dtype=complex), np.zeros(0),
@@ -161,59 +155,46 @@ def _column_phases(u: np.ndarray) -> np.ndarray:
     return phase
 
 
-def gram_spectrum(gamma: np.ndarray) -> EigDecomposition:
-    """The spectrum of the moment matrix ``gamma`` that its PSD verdict and
-    its rank are decided on, with eigenvectors only where they are needed.
+def gram_space_from_eig(seq: MomentSequence, gamma: np.ndarray) -> GramSpace:
+    """The Gram space of the order-d moment matrix ``gamma`` of ``seq``,
+    with the spectrum that its PSD verdict and its rank are decided on.
 
-    ``eigvalsh`` decides first.  If :func:`rank_keep` keeps every eigenvalue,
-    the Gram vectors are a Cholesky factor, and the eigenvectors are None.
-    Otherwise ``eigh`` factors ``gamma`` and its own spectrum decides, with
-    the eigenvectors that the eigen-scaled vectors need.  ``gamma`` is
-    gathered from validated moments: exactly Hermitian, and not scanned.
+    ``eigvalsh`` decides first.  If :func:`rank_keep` drops an eigenvalue,
+    ``eigh`` factors ``gamma`` and its own spectrum decides.  When the
+    deciding spectrum keeps every eigenvalue, cond(gamma) < 1/RANK_TOL and
+    the Cholesky factor gamma = L L^H exists.  The vectors are then R = L^T
+    (transposed, not conjugated), the upper Cholesky factor of conj(gamma):
+    R^H R = conj(gamma) gives sum_i R[i, n] conj(R[i, m]) = gamma[n, m].
+    Otherwise they are the eigenvectors kept by :func:`rank_keep`, scaled
+    and transposed (not conjugated), which makes the Gram identity hold in
+    the fixed inner-product convention.  ``gamma`` is gathered from
+    validated moments: exactly Hermitian, and not scanned.
     """
     w = np.linalg.eigvalsh(gamma)
-    if rank_keep(w).all():
-        return EigDecomposition(w, None)
-    return EigDecomposition(*np.linalg.eigh(gamma))
-
-
-def gram_space_from_eig(seq: MomentSequence, gamma: np.ndarray,
-                        dec: EigDecomposition) -> GramSpace:
-    """The Gram space of the order-d moment matrix ``gamma`` of ``seq`` from
-    its spectrum ``dec``, as :func:`gram_spectrum` returns it.
-
-    Without eigenvectors every eigenvalue is kept, so cond(gamma) <
-    1/RANK_TOL and the Cholesky factor gamma = L L^H exists.  The vectors
-    are then R = L^T (transposed, not conjugated), the upper Cholesky factor
-    of conj(gamma): R^H R = conj(gamma) gives sum_i R[i, n] conj(R[i, m]) =
-    gamma[n, m].  Otherwise they are the eigenvectors kept by
-    :func:`rank_keep`, scaled and transposed (not conjugated), which makes
-    the Gram identity hold in the fixed inner-product convention.
-    """
-    w, v = dec
-    if v is None:
+    keep = rank_keep(w)
+    if not keep.all():
+        w, v = np.linalg.eigh(gamma)
+        keep = rank_keep(w)
+    if keep.all():
         vectors = np.linalg.cholesky(gamma).T
     else:
-        keep = rank_keep(w)
         # x_n[i] = sqrt(w_i) * V[n, i] so that sum_i x_n[i] conj(x_m[i]) = Gamma[n, m]
         vectors = np.sqrt(w[keep])[:, None] * v[:, keep].T
-    return GramSpace(a=seq.a, b=seq.b, N=seq.N, d=seq.l // 2, rank=vectors.shape[0],
-                     vectors=vectors, gram=gamma, spectrum=w)
+    return GramSpace(a=seq.a, b=seq.b, N=seq.N, d=seq.l // 2, vectors=vectors, spectrum=w)
 
 
 def build_gram_space(seq: MomentSequence) -> GramSpace:
-    """Rank-revealing factorization of the order-d moment matrix, on the
-    spectrum of :func:`gram_spectrum`.
+    """Rank-revealing factorization of the order-d moment matrix, by
+    :func:`gram_space_from_eig`.
 
     Requires l = 2d with d >= 1 and a PSD moment matrix.
     """
     if seq.l % 2 != 0 or seq.l < 2:
         raise ValidationError(f"Gram-space construction requires l = 2d, d >= 1, got l={seq.l}")
-    gamma = build_gamma(seq, seq.l // 2)
-    dec = gram_spectrum(gamma)
-    if not psd_ok(dec.eigenvalues):
+    space = gram_space_from_eig(seq, build_gamma(seq, seq.l // 2))
+    if not psd_ok(space.spectrum):
         raise ValidationError("moment matrix is not PSD; refusing Gram-space construction")
-    return gram_space_from_eig(seq, gamma, dec)
+    return space
 
 
 def kernel_inclusion(space: GramSpace) -> tuple[bool, float]:
@@ -253,14 +234,16 @@ def build_operators(space: GramSpace) -> ContractionModel:
     where ``shifted`` holds the coordinates of x_N..x_{N+dN-1} and
     ``right_inv`` maps the domain vectors onto the p domain coordinates; then
     P = herm(T[:p] - shift I) and Q = T[p:].  The two routes differ in the
-    coordinates and in how much of T they form.  A space of full rank (d+1)N
-    is in Gram-Schmidt coordinates, where P is block tridiagonal and Q is
-    zero outside its last block column, so :func:`_block_jacobi_operators`
-    forms only those blocks, with no SVD and no inverse of the dN x dN
-    factor.  A rank-deficient space takes the domain SVD that decided kernel
-    inclusion (:func:`_domain_svd_operators`).  P is exactly Hermitian on
-    both.  P and Q must be finite (an interval so short that 2/(b - a)
-    overflows makes them not): :func:`~matmom.extensions.extremal_extensions`
+    coordinates and in how much of T they form.  The vectors of a space of
+    full rank (d+1)N are its Gram-Schmidt factor R, so the space is already
+    in Gram-Schmidt coordinates, where P is block tridiagonal and Q is zero
+    outside its last block column; :func:`_block_jacobi_operators` forms
+    only those blocks, from R's, with no factorization of R, no SVD and no
+    inverse of the dN x dN factor.  A rank-deficient space takes the domain
+    SVD that decided kernel inclusion (:func:`_domain_svd_operators`).  P is
+    exactly Hermitian on both.  P and Q must be finite (an interval so short
+    that 2/(b - a) overflows makes them not):
+    :func:`~matmom.extensions.extremal_extensions`
     takes them as they are.
     """
     passed, residual = kernel_inclusion(space)
@@ -283,17 +266,18 @@ def build_operators(space: GramSpace) -> ContractionModel:
 
 def _block_jacobi_operators(space: GramSpace, scale: float, shift: float):
     """First vectors, P and Q of a full-rank space, from the N x N blocks
-    R_ij of one QR's R.
+    R_ij of its vectors R.
 
-    With X = U R, R's diagonal made real positive, the columns of U are the
-    Gram-Schmidt orthonormalization of x_0, x_1, ... in order, and they are
-    the model's coordinates: the domain is spanned by the first dN and the
-    defect space by the Gram-Schmidt vectors of the top block
-    x_{dN}..x_{(d+1)N-1}.  In them x_n is column n of R, and T = scale *
-    R[:, N:N+dN] R_dd^-1 with R_dd = R[:dN, :dN] block upper triangular.
-    Multiplied out block by block, T is block tridiagonal up to its last
-    block row (it is the truncated block Jacobi matrix of the orthonormal
-    polynomials), with
+    R is the upper Cholesky factor of conj(Gamma), with a real positive
+    diagonal (see :class:`GramSpace`).  So X = I R is already a QR
+    factorization: Gram-Schmidt of x_0, x_1, ... in order gives the standard
+    basis of the coordinates, and those are the model's.  The domain is
+    spanned by the first dN and the defect space by the Gram-Schmidt vectors
+    of the top block x_{dN}..x_{(d+1)N-1}.  In them x_n is column n of R,
+    and T = scale * R[:, N:N+dN] R_dd^-1 with R_dd = R[:dN, :dN] block upper
+    triangular.  Multiplied out block by block, T is block tridiagonal up to
+    its last block row (it is the truncated block Jacobi matrix of the
+    orthonormal polynomials), with
 
         A_i = scale R_{i+1,i+1} R_ii^-1                      (block (i+1, i))
         B_i = scale (R_{i,i+1} - R_ii R_{i-1,i-1}^-1 R_{i-1,i}) R_ii^-1
@@ -303,18 +287,9 @@ def _block_jacobi_operators(space: GramSpace, scale: float, shift: float):
     herm(B_i) - shift I and the off-diagonal blocks A_i and A_i*, and every
     other entry exactly 0; Q = [0 ... 0 A_{d-1}].  One batched inverse of
     the d blocks R_ii serves them all.
-
-    The Cholesky factor that :func:`gram_space_from_eig` gives a full-rank
-    space is already such an R, and the QR returns it unchanged; the QR
-    keeps a space assembled from other vectors correct.
     """
     n, d = space.N, space.d
-    r = np.linalg.qr(space.vectors, mode="r")
-    # LAPACK's R has a real diagonal, nonzero at full rank (|R_ii| is at least
-    # the smallest kept singular value); negating the rows where it is
-    # negative is exact, so a Cholesky factor comes back bitwise
-    flip = np.diagonal(r).real < 0
-    r[flip] = -r[flip]
+    r = space.vectors
     # R's diagonal blocks R_ii (i <= d) and those above them, R_{i,i+1} (i < d)
     blocks = r.reshape(d + 1, n, d + 1, n)
     r_diag = blocks.diagonal(0, 0, 2).transpose(2, 0, 1)
@@ -354,10 +329,9 @@ def _domain_svd_operators(space: GramSpace, scale: float, shift: float):
     n, dn = space.N, space.d * space.N
     u_full, sing, vh = space.domain_svd
     p_dim = space._domain_cut[0]
-    dom_phase = _column_phases(u_full[:, :p_dim])
-    basis = u_full * np.concatenate([dom_phase, _column_phases(u_full[:, p_dim:])])
-    coords = basis.conj().T @ space.vectors[:, : n + dn]
-    right_inv = vh[:p_dim].conj().T * (dom_phase / sing[:p_dim])
+    phase = _column_phases(u_full)
+    coords = (u_full * phase).conj().T @ space.vectors[:, : n + dn]
+    right_inv = vh[:p_dim].conj().T * (phase[:p_dim] / sing[:p_dim])
     t_mat = scale * (coords[:, n:] @ right_inv)
     # the -shift term maps the domain into itself, so it enters P only
     p_raw = t_mat[:p_dim] - shift * np.eye(p_dim, dtype=complex)

@@ -46,7 +46,7 @@ from .moments import (
     build_gamma_tilde,
     build_h_pair,
 )
-from .operator_model import GramSpace, gram_space_from_eig, gram_spectrum, kernel_inclusion
+from .operator_model import GramSpace, gram_space_from_eig, kernel_inclusion
 
 logger = logging.getLogger(__name__)
 
@@ -266,11 +266,9 @@ def check_odd(seq: MomentSequence) -> SolvabilityReport:
     # one spectrum of Gamma gives its PSD verdict and the route to the Gram
     # vectors that kernel inclusion is decided on: a Cholesky factor at full
     # rank, eigen-scaled eigenvectors from eigh otherwise
-    gamma = build_gamma(seq, d)
-    dec = gram_spectrum(gamma)
-    space = gram_space_from_eig(seq, gamma, dec)
+    space = gram_space_from_eig(seq, build_gamma(seq, d))
     conditions = (
-        _psd_condition_eig("Gamma PSD", dec.eigenvalues),
+        _psd_condition_eig("Gamma PSD", space.spectrum),
         _psd_condition("GammaTilde PSD", build_gamma_tilde(seq, d)),
         _kernel_condition(space),
     )

@@ -59,7 +59,7 @@ class TestGramSpace:
         mu = gen_random_measure(seed, n, int(rng.integers(1, 5)), -2.0, 3.0)
         seq = moments_of(mu, 2 * int(rng.integers(1, 4)))
         space = build_gram_space(seq)
-        gamma = space.gram
+        gamma = build_gamma(seq, seq.l // 2)
         scale = max(1.0, np.linalg.norm(gamma, 2))
         assert np.abs(gram_matrix(space) - gamma).max() <= 1e-9 * scale
         # the vectors span the whole r-dimensional space
@@ -100,7 +100,8 @@ class TestBuildOperators:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 4))
         mu = gen_random_measure(1000 + seed, n, int(rng.integers(1, 5)), 0.0, 1.0)
-        model = build_operators(build_gram_space(moments_of(mu, 4)))
+        seq = moments_of(mu, 4)
+        model = build_operators(build_gram_space(seq))
         assert np.linalg.norm(np.vstack([model.P, model.Q]), 2) <= 1.0 + 1e-10
         assert np.allclose(model.P, model.P.conj().T, atol=1e-12)
         # the model's r coordinates split into domain and defect, and the
@@ -108,7 +109,7 @@ class TestBuildOperators:
         assert model.dom_dim + model.def_dim == model.space.rank
         f = model.first_vectors
         assert f.shape == (model.space.rank, n)
-        assert np.abs(f.T @ f.conj() - model.space.gram[:n, :n]).max() <= 1e-9
+        assert np.abs(f.T @ f.conj() - build_gamma(seq, 2)[:n, :n]).max() <= 1e-9
 
 
 def _reference_operators(space, rank_tol=1e-10):
@@ -171,7 +172,8 @@ ONE_SVD_CASES = [
 
 class TestOneSvdOperators:
     """A rank-deficient space takes everything from one SVD, a full-rank one
-    from one QR; either must match the pinv-based formulas they replaced."""
+    from the blocks of its Gram-Schmidt factor; either must match the
+    pinv-based formulas they replaced."""
 
     @pytest.mark.parametrize("case", range(len(ONE_SVD_CASES)))
     def test_matches_pinv_formulas(self, case):
@@ -216,8 +218,8 @@ class TestOneSvdOperators:
         tail = vectors[:, d * space.N :]
         vectors[:, d * space.N :] += eps * (rng.standard_normal(tail.shape)
                                             + 1j * rng.standard_normal(tail.shape))
-        bent = GramSpace(a=space.a, b=space.b, N=space.N, d=space.d, rank=space.rank,
-                         vectors=vectors, gram=space.gram)
+        bent = GramSpace(a=space.a, b=space.b, N=space.N, d=space.d,
+                         vectors=vectors, spectrum=space.spectrum)
         return space, bent
 
     @pytest.mark.parametrize("case", [0, 1, 2, 3])
@@ -257,7 +259,7 @@ class TestOneSvdOperators:
     def test_full_rank_space_needs_no_svd(self, seed, monkeypatch):
         # at full rank (d+1)N the domain vectors keep every singular value,
         # so kernel inclusion holds with no SVD, and the operators come from
-        # a QR factor
+        # the blocks of the Gram-Schmidt factor
         space = build_gram_space(moments_of(gen_random_measure(seed, 2, 6, -1.0, 1.0), 4))
         assert space.rank == 3 * space.N
         sing = np.linalg.svd(space.vectors[:, : 2 * space.N], compute_uv=False)
@@ -295,45 +297,48 @@ class TestGramVectors:
 
     @pytest.mark.parametrize("case", range(1 + len(FULL_RANK_CASES)))
     def test_full_rank_vectors_are_the_gram_schmidt_factor(self, case, monkeypatch):
-        # the QR of an upper-triangular factor with a positive diagonal
-        # returns it unchanged, so the coordinates are the vectors themselves
+        # an upper-triangular factor with a positive diagonal is already its
+        # own Gram-Schmidt factor, so the coordinates are the vectors
+        # themselves and the operators take no QR
         make, d = (ONE_SVD_CASES[-1:] + FULL_RANK_CASES)[case]
         space = build_gram_space(moments_of(make(), 2 * d))
         x = space.vectors
         assert space.rank == x.shape[1]
         assert not np.tril(x, -1).any()
         assert not np.diagonal(x).imag.any() and np.diagonal(x).real.min() > 0
-        factors, qr = [], np.linalg.qr
-
-        def recording_qr(a, mode="reduced"):
-            out = qr(a, mode=mode)
-            factors.append(out.copy())
-            return out
-
-        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        qr_calls = []
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: qr_calls.append(1))
         first = build_operators(space).first_vectors
-        (r,) = factors
-        flip = np.diagonal(r).real < 0
-        r[flip] = -r[flip]
-        assert r.tobytes() == x.tobytes()
+        assert not qr_calls
         assert first.tobytes() == x[:, : space.N].tobytes()
 
-    @pytest.mark.parametrize("make, d", [
-        (lambda: gen_random_measure(0, 2, 8, -1.0, 1.0), 3),
-        (lambda: gen_random_measure(11, 2, 2, -1.0, 1.0), 3),
-    ], ids=["full-rank", "rank-deficient"])
-    def test_norm_of_a_space_from_vectors_alone(self, make, d):
-        # a space assembled from vectors has no spectrum to read lambda_max
-        # from; these vectors are the space's own in other orthonormal
-        # coordinates, so the Gram matrix and ||X||_2 stay, but the rows of
-        # the rank-deficient ones are no longer orthogonal
-        space = build_gram_space(moments_of(make(), 2 * d))
-        rotation = np.linalg.qr(np.random.default_rng(d).standard_normal((space.rank,) * 2))[0]
-        bare = GramSpace(a=space.a, b=space.b, N=space.N, d=space.d, rank=space.rank,
-                         vectors=rotation @ space.vectors, gram=space.gram)
-        assert bare.spectrum is None
-        assert bare.norm == np.linalg.norm(bare.vectors, 2)
-        assert abs(bare.norm - space.norm) <= 1e-12 * space.norm
+    @pytest.mark.parametrize("builder", [build_gram_space, lambda seq: check_odd(seq).space],
+                             ids=["build_gram_space", "check_odd"])
+    def test_the_deciding_spectrum_picks_the_route(self, builder, monkeypatch):
+        # eigvalsh decides first; when it drops an eigenvalue, eigh decides.
+        # If eigh keeps every eigenvalue, the vectors must still be the
+        # Cholesky factor that the block Jacobi route reads as R
+        seq = moments_of(gen_random_measure(21, 2, 8, -1.0, 1.0), 6)
+        gamma = build_gamma(seq, 3)
+        eigvalsh, zeroed = np.linalg.eigvalsh, []
+
+        def smallest_zeroed(a):
+            w = eigvalsh(a)
+            w[0] = 0.0
+            zeroed.append(1)
+            return w
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", smallest_zeroed)
+        space = builder(seq)
+        monkeypatch.undo()
+        assert zeroed
+        assert rank_keep(space.spectrum).all()
+        assert space.vectors.tobytes() == np.linalg.cholesky(gamma).T.tobytes()
+        model = build_operators(space)
+        p_ref, q_ref = _dense_operators(space)
+        size = np.linalg.norm(model.P, 2)
+        assert np.abs(model.P - p_ref).max() <= 1e-10 * size
+        assert np.abs(model.Q - q_ref).max() <= 1e-10 * size
 
 
 def _hermitian_test_spaces():
@@ -433,8 +438,8 @@ class TestGramSchmidtOperators:
     def test_d_zero_has_empty_operators(self):
         # a space assembled by hand with no domain: P is 0 x 0, Q is N x 0
         gram = np.array([[2.0, 0.5], [0.5, 1.0]])
-        space = GramSpace(a=-1.0, b=1.0, N=2, d=0, rank=2,
-                          vectors=np.linalg.cholesky(gram).T, gram=gram)
+        space = GramSpace(a=-1.0, b=1.0, N=2, d=0, vectors=np.linalg.cholesky(gram).T,
+                          spectrum=np.linalg.eigvalsh(gram))
         model = build_operators(space)
         assert model.P.shape == (0, 0) and model.Q.shape == (2, 0)
 
@@ -559,7 +564,7 @@ class TestOperatorIdentities:
         g_dom = space.vectors[:, : d * n]
         g_shift = space.vectors[:, n : n + d * n]
         gtilde = build_gamma_tilde(seq, d)
-        scale = max(1.0, np.linalg.norm(space.gram, 2))
+        scale = max(1.0, np.linalg.norm(build_gamma(seq, d), 2))
         for _ in range(10):
             alpha = rng.standard_normal(d * n) + 1j * rng.standard_normal(d * n)
             u = g_dom @ alpha
@@ -615,11 +620,3 @@ class TestOperatorIdentities:
                 vec = shift_apply(vec)
                 assert np.abs(vec - space.vectors[:, r * n + j]).max() <= 1e-8 * scale
 
-
-def test_gram_entries_match_moment_blocks():
-    # gram[r*N + j, t*N + m] = S_{r+t}[j, m] by construction
-    mu = gen_random_measure(9, 2, 3, 0.0, 1.0)
-    seq = moments_of(mu, 4)
-    gamma = build_gamma(seq, 2)
-    space = build_gram_space(seq)
-    assert np.array_equal(space.gram, gamma)

@@ -368,7 +368,8 @@ class TestFactorizationBudget:
         # the solve takes one eigh of the 88 x 88 extension and one of the
         # 8 x 8 defect, one Cholesky pair and one solve pair of I +- P, and
         # one batched inverse of the 10 diagonal 8 x 8 blocks of the Gram
-        # factor: no factorization of P and no 80 x 80 inverse
+        # factor: no factorization of P or of the Gram factor, and no
+        # 80 x 80 inverse
         seq = moments_of(gen_random_measure(0, 8, 40, -1.0, 1.0), 20)
         assert check(seq).solvable
         shapes = {name: [] for name in ("eigh", "cholesky", "solve", "inv", "qr")}
@@ -383,7 +384,7 @@ class TestFactorizationBudget:
         solve_odd(seq, 0.5)
         monkeypatch.undo()
         assert shapes == {"eigh": [(8, 8), (88, 88)], "cholesky": [(2, 80, 80)],
-                          "solve": [(2, 80, 80)], "inv": [(10, 8, 8)], "qr": [(88, 88)]}
+                          "solve": [(2, 80, 80)], "inv": [(10, 8, 8)], "qr": []}
 
     def test_moment_matrix_factored_once(self, monkeypatch):
         # rank 6 of 8: check_odd's eigvalsh of Gamma drops an eigenvalue, so

@@ -365,7 +365,7 @@ class TestSharedReportIsImmutable:
     def _arrays(rep):
         if rep.case == "odd":
             space = rep.space
-            return (space.vectors, space.gram, *space.domain_svd)
+            return (space.vectors, space.spectrum, *space.domain_svd)
         data = rep.even_case
         return (data.X, data.Y, data.S_min, data.S_max, *data.width, data.width_half)
 
