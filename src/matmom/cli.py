@@ -2,8 +2,9 @@
 
 Subcommands: ``check`` (solvability report), ``solve`` (write a solution
 measure), ``verify`` (compare a measure against a problem), ``gen`` (seeded
-random solvable problem).  Exit codes: 0 success, 1 usage or parse error,
-2 mathematical negative (unsolvable problem or failed verification).
+random solvable problem).  Exit codes: 0 success, 1 usage or parse error
+(or a standard output closed by its reader), 2 mathematical negative
+(unsolvable problem or failed verification).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -201,7 +203,17 @@ def main(argv=None) -> int:
 
 
 def console() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        # flushed here, so that a closed stdout raises inside the try
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout has gone (``matmom check p.json | head -n 1``):
+        # what is left goes to devnull, so that the interpreter's own flush
+        # at exit fails no second time, and the exit status is 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

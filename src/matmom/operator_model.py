@@ -105,8 +105,6 @@ class GramSpace:
             return dn, 0.0
         _, sing, vh = self.domain_svd
         p_dim = int(rank_keep(sing).sum())
-        if p_dim == dn:
-            return dn, 0.0
         return p_dim, opnorm(self.vectors[:, n : n + dn] @ vh[p_dim:].conj().T)
 
 
@@ -217,8 +215,7 @@ def kernel_inclusion(space: GramSpace) -> tuple[bool, float]:
     :func:`build_operators` on the same space share it.
     """
     residual = space._domain_cut[1]
-    # a zero residual passes without the norm of X
-    return residual == 0.0 or residual <= np.sqrt(RANK_TOL) * space.norm, residual
+    return bool(residual <= np.sqrt(RANK_TOL) * space.norm), residual
 
 
 def build_operators(space: GramSpace) -> ContractionModel:

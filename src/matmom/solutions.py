@@ -236,9 +236,9 @@ def _extension_interval(odd: MomentSequence,
 def _with_next_moment(seq: MomentSequence, data: EvenCaseData, t) -> MomentSequence:
     """The even-case problem extended by S_{2d+2} chosen by ``t`` in ``data``'s interval."""
     t_mat = as_unit_interval_param(t, seq.N, name="moment-interval parameter")
-    # a Hermitian part of finite matrices: appended without a scan, as
-    # ``truncated`` slices without one
-    s_next = herm_part(data.S_min + data.width_half @ t_mat @ data.width_half)
+    # finite by the interval's checks, so appended without a scan, as
+    # ``truncated`` slices without one; ``_trusted`` takes its Hermitian part
+    s_next = data.S_min + data.width_half @ t_mat @ data.width_half
     return MomentSequence._trusted(seq.a, seq.b,
                                    np.concatenate((seq._stack, s_next[None])))
 

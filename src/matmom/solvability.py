@@ -86,7 +86,7 @@ class Condition:
 
 @dataclass(frozen=True)
 class EvenCaseData:
-    """Solutions of the even-case block systems and the next-moment interval.
+    """The admissible interval [S_min, S_max] for the next moment.
 
     ``width`` is the eigendecomposition of the interval width S_max - S_min
     that the "S interval nonempty" condition judged.  A report may be shared
@@ -94,22 +94,20 @@ class EvenCaseData:
     read-only.
     """
 
-    X: np.ndarray
-    Y: np.ndarray
     S_min: np.ndarray
     S_max: np.ndarray
     width: EigDecomposition
 
     def __post_init__(self):
-        for arr in (self.X, self.Y, self.S_min, self.S_max, *self.width):
+        for arr in (self.S_min, self.S_max, *self.width):
             arr.setflags(write=False)
 
     @cached_property
     def width_half(self) -> np.ndarray:
-        """Square root of the width from the judged spectrum: its eigenvalues
-        are clipped at zero, not judged again, and cut by :func:`rank_keep`."""
-        w, v = self.width
-        half = sqrt_from_eig(EigDecomposition(np.maximum(w, 0.0), v))
+        """Square root of the width from the spectrum the check judged, not
+        a new one; :func:`sqrt_from_eig` takes only the eigenvalues that
+        :func:`rank_keep` keeps, and those are positive."""
+        half = sqrt_from_eig(self.width)
         half.setflags(write=False)
         return half
 
@@ -177,27 +175,25 @@ def _frobenius(a: np.ndarray) -> float:
     return norm
 
 
-def _range_solve(dec: EigDecomposition,
-                 rhs: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """Minimal-norm solution of a PSD system, given the eigendecomposition
-    ``dec`` of its matrix, with a stable residual.
+def _range_solve(dec: EigDecomposition, rhs: np.ndarray) -> tuple[float, np.ndarray]:
+    """Residual and quadratic form of the minimal-norm solution x of a PSD
+    system, given the eigendecomposition ``dec`` of its matrix.
 
     Works in the eigenbasis: the residual of the pseudo-inverse solution of a
     consistent system is exactly the component of ``rhs`` on the numerical
     kernel, so that component is measured directly instead of forming
     ``mat @ x - rhs`` (which would drown in rounding noise of order
-    eps * cond(mat) for ill-conditioned moment matrices).  Also returns the
-    quadratic form x* mat x evaluated the same stable way.
+    eps * cond(mat) for ill-conditioned moment matrices).  The quadratic form
+    x* mat x = rhs* pinv(mat) rhs is evaluated the same stable way, and x
+    itself is never formed.  An empty system has residual 0 and a zero form.
     """
     w, v = dec
     kept = rank_keep(w)
     coeff = v.conj().T @ rhs
     ck = coeff[kept]
-    wk = w[kept][:, None]
-    x = v[:, kept] @ (ck / wk)
     residual = _frobenius(coeff[~kept])
-    quad = herm_part(ck.conj().T @ (ck / wk))
-    return x, residual, quad
+    quad = herm_part(ck.conj().T @ (ck / w[kept][:, None]))
+    return residual, quad
 
 
 def _kernel_condition(space: GramSpace) -> Condition:
@@ -290,19 +286,19 @@ def check_odd(seq: MomentSequence) -> SolvabilityReport:
 def check_even(seq: MomentSequence) -> SolvabilityReport:
     """Solvability for an even number of prescribed moments (l = 2d+1, d >= 0).
 
-    When the PSD conditions hold, the report carries the minimal-norm
-    solutions of the two block systems and the admissible interval
+    When the PSD conditions hold, the report carries the admissible interval
     [S_min, S_max] for the next moment; solvability additionally requires
-    both systems consistent and the interval nonempty.  The moment matrix
-    and its interval-weighted companion are each factored once, by ``eigh``:
-    the PSD conditions read the eigenvalues and the block systems are solved
-    on the same eigenbasis.  A repeated call on the same sequence object
-    returns the stored report; :func:`solve_even` relies on this.
+    the two block systems behind its ends consistent and the interval
+    nonempty.  At d = 0 the second system is empty and passes.  The moment
+    matrix and its interval-weighted companion are each factored once, by
+    ``eigh``: the PSD conditions read the eigenvalues and the block systems
+    are solved on the same eigenbasis.  A repeated call on the same sequence
+    object returns the stored report; :func:`solve_even` relies on this.
     """
     if seq.l % 2 != 1:
         raise ValidationError(f"even-case check requires l = 2d+1, got l={seq.l}")
     d = (seq.l - 1) // 2
-    s = seq.moments
+    s = seq._stack
     a, b, n = seq.a, seq.b, seq.N
 
     # both are built from the validated moments, so they are exactly
@@ -319,38 +315,26 @@ def check_even(seq: MomentSequence) -> SolvabilityReport:
         # moments with overflow warnings off; one that overflows is reported
         # by name, as for GammaTilde and the H pair
         with np.errstate(over="ignore", invalid="ignore"):
-            rhs_x = np.vstack([s[d + 1 + i] for i in range(d + 1)])
-            x_sol, res_x, s_min = _range_solve(gamma_dec, rhs_x)
+            rhs_x = s[d + 1:].reshape(-1, n)
+            res_x, s_min = _range_solve(gamma_dec, rhs_x)
             _finite_blocks(s_min, "S_min")
-            conditions.append(_residual_condition(
-                "X system consistent", res_x, _frobenius(rhs_x),
-                CONSISTENCY_TOL,
-            ))
-            if d > 0:
-                rhs_y = _finite_blocks(np.vstack([
-                    -a * b * s[d + i] + (a + b) * s[d + i + 1] - s[d + i + 2]
-                    for i in range(d)
-                ]), "Y right side")
-                y_sol, res_y, y_quad = _range_solve(gtilde_dec, rhs_y)
-                _finite_blocks(y_quad, "Y quadratic form")
-                conditions.append(_residual_condition(
-                    "Y system consistent", res_y, _frobenius(rhs_y),
-                    CONSISTENCY_TOL,
-                ))
-            else:
-                y_sol = np.zeros((0, n), dtype=complex)
-                y_quad = np.zeros((n, n), dtype=complex)
-                conditions.append(Condition("Y system consistent", True, "residual",
-                                            0.0, CONSISTENCY_TOL, 0.0))
-
+            rhs_y = _finite_blocks((-a * b * s[d:2 * d] + (a + b) * s[d + 1:2 * d + 1]
+                                    - s[d + 2:]).reshape(-1, n), "Y right side")
+            res_y, y_quad = _range_solve(gtilde_dec, rhs_y)
+            _finite_blocks(y_quad, "Y quadratic form")
+            conditions += [
+                _residual_condition("X system consistent", res_x,
+                                    _frobenius(rhs_x), CONSISTENCY_TOL),
+                _residual_condition("Y system consistent", res_y,
+                                    _frobenius(rhs_y), CONSISTENCY_TOL),
+            ]
             s_max = _finite_blocks(herm_part(
                 -a * b * s[2 * d] + (a + b) * s[2 * d + 1] - y_quad
             ), "S_max")
             # both ends are Hermitian parts, so their difference is exactly Hermitian
             width = EigDecomposition(*np.linalg.eigh(
                 _finite_blocks(s_max - s_min, "S_max - S_min")))
-        even_case = EvenCaseData(X=x_sol, Y=y_sol, S_min=s_min, S_max=s_max,
-                                 width=width)
+        even_case = EvenCaseData(S_min=s_min, S_max=s_max, width=width)
         # the interval may collapse to a point, so normalize its PSD test by
         # the endpoint scale rather than by the (possibly zero) width: the
         # larger spectral norm of the two Hermitian ends, from one eigvalsh

@@ -1,5 +1,6 @@
 import inspect
 import json
+import os
 import re
 import subprocess
 import sys
@@ -586,6 +587,33 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert "check" in proc.stdout and "solve" in proc.stdout
+
+
+class TestClosedStdout:
+    """A reader of stdout that goes away (``matmom check p.json | head -n 1``)
+    ends the program with exit 1 and nothing on stderr: no traceback and no
+    "Exception ignored" line from the interpreter's final flush."""
+
+    @pytest.mark.parametrize("command", ["check", "solve", "verify", "gen"])
+    def test_exits_one_silently(self, tmp_path, command):
+        problem, measure = tmp_path / "p.json", tmp_path / "m.json"
+        write_problem(problem, moments_of(gen_random_measure(3, 2, 2, 0.0, 1.0), 3))
+        write_measure(measure, gen_random_measure(3, 2, 2, 0.0, 1.0))
+        args = {
+            "check": [str(problem)],
+            "solve": [str(problem), "--out", str(tmp_path / "solved.json")],
+            "verify": [str(measure), str(problem)],
+            "gen": ["--seed", "3", "--out", str(tmp_path / "g.json")],
+        }[command]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "matmom", command, *args],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
 
 
 class TestUnwritableOutput:

@@ -24,6 +24,8 @@ from matmom import (
     measure_from_atoms,
     moments_of,
 )
+from matmom.linalg import herm_part
+from matmom.solvability import CONSISTENCY_TOL, Condition
 
 from helpers import random_hermitian, random_unitary
 
@@ -79,7 +81,6 @@ class TestCheckEven:
         assert rep.solvable
         assert rep.even_case.S_min == pytest.approx(np.array([[0.25]]))
         assert rep.even_case.S_max == pytest.approx(np.array([[0.5]]))
-        assert rep.even_case.Y.shape == (0, 1)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_width_root_from_the_judged_spectrum(self, seed):
@@ -106,18 +107,32 @@ class TestCheckEven:
         rep = check_even(scalar_seq(-2, 3, [1, 0.5]))
         assert rep.even_case.S_max == pytest.approx(np.array([[6.0 + 0.5]]))
 
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-2.0, 3.0)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_d_zero_empty_y_system(self, n, a, b):
+        # the Y system is 0 x 0: consistent with residual 0, and its zero
+        # quadratic form leaves S_max = -ab S_0 + (a+b) S_1
+        seq = moments_of(gen_random_measure(n, n, n + 1, a, b), 1)
+        rep = check_even(seq)
+        assert rep.solvable
+        y_cond = next(c for c in rep.conditions if c.name == "Y system consistent")
+        assert y_cond == Condition("Y system consistent", True, "residual", 0.0,
+                                   CONSISTENCY_TOL, 0.0)
+        s0, s1 = seq.moments
+        expected = herm_part(-a * b * s0 + (a + b) * s1)
+        assert rep.even_case.S_max.tobytes() == expected.tobytes()
+
     def test_higher_order_even(self):
         mu = gen_random_measure(11, 2, 3, 0.0, 1.0)
         seq = moments_of(mu, 5)
         rep = check_even(seq)
         assert rep.solvable
-        assert rep.even_case.X.shape == (6, 2)
-        assert rep.even_case.Y.shape == (4, 2)
-        # the reported solutions reproduce their right-hand sides
+        # S_min is the quadratic form of the X system's minimal-norm solution
         gamma = build_gamma(seq, 2)
         rhs = np.vstack([seq.moments[3 + i] for i in range(3)])
-        residual = np.linalg.norm(gamma @ rep.even_case.X - rhs)
-        assert residual <= 1e-8 * np.linalg.norm(rhs)
+        s_min = rep.even_case.S_min
+        expected = rhs.conj().T @ np.linalg.pinv(gamma) @ rhs
+        assert np.linalg.norm(s_min - expected, 2) <= 1e-10 * max(1.0, np.linalg.norm(s_min, 2))
 
     def test_parity_error(self):
         with pytest.raises(ValidationError):
@@ -262,7 +277,7 @@ class TestCriteriaAgreement:
 class TestEvenOddConsistency:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_appending_inside_interval_stays_solvable(self, seed):
-        from matmom.linalg import EigDecomposition, herm_part, psd_ok, sqrt_from_eig
+        from matmom.linalg import EigDecomposition, psd_ok, sqrt_from_eig
 
         rng = np.random.default_rng(20_000 + seed)
         n = int(rng.integers(1, 3))
@@ -367,7 +382,7 @@ class TestSharedReportIsImmutable:
             space = rep.space
             return (space.vectors, space.spectrum, *space.domain_svd)
         data = rep.even_case
-        return (data.X, data.Y, data.S_min, data.S_max, *data.width, data.width_half)
+        return (data.S_min, data.S_max, *data.width, data.width_half)
 
     @pytest.mark.parametrize("l", [4, 5])
     def test_arrays_are_read_only(self, l):
