@@ -3,8 +3,8 @@
 Subcommands: ``check`` (solvability report), ``solve`` (write a solution
 measure), ``verify`` (compare a measure against a problem), ``gen`` (seeded
 random solvable problem).  Exit codes: 0 success, 1 usage or parse error
-(or a standard output closed by its reader), 2 mathematical negative
-(unsolvable problem or failed verification).
+or a standard output that cannot be written (silently if its reader closed
+it), 2 mathematical negative (unsolvable problem or failed verification).
 """
 
 from __future__ import annotations
@@ -205,13 +205,17 @@ def main(argv=None) -> int:
 def console() -> None:
     try:
         code = main()
-        # flushed here, so that a closed stdout raises inside the try
+        # flushed here, so that a failed write to stdout raises inside the try
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader of stdout has gone (``matmom check p.json | head -n 1``):
-        # what is left goes to devnull, so that the interpreter's own flush
-        # at exit fails no second time, and the exit status is 1
+    except OSError as exc:
+        # main turns every file fault into an error line, so this is stdout's:
+        # what is left goes to devnull, so that the interpreter's own flush at
+        # exit fails no second time, and the exit status is 1.  A reader that
+        # has gone (``matmom check p.json | head -n 1``) is told nothing; any
+        # other fault (``matmom check p.json > /dev/full``) gets one line.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write standard output: {exc}", file=sys.stderr)
         code = EXIT_USAGE
     raise SystemExit(code)
 

@@ -224,7 +224,8 @@ def cluster_starts(sorted_values: np.ndarray, tol: float) -> np.ndarray:
     A run chains: it continues as long as each value lies within ``tol`` of
     the one before it.  ``sorted_values`` must be ascending and nonempty.
     """
-    return np.concatenate(([0], np.flatnonzero(np.diff(sorted_values) > tol) + 1))
+    gaps = sorted_values[1:] - sorted_values[:-1]
+    return np.concatenate(([0], np.flatnonzero(gaps > tol) + 1))
 
 
 def require_psd(w: np.ndarray, name: str = "matrix") -> None:

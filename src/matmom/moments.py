@@ -336,7 +336,7 @@ def measure_from_atoms(a: float, b: float, positions, weights,
     """
     a, b = _check_interval(a, b)
     pos = np.atleast_1d(np.asarray(positions, dtype=float))
-    w = np.asarray(weights, dtype=complex)
+    w = np.ascontiguousarray(weights, dtype=complex)
     if w.ndim == 2:
         w = w[None, :, :]
     if pos.size == 0:
@@ -362,21 +362,30 @@ def measure_from_atoms(a: float, b: float, positions, weights,
 
 def _canonical(a: float, b: float, pos: np.ndarray,
                w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical atoms of nonempty, finite, consistently shaped atom arrays:
-    sorted, merged at ``ATOM_MERGE_REL`` and pruned at ``WEIGHT_PRUNE_REL``
-    as :func:`measure_from_atoms` describes; new arrays."""
-    order = np.argsort(pos, kind="stable")
-    pos = pos[order]
-    starts = cluster_starts(pos, ATOM_MERGE_REL * (b - a))
-    merged = np.add.reduceat(w[order], starts, axis=0)
+    """Canonical atoms of nonempty, finite, consistently shaped atom arrays,
+    the weights C-contiguous: sorted, merged at ``ATOM_MERGE_REL`` and pruned
+    at ``WEIGHT_PRUNE_REL`` as :func:`measure_from_atoms` describes; new
+    arrays.  Positions that already increase by more than the merge gap, as
+    a spectrum's do, are their own sort and merge, so neither is run."""
+    gap = ATOM_MERGE_REL * (b - a)
+    merged = w
+    if not (pos[1:] - pos[:-1] > gap).all():
+        order = np.argsort(pos, kind="stable")
+        pos = pos[order]
+        starts = cluster_starts(pos, gap)
+        merged = np.add.reduceat(w[order], starts, axis=0)
+        pos = pos[starts]
     # The prune norms square the entries, which overflow or underflow far
     # from scale 1; scaling by a power of two is exact, so the norms are
-    # taken on the weights scaled to a largest entry in [1/2, 1).
+    # taken on the weights scaled to a largest entry in [1/2, 1).  They are
+    # the Frobenius norms as np.linalg.norm forms them.
     exponent = math.frexp(float(np.abs(merged.view(float)).max()))[1]
     normed = merged * math.ldexp(1.0, -max(exponent, -1021))
-    total = np.linalg.norm(normed.sum(axis=0))
-    keep = np.linalg.norm(normed, axis=(1, 2)) > WEIGHT_PRUNE_REL * total
-    return pos[starts][keep], merged[keep]
+    total = normed.sum(axis=0).ravel(order="K")
+    total = np.sqrt(total.real.dot(total.real) + total.imag.dot(total.imag))
+    norms = np.sqrt(np.add.reduce((normed.conj() * normed).real, axis=(1, 2)))
+    keep = norms > WEIGHT_PRUNE_REL * total
+    return pos[keep], merged[keep]
 
 
 def _moment_stack(measure: DiscreteMatrixMeasure, l: int) -> np.ndarray:

@@ -54,9 +54,9 @@ STIELTJES_FLOOR = 1e-3
 class SpectralData:
     """Clustered spectrum of an extension with matrix projection weights.
 
-    ``eigenvalues`` lie in [-1, 1] up to rounding; ``weights[i]`` is the
-    N x N matrix of eigenprojection inner products between the first N Gram
-    vectors, so the weights sum to the zeroth moment.
+    ``eigenvalues`` ascend and lie in [-1, 1] up to rounding; ``weights[i]``
+    is the N x N matrix of eigenprojection inner products between the first
+    N Gram vectors, so the weights sum to the zeroth moment.
     """
 
     eigenvalues: np.ndarray
@@ -101,34 +101,51 @@ def spectral_data(extension: np.ndarray, first_vectors: np.ndarray) -> SpectralD
 
 def _spectral_data(extension: np.ndarray, first_vectors: np.ndarray) -> SpectralData:
     """:func:`spectral_data` of an exactly Hermitian extension, factored
-    without a scan: :func:`canonical_extension` returns a Hermitian part."""
+    without a scan: :func:`canonical_extension` returns a Hermitian part.
+
+    ``eigh`` returns the eigenvalues ascending, so they are clustered in one
+    pass; the cluster means and summed weights are formed only where a
+    cluster holds more than one eigenvalue, since for singletons both are the
+    eigenvalue and its weight as they are.
+    """
     w, v = np.linalg.eigh(extension)
     n_vec = first_vectors.shape[1]
     if w.size == 0:
         return SpectralData(np.zeros(0), np.zeros((0, n_vec, n_vec), dtype=complex))
-    starts = cluster_starts(w, CLUSTER_TOL)
-    counts = np.diff(np.append(starts, w.size))
     # With y = V* X, the weight of a cluster c is sum_{i in c} y_i y_i*: entry
     # (j, n) is <proj x_j, x_n> = x_n^H proj x_j for the cluster projector.
     y = v.conj().T @ first_vectors
-    outer = y[:, :, None] * y.conj()[:, None, :]
-    weights = np.add.reduceat(outer, starts, axis=0)
+    weights = y[:, :, None] * y.conj()[:, None, :]
+    starts = cluster_starts(w, CLUSTER_TOL)
+    if starts.size < w.size:
+        counts = np.diff(np.append(starts, w.size))
+        weights = np.add.reduceat(weights, starts, axis=0)
+        w = np.add.reduceat(w, starts) / counts
     weights = 0.5 * (weights + weights.conj().transpose(0, 2, 1))
-    return SpectralData(np.add.reduceat(w, starts) / counts, weights)
+    return SpectralData(w, weights)
 
 
 def _measure_from_spectrum(sd: SpectralData, a: float, b: float) -> DiscreteMatrixMeasure:
+    """The measure of a clustered spectrum on [a, b].
+
+    Eigenvalue lambda maps to the position (b-a)/2 * lambda + (a+b)/2.  The
+    eigenvalues ascend and the map is monotone, so the positions ascend too,
+    and only the first and last can stray outside [a, b]: a stray beyond
+    ``CLAMP_REL * (b - a)`` raises ``NumericalInconsistency``, a smaller one
+    is clamped to the endpoint.  The atoms are then canonicalized.
+    """
     positions = 0.5 * (b - a) * sd.eigenvalues + 0.5 * (a + b)
+    if positions.size == 0:
+        return measure_from_atoms(a, b, positions, sd.weights, N=sd.weights.shape[-1])
     band = CLAMP_REL * (b - a)
-    clamped = np.clip(positions, a, b)
-    if np.abs(clamped - positions).max(initial=0.0) > band:
+    if a - positions[0] > band or positions[-1] - b > band:
         raise NumericalInconsistency("spectral atom positions stray outside [a, b]")
-    if clamped.size == 0:
-        return measure_from_atoms(a, b, clamped, sd.weights, N=sd.weights.shape[-1])
+    if positions[0] < a or positions[-1] > b:
+        positions = np.clip(positions, a, b)
     # Each weight is a sum of y y* over one cluster, made exactly Hermitian,
     # hence PSD; clamping keeps the positions in [a, b].  Clusters clamped to
     # the same endpoint still merge into one atom.
-    return DiscreteMatrixMeasure._trusted(a, b, *_canonical(a, b, clamped, sd.weights))
+    return DiscreteMatrixMeasure._trusted(a, b, *_canonical(a, b, positions, sd.weights))
 
 
 def solve_odd(seq: MomentSequence, k=0.5) -> DiscreteMatrixMeasure:
@@ -192,6 +209,9 @@ def _solve(seq: MomentSequence, k,
             f"solved measure fails verification at tol {SOLVE_VERIFY_TOL:.1e} "
             f"(max relative residual {outcome.max_relative_residual:.3e})"
         )
+    if t is None:
+        # the verified problem is seq itself
+        return measure, outcome
     # the moments of S_0..S_l do not depend on how many are computed
     return measure, replace(outcome,
                             moment_residuals=outcome.moment_residuals[: seq.l + 1],
@@ -279,9 +299,11 @@ def verify(measure: DiscreteMatrixMeasure, seq: MomentSequence,
 
 
 def _supported(measure: DiscreteMatrixMeasure, seq: MomentSequence) -> bool:
+    """Whether the support lies inside [a, b]: a measure's positions strictly
+    increase, so its first and last position decide."""
     if measure.num_atoms == 0:
         return True
-    return bool(measure.positions.min() >= seq.a and measure.positions.max() <= seq.b)
+    return bool(measure.positions[0] >= seq.a and measure.positions[-1] <= seq.b)
 
 
 def _resolvent_density(interval: ExtensionInterval, kk: np.ndarray,

@@ -616,6 +616,25 @@ class TestClosedStdout:
         assert proc.stderr == ""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+class TestFullStdout:
+    """A standard output that refuses writes (``matmom check p.json >
+    /dev/full``) ends the program with exit 1 and one error line, whether the
+    write fails inside a command or at the final flush."""
+
+    @pytest.mark.parametrize("n", [1, 60])
+    def test_one_error_line(self, tmp_path, n):
+        # N = 60 prints about 350 kB, so the write fails while check prints
+        problem = tmp_path / "p.json"
+        write_problem(problem, moments_of(gen_random_measure(3, n, n, 0.0, 1.0), 1))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "matmom", "check", str(problem)],
+                                  stdout=full, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 1
+        assert_one_error_line(proc.stderr)
+        assert "No space left on device" in proc.stderr
+
+
 class TestUnwritableOutput:
     """A file that cannot be written is a usage error, as one that cannot be
     read is."""

@@ -363,6 +363,35 @@ class TestMeasureCanonicalization:
         assert mu.positions[0] == x[0]
         assert np.array_equal(mu.weights[0], 7 * np.eye(1))
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 3),
+           st.sampled_from([(0.0, 1.0), (-2.0, 3.0), (1e7, 1e7 + 1)]))
+    def test_sorted_atoms_match_their_sorting(self, seed, m, n, interval):
+        # increasing, separated positions skip the sort and the merge; the
+        # same atoms in any order take them, and must give the same bytes
+        a, b = interval
+        rng = np.random.default_rng(seed)
+        gaps = rng.uniform(0.1, 1.0, m + 1)
+        pos = a + (b - a) * np.cumsum(gaps)[:-1] / gaps.sum()
+        g = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+        w = np.einsum("iba,ibc->iac", g.conj(), g)
+        # some weights below the prune floor, so the prune acts on both routes
+        w *= np.where(rng.uniform(size=m) < 0.3, 1e-14, 1.0)[:, None, None]
+        perm = rng.permutation(m)
+        sorted_in = measure_from_atoms(a, b, pos, w)
+        shuffled_in = measure_from_atoms(a, b, pos[perm], w[perm])
+        assert sorted_in.positions.tobytes() == shuffled_in.positions.tobytes()
+        assert sorted_in.weights.tobytes() == shuffled_in.weights.tobytes()
+
+    def test_weights_in_any_memory_layout(self):
+        # the atoms' weights as Fortran-ordered or transposed views
+        w = np.stack([[[2.0, 1j], [-1j, 1.0]], [[1.0, 0.0], [0.0, 3.0]]])
+        want = measure_from_atoms(0, 1, [0.25, 0.75], w)
+        transposed = np.ascontiguousarray(w.transpose(0, 2, 1)).transpose(0, 2, 1)
+        for view in (np.asfortranarray(w), transposed):
+            mu = measure_from_atoms(0, 1, [0.25, 0.75], view)
+            assert mu.weights.tobytes() == want.weights.tobytes()
+
     def test_rejects_inconsistent_atom_arrays(self):
         with pytest.raises(ValidationError, match="inconsistent shapes"):
             measure_from_atoms(0, 1, [0.1, 0.2, 0.3], [np.eye(1), np.eye(1)])

@@ -200,6 +200,36 @@ class TestValidByConstruction:
         assert measure.positions.tolist() == [-0.5, 1.0]
         assert np.array_equal(measure.weights, [np.eye(2), 5 * np.eye(2)])
 
+    @pytest.mark.parametrize("seed, n, atoms, l, a, b, t, k", [
+        (3, 2, 3, 5, -2.0, 3.0, 0.5, 0.5), (4, 3, 6, 7, 0.0, 1.0, 0.3, 0.8),
+    ])
+    def test_solved_even_measure_equals_the_validating_route(self, seed, n, atoms, l,
+                                                             a, b, t, k):
+        seq = moments_of(gen_random_measure(seed, n, atoms, a, b), l)
+        odd = matmom.solutions._with_next_moment(seq, check_even(seq).even_case, t)
+        ext = matmom.solutions._extension_interval(odd)
+        sd = spectral_data(canonical_extension(ext, k), ext.model.first_vectors)
+        positions = np.clip(0.5 * (b - a) * sd.eigenvalues + 0.5 * (a + b), a, b)
+        want = measure_from_atoms(a, b, positions, sd.weights, N=n)
+        got = solve_even(seq, t, k)
+        assert got.positions.tobytes() == want.positions.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
+
+    def test_positions_rounded_together_merge(self):
+        # far from 0 the map to [a, b] rounds two clusters 2e-9 apart to one
+        # double, so the positions do not increase and the atoms merge
+        a, b = 1e7, 1e7 + 1
+        weights = np.stack([np.eye(2), 2 * np.eye(2)]).astype(complex)
+        sd = SpectralData(np.array([0.1, 0.1 + 2e-9]), weights)
+        positions = 0.5 * (b - a) * sd.eigenvalues + 0.5 * (a + b)
+        assert positions[0] == positions[1]
+        measure = _measure_from_spectrum(sd, a, b)
+        want = measure_from_atoms(a, b, np.clip(positions, a, b), weights)
+        assert measure.num_atoms == 1
+        assert measure.positions.tobytes() == want.positions.tobytes()
+        assert measure.weights.tobytes() == want.weights.tobytes()
+        assert np.array_equal(measure.weights, [3 * np.eye(2)])
+
     def test_warm_solve_checks_nothing_again(self, monkeypatch):
         seq = _indeterminate_seq()
         solve_odd(seq, 0.2)
