@@ -25,10 +25,19 @@ rng.integers(1, 4), d = rng.integers(1, 5), atoms = rng.integers(1, d + 3)
 and the interval [0, 1], [-1, 1] or [-2, 3] (rng.integers(3)), and takes l
 = 2d.  Each instance goes to its route, "full rank" when the Gram space of
 ``check_odd`` has rank (d+1)N and "rank-deficient" otherwise.  Per route it
-gives a SHA-256 of the model (the bytes of P, Q and ``first_vectors`` of
-``build_operators``) and one of the measure (``solve_odd`` at k = 0.5);
-either hashes an exception's class and message in place of a failed step.
-The digest only prints: the exit status reads the census alone.
+gives a SHA-256 of the ``check_odd`` reports (each condition's name and
+verdict and the bytes of its quantity and value, then the cross-check's
+verdict and agreement), one of the model (the bytes of P, Q and
+``first_vectors`` of ``build_operators``) and one of the measure
+(``solve_odd`` at k = 0.5); the model and measure hashes hash an
+exception's class and message in place of a failed step.  The "even" entry
+takes the same draws at l = 2d+1 and hashes the ``check_even`` reports: the
+conditions as above, then the bytes of S_min, S_max and the width's
+eigenvalues and eigenvectors when the interval was formed, or an
+exception's class and message, counted by message.  So the check hashes pin
+every bit of both checks' reports, and the model and measure hashes every
+bit of the solve.  The digest only prints: the exit status reads the census
+alone.
 
 Each instance is recorded with its recipe, seed, interval, N, atoms, l, t
 and k, its outcome ("solved" or the exception class), the message with its
@@ -59,6 +68,7 @@ from matmom import (
     MatmomError,
     Unsolvable,
     build_operators,
+    check_even,
     check_odd,
     gen_random_measure,
     moments_of,
@@ -170,22 +180,37 @@ def _hash_failure(hasher, exc: MatmomError) -> str:
     return f"{type(exc).__name__}: {message_prefix(str(exc))}"
 
 
+def _hash_report(hasher, report) -> None:
+    """Hash a check report: each condition's name, verdict, and the bytes of
+    its quantity and value, then the cross-check's verdict and agreement."""
+    for c in report.conditions:
+        hasher.update(f"{c.name}:{c.passed}:".encode())
+        hasher.update(np.array([c.quantity, c.value], dtype=float).tobytes())
+    hasher.update(f"{report.cdfk_solvable}:{report.criteria_agreement}".encode())
+
+
 def digest():
-    """Per route, the instance count, the SHA-256 of the models and of the
-    measures, and the failures counted by message."""
+    """Per route, the instance count, the SHA-256 of the check reports, of the
+    models and of the measures, and the failures counted by message; under
+    "even", the count, the SHA-256 of the even-case check reports and their
+    failures."""
     routes = {}
+    even = {"instances": 0, "check": hashlib.sha256(), "failures": Counter()}
     for g in range(40000, 40600):
         rng = np.random.default_rng(g)
         n, d = int(rng.integers(1, 4)), int(rng.integers(1, 5))
         atoms = int(rng.integers(1, d + 3))
         a, b = ((0.0, 1.0), (-1.0, 1.0), (-2.0, 3.0))[int(rng.integers(3))]
-        seq = moments_of(gen_random_measure(g, n, atoms, a, b), 2 * d)
-        space = check_odd(seq).space
+        source = gen_random_measure(g, n, atoms, a, b)
+        seq = moments_of(source, 2 * d)
+        report = check_odd(seq)
+        space = report.space
         route = routes.setdefault(
             "full rank" if space.rank == space.vectors.shape[1] else "rank-deficient",
-            {"instances": 0, "model": hashlib.sha256(), "measure": hashlib.sha256(),
-             "failures": Counter()})
+            {"instances": 0, "check": hashlib.sha256(), "model": hashlib.sha256(),
+             "measure": hashlib.sha256(), "failures": Counter()})
         route["instances"] += 1
+        _hash_report(route["check"], report)
         try:
             model = build_operators(space)
         except MatmomError as exc:
@@ -200,10 +225,24 @@ def digest():
         else:
             route["measure"].update(np.ascontiguousarray(measure.positions).tobytes())
             route["measure"].update(np.ascontiguousarray(measure.weights).tobytes())
-    return {name: {"instances": r["instances"], "model": r["model"].hexdigest(),
-                   "measure": r["measure"].hexdigest(),
-                   "failures": dict(r["failures"].most_common())}
-            for name, r in sorted(routes.items())}
+        even["instances"] += 1
+        try:
+            even_report = check_even(moments_of(source, 2 * d + 1))
+        except MatmomError as exc:
+            even["failures"][_hash_failure(even["check"], exc)] += 1
+        else:
+            _hash_report(even["check"], even_report)
+            data = even_report.even_case
+            if data is not None:
+                for arr in (data.S_min, data.S_max, *data.width):
+                    even["check"].update(np.ascontiguousarray(arr).tobytes())
+    result = {name: {"instances": r["instances"], "check": r["check"].hexdigest(),
+                     "model": r["model"].hexdigest(), "measure": r["measure"].hexdigest(),
+                     "failures": dict(r["failures"].most_common())}
+              for name, r in sorted(routes.items())}
+    result["even"] = {"instances": even["instances"], "check": even["check"].hexdigest(),
+                      "failures": dict(even["failures"].most_common())}
+    return result
 
 
 def main() -> None:

@@ -163,8 +163,11 @@ def _extremal_completions(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.
     decides, with its own messages.
     """
     if p.size:
-        eye = np.eye(p.shape[0])
-        pair = np.stack((eye + p, eye - p))
+        m = p.shape[0]
+        pair = np.zeros((2, m, m), dtype=complex)
+        pair.reshape(2, m * m)[:, :: m + 1] = 1.0  # I + P and I - P in one buffer
+        pair[0] += p
+        pair[1] -= p
         if keeps_every_eigenvalue(pair):
             # Q* as a stack of one matrix: a bare (m, r) right-hand side is
             # read as a stack of vectors by numpy before 2.0
@@ -221,7 +224,7 @@ def extremal_extensions(model: ContractionModel) -> ExtensionInterval:
     """
     try:
         x_mu, x_m = _extremal_completions(model.P, model.Q)
-        c_r = herm_part(x_m - x_mu)
+        c_r = x_m - x_mu  # exactly Hermitian: both are Hermitian parts
         c_dec = EigDecomposition(*np.linalg.eigh(c_r))
         require_psd(c_dec.eigenvalues, "defect")
     except ValidationError as exc:

@@ -169,10 +169,12 @@ def _per_sequence(fn):
 
 
 def _hankel(blocks: np.ndarray, k: int) -> np.ndarray:
-    """The k x k block Hankel matrix with (i, j) block ``blocks[i + j]``."""
+    """The k x k block Hankel matrix with (i, j) block ``blocks[..., i + j, :, :]``,
+    one per index of the leading axes, all in one gather."""
     n = blocks.shape[-1]
     idx = np.arange(k)
-    return blocks[np.add.outer(idx, idx)].transpose(0, 2, 1, 3).reshape(k * n, k * n)
+    gathered = blocks[..., np.add.outer(idx, idx), :, :].swapaxes(-3, -2)
+    return gathered.reshape(*blocks.shape[:-3], k * n, k * n)
 
 
 def build_gamma(seq: MomentSequence, k: int) -> np.ndarray:
@@ -194,34 +196,53 @@ def _finite_blocks(blocks: np.ndarray, name: str) -> np.ndarray:
     return blocks
 
 
+def _interval_blocks(seq: MomentSequence, m: int) -> np.ndarray:
+    """W_j = -ab S_j + (a+b) S_{j+1} - S_{j+2} for j < m-1, Gamma-tilde's
+    blocks, and W_{m-1} = -ab S_{m-1} + (a+b) S_m, from S_0..S_m as one
+    array.  Formed with overflow warnings off; the caller names an overflow."""
+    a, b, s = seq.a, seq.b, seq._stack[: m + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = -a * b * s[:-1] + (a + b) * s[1:]
+        blocks[:-1] -= s[2:]
+    return blocks
+
+
 def build_gamma_tilde(seq: MomentSequence, k: int) -> np.ndarray:
     """Interval-weighted block Hankel: blocks -ab S_{i+j} + (a+b) S_{i+j+1} - S_{i+j+2}.
 
     Indices run 0 <= i, j <= k-1, so k = 0 yields the empty 0x0 matrix.  The
-    blocks are real combinations of the moments, so the matrix is exactly
-    Hermitian; a block that overflows is a ``ValidationError``.
+    blocks, the first 2k-1 of :func:`_interval_blocks`, are real combinations
+    of the moments, so the matrix is exactly Hermitian; a block that
+    overflows is a ``ValidationError``.
     """
     if k < 0 or 2 * k > seq.l:
         raise ValidationError(f"insufficient moments for order k={k} (l={seq.l})")
-    a, b, s = seq.a, seq.b, seq._stack[: 2 * k + 1]
+    blocks = _interval_blocks(seq, 2 * k)
+    return _hankel(_finite_blocks(blocks[: 2 * k - 1], "GammaTilde"), k)
+
+
+def _h_pair(seq: MomentSequence, k: int) -> np.ndarray:
+    """H and HTilde of order k stacked in one array, from one gather.  Their
+    blocks are scanned for overflow once; only a failed scan looks for the
+    first that overflowed, H before HTilde."""
+    a, b, s = seq.a, seq.b, seq._stack[: 2 * k + 2]
     with np.errstate(over="ignore", invalid="ignore"):
-        blocks = -a * b * s[:-2] + (a + b) * s[1:-1] - s[2:]
-    return _hankel(_finite_blocks(blocks, "GammaTilde"), k)
+        blocks = np.array((-a * s[:-1] + s[1:], b * s[:-1] - s[1:]))
+    if not np.isfinite(blocks).all():
+        _finite_blocks(blocks[0], "H")
+        _finite_blocks(blocks[1], "HTilde")
+    return _hankel(blocks, k + 1)
 
 
 def build_h_pair(seq: MomentSequence, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint-weighted pair: blocks -a S_{i+j} + S_{i+j+1} and b S_{i+j} - S_{i+j+1}.
 
     Both are exactly Hermitian, as in :func:`build_gamma_tilde`, and a block
-    that overflows is a ``ValidationError``.
+    that overflows is a ``ValidationError`` naming H or HTilde, H first.
     """
     if k < 0 or 2 * k + 1 > seq.l:
         raise ValidationError(f"insufficient moments for order k={k} (l={seq.l})")
-    a, b, s = seq.a, seq.b, seq._stack[: 2 * k + 2]
-    with np.errstate(over="ignore", invalid="ignore"):
-        h, h_tilde = -a * s[:-1] + s[1:], b * s[:-1] - s[1:]
-    return (_hankel(_finite_blocks(h, "H"), k + 1),
-            _hankel(_finite_blocks(h_tilde, "HTilde"), k + 1))
+    return tuple(_h_pair(seq, k))
 
 
 def build_gamma_hat(seq: MomentSequence, d: int) -> np.ndarray:

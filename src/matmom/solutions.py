@@ -13,7 +13,7 @@ resolvent is provided as a numerical cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -213,9 +213,9 @@ def _solve(seq: MomentSequence, k,
         # the verified problem is seq itself
         return measure, outcome
     # the moments of S_0..S_l do not depend on how many are computed
-    return measure, replace(outcome,
-                            moment_residuals=outcome.moment_residuals[: seq.l + 1],
-                            moment_scales=outcome.moment_scales[: seq.l + 1])
+    n = seq.l + 1
+    return measure, VerificationReport(outcome.tol, outcome.moment_residuals[:n],
+                                       outcome.moment_scales[:n], outcome.support_ok)
 
 
 @_per_sequence

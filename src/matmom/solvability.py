@@ -41,10 +41,12 @@ from .linalg import (
 from .moments import (
     MomentSequence,
     _finite_blocks,
+    _h_pair,
+    _hankel,
+    _interval_blocks,
     _per_sequence,
     build_gamma,
     build_gamma_tilde,
-    build_h_pair,
 )
 from .operator_model import GramSpace, gram_space_from_eig, kernel_inclusion
 
@@ -146,21 +148,24 @@ def _psd_condition(name: str, matrix: np.ndarray) -> Condition:
 
 
 def _psd_condition_eig(name: str, w: np.ndarray) -> Condition:
-    """The PSD condition on a matrix with eigenvalues ``w``, decided by
-    :func:`psd_ok`; an empty matrix passes."""
+    """The PSD condition on a matrix with ascending eigenvalues ``w``, as
+    ``eigh`` returns them, decided by :func:`psd_ok`; the minimum and the
+    scale max(1, max |w|) are read off the ends of ``w``.  An empty matrix
+    passes."""
     if w.size == 0:
         return Condition(name, True, "psd", np.inf, PSD_TOL, 0.0)
-    w_min = float(w.min())
-    scale = max(1.0, float(np.abs(w).max()))
-    return Condition(name, bool(psd_ok(w)), "psd", w_min / scale, PSD_TOL, w_min)
+    lo, hi = float(w[0]), float(w[-1])
+    return Condition(name, bool(psd_ok(w)), "psd", lo / max(1.0, -lo, hi), PSD_TOL, lo)
 
 
-def _residual_condition(name: str, residual: float, scale: float,
+def _residual_condition(name: str, residual: float, rhs: np.ndarray,
                         tol: float) -> Condition:
-    if scale <= 0.0:
-        rel = 0.0 if residual == 0.0 else np.inf
+    """The residual relative to ||rhs||_F, which a zero residual does not need."""
+    if residual == 0.0:
+        rel = 0.0
     else:
-        rel = residual / scale
+        scale = _frobenius(rhs)
+        rel = residual / scale if scale > 0.0 else np.inf
     return Condition(name, rel <= tol, "residual", rel, tol, residual)
 
 
@@ -185,15 +190,17 @@ def _range_solve(dec: EigDecomposition, rhs: np.ndarray) -> tuple[float, np.ndar
     ``mat @ x - rhs`` (which would drown in rounding noise of order
     eps * cond(mat) for ill-conditioned moment matrices).  The quadratic form
     x* mat x = rhs* pinv(mat) rhs is evaluated the same stable way, and x
-    itself is never formed.  An empty system has residual 0 and a zero form.
+    itself is never formed.  An empty system has residual 0 and a zero form,
+    and so has the kernel of a spectrum that :func:`rank_keep` keeps whole.
     """
     w, v = dec
     kept = rank_keep(w)
     coeff = v.conj().T @ rhs
+    if kept.all():
+        return 0.0, herm_part(coeff.conj().T @ (coeff / w[:, None]))
     ck = coeff[kept]
     residual = _frobenius(coeff[~kept])
-    quad = herm_part(ck.conj().T @ (ck / w[kept][:, None]))
-    return residual, quad
+    return residual, herm_part(ck.conj().T @ (ck / w[kept][:, None]))
 
 
 def _kernel_condition(space: GramSpace) -> Condition:
@@ -204,6 +211,9 @@ def _kernel_condition(space: GramSpace) -> Condition:
 
 
 def _cdfk_conditions(seq: MomentSequence) -> tuple[Condition, ...]:
+    """The cross-check's PSD conditions: on the moment matrix and Gamma-tilde
+    when l = 2d; on the H pair, factored by one stacked ``eigvalsh``, when
+    l = 2d+1."""
     if seq.l < 1:
         raise ValidationError("cross-check requires at least two moments (l >= 1)")
     if seq.l % 2 == 0:
@@ -212,11 +222,10 @@ def _cdfk_conditions(seq: MomentSequence) -> tuple[Condition, ...]:
             _psd_condition("Gamma PSD", build_gamma(seq, d)),
             _psd_condition("GammaTilde PSD", build_gamma_tilde(seq, d)),
         )
-    d = (seq.l - 1) // 2
-    h, ht = build_h_pair(seq, d)
+    spectra = np.linalg.eigvalsh(_h_pair(seq, (seq.l - 1) // 2))
     return (
-        _psd_condition("H PSD", h),
-        _psd_condition("HTilde PSD", ht),
+        _psd_condition_eig("H PSD", spectra[0]),
+        _psd_condition_eig("HTilde PSD", spectra[1]),
     )
 
 
@@ -289,61 +298,68 @@ def check_even(seq: MomentSequence) -> SolvabilityReport:
     When the PSD conditions hold, the report carries the admissible interval
     [S_min, S_max] for the next moment; solvability additionally requires
     the two block systems behind its ends consistent and the interval
-    nonempty.  At d = 0 the second system is empty and passes.  The moment
-    matrix and its interval-weighted companion are each factored once, by
-    ``eigh``: the PSD conditions read the eigenvalues and the block systems
-    are solved on the same eigenbasis.  A repeated call on the same sequence
-    object returns the stored report; :func:`solve_even` relies on this.
+    nonempty.  At d = 0 the second system is empty and passes.  Gamma-tilde's
+    blocks, the Y system's right side and the -ab S_2d + (a+b) S_2d+1 part
+    of S_max are slices of one :func:`_interval_blocks` array.  The moment
+    matrix and Gamma-tilde are each factored once, by ``eigh``: the PSD
+    conditions read the eigenvalues and the block systems are solved on the
+    same eigenbasis.  Overflow is scanned once in those blocks and once in
+    the width, which is non-finite wherever S_min, the Y quadratic form or
+    S_max is; only a failed scan names the first matrix that overflowed.  A
+    repeated call on the same sequence object returns the stored report;
+    :func:`solve_even` relies on this.
     """
     if seq.l % 2 != 1:
         raise ValidationError(f"even-case check requires l = 2d+1, got l={seq.l}")
     d = (seq.l - 1) // 2
-    s = seq._stack
-    a, b, n = seq.a, seq.b, seq.N
+    s, n = seq._stack, seq.N
 
     # both are built from the validated moments, so they are exactly
-    # Hermitian and not scanned; for d = 0 the companion is 0 x 0 and passes
+    # Hermitian and not scanned; for d = 0 Gamma-tilde is 0 x 0 and passes
     gamma_dec = EigDecomposition(*np.linalg.eigh(build_gamma(seq, d)))
-    gtilde_dec = EigDecomposition(*np.linalg.eigh(build_gamma_tilde(seq, d)))
+    blocks = _interval_blocks(seq, seq.l)
+    blocks_finite = np.isfinite(blocks).all()
+    gtilde = _hankel(blocks, d)
+    if not blocks_finite:
+        _finite_blocks(gtilde, "GammaTilde")
+    gtilde_dec = EigDecomposition(*np.linalg.eigh(gtilde))
     conditions = [
         _psd_condition_eig("Gamma PSD", gamma_dec.eigenvalues),
         _psd_condition_eig("GammaTilde PSD", gtilde_dec.eigenvalues),
     ]
     even_case = None
     if all(c.passed for c in conditions):
-        # the right sides, quadratic forms and interval ends combine finite
-        # moments with overflow warnings off; one that overflows is reported
-        # by name, as for GammaTilde and the H pair
+        # the quadratic forms and the interval ends combine finite moments
+        # with overflow warnings off; one that overflows is reported by name
         with np.errstate(over="ignore", invalid="ignore"):
             rhs_x = s[d + 1:].reshape(-1, n)
+            rhs_y = blocks[d:2 * d].reshape(-1, n)
             res_x, s_min = _range_solve(gamma_dec, rhs_x)
-            _finite_blocks(s_min, "S_min")
-            rhs_y = _finite_blocks((-a * b * s[d:2 * d] + (a + b) * s[d + 1:2 * d + 1]
-                                    - s[d + 2:]).reshape(-1, n), "Y right side")
             res_y, y_quad = _range_solve(gtilde_dec, rhs_y)
-            _finite_blocks(y_quad, "Y quadratic form")
+            s_max = herm_part(blocks[2 * d] - y_quad)
+            # both ends are Hermitian parts, so their difference is exactly
+            # Hermitian, and non-finite wherever either end is
+            width = s_max - s_min
+            if not (blocks_finite and np.isfinite(width).all()):
+                for name, part in (("S_min", s_min), ("Y right side", rhs_y),
+                                   ("Y quadratic form", y_quad), ("S_max", s_max),
+                                   ("S_max - S_min", width)):
+                    _finite_blocks(part, name)
             conditions += [
-                _residual_condition("X system consistent", res_x,
-                                    _frobenius(rhs_x), CONSISTENCY_TOL),
-                _residual_condition("Y system consistent", res_y,
-                                    _frobenius(rhs_y), CONSISTENCY_TOL),
+                _residual_condition("X system consistent", res_x, rhs_x, CONSISTENCY_TOL),
+                _residual_condition("Y system consistent", res_y, rhs_y, CONSISTENCY_TOL),
             ]
-            s_max = _finite_blocks(herm_part(
-                -a * b * s[2 * d] + (a + b) * s[2 * d + 1] - y_quad
-            ), "S_max")
-            # both ends are Hermitian parts, so their difference is exactly Hermitian
-            width = EigDecomposition(*np.linalg.eigh(
-                _finite_blocks(s_max - s_min, "S_max - S_min")))
+        width = EigDecomposition(*np.linalg.eigh(width))
         even_case = EvenCaseData(S_min=s_min, S_max=s_max, width=width)
         # the interval may collapse to a point, so normalize its PSD test by
         # the endpoint scale rather than by the (possibly zero) width: the
         # larger spectral norm of the two Hermitian ends, from one eigvalsh
-        ends = np.linalg.eigvalsh(np.stack((s_min, s_max)))
+        ends = np.linalg.eigvalsh(np.array((s_min, s_max)))
         scale = max(1.0, float(np.abs(ends).max()))
-        rel_min = float(width.eigenvalues.min()) / scale
+        w_min = float(width.eigenvalues[0])
+        rel_min = w_min / scale
         conditions.append(Condition("S interval nonempty", rel_min >= -PSD_TOL,
-                                    "psd", rel_min, PSD_TOL,
-                                    float(width.eigenvalues.min())))
+                                    "psd", rel_min, PSD_TOL, w_min))
 
     conditions = tuple(conditions)
     cdfk_ok, agree = _agreement("even", conditions, _cdfk_conditions(seq))

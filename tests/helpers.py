@@ -7,7 +7,26 @@ import json
 
 import numpy as np
 
-from matmom.linalg import NORM_SLACK, PSD_TOL, psd_ok, rank_keep, require_hermitian
+from matmom.errors import ValidationError
+from matmom.linalg import (
+    NORM_SLACK,
+    PSD_TOL,
+    EigDecomposition,
+    herm_part,
+    psd_ok,
+    rank_keep,
+    require_hermitian,
+)
+from matmom.operator_model import gram_space_from_eig
+from matmom.solvability import (
+    CONSISTENCY_TOL,
+    Condition,
+    EvenCaseData,
+    SolvabilityReport,
+    _agreement,
+    _frobenius,
+    _kernel_condition,
+)
 
 
 def random_unitary(rng, n):
@@ -78,6 +97,129 @@ def reference_hankel(seq, kind: str, k: int) -> np.ndarray:
         for j in range(size):
             out[i * n : (i + 1) * n, j * n : (j + 1) * n] = blocks(i, j)
     return out
+
+
+def _reference_gather(blocks, k):
+    n = blocks.shape[-1]
+    idx = np.arange(k)
+    return blocks[np.add.outer(idx, idx)].transpose(0, 2, 1, 3).reshape(k * n, k * n)
+
+
+def _reference_finite(blocks, name):
+    if not np.isfinite(blocks).all():
+        raise ValidationError(
+            f"{name} contains non-finite entries: a combination of the moments overflows")
+    return blocks
+
+
+def _reference_gamma_tilde(seq, k):
+    a, b, s = seq.a, seq.b, seq._stack[: 2 * k + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = -a * b * s[:-2] + (a + b) * s[1:-1] - s[2:]
+    return _reference_gather(_reference_finite(blocks, "GammaTilde"), k)
+
+
+def _reference_psd_condition(name, w):
+    if w.size == 0:
+        return Condition(name, True, "psd", np.inf, PSD_TOL, 0.0)
+    w_min = float(w.min())
+    scale = max(1.0, float(np.abs(w).max()))
+    return Condition(name, bool(psd_ok(w)), "psd", w_min / scale, PSD_TOL, w_min)
+
+
+def _reference_residual_condition(name, residual, scale, tol):
+    if scale <= 0.0:
+        rel = 0.0 if residual == 0.0 else np.inf
+    else:
+        rel = residual / scale
+    return Condition(name, rel <= tol, "residual", rel, tol, residual)
+
+
+def _reference_range_solve(dec, rhs):
+    w, v = dec
+    kept = rank_keep(w)
+    coeff = v.conj().T @ rhs
+    ck = coeff[kept]
+    residual = _frobenius(coeff[~kept])
+    quad = herm_part(ck.conj().T @ (ck / w[kept][:, None]))
+    return residual, quad
+
+
+def reference_check_odd(seq) -> SolvabilityReport:
+    """``check_odd`` with one ``eigvalsh`` per condition, the Hankel
+    matrices gathered one at a time and every combination scanned for
+    overflow on its own: the reference for ``check_odd``'s report, bit for
+    bit, and for its exceptions."""
+    d = seq.l // 2
+    space = gram_space_from_eig(seq, _reference_gather(seq._stack, d + 1))
+    conditions = (
+        _reference_psd_condition("Gamma PSD", space.spectrum),
+        _reference_psd_condition("GammaTilde PSD",
+                                 np.linalg.eigvalsh(_reference_gamma_tilde(seq, d))),
+        _kernel_condition(space),
+    )
+    cdfk_ok, agree = _agreement("odd", conditions, conditions[:2])
+    failed = tuple(c.name for c in conditions if not c.passed)
+    return SolvabilityReport(solvable=not failed, case="odd", conditions=conditions,
+                             failed_conditions=failed, space=space,
+                             cdfk_solvable=cdfk_ok, criteria_agreement=agree)
+
+
+def reference_check_even(seq) -> SolvabilityReport:
+    """``check_even`` with every interval-weighted combination formed where
+    it is used, the H pair built and factored one matrix at a time, and
+    each overflow scanned and named on its own: the reference for
+    ``check_even``'s report, bit for bit, and for its exceptions."""
+    d = (seq.l - 1) // 2
+    s = seq._stack
+    a, b, n = seq.a, seq.b, seq.N
+    gamma_dec = EigDecomposition(*np.linalg.eigh(_reference_gather(s, d + 1)))
+    gtilde_dec = EigDecomposition(*np.linalg.eigh(_reference_gamma_tilde(seq, d)))
+    conditions = [
+        _reference_psd_condition("Gamma PSD", gamma_dec.eigenvalues),
+        _reference_psd_condition("GammaTilde PSD", gtilde_dec.eigenvalues),
+    ]
+    even_case = None
+    if all(c.passed for c in conditions):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs_x = s[d + 1:].reshape(-1, n)
+            res_x, s_min = _reference_range_solve(gamma_dec, rhs_x)
+            _reference_finite(s_min, "S_min")
+            rhs_y = _reference_finite((-a * b * s[d:2 * d] + (a + b) * s[d + 1:2 * d + 1]
+                                       - s[d + 2:]).reshape(-1, n), "Y right side")
+            res_y, y_quad = _reference_range_solve(gtilde_dec, rhs_y)
+            _reference_finite(y_quad, "Y quadratic form")
+            conditions += [
+                _reference_residual_condition("X system consistent", res_x,
+                                              _frobenius(rhs_x), CONSISTENCY_TOL),
+                _reference_residual_condition("Y system consistent", res_y,
+                                              _frobenius(rhs_y), CONSISTENCY_TOL),
+            ]
+            s_max = _reference_finite(herm_part(
+                -a * b * s[2 * d] + (a + b) * s[2 * d + 1] - y_quad
+            ), "S_max")
+            width = EigDecomposition(*np.linalg.eigh(
+                _reference_finite(s_max - s_min, "S_max - S_min")))
+        even_case = EvenCaseData(S_min=s_min, S_max=s_max, width=width)
+        ends = np.linalg.eigvalsh(np.stack((s_min, s_max)))
+        scale = max(1.0, float(np.abs(ends).max()))
+        rel_min = float(width.eigenvalues.min()) / scale
+        conditions.append(Condition("S interval nonempty", rel_min >= -PSD_TOL,
+                                    "psd", rel_min, PSD_TOL,
+                                    float(width.eigenvalues.min())))
+    conditions = tuple(conditions)
+    s = seq._stack[: 2 * d + 2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        h, h_tilde = -a * s[:-1] + s[1:], b * s[:-1] - s[1:]
+    h = _reference_gather(_reference_finite(h, "H"), d + 1)
+    h_tilde = _reference_gather(_reference_finite(h_tilde, "HTilde"), d + 1)
+    cdfk = (_reference_psd_condition("H PSD", np.linalg.eigvalsh(h)),
+            _reference_psd_condition("HTilde PSD", np.linalg.eigvalsh(h_tilde)))
+    cdfk_ok, agree = _agreement("even", conditions, cdfk)
+    failed = tuple(c.name for c in conditions if not c.passed)
+    return SolvabilityReport(solvable=not failed, case="even", conditions=conditions,
+                             failed_conditions=failed, even_case=even_case,
+                             cdfk_solvable=cdfk_ok, criteria_agreement=agree)
 
 
 def reference_check_psd(a, tol=PSD_TOL) -> bool:

@@ -1,5 +1,7 @@
 import inspect
+import logging
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,7 +29,12 @@ from matmom import (
 from matmom.linalg import herm_part
 from matmom.solvability import CONSISTENCY_TOL, Condition
 
-from helpers import random_hermitian, random_unitary
+from helpers import (
+    random_hermitian,
+    random_unitary,
+    reference_check_even,
+    reference_check_odd,
+)
 
 
 def scalar_seq(a, b, values):
@@ -142,7 +149,7 @@ class TestCheckEven:
         # one eigh each of Gamma_d and Gamma-tilde_d serves the PSD verdicts
         # and the block systems; the width takes the third eigh.  One
         # eigvalsh of the stacked ends S_min, S_max gives the interval's
-        # scale, and the other two are the H pair of the cross-check
+        # scale, and the other factors the stacked H pair of the cross-check
         seq = moments_of(gen_random_measure(3, 2, 3, -1.0, 1.5), 7)
         gamma, gtilde = build_gamma(seq, 3), build_gamma_tilde(seq, 3)
         factored = {"eigh": [], "eigvalsh": []}
@@ -158,13 +165,13 @@ class TestCheckEven:
         monkeypatch.undo()
         assert rep.solvable
         assert {name: len(mats) for name, mats in factored.items()} == {
-            "eigh": 3, "eigvalsh": 3}
+            "eigh": 3, "eigvalsh": 2}
         same = lambda x, y: x.shape == y.shape and np.allclose(x, y, rtol=0, atol=1e-13)
         assert not any(same(x, gamma) or same(x, gtilde) for x in factored["eigvalsh"])
         ends = np.stack([rep.even_case.S_min, rep.even_case.S_max])
-        h, ht = build_h_pair(seq, 3)
-        assert [same(x, y) for x, y in zip(factored["eigvalsh"], (ends, h, ht))] == [
-            True, True, True]
+        pair = np.stack(build_h_pair(seq, 3))
+        assert [same(x, y) for x, y in zip(factored["eigvalsh"], (ends, pair))] == [
+            True, True]
         # the PSD conditions read the eigenvalues of the factorizations
         eig = lambda m: np.linalg.eigh(m)[0].min()
         assert rep.details["Gamma PSD"] == eig(gamma)
@@ -203,6 +210,118 @@ class TestOverflowingCombinations:
         report = check_even(moments_of(mu, l))
         assert report.solvable, report.failed_conditions
         assert report.details["X system consistent"] <= 1e-8 * scale
+
+
+def _report_fields(report) -> list:
+    """Every field of a check report, each float and array as its bytes."""
+    bits = lambda x: np.float64(x).tobytes()
+    fields = [report.solvable, report.case, report.failed_conditions,
+              report.cdfk_solvable, report.criteria_agreement]
+    fields += [(c.name, type(c.passed), c.passed, c.kind, bits(c.quantity),
+                bits(c.threshold), bits(c.value)) for c in report.conditions]
+    arrays = ()
+    if report.even_case is not None:
+        arrays = (report.even_case.S_min, report.even_case.S_max, *report.even_case.width)
+    if report.space is not None:
+        arrays = (report.space.vectors, report.space.spectrum)
+    return fields + [(arr.dtype.str, arr.shape, arr.tobytes()) for arr in arrays]
+
+
+def _outcome(check_fn, seq, caplog):
+    """The report's fields, or the exception's class and message, with the
+    log records the check wrote."""
+    caplog.clear()
+    try:
+        result = _report_fields(check_fn(seq))
+    except Exception as exc:
+        result = (type(exc), str(exc))
+    return result, [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+
+
+def _sweep():
+    """1,000 problems: N 1-3, d 0-3, atoms 1-5 on [0, 1], [-1, 1] or [-2, 3],
+    at l = 2d+1.  Every other one has each moment perturbed by a Hermitian
+    matrix: of scale 1e-3, which fails verdicts; 1e-8, which makes the two
+    criteria disagree inside their tolerance band; or 1, which drives
+    eigenvalues far below -1."""
+    for g in range(1000):
+        rng = np.random.default_rng(60_000 + g)
+        n, d, atoms = int(rng.integers(1, 4)), int(rng.integers(0, 4)), int(rng.integers(1, 6))
+        a, b = ((0.0, 1.0), (-1.0, 1.0), (-2.0, 3.0))[int(rng.integers(3))]
+        seq = moments_of(gen_random_measure(g, n, atoms, a, b), 2 * d + 1)
+        if g % 2:
+            scale = (1e-3, 1e-8, 1.0)[g // 2 % 3]
+            seq = MomentSequence(a, b, tuple(s + scale * random_hermitian(rng, n)
+                                             for s in seq.moments))
+        yield g, d, seq
+
+
+class TestReportsBitForBit:
+    """check_odd and check_even give the reports, exceptions and log records
+    of the reference bodies, which form every combination, Hankel matrix
+    and factorization one at a time: floats and arrays bit for bit."""
+
+    def test_sweep(self, caplog):
+        caplog.set_level(logging.WARNING, logger="matmom.solvability")
+        reached = Counter()
+        for g, d, seq in _sweep():
+            cases = [(check_even, reference_check_even, seq)]
+            if d >= 1:
+                cases.append((check_odd, reference_check_odd, seq.truncated(2 * d)))
+            for check_fn, reference, problem in cases:
+                got = _outcome(check_fn, problem, caplog)
+                assert got == _outcome(reference, problem, caplog), (g, problem.l)
+                report = check_fn(problem)
+                reached[report.case, report.solvable] += 1
+                reached[report.case, "disagree"] += report.solvable != report.cdfk_solvable
+                reached["logged"] += bool(got[1])
+        # the sweep reaches both verdicts in both cases, and disagreements
+        assert min(reached[case, verdict] for case in ("odd", "even")
+                   for verdict in (True, False)) > 100
+        assert reached["even", "disagree"] > 0 and reached["logged"] > 0
+
+    def test_overflow_sweep(self, caplog):
+        # moments near the double range overflow at different stops, often
+        # several at once, and the first is named as the reference names it;
+        # seeds 1655 and 2749 overflow S_min together with the Y quadratic
+        # form and with the Y right side
+        stops = Counter()
+        for g in [*range(300), 1655, 2749]:
+            rng = np.random.default_rng(70_000 + g)
+            n, d, atoms = int(rng.integers(1, 3)), int(rng.integers(0, 3)), int(rng.integers(1, 5))
+            a, b = ((0.0, 1.0), (-1.0, 1.0), (-2.0, 3.0), (0.0, 3.0))[int(rng.integers(4))]
+            scale = 10.0 ** rng.uniform(300, 308)
+            with np.errstate(over="ignore"):
+                stack = scale * moments_of(gen_random_measure(g, n, atoms, a, b), 2 * d + 1)._stack
+            try:
+                seq = MomentSequence(a, b, tuple(stack))
+            except ValidationError:
+                continue
+            for problem in (seq, *((seq.truncated(2 * d),) if d else ())):
+                reference = reference_check_even if problem.l % 2 else reference_check_odd
+                got = _outcome(check, problem, caplog)
+                assert got == _outcome(reference, problem, caplog), (g, problem.l)
+                if got[0][0] is ValidationError:
+                    stops[got[0][1].split(" contains")[0]] += 1
+        assert set(stops) == {"GammaTilde", "S_min", "Y quadratic form", "S_max"}
+
+    @pytest.mark.parametrize("name, seq", [
+        ("GammaTilde", MomentSequence(-2.0, 3.0, (8e307 * np.eye(2),) * 3)),
+        ("GammaTilde", MomentSequence(-2.0, 3.0, (8e307 * np.eye(2),) * 4)),
+        ("S_min", moments_of(measure_from_atoms(-2.0, 3.0, [-2.0, 0.1, 3.0],
+                                                [3e306 * np.eye(1)] * 3), 3)),
+        ("HTilde", scalar_seq(0.0, 3.0, [1.0, 0.0, 4e307, -8.9e307])),
+        # S_0 is not PSD, so no interval is formed, and both H and HTilde overflow
+        ("H", scalar_seq(-2.0, 3.0, [-8e307, -8e307])),
+    ], ids=["GammaTilde-l2", "GammaTilde-l3", "S_min", "HTilde", "H-and-HTilde"])
+    def test_overflow_stops(self, name, seq, caplog):
+        # the first combination that overflows is named as the reference
+        # names it, by the same exception class and message
+        reference = reference_check_odd if seq.l % 2 == 0 else reference_check_even
+        got = _outcome(check, seq, caplog)
+        assert got == _outcome(reference, seq, caplog)
+        assert got[0][0] is ValidationError
+        assert got[0][1].startswith(f"{name} contains non-finite entries")
 
 
 class TestCheckL0:
