@@ -119,9 +119,10 @@ def _cmd_verify(args) -> int:
     seq = mio.read_problem(args.problem)
     outcome = verify(measure, seq, tol=args.tol)
     print("n  residual               scale                  status")
+    scales = outcome.moment_scales
     for i in range(seq.l + 1):
         res = outcome.moment_residuals[i]
-        scale = outcome.moment_scales[i]
+        scale = scales[i]
         ok = "PASS" if res <= args.tol * scale else "FAIL"
         print(f"{i}  {format_float(res)}  {format_float(scale)}  {ok}")
     print(f"support inside [a, b]: {'yes' if outcome.support_ok else 'NO'}")

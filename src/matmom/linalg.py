@@ -162,10 +162,13 @@ def keeps_every_eigenvalue(stack: np.ndarray) -> bool:
     while n^2 u << 1.  The computed B plus dB is R* R, positive definite, so
     by Weyl lambda_min(A) - tau > -8 n^2 u ||A||_1, which is the claim.
     """
-    n = stack.shape[-1]
+    k, n = stack.shape[0], stack.shape[-1]
     tau = (2.0 * RANK_TOL + 8.0 * n * n * 2.0**-53) * np.abs(stack).sum(axis=-2).max(axis=-1)
+    # a copy, since callers go on to use the stack; only the diagonal moves
+    shifted = stack.copy()
+    shifted.reshape(k, n * n)[:, :: n + 1] -= tau[:, None]
     try:
-        np.linalg.cholesky(stack - tau[:, None, None] * np.eye(n))
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
     return True

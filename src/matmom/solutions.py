@@ -65,12 +65,23 @@ class SpectralData:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of re-computing moments from a measure."""
+    """Outcome of re-computing moments from a measure.
+
+    ``moment_residuals[n]`` is the largest entrywise deviation of the
+    measure's n-th moment from S_n of ``sequence``, the sequence the measure
+    was verified against; a report may cover only its first moments.
+    """
 
     tol: float
     moment_residuals: np.ndarray
-    moment_scales: np.ndarray
+    sequence: MomentSequence
     support_ok: bool
+
+    @property
+    def moment_scales(self) -> np.ndarray:
+        """max(1, ||S_n||_2) for the moments the residuals cover, read-only:
+        the scales ``sequence`` caches, formed by its first reader."""
+        return self.sequence.moment_scales[: self.moment_residuals.size]
 
     @property
     def passed(self) -> bool:
@@ -79,9 +90,15 @@ class VerificationReport:
 
     def passed_at(self, tol: float) -> bool:
         """The verdict of :func:`verify` at tolerance ``tol``: every moment
-        within ``tol`` times its scale and support inside [a, b]."""
-        return (bool(np.all(self.moment_residuals <= tol * self.moment_scales))
-                and self.support_ok)
+        within ``tol`` times its scale and support inside [a, b].
+
+        Every scale is at least 1, so at a ``tol`` of at least 0 residuals
+        that are all at most ``tol`` pass without the scales; otherwise, and
+        for a negative or NaN ``tol``, the scales decide.
+        """
+        return bool(self.support_ok
+                    and (self.moment_residuals.max(initial=0.0) <= tol
+                         or np.all(self.moment_residuals <= tol * self.moment_scales)))
 
     @property
     def max_relative_residual(self) -> float:
@@ -212,10 +229,11 @@ def _solve(seq: MomentSequence, k,
     if t is None:
         # the verified problem is seq itself
         return measure, outcome
-    # the moments of S_0..S_l do not depend on how many are computed
+    # the moments of S_0..S_l do not depend on how many are computed, and
+    # their scales are the first l + 1 of the extended sequence's
     n = seq.l + 1
     return measure, VerificationReport(outcome.tol, outcome.moment_residuals[:n],
-                                       outcome.moment_scales[:n], outcome.support_ok)
+                                       odd, outcome.support_ok)
 
 
 @_per_sequence
@@ -283,7 +301,9 @@ def verify(measure: DiscreteMatrixMeasure, seq: MomentSequence,
 
     Passes iff every moment matches entrywise within ``tol * max(1, |S_n|)``
     and the support lies inside [a, b]; the weights of every measure are PSD
-    by construction.
+    by construction.  The report keeps ``seq``, so the scales max(1, |S_n|)
+    are formed only when something reads them, and a verdict whose residuals
+    are all within ``tol`` needs none.
     """
     if measure.N != seq.N:
         raise ValidationError(
@@ -293,7 +313,7 @@ def verify(measure: DiscreteMatrixMeasure, seq: MomentSequence,
     return VerificationReport(
         tol=tol,
         moment_residuals=residuals,
-        moment_scales=seq.moment_scales,
+        sequence=seq,
         support_ok=_supported(measure, seq),
     )
 

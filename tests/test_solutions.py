@@ -42,6 +42,7 @@ from matmom import (
 from matmom.io import read_measure
 from matmom.linalg import PSD_TOL, check_psd_stack
 from matmom.solutions import (
+    SOLVE_VERIFY_TOL,
     SpectralData,
     VerificationReport,
     _measure_from_spectrum,
@@ -370,9 +371,9 @@ class TestFactorizationBudget:
     def test_large_shape_takes_no_norm_and_no_eigvalsh(self, monkeypatch):
         # a solve after its check decides contractivity on a Cholesky pair and
         # the defect's eigh alone: no spectral norm of a matrix and no
-        # eigenvalue-only solve, except the one batched eigvalsh of the moment
-        # stack that gives verify its scales; its Gram space has full rank,
-        # so its operators take a QR and no SVD
+        # eigenvalue-only solve; every residual is within the tolerance, so
+        # verify's verdict needs no scales of the moment stack; its Gram space
+        # has full rank, so its operators take no SVD
         seq = moments_of(gen_random_measure(0, 8, 40, -1.0, 1.0), 20)
         assert check(seq).solvable
         counts = Counter()
@@ -391,8 +392,8 @@ class TestFactorizationBudget:
         measure = solve_odd(seq, 0.5)
         monkeypatch.undo()
         assert measure.num_atoms == 88
-        assert counts == Counter(eigvalsh=1)
-        assert stacks == [(21, 8, 8)]
+        assert counts == Counter()
+        assert stacks == []
 
     def test_large_shape_factors_no_p(self, monkeypatch):
         # the solve takes one eigh of the 88 x 88 extension and one of the
@@ -947,7 +948,7 @@ class TestSolveL0:
 class TestVerify:
     def test_empty_report_has_zero_residual(self):
         report = VerificationReport(tol=1e-8, moment_residuals=np.zeros(0),
-                                    moment_scales=np.ones(0), support_ok=True)
+                                    sequence=scalar_seq(0, 1, [1]), support_ok=True)
         assert report.max_relative_residual == 0.0
 
     def test_exact_round_trip_passes(self):
@@ -1022,6 +1023,137 @@ class TestVerify:
         assert not report.passed_at(0.5 * worst)
         assert report.passed_at(worst * (1 + 1e-12))
         assert not replace(report, support_ok=False).passed_at(1.0)
+
+
+def _eager_verdict(report, scales, tol):
+    """The verdict with every scale formed up front."""
+    return bool(np.all(report.moment_residuals <= tol * scales)) and report.support_ok
+
+
+def _eager_worst(report, scales):
+    """The largest relative residual with every scale formed up front."""
+    return float((report.moment_residuals / scales).max(initial=0.0))
+
+
+def _unverified_measure(seq, k):
+    """The measure ``solve_odd(seq, k)`` builds, before it is verified."""
+    interval = matmom.solutions._odd_interval(seq)
+    sd = matmom.solutions._spectral_data(canonical_extension(interval, k),
+                                         interval.model.first_vectors)
+    return _measure_from_spectrum(sd, seq.a, seq.b)
+
+
+class TestLazyScales:
+    """A report keeps the sequence it verified and forms the moment scales
+    max(1, ||S_n||_2) only when they are read.  Every scale is at least 1, so
+    residuals within a tolerance of at least 0 pass without them; the verdict,
+    the worst relative residual, the scales and the failure message stay
+    those of scales formed up front, bit for bit."""
+
+    TOLS = (0.0, -0.0, -1e-8, 1e-300, 1e-12, 1e-8, 1.0, np.inf, np.nan)
+
+    @pytest.mark.parametrize("seed, n, atoms, l, a, b", [
+        (1, 1, 1, 2, 0.0, 1.0), (2, 3, 4, 2, -2.0, 3.0), (3, 2, 3, 3, 0.0, 1.0),
+        (4, 3, 2, 3, -2.0, 3.0), (0, 8, 40, 20, -1.0, 1.0), (0, 8, 40, 21, -1.0, 1.0)])
+    def test_solve_forms_no_scales(self, monkeypatch, seed, n, atoms, l, a, b):
+        seq = moments_of(gen_random_measure(seed, n, atoms, a, b), l)
+        extended = []
+        original = matmom.solutions._with_next_moment
+
+        def recorded(*args):
+            extended.append(original(*args))
+            return extended[-1]
+
+        monkeypatch.setattr(matmom.solutions, "_with_next_moment", recorded)
+        (solve_odd if l % 2 == 0 else solve_even)(seq)
+        assert len(extended) == l % 2
+        for judged in (seq, *extended):
+            assert "moment_scales" not in vars(judged)
+
+    @staticmethod
+    def _solved():
+        """(measure, sequence) pairs: small problems of both parities, the
+        large shape, the indeterminate l = 16 problem whose top residual
+        exceeds 1e-8, a perturbed measure that fails and one outside [a, b]."""
+        pairs = []
+        for seed in range(12):
+            seq = moments_of(gen_random_measure(seed, 1 + seed % 3, 1 + seed % 4,
+                                                *((0.0, 1.0), (-2.0, 3.0))[seed % 2]),
+                             2 + seed // 6)
+            pairs.append((_solve(seq, 0.5, 0.5 if seq.l % 2 else None)[0], seq))
+        large = moments_of(gen_random_measure(0, 8, 40, -1.0, 1.0), 20)
+        pairs.append((solve_odd(large, 0.5), large))
+        family = moments_of(gen_random_measure(0, 4, 30, -1.0, 2.0), 16)
+        pairs += [(solve_odd(family, k), family) for k in (0.0, 0.5, 1.0)]
+        mu = gen_random_measure(6, 2, 3, 0.0, 1.0)
+        seq = moments_of(mu, 4)
+        pairs.append((measure_from_atoms(mu.a, mu.b, mu.positions,
+                                         mu.weights * (1.0 + 1e-3)), seq))
+        outside = measure_from_atoms(-1.0, 2.0, [-0.5, 0.75],
+                                     [0.5 * np.eye(1), 0.5 * np.eye(1)])
+        pairs.append((outside, scalar_seq(0.0, 1.0, [1, 0.5, 1 / 3])))
+        return pairs
+
+    def test_report_matches_scales_formed_up_front(self):
+        reports = []
+        for measure, seq in self._solved():
+            report = verify(measure, seq, tol=SOLVE_VERIFY_TOL)
+            # read through the report first, then with the scales formed
+            verdicts = [report.passed_at(tol) for tol in self.TOLS]
+            worst, lazy_scales = report.max_relative_residual, report.moment_scales
+            scales = seq.moment_scales
+            assert verdicts == [_eager_verdict(report, scales, tol) for tol in self.TOLS]
+            assert np.float64(worst).tobytes() == np.float64(
+                _eager_worst(report, scales)).tobytes()
+            assert lazy_scales.shape == scales.shape
+            assert lazy_scales.tobytes() == scales.tobytes()
+            reports.append(report)
+        # the sweep reaches every branch: a verdict that needs no scales, one
+        # that the scales pass (the l = 16 problem), and failures
+        residual_ok = [r.moment_residuals.max() <= SOLVE_VERIFY_TOL for r in reports]
+        assert any(residual_ok)
+        assert any(r.passed and not ok for r, ok in zip(reports, residual_ok))
+        assert sum(not r.passed for r in reports) == 2
+
+    def test_verdict_at_the_boundary(self):
+        # residuals at, just above and well above the tolerance, on a unit
+        # scale and on the scale 4 of S_1 = -4, and a NaN residual
+        seq = scalar_seq(0.0, 1.0, [1.0, -4.0])
+        tol = 1e-8
+        above = np.nextafter(tol, np.inf)
+        for residuals in ([tol, tol], [above, 0.0], [0.0, above], [0.0, 4 * tol],
+                          [0.0, np.nextafter(4 * tol, np.inf)], [np.nan, 0.0]):
+            report = VerificationReport(tol, np.array(residuals), seq, True)
+            for t in (*self.TOLS, tol, above, 2 * tol, 4 * tol):
+                assert report.passed_at(t) == _eager_verdict(report, seq.moment_scales, t)
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
+    def test_even_report_reads_the_extended_scales(self, t):
+        seq = moments_of(gen_random_measure(4, 2, 4, -1.0, 2.0), 5)
+        _, report = _solve(seq, 0.5, t)
+        odd = matmom.solutions._with_next_moment(seq, check_even(seq).even_case, t)
+        assert report.moment_residuals.size == seq.l + 1
+        assert report.moment_scales.tobytes() == odd.moment_scales[: seq.l + 1].tobytes()
+
+    @pytest.mark.parametrize("seed, n, atoms, l, a, b, tol", [
+        # fails at 1e-8 where the platform rounds as x86-64 does
+        (40050, 2, 5, 8, -2.0, 3.0, SOLVE_VERIFY_TOL),
+        # fails on every platform
+        (2, 3, 4, 2, -2.0, 3.0, 1e-30)])
+    def test_failure_message(self, monkeypatch, seed, n, atoms, l, a, b, tol):
+        monkeypatch.setattr(matmom.solutions, "SOLVE_VERIFY_TOL", tol)
+        seq = moments_of(gen_random_measure(seed, n, atoms, a, b), l)
+        report = verify(_unverified_measure(seq, 0.5), seq, tol=tol)
+        scales = seq.moment_scales
+        if _eager_verdict(report, scales, tol):
+            assert tol == SOLVE_VERIFY_TOL
+            solve_odd(seq, 0.5)
+            return
+        with pytest.raises(NumericalInconsistency) as info:
+            solve_odd(seq, 0.5)
+        assert str(info.value) == (
+            f"solved measure fails verification at tol {tol:.1e} "
+            f"(max relative residual {_eager_worst(report, scales):.3e})")
 
 
 class TestDeterminateRecovery:
