@@ -31,13 +31,15 @@ verdict and agreement), one of the model (the bytes of P, Q and
 ``first_vectors`` of ``build_operators``) and one of the measure
 (``solve_odd`` at k = 0.5); the model and measure hashes hash an
 exception's class and message in place of a failed step.  The "even" entry
-takes the same draws at l = 2d+1 and hashes the ``check_even`` reports: the
-conditions as above, then the bytes of S_min, S_max and the width's
-eigenvalues and eigenvectors when the interval was formed, or an
-exception's class and message, counted by message.  So the check hashes pin
-every bit of both checks' reports, and the model and measure hashes every
-bit of the solve.  The digest only prints: the exit status reads the census
-alone.
+takes the same draws at l = 2d+1.  Its check hash covers the ``check_even``
+reports: the conditions as above, then the bytes of S_min, S_max, the
+width's eigenvalues and eigenvectors and the X system's coordinates
+``next_coords`` when the interval was formed, or an exception's class and
+message.  Its measure hash covers ``solve_even`` at t = k = 0.5, as the
+routes' measure hashes do.  Failures of both are counted by message.  So
+the check hashes pin every bit of both checks' reports, and the model and
+measure hashes every bit of the solves.  The digest only prints: the exit
+status reads the census alone.
 
 Each instance is recorded with its recipe, seed, interval, N, atoms, l, t
 and k, its outcome ("solved" or the exception class), the message with its
@@ -192,10 +194,11 @@ def _hash_report(hasher, report) -> None:
 def digest():
     """Per route, the instance count, the SHA-256 of the check reports, of the
     models and of the measures, and the failures counted by message; under
-    "even", the count, the SHA-256 of the even-case check reports and their
-    failures."""
+    "even", the count, the SHA-256 of the even-case check reports and of the
+    even-case measures, and their failures."""
     routes = {}
-    even = {"instances": 0, "check": hashlib.sha256(), "failures": Counter()}
+    even = {"instances": 0, "check": hashlib.sha256(), "measure": hashlib.sha256(),
+            "failures": Counter()}
     for g in range(40000, 40600):
         rng = np.random.default_rng(g)
         n, d = int(rng.integers(1, 4)), int(rng.integers(1, 5))
@@ -226,21 +229,30 @@ def digest():
             route["measure"].update(np.ascontiguousarray(measure.positions).tobytes())
             route["measure"].update(np.ascontiguousarray(measure.weights).tobytes())
         even["instances"] += 1
+        even_seq = moments_of(source, 2 * d + 1)
         try:
-            even_report = check_even(moments_of(source, 2 * d + 1))
+            even_report = check_even(even_seq)
         except MatmomError as exc:
-            even["failures"][_hash_failure(even["check"], exc)] += 1
+            even["failures"]["check " + _hash_failure(even["check"], exc)] += 1
         else:
             _hash_report(even["check"], even_report)
             data = even_report.even_case
             if data is not None:
-                for arr in (data.S_min, data.S_max, *data.width):
+                for arr in (data.S_min, data.S_max, *data.width, data.next_coords):
                     even["check"].update(np.ascontiguousarray(arr).tobytes())
+        try:
+            measure = solve_even(even_seq, 0.5, 0.5)
+        except MatmomError as exc:
+            even["failures"]["measure " + _hash_failure(even["measure"], exc)] += 1
+        else:
+            even["measure"].update(np.ascontiguousarray(measure.positions).tobytes())
+            even["measure"].update(np.ascontiguousarray(measure.weights).tobytes())
     result = {name: {"instances": r["instances"], "check": r["check"].hexdigest(),
                      "model": r["model"].hexdigest(), "measure": r["measure"].hexdigest(),
                      "failures": dict(r["failures"].most_common())}
               for name, r in sorted(routes.items())}
     result["even"] = {"instances": even["instances"], "check": even["check"].hexdigest(),
+                      "measure": even["measure"].hexdigest(),
                       "failures": dict(even["failures"].most_common())}
     return result
 

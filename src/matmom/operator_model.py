@@ -16,7 +16,9 @@ truncated block Jacobi matrix, block tridiagonal, and Q reaches only its
 last block, so both are formed from the N x N blocks of R, with no
 factorization of R and no dN x dN inverse.  A rank-deficient space takes
 eigen-scaled vectors, and the domain SVD that decides kernel inclusion gives
-its coordinates and its P and Q.
+its coordinates and its P and Q.  One rule (:func:`_gram_vectors`)
+factors the moment matrix and the corner block that extends an even
+problem's space by one order.
 """
 
 from __future__ import annotations
@@ -153,37 +155,63 @@ def _column_phases(u: np.ndarray) -> np.ndarray:
     return phase
 
 
-def gram_space_from_eig(seq: MomentSequence, gamma: np.ndarray) -> GramSpace:
-    """The Gram space of the order-d moment matrix ``gamma`` of ``seq``,
-    with the spectrum that its PSD verdict and its rank are decided on.
+def _gram_vectors(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectors whose Gram matrix is the PSD ``gram``, with the ascending
+    spectrum that decided their number.
 
     ``eigvalsh`` decides first.  If :func:`rank_keep` drops an eigenvalue,
-    ``eigh`` factors ``gamma`` and its own spectrum decides.  When the
-    deciding spectrum keeps every eigenvalue, cond(gamma) < 1/RANK_TOL and
-    the Cholesky factor gamma = L L^H exists.  The vectors are then R = L^T
-    (transposed, not conjugated), the upper Cholesky factor of conj(gamma):
-    R^H R = conj(gamma) gives sum_i R[i, n] conj(R[i, m]) = gamma[n, m].
+    ``eigh`` factors ``gram`` and its own spectrum decides.  When the
+    deciding spectrum keeps every eigenvalue, cond(gram) < 1/RANK_TOL and
+    the Cholesky factor gram = L L^H exists.  The vectors are then R = L^T
+    (transposed, not conjugated), the upper Cholesky factor of conj(gram):
+    R^H R = conj(gram) gives sum_i R[i, n] conj(R[i, m]) = gram[n, m].
     Otherwise they are the eigenvectors kept by :func:`rank_keep`, scaled
     and transposed (not conjugated), which makes the Gram identity hold in
-    the fixed inner-product convention.  ``gamma`` is gathered from
-    validated moments: exactly Hermitian, and not scanned.
+    the fixed inner-product convention.  ``gram`` is exactly Hermitian and
+    finite, and not scanned.
     """
-    w = np.linalg.eigvalsh(gamma)
+    w = np.linalg.eigvalsh(gram)
     keep = rank_keep(w)
     if not keep.all():
-        w, v = np.linalg.eigh(gamma)
+        w, v = np.linalg.eigh(gram)
         keep = rank_keep(w)
     if keep.all():
-        vectors = np.linalg.cholesky(gamma).T
-    else:
-        # x_n[i] = sqrt(w_i) * V[n, i] so that sum_i x_n[i] conj(x_m[i]) = Gamma[n, m]
-        vectors = np.sqrt(w[keep])[:, None] * v[:, keep].T
+        return np.linalg.cholesky(gram).T, w
+    # x_n[i] = sqrt(w_i) * V[n, i] so that sum_i x_n[i] conj(x_m[i]) = gram[n, m]
+    return np.sqrt(w[keep])[:, None] * v[:, keep].T, w
+
+
+def gram_space_from_eig(seq: MomentSequence, gamma: np.ndarray) -> GramSpace:
+    """The Gram space of the order-d moment matrix ``gamma`` of ``seq``,
+    with the spectrum that its PSD verdict and its rank are decided on, by
+    :func:`_gram_vectors`.  ``gamma`` is gathered from validated moments."""
+    vectors, w = _gram_vectors(gamma)
     return GramSpace(a=seq.a, b=seq.b, N=seq.N, d=seq.l // 2, vectors=vectors, spectrum=w)
+
+
+def _extended_space(space: GramSpace, next_coords: np.ndarray,
+                    corner: np.ndarray) -> GramSpace:
+    """``space`` extended by one block to order d+1: the vectors [[X, Z],
+    [0, L]], with Z = ``next_coords`` and L the :func:`_gram_vectors` of the
+    PSD ``corner``, so the new block's Gram matrix is Z^T conj(Z) + corner.
+    If X and L are Cholesky factors, so is the extension.  Its spectrum,
+    one ``eigvalsh`` of the Gram matrix it realizes, decides no rank: only
+    :attr:`GramSpace.norm` reads it."""
+    low, _ = _gram_vectors(corner)
+    rank, n = space.rank, space.N
+    vectors = np.zeros((rank + low.shape[0], space.vectors.shape[1] + n), dtype=complex)
+    vectors[:rank, :-n] = space.vectors
+    vectors[:rank, -n:] = next_coords
+    vectors[rank:, -n:] = low
+    spectrum = np.linalg.eigvalsh(vectors.T @ vectors.conj())
+    return GramSpace(a=space.a, b=space.b, N=n, d=space.d + 1, vectors=vectors,
+                     spectrum=spectrum)
 
 
 def build_gram_space(seq: MomentSequence) -> GramSpace:
     """Rank-revealing factorization of the order-d moment matrix, by
-    :func:`gram_space_from_eig`.
+    :func:`gram_space_from_eig`, for callers outside the solve chain: the
+    solves take the space their check decided.
 
     Requires l = 2d with d >= 1 and a PSD moment matrix.
     """

@@ -6,7 +6,8 @@ the extension's spectral decomposition: eigenvalue lambda maps to the atom
 position (b-a)/2 * lambda + (a+b)/2 and the weight entries are the inner
 products of the eigenprojection applied to the first N Gram vectors.  The
 even case picks the next moment inside its admissible interval and defers to
-the odd case; l = 0 returns a one-atom representative.  A slower, fully
+the odd case, on the Gram space of its check extended by one block; l = 0
+returns a one-atom representative.  A slower, fully
 independent recovery through Stieltjes-Perron inversion of the generalized
 resolvent is provided as a numerical cross-check.
 """
@@ -34,8 +35,8 @@ from .moments import (
     _per_sequence,
     measure_from_atoms,
 )
-from .operator_model import GramSpace, build_gram_space, build_operators
-from .solvability import EvenCaseData, SolvabilityReport, check_even, check_l0, check_odd
+from .operator_model import GramSpace, _extended_space, build_operators
+from .solvability import SolvabilityReport, check_even, check_l0, check_odd
 
 # Eigenvalues closer than CLUSTER_TOL are merged into one atom; positions
 # within CLAMP_REL * (b - a) outside the interval (rounding of eigenvalues at
@@ -213,9 +214,8 @@ def _solve(seq: MomentSequence, k,
     if t is None:
         odd, interval = seq, _odd_interval(seq)
     else:
-        report = _require_solvable(check_even(seq))
-        odd = _with_next_moment(seq, report.even_case, t)
-        interval = _extension_interval(odd)
+        odd, space = _with_next_moment(seq, _require_solvable(check_even(seq)), t)
+        interval = _extension_interval(space)
     # everything above depends on the moments only; K enters here
     extension = canonical_extension(interval, k)
     sd = _spectral_data(extension, interval.model.first_vectors)
@@ -246,7 +246,7 @@ def _odd_interval(seq: MomentSequence) -> ExtensionInterval:
     raises and stores nothing.
     """
     # an odd problem reuses the Gram space its check decided kernel inclusion on
-    return _extension_interval(seq, _require_solvable(check_odd(seq)).space)
+    return _extension_interval(_require_solvable(check_odd(seq)).space)
 
 
 def _require_solvable(report: SolvabilityReport) -> SolvabilityReport:
@@ -258,27 +258,33 @@ def _require_solvable(report: SolvabilityReport) -> SolvabilityReport:
     return report
 
 
-def _extension_interval(odd: MomentSequence,
-                        space: GramSpace | None = None) -> ExtensionInterval:
-    """Operators and extreme extensions of an odd problem whose solvability
-    check passed, on ``space`` or else on the Gram space built here."""
+def _extension_interval(space: GramSpace) -> ExtensionInterval:
+    """Operators and extreme extensions on the Gram space ``space`` of an
+    odd problem, which a passed solvability check decided."""
     try:
-        model = build_operators(build_gram_space(odd) if space is None else space)
-    except (OperatorIllDefined, ValidationError) as exc:
+        model = build_operators(space)
+    except OperatorIllDefined as exc:
         # the check (not repeated on an even problem's extension) holds, so
         # two numerical tests of one property disagree: not a verdict on the data
         raise NumericalInconsistency(f"solvability check passed, but {exc}") from exc
     return extremal_extensions(model)
 
 
-def _with_next_moment(seq: MomentSequence, data: EvenCaseData, t) -> MomentSequence:
-    """The even-case problem extended by S_{2d+2} chosen by ``t`` in ``data``'s interval."""
+def _with_next_moment(seq: MomentSequence, report: SolvabilityReport,
+                      t) -> tuple[MomentSequence, GramSpace]:
+    """The even-case problem extended by S_{2d+2} = S_min + M, M =
+    herm(D^(1/2) T D^(1/2)) for ``t`` in the passed ``report``'s interval of
+    width D, and its Gram space: the report's, extended by one block, so
+    that nothing about the extended moment matrix is decided again."""
+    data = report.even_case
     t_mat = as_unit_interval_param(t, seq.N, name="moment-interval parameter")
+    corner = herm_part(data.width_half @ t_mat @ data.width_half)
     # finite by the interval's checks, so appended without a scan, as
-    # ``truncated`` slices without one; ``_trusted`` takes its Hermitian part
-    s_next = data.S_min + data.width_half @ t_mat @ data.width_half
-    return MomentSequence._trusted(seq.a, seq.b,
-                                   np.concatenate((seq._stack, s_next[None])))
+    # ``truncated`` slices without one; the sum of two Hermitian parts is
+    # exactly Hermitian, which ``_trusted`` keeps
+    odd = MomentSequence._trusted(seq.a, seq.b,
+                                  np.concatenate((seq._stack, (data.S_min + corner)[None])))
+    return odd, _extended_space(report.space, data.next_coords, corner)
 
 
 def solve_l0(s0, a: float, b: float) -> DiscreteMatrixMeasure:

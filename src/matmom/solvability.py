@@ -91,17 +91,20 @@ class EvenCaseData:
     """The admissible interval [S_min, S_max] for the next moment.
 
     ``width`` is the eigendecomposition of the interval width S_max - S_min
-    that the "S interval nonempty" condition judged.  A report may be shared
-    by every caller that checks the same sequence, so all arrays are
-    read-only.
+    that the "S interval nonempty" condition judged.  ``next_coords`` (rank
+    x N) holds the coordinates Z of the next block x_{(d+1)N}.. on the Gram
+    vectors of the report's ``space``, from the X system, and S_min =
+    herm(Z^T conj(Z)).  A report may be shared by every caller that checks
+    the same sequence, so all arrays are read-only.
     """
 
     S_min: np.ndarray
     S_max: np.ndarray
     width: EigDecomposition
+    next_coords: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.S_min, self.S_max, *self.width):
+        for arr in (self.S_min, self.S_max, *self.width, self.next_coords):
             arr.setflags(write=False)
 
     @cached_property
@@ -203,6 +206,22 @@ def _range_solve(dec: EigDecomposition, rhs: np.ndarray) -> tuple[float, np.ndar
     return residual, herm_part(ck.conj().T @ (ck / w[kept][:, None]))
 
 
+def _coordinates(space: GramSpace, rhs: np.ndarray) -> tuple[float, np.ndarray]:
+    """Residual and coordinates Z of the minimal-norm solution C = conj(Z)
+    of X^T C = ``rhs``, X the Gram vectors in ``space``, so that Z^T conj(Z)
+    = rhs^H pinv(Gamma) rhs.  A square X takes one ``solve`` and residual
+    0.  Otherwise X^T = V diag(sqrt(w)) on the kept eigenpairs, and the
+    residual is ||rhs - V V^H rhs||_F; V^H rhs is formed before dividing by
+    sqrt(w), since conj(X) rhs may overflow."""
+    x = space.vectors
+    if x.shape[0] == x.shape[1]:
+        return 0.0, np.linalg.solve(x.T, rhs).conj()
+    root = np.sqrt(space.spectrum[rank_keep(space.spectrum)])
+    v = x.T / root
+    coeff = v.conj().T @ rhs
+    return _frobenius(rhs - v @ coeff), (coeff / root[:, None]).conj()
+
+
 def _kernel_condition(space: GramSpace) -> Condition:
     passed, residual = kernel_inclusion(space)
     rel = residual / space.norm if residual else 0.0
@@ -301,11 +320,14 @@ def check_even(seq: MomentSequence) -> SolvabilityReport:
     nonempty.  At d = 0 the second system is empty and passes.  Gamma-tilde's
     blocks, the Y system's right side and the -ab S_2d + (a+b) S_2d+1 part
     of S_max are slices of one :func:`_interval_blocks` array.  The moment
-    matrix and Gamma-tilde are each factored once, by ``eigh``: the PSD
-    conditions read the eigenvalues and the block systems are solved on the
-    same eigenbasis.  Overflow is scanned once in those blocks and once in
-    the width, which is non-finite wherever S_min, the Y quadratic form or
-    S_max is; only a failed scan names the first matrix that overflowed.  A
+    matrix is factored as :func:`check_odd` factors it, by
+    :func:`gram_space_from_eig`: its PSD condition reads the deciding
+    spectrum, the X system is solved on its Gram vectors, and the report
+    carries the space, for :func:`solve_even` to extend by one block.
+    Gamma-tilde is factored once, by ``eigh``, for its PSD condition and the
+    Y system.  Overflow is scanned once in those blocks and once in the
+    width, which is non-finite wherever S_min, the Y quadratic form or S_max
+    is; only a failed scan names the first matrix that overflowed.  A
     repeated call on the same sequence object returns the stored report;
     :func:`solve_even` relies on this.
     """
@@ -316,7 +338,7 @@ def check_even(seq: MomentSequence) -> SolvabilityReport:
 
     # both are built from the validated moments, so they are exactly
     # Hermitian and not scanned; for d = 0 Gamma-tilde is 0 x 0 and passes
-    gamma_dec = EigDecomposition(*np.linalg.eigh(build_gamma(seq, d)))
+    space = gram_space_from_eig(seq, build_gamma(seq, d))
     blocks = _interval_blocks(seq, seq.l)
     blocks_finite = np.isfinite(blocks).all()
     gtilde = _hankel(blocks, d)
@@ -324,7 +346,7 @@ def check_even(seq: MomentSequence) -> SolvabilityReport:
         _finite_blocks(gtilde, "GammaTilde")
     gtilde_dec = EigDecomposition(*np.linalg.eigh(gtilde))
     conditions = [
-        _psd_condition_eig("Gamma PSD", gamma_dec.eigenvalues),
+        _psd_condition_eig("Gamma PSD", space.spectrum),
         _psd_condition_eig("GammaTilde PSD", gtilde_dec.eigenvalues),
     ]
     even_case = None
@@ -334,7 +356,8 @@ def check_even(seq: MomentSequence) -> SolvabilityReport:
         with np.errstate(over="ignore", invalid="ignore"):
             rhs_x = s[d + 1:].reshape(-1, n)
             rhs_y = blocks[d:2 * d].reshape(-1, n)
-            res_x, s_min = _range_solve(gamma_dec, rhs_x)
+            res_x, coords = _coordinates(space, rhs_x)
+            s_min = herm_part(coords.T @ coords.conj())
             res_y, y_quad = _range_solve(gtilde_dec, rhs_y)
             s_max = herm_part(blocks[2 * d] - y_quad)
             # both ends are Hermitian parts, so their difference is exactly
@@ -350,7 +373,8 @@ def check_even(seq: MomentSequence) -> SolvabilityReport:
                 _residual_condition("Y system consistent", res_y, rhs_y, CONSISTENCY_TOL),
             ]
         width = EigDecomposition(*np.linalg.eigh(width))
-        even_case = EvenCaseData(S_min=s_min, S_max=s_max, width=width)
+        even_case = EvenCaseData(S_min=s_min, S_max=s_max, width=width,
+                                 next_coords=coords)
         # the interval may collapse to a point, so normalize its PSD test by
         # the endpoint scale rather than by the (possibly zero) width: the
         # larger spectral norm of the two Hermitian ends, from one eigvalsh
@@ -370,6 +394,7 @@ def check_even(seq: MomentSequence) -> SolvabilityReport:
         conditions=conditions,
         failed_conditions=failed,
         even_case=even_case,
+        space=space,
         cdfk_solvable=cdfk_ok,
         criteria_agreement=agree,
     )

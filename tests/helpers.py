@@ -145,6 +145,19 @@ def _reference_range_solve(dec, rhs):
     return residual, quad
 
 
+def _reference_coordinates(space, rhs):
+    """Residual and coordinates Z, conj(Z) = pinv(X^T) rhs, of the X
+    system on the Gram vectors X of ``space``: a solve at full rank, the
+    kept eigenvectors V = X^T / sqrt(w) otherwise."""
+    x = space.vectors
+    if x.shape[0] == x.shape[1]:
+        return 0.0, np.linalg.solve(x.T, rhs).conj()
+    w = space.spectrum[rank_keep(space.spectrum)]
+    v = x.T / np.sqrt(w)
+    coeff = v.conj().T @ rhs
+    return _frobenius(rhs - v @ coeff), (coeff / np.sqrt(w)[:, None]).conj()
+
+
 def reference_check_odd(seq) -> SolvabilityReport:
     """``check_odd`` with one ``eigvalsh`` per condition, the Hankel
     matrices gathered one at a time and every combination scanned for
@@ -173,17 +186,18 @@ def reference_check_even(seq) -> SolvabilityReport:
     d = (seq.l - 1) // 2
     s = seq._stack
     a, b, n = seq.a, seq.b, seq.N
-    gamma_dec = EigDecomposition(*np.linalg.eigh(_reference_gather(s, d + 1)))
+    space = gram_space_from_eig(seq, _reference_gather(s, d + 1))
     gtilde_dec = EigDecomposition(*np.linalg.eigh(_reference_gamma_tilde(seq, d)))
     conditions = [
-        _reference_psd_condition("Gamma PSD", gamma_dec.eigenvalues),
+        _reference_psd_condition("Gamma PSD", space.spectrum),
         _reference_psd_condition("GammaTilde PSD", gtilde_dec.eigenvalues),
     ]
     even_case = None
     if all(c.passed for c in conditions):
         with np.errstate(over="ignore", invalid="ignore"):
             rhs_x = s[d + 1:].reshape(-1, n)
-            res_x, s_min = _reference_range_solve(gamma_dec, rhs_x)
+            res_x, coords = _reference_coordinates(space, rhs_x)
+            s_min = herm_part(coords.T @ coords.conj())
             _reference_finite(s_min, "S_min")
             rhs_y = _reference_finite((-a * b * s[d:2 * d] + (a + b) * s[d + 1:2 * d + 1]
                                        - s[d + 2:]).reshape(-1, n), "Y right side")
@@ -200,7 +214,8 @@ def reference_check_even(seq) -> SolvabilityReport:
             ), "S_max")
             width = EigDecomposition(*np.linalg.eigh(
                 _reference_finite(s_max - s_min, "S_max - S_min")))
-        even_case = EvenCaseData(S_min=s_min, S_max=s_max, width=width)
+        even_case = EvenCaseData(S_min=s_min, S_max=s_max, width=width,
+                                 next_coords=coords)
         ends = np.linalg.eigvalsh(np.stack((s_min, s_max)))
         scale = max(1.0, float(np.abs(ends).max()))
         rel_min = float(width.eigenvalues.min()) / scale
@@ -218,7 +233,7 @@ def reference_check_even(seq) -> SolvabilityReport:
     cdfk_ok, agree = _agreement("even", conditions, cdfk)
     failed = tuple(c.name for c in conditions if not c.passed)
     return SolvabilityReport(solvable=not failed, case="even", conditions=conditions,
-                             failed_conditions=failed, even_case=even_case,
+                             failed_conditions=failed, even_case=even_case, space=space,
                              cdfk_solvable=cdfk_ok, criteria_agreement=agree)
 
 

@@ -206,15 +206,46 @@ class TestValidByConstruction:
     ])
     def test_solved_even_measure_equals_the_validating_route(self, seed, n, atoms, l,
                                                              a, b, t, k):
+        # at the scalar parameters and at a matrix pair drawn from the seed,
+        # the even solve on the extended check factor gives the measure that
+        # solve_odd gives on the extended sequence, which it checks and
+        # factors anew
         seq = moments_of(gen_random_measure(seed, n, atoms, a, b), l)
-        odd = matmom.solutions._with_next_moment(seq, check_even(seq).even_case, t)
-        ext = matmom.solutions._extension_interval(odd)
-        sd = spectral_data(canonical_extension(ext, k), ext.model.first_vectors)
-        positions = np.clip(0.5 * (b - a) * sd.eigenvalues + 0.5 * (a + b), a, b)
-        want = measure_from_atoms(a, b, positions, sd.weights, N=n)
-        got = solve_even(seq, t, k)
-        assert got.positions.tobytes() == want.positions.tobytes()
-        assert got.weights.tobytes() == want.weights.tobytes()
+        assert check_even(seq).space.rank == (l + 1) // 2 * n
+        rng = np.random.default_rng(seed)
+        t_mat = random_contraction(rng, n, (0.0, 1.0))
+        k_mat = random_contraction(rng, n, (0.0, 1.0))
+        for tt, kk in ((t, k), (t_mat, k_mat)):
+            _assert_even_solve_matches_the_extended_odd_solve(seq, tt, kk)
+
+    def test_sampled_even_measures_equal_the_validating_route(self):
+        # N 1-3, atoms 1-6, l 3, 5 or 7 on three intervals, at a matrix T
+        # and K.  Only a Gram factor of full rank is a Cholesky factor, so
+        # the two routes agree to rounding there, when they keep the same
+        # rank: the even route decides the rank of the new block on its own
+        # spectrum, the validating route on that of the whole moment matrix,
+        # and a block far smaller than the matrix can be kept by one and
+        # cut by the other; the even solve must then verify on its own
+        compared = kept_more = 0
+        for g in range(60):
+            rng = np.random.default_rng(50_000 + g)
+            n, atoms, l = int(rng.integers(1, 4)), int(rng.integers(1, 7)), int(rng.choice([3, 5, 7]))
+            a, b = ((0.0, 1.0), (-1.0, 1.0), (-2.0, 3.0))[int(rng.integers(3))]
+            seq = moments_of(gen_random_measure(g, n, atoms, a, b), l)
+            report = check_even(seq)
+            if report.space.rank < report.space.vectors.shape[1]:
+                continue
+            t_mat = random_contraction(rng, n, (0.0, 1.0))
+            defect = matmom.solutions._odd_interval(_extended_odd(seq, t_mat)).def_dim
+            k_mat = random_contraction(rng, defect, (0.0, 1.0))
+            _, space = matmom.solutions._with_next_moment(seq, report, t_mat)
+            if matmom.solutions._extension_interval(space).def_dim == defect:
+                _assert_even_solve_matches_the_extended_odd_solve(seq, t_mat, k_mat)
+                compared += 1
+            else:
+                assert verify(solve_even(seq, t_mat, 0.5), seq, tol=1e-8).passed
+                kept_more += 1
+        assert compared >= 30 and kept_more >= 1
 
     def test_positions_rounded_together_merge(self):
         # far from 0 the map to [a, b] rounds two clusters 2e-9 apart to one
@@ -248,6 +279,32 @@ class TestValidByConstruction:
         for k in (0.0, 0.7, 1.0, k_mat):
             assert verify(solve_odd(seq, k), seq).passed
         assert calls == Counter()
+
+
+def _extended_odd(seq, t):
+    """seq extended by S_min + D^(1/2) T D^(1/2), D the interval's width."""
+    data = check_even(seq).even_case
+    t_mat = t * np.eye(seq.N) if np.isscalar(t) else t
+    return seq.extended(data.S_min + data.width_half @ t_mat @ data.width_half)
+
+
+def _assert_even_solve_matches_the_extended_odd_solve(seq, t, k):
+    """solve_even(seq, t, k) equals solve_odd of :func:`_extended_odd` at
+    the same k, within 1e-10 of the interval length in the positions and of
+    max(1, ||S_0||_2) in the weights, while the extended moment matrix has
+    condition number at most 1e8.  Beyond it the two routes' rounding moves
+    the atoms further, and both only have to reproduce the moments, as
+    every solve verifies."""
+    odd = _extended_odd(seq, t)
+    want = solve_odd(odd, k)
+    got = solve_even(seq, t, k)
+    assert got.num_atoms == want.num_atoms
+    spectrum = check_odd(odd).space.spectrum
+    if spectrum[-1] > 1e8 * spectrum[0]:
+        return
+    scale = max(1.0, np.linalg.norm(seq.moments[0], 2))
+    assert np.abs(got.positions - want.positions).max() <= 1e-10 * (seq.b - seq.a)
+    assert np.abs(got.weights - want.weights).max() <= 1e-10 * scale
 
 
 class TestPartiallyDeterminedProblem:
@@ -904,17 +961,56 @@ class TestSolveEven:
         assert verify(measure, seq, tol=1e-8).passed
 
     def test_passing_check_is_not_contradicted(self):
-        # build_gram_space may find the moment matrix of the extension at
-        # t = 0 not PSD by rounding; after check_even said solvable, that is
-        # a numerical error, not an Unsolvable verdict
+        # at t = 0 the extended moment matrix is singular in exact
+        # arithmetic; refactored anew, rounding made it not PSD, but the
+        # check's factor extended by the empty factor of the zero corner
+        # block realizes it exactly
         seq = moments_of(gen_random_measure(9339, 2, 5, 0.0, 1.0), 9)
         assert check_even(seq).solvable
-        try:
-            measure = solve_even(seq, t=0.0)
-        except NumericalInconsistency as exc:
-            assert str(exc).startswith("solvability check passed, but")
-        else:
-            assert verify(measure, seq, tol=1e-8).passed
+        measure = solve_even(seq, t=0.0)
+        assert verify(measure, seq, tol=1e-8).passed
+
+    @pytest.mark.parametrize("seed, n, atoms, l", [(10162, 3, 3, 5), (10558, 2, 4, 7)])
+    @pytest.mark.parametrize("k", [0.0, 1.0])
+    def test_lower_endpoint_is_determinate_by_construction(self, seed, n, atoms, l, k):
+        # the census endpoint seeds whose t = 0 solves failed with "I + P has
+        # negative eigenvalue" or "moment matrix is not PSD" when the
+        # extended moment matrix was factored anew
+        seq = moments_of(gen_random_measure(seed, n, atoms, 0.0, 1.0), l)
+        measure = solve_even(seq, t=0.0, k=k)
+        assert verify(measure, seq, tol=1e-8).passed
+
+    @pytest.mark.parametrize("atoms, rank", [(6, 8), (3, 6)])
+    def test_solve_decides_nothing_again(self, monkeypatch, atoms, rank):
+        # after check_even, the solve extends the check's Gram factor of
+        # Gamma_d by one block: it gathers no moment matrix, builds no Gram
+        # space anew and takes no Cholesky factor of Gamma_{d+1}
+        seq = moments_of(gen_random_measure(3, 2, atoms, -1.0, 1.5), 7)
+        assert build_gram_space(seq.truncated(6)).rank == rank
+        assert check_even(seq).solvable
+        calls = Counter()
+        for name, module in list(sys.modules.items()):
+            if name != "matmom" and not name.startswith("matmom."):
+                continue
+            for attr in ("build_gram_space", "build_gamma"):
+                if hasattr(module, attr):
+                    def counted(*args, _attr=attr, _original=getattr(module, attr), **kwargs):
+                        calls[_attr] += 1
+                        return _original(*args, **kwargs)
+                    monkeypatch.setattr(module, attr, counted)
+        shapes = []
+        original = np.linalg.cholesky
+
+        def recorded(a, *args, **kwargs):
+            shapes.append(np.shape(a)[-2:])
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", recorded)
+        for t in (0.0, 0.5, 1.0):
+            assert verify(solve_even(seq, t), seq, tol=1e-8).passed
+        monkeypatch.undo()
+        assert calls == Counter()
+        assert shapes and (10, 10) not in shapes
 
     def test_upper_endpoint_survives_rounding_of_the_defect(self):
         # the defect of the extended problem has an eigenvalue of -1.35e-10,
@@ -1061,8 +1157,9 @@ class TestLazyScales:
         original = matmom.solutions._with_next_moment
 
         def recorded(*args):
-            extended.append(original(*args))
-            return extended[-1]
+            result = original(*args)
+            extended.append(result[0])
+            return result
 
         monkeypatch.setattr(matmom.solutions, "_with_next_moment", recorded)
         (solve_odd if l % 2 == 0 else solve_even)(seq)
@@ -1131,7 +1228,7 @@ class TestLazyScales:
     def test_even_report_reads_the_extended_scales(self, t):
         seq = moments_of(gen_random_measure(4, 2, 4, -1.0, 2.0), 5)
         _, report = _solve(seq, 0.5, t)
-        odd = matmom.solutions._with_next_moment(seq, check_even(seq).even_case, t)
+        odd, _ = matmom.solutions._with_next_moment(seq, check_even(seq), t)
         assert report.moment_residuals.size == seq.l + 1
         assert report.moment_scales.tobytes() == odd.moment_scales[: seq.l + 1].tobytes()
 

@@ -146,13 +146,21 @@ class TestCheckEven:
             check_even(scalar_seq(0, 1, [1, 0.5, 1 / 3]))
 
     def test_each_moment_matrix_factored_once(self, monkeypatch):
-        # one eigh each of Gamma_d and Gamma-tilde_d serves the PSD verdicts
-        # and the block systems; the width takes the third eigh.  One
-        # eigvalsh of the stacked ends S_min, S_max gives the interval's
-        # scale, and the other factors the stacked H pair of the cross-check
-        seq = moments_of(gen_random_measure(3, 2, 3, -1.0, 1.5), 7)
+        # Gamma_d is factored as check_odd factors it: eigvalsh decides, then
+        # a full-rank Gamma_d takes its Cholesky factor, on which one solve
+        # gives the X system, and a rank-deficient one takes one eigh.  One
+        # eigh of Gamma-tilde_d serves its PSD verdict and the Y system, and
+        # the width takes the last eigh.  One eigvalsh of the stacked ends
+        # S_min, S_max gives the interval's scale, and the last factors the
+        # stacked H pair of the cross-check
+        for atoms, rank in ((6, 8), (3, 6)):
+            self._assert_factored_once(monkeypatch, atoms, rank)
+
+    @staticmethod
+    def _assert_factored_once(monkeypatch, atoms, rank):
+        seq = moments_of(gen_random_measure(3, 2, atoms, -1.0, 1.5), 7)
         gamma, gtilde = build_gamma(seq, 3), build_gamma_tilde(seq, 3)
-        factored = {"eigh": [], "eigvalsh": []}
+        factored = {"eigh": [], "eigvalsh": [], "cholesky": [], "solve": []}
         for name, mats in factored.items():
             original = getattr(np.linalg, name)
 
@@ -163,19 +171,23 @@ class TestCheckEven:
             monkeypatch.setattr(np.linalg, name, recorded)
         rep = check_even(seq)
         monkeypatch.undo()
-        assert rep.solvable
+        assert rep.solvable and rep.space.rank == rank
+        full = rank == 8
         assert {name: len(mats) for name, mats in factored.items()} == {
-            "eigh": 3, "eigvalsh": 2}
+            "eigh": 3 - full, "eigvalsh": 3, "cholesky": int(full), "solve": int(full)}
         same = lambda x, y: x.shape == y.shape and np.allclose(x, y, rtol=0, atol=1e-13)
-        assert not any(same(x, gamma) or same(x, gtilde) for x in factored["eigvalsh"])
         ends = np.stack([rep.even_case.S_min, rep.even_case.S_max])
         pair = np.stack(build_h_pair(seq, 3))
-        assert [same(x, y) for x, y in zip(factored["eigvalsh"], (ends, pair))] == [
-            True, True]
-        # the PSD conditions read the eigenvalues of the factorizations
-        eig = lambda m: np.linalg.eigh(m)[0].min()
-        assert rep.details["Gamma PSD"] == eig(gamma)
-        assert rep.details["GammaTilde PSD"] == eig(gtilde)
+        assert [same(x, y) for x, y in zip(factored["eigvalsh"], (gamma, ends, pair))] == [
+            True, True, True]
+        assert [same(x, y) for x, y in zip(factored["eigh"], (gamma,) * (not full) + (gtilde,))
+                ] == [True] * (2 - full)
+        assert all(same(x, gamma) for x in factored["cholesky"])
+        assert all(same(x, rep.space.vectors.T) for x in factored["solve"])
+        # the PSD conditions read the deciding spectra
+        eig = np.linalg.eigvalsh if full else lambda m: np.linalg.eigh(m)[0]
+        assert rep.details["Gamma PSD"] == eig(gamma).min()
+        assert rep.details["GammaTilde PSD"] == np.linalg.eigh(gtilde)[0].min()
 
 
 class TestOverflowingCombinations:
@@ -221,9 +233,10 @@ def _report_fields(report) -> list:
                 bits(c.threshold), bits(c.value)) for c in report.conditions]
     arrays = ()
     if report.even_case is not None:
-        arrays = (report.even_case.S_min, report.even_case.S_max, *report.even_case.width)
+        data = report.even_case
+        arrays = (data.S_min, data.S_max, *data.width, data.next_coords)
     if report.space is not None:
-        arrays = (report.space.vectors, report.space.spectrum)
+        arrays += (report.space.vectors, report.space.spectrum)
     return fields + [(arr.dtype.str, arr.shape, arr.tobytes()) for arr in arrays]
 
 
