@@ -75,9 +75,21 @@ def _print_report(report: SolvabilityReport) -> None:
     print(f"solvable: {'yes' if report.solvable else 'no'}")
 
 
+@functools.lru_cache(maxsize=32)
+def _matrix_lines(n: int) -> str:
+    """%-template of an n x n complex matrix as printed: a line per row,
+    two spaces before each entry, written re then signed im then j.
+
+    ``"%.16e" % x`` gives the characters of :func:`format_float`, so one
+    ``%`` prints a whole matrix as formatting each entry on its own did.
+    """
+    return "\n".join(["  " + "  ".join(["%.16e%+.16ej"] * n)] * n)
+
+
 def _print_matrix(m: np.ndarray) -> None:
-    for row in np.asarray(m, dtype=complex):
-        print("  " + "  ".join(f"{format_float(v.real)}{v.imag:+.16e}j" for v in row))
+    m = np.ascontiguousarray(m, dtype=complex)
+    if m.size:
+        print(_matrix_lines(len(m)) % tuple(m.view(float).ravel().tolist()))
 
 
 def _cmd_check(args) -> int:

@@ -14,12 +14,19 @@ without a second scan.
   (clipped at zero).  Every rank, kernel and support decision uses it.
   ``keeps_every_eigenvalue`` proves, from one Cholesky factorization and
   no eigensolve, that the cutoff keeps every eigenvalue of a Hermitian
-  matrix, with a margin for the rounding of a computed spectrum.
+  matrix and that the matrix passes ``psd_ok``, with a margin for the
+  rounding of a computed spectrum.  This certificate decides the
+  contraction rule's I +- P and, through ``certified``, the checks' PSD
+  conditions on the moment matrices of order 16 and more and the rank of
+  a Gram space: a passing one leaves the spectrum to be computed only if
+  something reads it.
 * ``psd_ok`` is the one positive-semidefiniteness rule on eigenvalues: the
   smallest may sit at most ``tol * max(1, max |eigenvalue|)`` below zero.
   ``check_psd_stack`` applies it at ``PSD_TOL`` to a ``(k, n, n)`` stack
   with one batched ``eigvalsh``, matrix by matrix, and ``require_psd``
   at ``NORM_SLACK`` to the spectra of the contraction rule.
+  ``psd_ends_ok`` applies it at ``PSD_TOL`` to an ascending spectrum from
+  its two ends, with no pass over the spectrum.
 * ``require_hermitian`` is the one Hermitian-input rule, applied to a stack
   in one pass by ``require_hermitian_stack``.
 * ``cluster_starts`` is the one clustering rule for sorted values (atom
@@ -33,9 +40,10 @@ values: ``psd_ok`` (``PSD_TOL``, ``NORM_SLACK``), ``require_hermitian`` and
 ``require_hermitian_stack`` (``HERM_TOL``, ``io.FILE_HERM_TOL``), and
 ``cluster_starts`` (``solutions.CLUSTER_TOL``, and
 ``moments.ATOM_MERGE_REL`` times the interval length).  Everything else
-reads the constants below: ``rank_keep``, ``sqrt_from_eig`` and
-``keeps_every_eigenvalue`` read ``RANK_TOL``, ``check_psd_stack`` reads
-``PSD_TOL``, and ``require_psd`` reads ``NORM_SLACK``.
+reads the constants below: ``rank_keep``, ``sqrt_from_eig``,
+``keeps_every_eigenvalue`` and ``certified`` read ``RANK_TOL``,
+``check_psd_stack`` and ``psd_ends_ok`` read ``PSD_TOL``, and
+``require_psd`` reads ``NORM_SLACK``.
 
 All matrices are small (dimension at most about a hundred) and dense complex
 double precision; 0x0 matrices are legal values throughout.
@@ -59,6 +67,15 @@ PSD_TOL = 1e-10
 RANK_TOL = 1e-10
 HERM_TOL = 1e-12
 NORM_SLACK = 1e-8
+
+# Below this order numpy's per-call overhead sets the cost of a Cholesky
+# factorization and of an eigvalsh alike (about 10 us each at order 8 on a
+# 2-vCPU x86-64 VM with one BLAS thread), so a certificate saves nothing
+# there and costs a second call when it fails; at order 16 a passing one
+# saves about half of an eigvalsh with its rank rule, and a failing one
+# costs about as much again.  ``certified`` tries one only from this order
+# up.  It chooses a computation, never a verdict.
+_CERTIFY_ORDER = 16
 
 # No sum of two entries of at most this magnitude overflows, so only a matrix
 # with a larger entry can fail to symmetrize.
@@ -134,10 +151,11 @@ def rank_keep(w: np.ndarray) -> np.ndarray:
     return w > RANK_TOL * w.max(initial=0.0)
 
 
-def keeps_every_eigenvalue(stack: np.ndarray) -> bool:
+def keeps_every_eigenvalue(a: np.ndarray) -> bool:
     """Whether a Cholesky factorization proves, with no eigensolve, that
-    each Hermitian matrix A of the ``(k, n, n)`` stack has every eigenvalue
-    kept by :func:`rank_keep` and passes :func:`psd_ok`.
+    the Hermitian matrix ``a``, or each Hermitian matrix A of a ``(k, n,
+    n)`` stack ``a``, has every eigenvalue kept by :func:`rank_keep` and
+    passes :func:`psd_ok`.
 
     Each A is shifted down by tau = (2 RANK_TOL + 8 n^2 u) ||A||_1, with u
     = 2^-53 the unit roundoff, and factored; the answer is True iff every
@@ -145,9 +163,12 @@ def keeps_every_eigenvalue(stack: np.ndarray) -> bool:
     ||A||_1 >= 2 RANK_TOL lambda_max(A), because ||A||_2 <= ||A||_1 for a
     Hermitian A.  So every exact eigenvalue clears the cutoff by a factor 2.
     The second RANK_TOL ||A||_1 absorbs the rounding of a computed spectrum,
-    which for ``eigh`` is of order n u ||A||_2, unless A is far smaller in
-    norm than the matrices it was formed from.  A False answer proves
-    nothing.
+    which for ``eigh`` and ``eigvalsh`` is of order n u ||A||_2: the
+    spectrum that either computes of A itself keeps every eigenvalue and
+    passes :func:`psd_ok`.  (Against the exact spectrum of the matrices A
+    was rounded from, the margin holds unless A is far smaller in norm than
+    they are.)  A False answer proves nothing, and so does an ||A||_1 that
+    overflows, which makes the shifted diagonal -inf.
 
     The 8 n^2 u term is the backward error of the factorization
     (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
@@ -162,16 +183,26 @@ def keeps_every_eigenvalue(stack: np.ndarray) -> bool:
     while n^2 u << 1.  The computed B plus dB is R* R, positive definite, so
     by Weyl lambda_min(A) - tau > -8 n^2 u ||A||_1, which is the claim.
     """
-    k, n = stack.shape[0], stack.shape[-1]
-    tau = (2.0 * RANK_TOL + 8.0 * n * n * 2.0**-53) * np.abs(stack).sum(axis=-2).max(axis=-1)
-    # a copy, since callers go on to use the stack; only the diagonal moves
-    shifted = stack.copy()
-    shifted.reshape(k, n * n)[:, :: n + 1] -= tau[:, None]
+    n = a.shape[-1]
+    with np.errstate(over="ignore"):
+        tau = (2.0 * RANK_TOL + 8.0 * n * n * 2.0**-53) * np.abs(a).sum(axis=-2).max(axis=-1)
+    # a copy, since callers go on to use the matrices; only the diagonal
+    # moves, through a strided view of it
+    shifted = a.copy()
+    shifted.reshape(*a.shape[:-2], n * n)[..., :: n + 1] -= tau[..., None]
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def certified(a: np.ndarray) -> bool:
+    """:func:`keeps_every_eigenvalue` of ``a``, one matrix or a stack, from
+    order ``_CERTIFY_ORDER`` up, and False, which proves nothing, below it:
+    whether a check may leave the spectrum of ``a`` until something reads it.
+    """
+    return a.shape[-1] >= _CERTIFY_ORDER and keeps_every_eigenvalue(a)
 
 
 def psd_ok(w: np.ndarray, tol: float = PSD_TOL):
@@ -182,6 +213,14 @@ def psd_ok(w: np.ndarray, tol: float = PSD_TOL):
     """
     scale = np.abs(w).max(axis=-1, initial=1.0)
     return w.min(axis=-1, initial=np.inf) >= -tol * scale
+
+
+def psd_ends_ok(lo: float, hi: float) -> bool:
+    """:func:`psd_ok` at ``PSD_TOL`` of an ascending spectrum with smallest
+    eigenvalue ``lo`` and largest ``hi``.  Its largest |eigenvalue| is then
+    max(-lo, hi), so the two ends decide, bit for bit as :func:`psd_ok`
+    does, without a pass over the spectrum."""
+    return lo >= -PSD_TOL * max(1.0, -lo, hi)
 
 
 def require_hermitian_stack(stack, tol: float = HERM_TOL,

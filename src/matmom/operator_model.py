@@ -9,10 +9,12 @@ Hermitian contraction.  This module builds concrete matrices for all of it,
 in orthonormal coordinates of the space, domain first and its orthogonal
 complement (the defect space) after: the compression P of the contraction
 to the domain, its component Q into the complement, and the coordinates of
-the first N vectors.  The spectrum of the moment matrix decides its rank.
+the first N vectors.  A Cholesky certificate
+(:func:`~matmom.linalg.certified`) proves full rank with no eigensolve;
+only when it fails does the spectrum of the moment matrix decide its rank.
 A space of full rank takes the upper Cholesky factor R of conj(Gamma) as
-its vectors, which are already its Gram-Schmidt coordinates.  There P is the
-truncated block Jacobi matrix, block tridiagonal, and Q reaches only its
+its vectors, which are already its Gram-Schmidt coordinates.  There P is
+the truncated block Jacobi matrix, block tridiagonal, and Q reaches only its
 last block, so both are formed from the N x N blocks of R, with no
 factorization of R and no dN x dN inverse.  A rank-deficient space takes
 eigen-scaled vectors, and the domain SVD that decides kernel inclusion gives
@@ -23,13 +25,13 @@ problem's space by one order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import NumericalInconsistency, OperatorIllDefined, ValidationError
-from .linalg import RANK_TOL, herm_part, opnorm, psd_ok, rank_keep
+from .linalg import RANK_TOL, certified, herm_part, opnorm, psd_ok, rank_keep
 from .moments import MomentSequence, build_gamma
 
 # Inner products follow the convention <u, v> = sum_i u_i * conj(v_i), so all
@@ -41,17 +43,26 @@ class GramSpace:
     """Vectors realizing the moment matrix as a Gram matrix.
 
     ``vectors`` has shape (rank, (d+1)N); column n is x_n and
-    <x_n, x_m> reproduces entry (n, m) of the moment matrix.  ``spectrum``
-    holds the ascending eigenvalues of the moment matrix that the rank was
-    decided on.  The vectors are square exactly when that spectrum keeps
-    every eigenvalue, and then they are the upper Cholesky factor R of
-    conj(moment matrix), the Gram-Schmidt factor that
-    :func:`build_operators` reads; a rank-deficient space has the
-    eigen-scaled rows sqrt(w_i) v_i^T (see :func:`gram_space_from_eig`).  A
-    space may be shared through the solvability report that carries it, so
-    its arrays, those of ``domain_svd`` included, are read-only.  What is
-    derived from the vectors (the norm, the domain SVD, the domain rank and
-    kernel-inclusion residual) is computed once per space, on first use.
+    <x_n, x_m> reproduces entry (n, m) of the moment matrix ``gram``.  The
+    vectors are square exactly when the rank decision keeps every
+    eigenvalue, and then they are the upper Cholesky factor R of
+    conj(``gram``), the Gram-Schmidt factor that :func:`build_operators`
+    reads; a rank-deficient space has the eigen-scaled rows sqrt(w_i) v_i^T
+    (see :func:`gram_space_from_eig`).  ``spectrum`` holds the ascending
+    eigenvalues of ``gram``.  When an eigensolve decided the rank, they are
+    the spectrum it was decided on, given as ``decided_spectrum``.  When a
+    Cholesky certificate decided it, with no eigensolve, the space is
+    built without them (``decided_spectrum`` None), and ``spectrum`` is
+    ``eigvalsh(gram)``, taken on first read: the spectrum the eigensolve
+    route would have decided on, bit for bit.  A space may be shared
+    through the solvability report that carries it, so its arrays, those
+    of ``domain_svd`` included, are read-only.  The space takes ownership
+    of the arrays it is given: it makes them read-only in place, and a
+    caller that goes on writing to one, or to the array it views, passes a
+    copy, since the spectrum read later must be that of the ``gram`` the
+    rank was decided on.  What is derived from the vectors (the spectrum,
+    the norm, the domain SVD, the domain rank and kernel-inclusion
+    residual) is computed once per space, on first use.
     """
 
     a: float
@@ -59,11 +70,23 @@ class GramSpace:
     N: int
     d: int
     vectors: np.ndarray
-    spectrum: np.ndarray
+    gram: np.ndarray
+    decided_spectrum: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.vectors.setflags(write=False)
-        self.spectrum.setflags(write=False)
+        self.gram.setflags(write=False)
+        if self.decided_spectrum is not None:
+            self.decided_spectrum.setflags(write=False)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """The ascending eigenvalues of ``gram``, as the class explains."""
+        if self.decided_spectrum is not None:
+            return self.decided_spectrum
+        w = np.linalg.eigvalsh(self.gram)
+        w.setflags(write=False)
+        return w
 
     @property
     def rank(self) -> int:
@@ -155,21 +178,26 @@ def _column_phases(u: np.ndarray) -> np.ndarray:
     return phase
 
 
-def _gram_vectors(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gram_vectors(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Vectors whose Gram matrix is the PSD ``gram``, with the ascending
-    spectrum that decided their number.
+    spectrum that decided their number, or None when no spectrum did.
 
-    ``eigvalsh`` decides first.  If :func:`rank_keep` drops an eigenvalue,
-    ``eigh`` factors ``gram`` and its own spectrum decides.  When the
-    deciding spectrum keeps every eigenvalue, cond(gram) < 1/RANK_TOL and
-    the Cholesky factor gram = L L^H exists.  The vectors are then R = L^T
-    (transposed, not conjugated), the upper Cholesky factor of conj(gram):
-    R^H R = conj(gram) gives sum_i R[i, n] conj(R[i, m]) = gram[n, m].
-    Otherwise they are the eigenvectors kept by :func:`rank_keep`, scaled
-    and transposed (not conjugated), which makes the Gram identity hold in
-    the fixed inner-product convention.  ``gram`` is exactly Hermitian and
-    finite, and not scanned.
+    A Cholesky certificate decides first: when
+    :func:`~matmom.linalg.certified` passes, ``eigvalsh`` would keep every
+    eigenvalue, so the vectors are the Cholesky factor below and no
+    eigensolve is taken.  Otherwise ``eigvalsh`` decides, and if
+    :func:`rank_keep` drops an eigenvalue, ``eigh`` factors ``gram`` and its
+    own spectrum decides.  When the deciding spectrum keeps every
+    eigenvalue, cond(gram) < 1/RANK_TOL and the Cholesky factor gram = L L^H
+    exists.  The vectors are then R = L^T (transposed, not conjugated), the
+    upper Cholesky factor of conj(gram): R^H R = conj(gram) gives sum_i
+    R[i, n] conj(R[i, m]) = gram[n, m].  Otherwise they are the eigenvectors
+    kept by :func:`rank_keep`, scaled and transposed (not conjugated), which
+    makes the Gram identity hold in the fixed inner-product convention.
+    ``gram`` is exactly Hermitian and finite, and not scanned.
     """
+    if certified(gram):
+        return np.linalg.cholesky(gram).T, None
     w = np.linalg.eigvalsh(gram)
     keep = rank_keep(w)
     if not keep.all():
@@ -183,10 +211,13 @@ def _gram_vectors(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def gram_space_from_eig(seq: MomentSequence, gamma: np.ndarray) -> GramSpace:
     """The Gram space of the order-d moment matrix ``gamma`` of ``seq``,
-    with the spectrum that its PSD verdict and its rank are decided on, by
-    :func:`_gram_vectors`.  ``gamma`` is gathered from validated moments."""
+    its rank decided by :func:`_gram_vectors`, with the spectrum it was
+    decided on when an eigensolve decided it.  ``gamma`` is gathered from
+    validated moments, and the space keeps it as its ``gram``, read-only
+    (see :class:`GramSpace`)."""
     vectors, w = _gram_vectors(gamma)
-    return GramSpace(a=seq.a, b=seq.b, N=seq.N, d=seq.l // 2, vectors=vectors, spectrum=w)
+    return GramSpace(a=seq.a, b=seq.b, N=seq.N, d=seq.l // 2, vectors=vectors, gram=gamma,
+                     decided_spectrum=w)
 
 
 def _extended_space(space: GramSpace, next_coords: np.ndarray,
@@ -194,18 +225,18 @@ def _extended_space(space: GramSpace, next_coords: np.ndarray,
     """``space`` extended by one block to order d+1: the vectors [[X, Z],
     [0, L]], with Z = ``next_coords`` and L the :func:`_gram_vectors` of the
     PSD ``corner``, so the new block's Gram matrix is Z^T conj(Z) + corner.
-    If X and L are Cholesky factors, so is the extension.  Its spectrum,
-    one ``eigvalsh`` of the Gram matrix it realizes, decides no rank: only
-    :attr:`GramSpace.norm` reads it."""
+    If X and L are Cholesky factors, so is the extension.  Its ``gram`` is
+    the Gram matrix the vectors realize, and its spectrum decides no rank:
+    only :attr:`GramSpace.norm` reads it, for a nonzero kernel-inclusion
+    residual, so a full-rank extension takes no eigensolve."""
     low, _ = _gram_vectors(corner)
     rank, n = space.rank, space.N
     vectors = np.zeros((rank + low.shape[0], space.vectors.shape[1] + n), dtype=complex)
     vectors[:rank, :-n] = space.vectors
     vectors[:rank, -n:] = next_coords
     vectors[rank:, -n:] = low
-    spectrum = np.linalg.eigvalsh(vectors.T @ vectors.conj())
     return GramSpace(a=space.a, b=space.b, N=n, d=space.d + 1, vectors=vectors,
-                     spectrum=spectrum)
+                     gram=vectors.T @ vectors.conj())
 
 
 def build_gram_space(seq: MomentSequence) -> GramSpace:
@@ -218,7 +249,8 @@ def build_gram_space(seq: MomentSequence) -> GramSpace:
     if seq.l % 2 != 0 or seq.l < 2:
         raise ValidationError(f"Gram-space construction requires l = 2d, d >= 1, got l={seq.l}")
     space = gram_space_from_eig(seq, build_gamma(seq, seq.l // 2))
-    if not psd_ok(space.spectrum):
+    # a certificate proves the spectrum PSD without computing it
+    if space.decided_spectrum is not None and not psd_ok(space.decided_spectrum):
         raise ValidationError("moment matrix is not PSD; refusing Gram-space construction")
     return space
 
@@ -235,15 +267,16 @@ def kernel_inclusion(space: GramSpace) -> tuple[bool, float]:
     perturbation of norm sqrt(RANK_TOL) * ||X||_2; the residual passes iff
     it is within that bound.
 
-    With p = dN the domain vectors have no kernel and the residual is 0.  A
-    space of full rank (d+1)N needs no SVD to know that: X is square with
-    every singular value above sqrt(RANK_TOL) * ||X||_2, and the singular
-    values of its column block g_dom lie between those of X.  The residual
-    is computed once per space, so :func:`check_odd` and
+    With p = dN the domain vectors have no kernel and the residual is 0,
+    which passes without the norm, so without the spectrum.  A space of
+    full rank (d+1)N needs no SVD to know that: X is square with every
+    singular value above sqrt(RANK_TOL) * ||X||_2, and the singular values
+    of its column block g_dom lie between those of X.  The residual is
+    computed once per space, so :func:`check_odd` and
     :func:`build_operators` on the same space share it.
     """
     residual = space._domain_cut[1]
-    return bool(residual <= np.sqrt(RANK_TOL) * space.norm), residual
+    return residual == 0.0 or bool(residual <= np.sqrt(RANK_TOL) * space.norm), residual
 
 
 def build_operators(space: GramSpace) -> ContractionModel:

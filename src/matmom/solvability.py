@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -32,8 +32,9 @@ from .linalg import (
     PSD_TOL,
     RANK_TOL,
     EigDecomposition,
+    certified,
     herm_part,
-    psd_ok,
+    psd_ends_ok,
     rank_keep,
     require_hermitian,
     sqrt_from_eig,
@@ -67,6 +68,14 @@ class Condition:
     eigenvalue for PSD conditions (pass iff >= -threshold), the relative
     residual for residual conditions (pass iff <= threshold).  ``value`` is
     the raw unnormalized diagnostic for reporting.
+
+    A PSD condition that a Cholesky certificate passed
+    (:func:`~matmom.linalg.certified`) is built without its spectrum: it
+    keeps its matrix in the private ``_matrix``, and ``quantity`` and
+    ``value`` are filled from one ``eigvalsh`` of it on first read, with the
+    bits an eagerly judged condition has.  The matrix takes no part in
+    ``==``, the hash or ``repr``, which read the two numbers like every
+    other field, and a report pickles with its matrices unread.
     """
 
     name: str
@@ -75,6 +84,16 @@ class Condition:
     quantity: float
     threshold: float
     value: float
+    _matrix: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    def __getattr__(self, attr):
+        # reached only for what the instance lacks: the two numbers of a
+        # certified condition before their first read
+        if attr not in ("quantity", "value") or self._matrix is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
+        judged = _psd_condition_eig(self.name, np.linalg.eigvalsh(self._matrix))
+        self.__dict__.update(quantity=judged.quantity, value=judged.value)
+        return self.__dict__[attr]
 
     @property
     def marginal(self) -> bool:
@@ -141,24 +160,50 @@ class SolvabilityReport:
 
 
 def _psd_condition(name: str, matrix: np.ndarray) -> Condition:
-    """The PSD condition on ``matrix``, judged on its eigenvalues alone.
+    """The PSD condition on ``matrix``: passed on a Cholesky certificate,
+    with its numbers deferred (:func:`_certified_condition`), and otherwise
+    judged on its eigenvalues alone.
 
     ``matrix`` is finite and exactly Hermitian: S_0 as :func:`check_l0`
     validated it, or a block Hankel matrix built from validated moments, so
     it is not scanned again.
     """
+    if certified(matrix):
+        return _certified_condition(name, matrix)
     return _psd_condition_eig(name, np.linalg.eigvalsh(matrix))
+
+
+def _certified_condition(name: str, matrix: np.ndarray) -> Condition:
+    """The passed PSD condition on ``matrix``, which
+    :func:`~matmom.linalg.certified` has certified: its computed spectrum
+    would pass :func:`~matmom.linalg.psd_ok`, so the verdict needs no
+    eigensolve, and ``quantity`` and ``value`` come from ``eigvalsh`` on
+    first read (see :class:`Condition`)."""
+    matrix.setflags(write=False)
+    cond = object.__new__(Condition)
+    cond.__dict__.update(name=name, passed=True, kind="psd", threshold=PSD_TOL,
+                         _matrix=matrix)
+    return cond
+
+
+def _gamma_condition(space: GramSpace) -> Condition:
+    """"Gamma PSD" on the moment matrix of ``space``, by the rule that
+    decided its rank: certified when a Cholesky certificate decided it,
+    and judged on the deciding spectrum otherwise."""
+    if space.decided_spectrum is None:
+        return _certified_condition("Gamma PSD", space.gram)
+    return _psd_condition_eig("Gamma PSD", space.decided_spectrum)
 
 
 def _psd_condition_eig(name: str, w: np.ndarray) -> Condition:
     """The PSD condition on a matrix with ascending eigenvalues ``w``, as
-    ``eigh`` returns them, decided by :func:`psd_ok`; the minimum and the
-    scale max(1, max |w|) are read off the ends of ``w``.  An empty matrix
-    passes."""
+    ``eigh`` returns them, decided by :func:`~matmom.linalg.psd_ends_ok`;
+    the minimum and the scale max(1, max |w|) are read off the ends of
+    ``w``.  An empty matrix passes."""
     if w.size == 0:
         return Condition(name, True, "psd", np.inf, PSD_TOL, 0.0)
     lo, hi = float(w[0]), float(w[-1])
-    return Condition(name, bool(psd_ok(w)), "psd", lo / max(1.0, -lo, hi), PSD_TOL, lo)
+    return Condition(name, psd_ends_ok(lo, hi), "psd", lo / max(1.0, -lo, hi), PSD_TOL, lo)
 
 
 def _residual_condition(name: str, residual: float, rhs: np.ndarray,
@@ -231,8 +276,8 @@ def _kernel_condition(space: GramSpace) -> Condition:
 
 def _cdfk_conditions(seq: MomentSequence) -> tuple[Condition, ...]:
     """The cross-check's PSD conditions: on the moment matrix and Gamma-tilde
-    when l = 2d; on the H pair, factored by one stacked ``eigvalsh``, when
-    l = 2d+1."""
+    when l = 2d; on the H pair when l = 2d+1, certified together by one
+    stacked Cholesky or else factored by one stacked ``eigvalsh``."""
     if seq.l < 1:
         raise ValidationError("cross-check requires at least two moments (l >= 1)")
     if seq.l % 2 == 0:
@@ -241,7 +286,11 @@ def _cdfk_conditions(seq: MomentSequence) -> tuple[Condition, ...]:
             _psd_condition("Gamma PSD", build_gamma(seq, d)),
             _psd_condition("GammaTilde PSD", build_gamma_tilde(seq, d)),
         )
-    spectra = np.linalg.eigvalsh(_h_pair(seq, (seq.l - 1) // 2))
+    pair = _h_pair(seq, (seq.l - 1) // 2)
+    if certified(pair):
+        return (_certified_condition("H PSD", pair[0]),
+                _certified_condition("HTilde PSD", pair[1]))
+    spectra = np.linalg.eigvalsh(pair)
     return (
         _psd_condition_eig("H PSD", spectra[0]),
         _psd_condition_eig("HTilde PSD", spectra[1]),
@@ -287,12 +336,13 @@ def check_odd(seq: MomentSequence) -> SolvabilityReport:
             f"odd-case check requires l = 2d with d >= 1, got l={seq.l}"
         )
     d = seq.l // 2
-    # one spectrum of Gamma gives its PSD verdict and the route to the Gram
-    # vectors that kernel inclusion is decided on: a Cholesky factor at full
-    # rank, eigen-scaled eigenvectors from eigh otherwise
+    # one rule gives Gamma's PSD verdict and the route to the Gram vectors
+    # that kernel inclusion is decided on: a Cholesky factor when a
+    # certificate or the spectrum keeps every eigenvalue, eigen-scaled
+    # eigenvectors from eigh otherwise
     space = gram_space_from_eig(seq, build_gamma(seq, d))
     conditions = (
-        _psd_condition_eig("Gamma PSD", space.spectrum),
+        _gamma_condition(space),
         _psd_condition("GammaTilde PSD", build_gamma_tilde(seq, d)),
         _kernel_condition(space),
     )
@@ -321,9 +371,9 @@ def check_even(seq: MomentSequence) -> SolvabilityReport:
     blocks, the Y system's right side and the -ab S_2d + (a+b) S_2d+1 part
     of S_max are slices of one :func:`_interval_blocks` array.  The moment
     matrix is factored as :func:`check_odd` factors it, by
-    :func:`gram_space_from_eig`: its PSD condition reads the deciding
-    spectrum, the X system is solved on its Gram vectors, and the report
-    carries the space, for :func:`solve_even` to extend by one block.
+    :func:`gram_space_from_eig`: its PSD condition follows the rule that
+    decided its rank, the X system is solved on its Gram vectors, and the
+    report carries the space, for :func:`solve_even` to extend by one block.
     Gamma-tilde is factored once, by ``eigh``, for its PSD condition and the
     Y system.  Overflow is scanned once in those blocks and once in the
     width, which is non-finite wherever S_min, the Y quadratic form or S_max
@@ -346,7 +396,7 @@ def check_even(seq: MomentSequence) -> SolvabilityReport:
         _finite_blocks(gtilde, "GammaTilde")
     gtilde_dec = EigDecomposition(*np.linalg.eigh(gtilde))
     conditions = [
-        _psd_condition_eig("Gamma PSD", space.spectrum),
+        _gamma_condition(space),
         _psd_condition_eig("GammaTilde PSD", gtilde_dec.eigenvalues),
     ]
     even_case = None

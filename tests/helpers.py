@@ -17,7 +17,7 @@ from matmom.linalg import (
     rank_keep,
     require_hermitian,
 )
-from matmom.operator_model import gram_space_from_eig
+from matmom.operator_model import GramSpace
 from matmom.solvability import (
     CONSISTENCY_TOL,
     Condition,
@@ -158,13 +158,34 @@ def _reference_coordinates(space, rhs):
     return _frobenius(rhs - v @ coeff), (coeff / np.sqrt(w)[:, None]).conj()
 
 
+def reference_gram_space(seq, gamma) -> GramSpace:
+    """The Gram space of the moment matrix ``gamma`` decided on its spectrum
+    alone, with no certificate: ``eigvalsh`` decides, ``eigh`` when it
+    drops an eigenvalue, and a spectrum that keeps every eigenvalue takes
+    the upper Cholesky factor of conj(gamma).  The reference for
+    ``gram_space_from_eig``, whose certificate must pick the same vectors,
+    bit for bit, and whose deferred spectrum must be this one."""
+    w = np.linalg.eigvalsh(gamma)
+    keep = rank_keep(w)
+    if not keep.all():
+        w, v = np.linalg.eigh(gamma)
+        keep = rank_keep(w)
+    if keep.all():
+        vectors = np.linalg.cholesky(gamma).T
+    else:
+        vectors = np.sqrt(w[keep])[:, None] * v[:, keep].T
+    return GramSpace(a=seq.a, b=seq.b, N=seq.N, d=gamma.shape[0] // seq.N - 1,
+                     vectors=vectors, gram=gamma, decided_spectrum=w)
+
+
 def reference_check_odd(seq) -> SolvabilityReport:
-    """``check_odd`` with one ``eigvalsh`` per condition, the Hankel
-    matrices gathered one at a time and every combination scanned for
-    overflow on its own: the reference for ``check_odd``'s report, bit for
-    bit, and for its exceptions."""
+    """``check_odd`` with one ``eigvalsh`` per condition and no
+    certificate, the Hankel matrices gathered one at a time and every
+    combination scanned for overflow on its own: the reference for
+    ``check_odd``'s report, bit for bit once every number of it is read,
+    and for its exceptions."""
     d = seq.l // 2
-    space = gram_space_from_eig(seq, _reference_gather(seq._stack, d + 1))
+    space = reference_gram_space(seq, _reference_gather(seq._stack, d + 1))
     conditions = (
         _reference_psd_condition("Gamma PSD", space.spectrum),
         _reference_psd_condition("GammaTilde PSD",
@@ -180,13 +201,14 @@ def reference_check_odd(seq) -> SolvabilityReport:
 
 def reference_check_even(seq) -> SolvabilityReport:
     """``check_even`` with every interval-weighted combination formed where
-    it is used, the H pair built and factored one matrix at a time, and
-    each overflow scanned and named on its own: the reference for
-    ``check_even``'s report, bit for bit, and for its exceptions."""
+    it is used, the H pair built and factored one matrix at a time, no
+    certificate, and each overflow scanned and named on its own: the
+    reference for ``check_even``'s report, bit for bit once every number of
+    it is read, and for its exceptions."""
     d = (seq.l - 1) // 2
     s = seq._stack
     a, b, n = seq.a, seq.b, seq.N
-    space = gram_space_from_eig(seq, _reference_gather(s, d + 1))
+    space = reference_gram_space(seq, _reference_gather(s, d + 1))
     gtilde_dec = EigDecomposition(*np.linalg.eigh(_reference_gamma_tilde(seq, d)))
     conditions = [
         _reference_psd_condition("Gamma PSD", space.spectrum),

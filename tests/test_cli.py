@@ -11,7 +11,7 @@ import pytest
 
 import matmom.cli
 import matmom.solutions
-from helpers import reference_measure_text, reference_problem_text
+from helpers import reference_check_odd, reference_measure_text, reference_problem_text
 from matmom import (
     MomentSequence,
     ValidationError,
@@ -22,6 +22,7 @@ from matmom import (
 from matmom.cli import main
 from matmom.io import (
     FileFormatError,
+    format_float,
     read_measure,
     read_problem,
     write_measure,
@@ -259,6 +260,35 @@ class TestCheckCommand:
         assert main(["check", path]) == 0
         out = capsys.readouterr().out
         assert "S_min" in out and "S_max" in out
+
+    def test_deferred_numbers_reach_the_printout(self, tmp_path, capsys):
+        # the large shape's check decides its PSD conditions on certificates
+        # and forms their spectra only for the printout, which shows the
+        # eigensolve's minimum eigenvalues
+        seq = moments_of(gen_random_measure(0, 8, 40, -1.0, 1.0), 20)
+        write_problem(tmp_path / "p.json", seq)
+        assert main(["check", str(tmp_path / "p.json")]) == 0
+        printed = re.findall(r"\(min-eig (\S+)\)", capsys.readouterr().out)
+        assert printed == [format_float(c.value) for c in reference_check_odd(seq).conditions
+                           if c.kind == "psd"]
+        assert len(printed) == 2
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_matrix_rows_match_per_entry_formatting(self, n, capsys):
+        # one %-template per matrix prints what formatting each entry on its
+        # own printed: signed zeros, subnormals, the largest double, inf, nan
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        special = [complex(0.0, 0.0), complex(-0.0, -0.0), complex(0.0, -0.0),
+                   complex(-0.0, 0.0), complex(5e-324, -1.7976931348623157e308),
+                   complex(np.inf, np.nan), complex(-np.inf, -1e-300)]
+        m.ravel()[: len(special)] = special[: n * n]
+        matmom.cli._print_matrix(m)
+        want = "".join("  " + "  ".join(f"{format_float(v.real)}{v.imag:+.16e}j" for v in row)
+                       + "\n" for row in m)
+        assert capsys.readouterr().out == want
+        matmom.cli._print_matrix(np.zeros((0, 0)))
+        assert capsys.readouterr().out == ""
 
     def test_l0_case(self, tmp_path):
         path = write_scalar_problem(tmp_path / "l0.json", 0, 1, [1])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,11 @@ import hypothesis.strategies as st
 from matmom import EigDecomposition, ValidationError
 from matmom.linalg import (
     RANK_TOL,
+    certified,
     check_psd_stack,
     herm_part,
     keeps_every_eigenvalue,
+    psd_ends_ok,
     psd_ok,
     rank_keep,
     require_hermitian,
@@ -81,6 +85,19 @@ def test_rank_keep_rule():
     assert rank_keep(np.zeros(0)).shape == (0,)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=6),
+       st.sampled_from([1.0, 1e-10, 1e-12, 1e-8]))
+def test_ends_decide_as_psd_ok_does(values, scale):
+    """An ascending spectrum's two ends give psd_ok's verdict, also where
+    the smallest eigenvalue sits at the tolerance."""
+    w = np.sort(np.array(values) * scale)
+    assert psd_ends_ok(float(w[0]), float(w[-1])) == bool(psd_ok(w))
+    top = max(float(w[-1]), 1.0)
+    for lo in (-1e-10 * top, float(np.nextafter(-1e-10 * top, -np.inf))):
+        assert psd_ends_ok(lo, top) == bool(psd_ok(np.array([lo, top])))
+
+
 def _with_spectrum(rng, w):
     u = random_unitary(rng, len(w))
     return herm_part((u * np.asarray(w)) @ u.conj().T)
@@ -107,22 +124,66 @@ class TestKeepsEveryEigenvalue:
         assert not keeps_every_eigenvalue(np.stack([-a]))
 
     @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 24),
            exponent=st.floats(-12.0, -8.0))
     def test_a_proof_is_never_wrong(self, seed, n, exponent):
-        # eigenvalues down to 10**exponent of the largest, across the cutoff
+        # eigenvalues down to 10**exponent of the largest, across the cutoff;
+        # one matrix and a stack of one give the same answer
         rng = np.random.default_rng(seed)
         w = np.sort(rng.uniform(0.1, 1.0, n))
         w[0] = 10.0**exponent
         a = _with_spectrum(rng, w)
-        if keeps_every_eigenvalue(a[None]):
+        proved = keeps_every_eigenvalue(a)
+        assert keeps_every_eigenvalue(a[None]) == proved
+        if proved:
             got = np.linalg.eigvalsh(a)
             assert rank_keep(got).all() and psd_ok(got)
             assert got.min() > 1.9 * RANK_TOL * got.max()
 
+    def test_one_matrix_leaves_it_as_it_was(self):
+        a = random_psd(np.random.default_rng(4), 5)
+        before = a.copy()
+        assert keeps_every_eigenvalue(a)
+        assert a.tobytes() == before.tobytes()
+
+    def test_overflowing_norm_proves_nothing_silently(self):
+        # ||A||_1 beyond the double range makes the shifted diagonal -inf:
+        # no proof, and no overflow warning for a caller to print
+        a = np.full((20, 20), 1e307, dtype=complex) + 1e308 * np.eye(20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not keeps_every_eigenvalue(a)
+            assert not keeps_every_eigenvalue(np.stack([a, np.eye(20)]))
+
     def test_stack_of_identities(self):
         assert keeps_every_eigenvalue(np.stack([np.eye(3), 2.0 * np.eye(3)]))
         assert not keeps_every_eigenvalue(np.stack([np.eye(3), np.diag([1.0, 1.0, 0.0])]))
+
+
+class TestCertified:
+    """The checks' certificate: keeps_every_eigenvalue from order 16 up,
+    and no factorization at all below it."""
+
+    @pytest.mark.parametrize("n", [1, 6, 15])
+    def test_below_order_16_nothing_is_factored(self, n, monkeypatch):
+        calls = []
+        monkeypatch.setattr(np.linalg, "cholesky", lambda *a, **k: calls.append(1))
+        assert not certified(np.eye(n, dtype=complex))
+        assert not certified(np.stack([np.eye(n, dtype=complex)] * 2))
+        assert calls == []
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_from_order_16_the_certificate_decides(self, seed):
+        # ||A||_1 <= sqrt(n) lambda_max < 5.5, so the shift is below 1.2e-9:
+        # a smallest eigenvalue of 1e-8 clears it, and 1e-11 is cut anyway
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(16, 30))
+        w = np.sort(rng.uniform(0.1, 1.0, n))
+        for smallest in (1e-3, 1e-8, 1e-11, -1e-3):
+            w[0] = smallest
+            a = _with_spectrum(rng, w)
+            assert certified(a) == keeps_every_eigenvalue(a) == (smallest > 1e-9)
+            assert certified(np.stack([a, np.eye(n)])) == certified(a)
 
 
 class TestRequireHermitianStack:

@@ -27,7 +27,7 @@ from matmom import (
 from matmom.linalg import RANK_TOL, EigDecomposition, rank_keep, sqrt_from_eig
 from matmom.solutions import spectral_data
 
-from helpers import random_contraction
+from helpers import random_contraction, reference_gram_space
 
 
 def scalar_seq(a, b, values):
@@ -219,7 +219,8 @@ class TestOneSvdOperators:
         vectors[:, d * space.N :] += eps * (rng.standard_normal(tail.shape)
                                             + 1j * rng.standard_normal(tail.shape))
         bent = GramSpace(a=space.a, b=space.b, N=space.N, d=space.d,
-                         vectors=vectors, spectrum=space.spectrum)
+                         vectors=vectors, gram=space.gram,
+                         decided_spectrum=space.spectrum)
         return space, bent
 
     @pytest.mark.parametrize("case", [0, 1, 2, 3])
@@ -341,6 +342,34 @@ class TestGramVectors:
         assert np.abs(model.Q - q_ref).max() <= 1e-10 * size
 
 
+    @pytest.mark.parametrize("builder", [build_gram_space, lambda seq: check_odd(seq).space],
+                             ids=["build_gram_space", "check_odd"])
+    def test_a_certificate_decides_first(self, builder, monkeypatch):
+        # from order 16 a Cholesky certificate decides full rank with no
+        # eigensolve and picks the vectors the spectrum picks, bit for bit;
+        # kernel inclusion passes its zero residual without the norm, so
+        # the spectrum is formed only when read, as eigvalsh of gram
+        make = lambda: moments_of(gen_random_measure(3, 4, 6, -1.0, 1.5), 6)
+        ref = reference_gram_space(make(), build_gamma(make(), 3))
+        eigvalsh, calls = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: calls.append(np.shape(a)) or eigvalsh(a))
+        space = builder(make())
+        build_operators(space)
+        # check_odd's one eigvalsh is of the 12 x 12 Gamma-tilde
+        assert (16, 16) not in calls and space.rank == 16 and space.decided_spectrum is None
+        assert "spectrum" not in vars(space) and "norm" not in vars(space)
+        monkeypatch.undo()
+        assert space.vectors.tobytes() == ref.vectors.tobytes()
+        assert space.spectrum.tobytes() == ref.spectrum.tobytes()
+        assert space.spectrum is space.spectrum and not space.spectrum.flags.writeable
+        # with no certificate, the spectrum decides, on the same vectors
+        monkeypatch.setattr(matmom.operator_model, "certified", lambda a: False)
+        decided = builder(make())
+        assert decided.decided_spectrum.tobytes() == ref.spectrum.tobytes()
+        assert decided.vectors.tobytes() == ref.vectors.tobytes()
+
+
 def _hermitian_test_spaces():
     """Gram spaces of both routes, including some on which T[:p] is far from
     Hermitian: bent spaces whose kernel inclusion holds only within its
@@ -439,7 +468,7 @@ class TestGramSchmidtOperators:
         # a space assembled by hand with no domain: P is 0 x 0, Q is N x 0
         gram = np.array([[2.0, 0.5], [0.5, 1.0]])
         space = GramSpace(a=-1.0, b=1.0, N=2, d=0, vectors=np.linalg.cholesky(gram).T,
-                          spectrum=np.linalg.eigvalsh(gram))
+                          gram=gram)
         model = build_operators(space)
         assert model.P.shape == (0, 0) and model.Q.shape == (2, 0)
 

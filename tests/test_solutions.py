@@ -501,6 +501,20 @@ class TestFactorizationBudget:
             eigvalsh=1, cholesky=1)
 
 
+    def test_certified_moment_matrix_takes_no_eigensolve(self, monkeypatch):
+        # order 16: a Cholesky certificate of Gamma shifted down by about
+        # 2e-10 ||Gamma||_1 decides its rank and its PSD condition, and
+        # Gamma's own factor is the Gram vectors, so across check and solve
+        # Gamma takes two Cholesky factorizations and no eigensolve
+        seq = moments_of(gen_random_measure(3, 4, 6, -1.0, 1.5), 6)
+        gamma = build_gamma(seq, 3)
+        factored = _record_factorizations(monkeypatch, lambda: _check_then_solve(seq))
+        assert check_odd(seq).space.rank == 16
+        near = 1e-9 * np.abs(gamma).sum(axis=0).max()
+        assert Counter(name for name, x in factored if x.shape == gamma.shape
+                       and np.allclose(x, gamma, rtol=0, atol=near)) == Counter(cholesky=2)
+
+
 def _check_then_solve(seq):
     assert check(seq).solvable
     solve_odd(seq, 0.5)
@@ -1011,6 +1025,18 @@ class TestSolveEven:
         monkeypatch.undo()
         assert calls == Counter()
         assert shapes and (10, 10) not in shapes
+
+    def test_full_rank_extension_forms_no_spectrum(self):
+        # a full-rank extension passes kernel inclusion with a zero residual,
+        # so the spectrum of Gamma_{d+1} is not formed; read, it is eigvalsh
+        # of the Gram matrix its vectors realize
+        seq = moments_of(gen_random_measure(3, 2, 6, -1.0, 1.5), 7)
+        _, space = matmom.solutions._with_next_moment(seq, check_even(seq), 0.5)
+        matmom.solutions._extension_interval(space)
+        assert space.rank == 10 and "spectrum" not in vars(space)
+        gram = space.vectors.T @ space.vectors.conj()
+        assert space.gram.tobytes() == gram.tobytes()
+        assert space.spectrum.tobytes() == np.linalg.eigvalsh(gram).tobytes()
 
     def test_upper_endpoint_survives_rounding_of_the_defect(self):
         # the defect of the extended problem has an eigenvalue of -1.35e-10,

@@ -1,7 +1,9 @@
 import inspect
 import logging
+import pickle
 import warnings
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -26,11 +28,17 @@ from matmom import (
     measure_from_atoms,
     moments_of,
 )
-from matmom.linalg import herm_part
-from matmom.solvability import CONSISTENCY_TOL, Condition
+from matmom.linalg import PSD_TOL, certified, herm_part, psd_ok, rank_keep
+from matmom.solvability import (
+    CONSISTENCY_TOL,
+    Condition,
+    _psd_condition,
+    _psd_condition_eig,
+)
 
 from helpers import (
     random_hermitian,
+    random_psd,
     random_unitary,
     reference_check_even,
     reference_check_odd,
@@ -146,20 +154,24 @@ class TestCheckEven:
             check_even(scalar_seq(0, 1, [1, 0.5, 1 / 3]))
 
     def test_each_moment_matrix_factored_once(self, monkeypatch):
-        # Gamma_d is factored as check_odd factors it: eigvalsh decides, then
-        # a full-rank Gamma_d takes its Cholesky factor, on which one solve
-        # gives the X system, and a rank-deficient one takes one eigh.  One
-        # eigh of Gamma-tilde_d serves its PSD verdict and the Y system, and
-        # the width takes the last eigh.  One eigvalsh of the stacked ends
-        # S_min, S_max gives the interval's scale, and the last factors the
-        # stacked H pair of the cross-check
-        for atoms, rank in ((6, 8), (3, 6)):
-            self._assert_factored_once(monkeypatch, atoms, rank)
+        # Gamma_d is factored as check_odd factors it.  Below order 16
+        # eigvalsh decides, then a full-rank Gamma_d takes its Cholesky
+        # factor, on which one solve gives the X system, and a rank-deficient
+        # one takes one eigh.  From order 16 a Cholesky certificate of the
+        # shifted Gamma_d decides with no eigensolve, and so does one of the
+        # shifted H pair, stacked.  One eigh of Gamma-tilde_d serves its PSD
+        # verdict and the Y system, and the width takes the last eigh.  One
+        # eigvalsh of the stacked ends S_min, S_max gives the interval's
+        # scale, and the last, below order 16, factors the stacked H pair of
+        # the cross-check
+        for n, atoms, rank in ((2, 6, 8), (2, 3, 6), (4, 6, 16)):
+            self._assert_factored_once(monkeypatch, n, atoms, rank)
 
     @staticmethod
-    def _assert_factored_once(monkeypatch, atoms, rank):
-        seq = moments_of(gen_random_measure(3, 2, atoms, -1.0, 1.5), 7)
+    def _assert_factored_once(monkeypatch, n, atoms, rank):
+        seq = moments_of(gen_random_measure(3, n, atoms, -1.0, 1.5), 7)
         gamma, gtilde = build_gamma(seq, 3), build_gamma_tilde(seq, 3)
+        pair = np.stack(build_h_pair(seq, 3))
         factored = {"eigh": [], "eigvalsh": [], "cholesky": [], "solve": []}
         for name, mats in factored.items():
             original = getattr(np.linalg, name)
@@ -172,19 +184,25 @@ class TestCheckEven:
         rep = check_even(seq)
         monkeypatch.undo()
         assert rep.solvable and rep.space.rank == rank
-        full = rank == 8
-        assert {name: len(mats) for name, mats in factored.items()} == {
-            "eigh": 3 - full, "eigvalsh": 3, "cholesky": int(full), "solve": int(full)}
-        same = lambda x, y: x.shape == y.shape and np.allclose(x, y, rtol=0, atol=1e-13)
+        full, cert = rank == 4 * n, rank >= 16
         ends = np.stack([rep.even_case.S_min, rep.even_case.S_max])
-        pair = np.stack(build_h_pair(seq, 3))
-        assert [same(x, y) for x, y in zip(factored["eigvalsh"], (gamma, ends, pair))] == [
-            True, True, True]
-        assert [same(x, y) for x, y in zip(factored["eigh"], (gamma,) * (not full) + (gtilde,))
-                ] == [True] * (2 - full)
-        assert all(same(x, gamma) for x in factored["cholesky"])
+        assert {name: len(mats) for name, mats in factored.items()} == {
+            "eigh": 3 - full, "eigvalsh": 3 - 2 * cert, "cholesky": int(full) + 2 * cert,
+            "solve": int(full)}
+        same = lambda x, y: x.shape == y.shape and np.allclose(x, y, rtol=0, atol=1e-13)
+        near = lambda x, y: x.shape == y.shape and np.allclose(
+            x, y, rtol=0, atol=1e-9 * np.abs(y).sum(axis=-2).max())
+        assert all(map(same, factored["eigvalsh"], (ends,) if cert else (gamma, ends, pair)))
+        assert all(map(same, factored["eigh"], (gamma,) * (not full) + (gtilde,)))
+        # the certificates factor Gamma_d and the H pair shifted by about
+        # 2e-10 ||.||_1, and the Gram factor, after Gamma_d's certificate,
+        # is Gamma_d's own
+        assert all(map(near, factored["cholesky"], (gamma, gamma, pair) if cert else (gamma,)))
+        if full:
+            assert same(factored["cholesky"][int(cert)], gamma)
         assert all(same(x, rep.space.vectors.T) for x in factored["solve"])
-        # the PSD conditions read the deciding spectra
+        # the PSD conditions read the deciding spectra, or eigvalsh's when
+        # a certificate decided
         eig = np.linalg.eigvalsh if full else lambda m: np.linalg.eigh(m)[0]
         assert rep.details["Gamma PSD"] == eig(gamma).min()
         assert rep.details["GammaTilde PSD"] == np.linalg.eigh(gtilde)[0].min()
@@ -335,6 +353,134 @@ class TestReportsBitForBit:
         assert got == _outcome(reference, seq, caplog)
         assert got[0][0] is ValidationError
         assert got[0][1].startswith(f"{name} contains non-finite entries")
+
+
+def _certificate_sweep():
+    """200 problems whose moment matrices reach order 16, where the checks
+    try a certificate: N 2-4 with d around 16/N, atoms 1 to d + 3 (so most
+    are rank-deficient) on [0, 1], [-1, 1] or [-2, 3], at l = 2d + 1.
+    Every other one has each moment perturbed by a Hermitian matrix of
+    scale 1e-8 or 1e-3, as in :func:`_sweep`.  Each comes as drawn and with
+    every moment scaled by 2^60 and by 2^-60, which scales every matrix
+    exactly."""
+    for g in range(200):
+        rng = np.random.default_rng(70_000 + g)
+        n = int(rng.integers(2, 5))
+        top = -(-16 // n)
+        d = int(rng.integers(max(1, top - 1), top + 3))
+        atoms = int(rng.integers(1, d + 4))
+        a, b = ((0.0, 1.0), (-1.0, 1.0), (-2.0, 3.0))[int(rng.integers(3))]
+        seq = moments_of(gen_random_measure(g, n, atoms, a, b), 2 * d + 1)
+        if g % 2:
+            scale = (1e-8, 1e-3)[g // 2 % 2]
+            seq = MomentSequence(a, b, tuple(s + scale * random_hermitian(rng, n)
+                                             for s in seq.moments))
+        for k in (0, 60, -60):
+            yield g, k, MomentSequence(a, b, tuple(np.ldexp(s.real, k) + 1j * np.ldexp(s.imag, k)
+                                                   for s in seq.moments))
+
+
+def _large_shape(l):
+    return moments_of(gen_random_measure(0, 8, 40, -1.0, 1.0), l)
+
+
+class TestCertificates:
+    """From order 16 the checks decide Gamma's, Gamma-tilde's and the H
+    pair's PSD conditions and Gamma's rank on a Cholesky certificate and
+    form a spectrum only when a report reads it; every verdict, vector and
+    number is the eigensolve's, bit for bit."""
+
+    def test_a_passing_certificate_agrees_with_eigvalsh(self):
+        reached = Counter()
+        for g, k, seq in _certificate_sweep():
+            d = (seq.l - 1) // 2
+            h_pair = build_h_pair(seq, d)
+            assert certified(np.stack(h_pair)) == all(map(certified, h_pair))
+            for m in (build_gamma(seq, d), build_gamma_tilde(seq, d), *h_pair):
+                if m.shape[0] < 16:
+                    continue
+                w = np.linalg.eigvalsh(m)
+                ratio = w[0] / w[-1]
+                kind = ("band" if 1e-12 <= ratio <= 1e-8
+                        else "deficient" if ratio < 1e-12 else "clear")
+                proved = certified(m)
+                reached[kind, proved] += 1
+                if proved:
+                    assert rank_keep(w).all() and psd_ok(w), (g, k)
+        # the sweep reaches both answers inside [1e-12, 1e-8] and many
+        # rank-deficient matrices, which no certificate passes
+        assert reached["band", True] >= 50 and reached["band", False] >= 50
+        assert reached["deficient", False] >= 1000 and reached["deficient", True] == 0
+        assert reached["clear", True] >= 200
+
+    def test_reports_bit_for_bit(self, caplog):
+        caplog.set_level(logging.WARNING, logger="matmom.solvability")
+        reached = Counter()
+        for g, k, seq in _certificate_sweep():
+            d = (seq.l - 1) // 2
+            for check_fn, reference, problem in ((check_even, reference_check_even, seq),
+                                                 (check_odd, reference_check_odd,
+                                                  seq.truncated(2 * d))):
+                caplog.clear()
+                report = check_fn(problem)
+                reached["certified space"] += report.space.decided_spectrum is None
+                reached["deferred"] += sum("value" not in vars(c) for c in report.conditions)
+                reached[report.case, report.solvable] += 1
+                got = (_report_fields(report),
+                       [(r.name, r.levelno, r.getMessage()) for r in caplog.records])
+                assert got == _outcome(reference, problem, caplog), (g, k, problem.l)
+        assert reached["certified space"] >= 120 and reached["deferred"] >= 200
+        assert min(reached[case, verdict] for case in ("odd", "even")
+                   for verdict in (True, False)) >= 150
+
+    def test_large_shape_check_takes_no_eigensolve(self, monkeypatch, caplog):
+        # the odd check decides Gamma (88 x 88) and Gamma-tilde (80 x 80)
+        # on certificates; read afterwards, its report is the eigensolve's.
+        # The even check still takes eigh of Gamma-tilde, of the width and
+        # eigvalsh of the ends, but neither of Gamma nor of the H pair
+        odd, even = _large_shape(20), _large_shape(21)
+        calls = []
+        for name in ("eigvalsh", "eigh"):
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, _name=name, _original=original, **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        assert check(odd).solvable
+        assert calls == []
+        assert check(even).solvable
+        monkeypatch.undo()
+        assert calls == [("eigh", (80, 80)), ("eigh", (8, 8)), ("eigvalsh", (2, 8, 8))]
+        for check_fn, reference, seq in ((check_odd, reference_check_odd, odd),
+                                         (check_even, reference_check_even, even)):
+            assert _outcome(check_fn, seq, caplog) == _outcome(reference, seq, caplog)
+
+    def test_an_unread_report_pickles(self):
+        # the deferred numbers travel as the matrices they come from
+        report = check_odd(_large_shape(20))
+        copy = pickle.loads(pickle.dumps(report))
+        assert all("value" not in vars(c) for c in copy.conditions[:2])
+        assert _report_fields(copy) == _report_fields(report)
+
+    def test_deferred_condition_is_the_judged_one(self):
+        m = random_psd(np.random.default_rng(5), 20)
+        cond = _psd_condition("GammaTilde PSD", m)
+        assert cond.passed and "quantity" not in vars(cond) and not m.flags.writeable
+        unread = pickle.loads(pickle.dumps(cond))
+        judged = _psd_condition_eig("GammaTilde PSD", np.linalg.eigvalsh(m))
+        # equality, the hash and repr read the numbers as fields
+        assert cond == judged and hash(cond) == hash(judged) and repr(cond) == repr(judged)
+        bits = lambda c: np.array([c.quantity, c.value]).tobytes()
+        assert bits(cond) == bits(judged) == bits(unread)
+        assert pickle.loads(pickle.dumps(cond)) == judged
+        with pytest.raises(AttributeError):
+            cond.margin
+        # the six public fields and the constructor are as they were
+        assert [f.name for f in fields(Condition) if f.compare] == [
+            "name", "passed", "kind", "quantity", "threshold", "value"]
+        assert Condition("S0 PSD", True, "psd", 0.5, PSD_TOL, 0.5).quantity == 0.5
 
 
 class TestCheckL0:
