@@ -18,6 +18,10 @@ pipeline's.  The recipes draw, for generator seed g, from
   measure with another atom count than the generator's is a split.
 - frontier: the degree/conditioning cells of ``FRONTIER_CELLS``, seeds 0-9
   (those of ``matmom gen --seed``); ``solve_odd`` at k = 0.5.
+- short: g = 0-1199; N = rng.integers(1, 4), atoms = rng.integers(1, 6), l =
+  rng.integers(2, 8) on the (g mod 3)-th of [0, 1e-3], [0, 1e-2] and
+  [0, 0.1]; ``solve_even`` at t = k = 0.5 when l is odd, ``solve_odd`` at
+  k = 0.5 when it is even.
 
 The digest pins the bits of the chain rather than its outcomes, for
 changes meant to keep them.  For g = 40000-40599 it draws N =
@@ -25,9 +29,9 @@ rng.integers(1, 4), d = rng.integers(1, 5), atoms = rng.integers(1, d + 3)
 and the interval [0, 1], [-1, 1] or [-2, 3] (rng.integers(3)), and takes l
 = 2d.  Each instance goes to its route, "full rank" when the Gram space of
 ``check_odd`` has rank (d+1)N and "rank-deficient" otherwise.  Per route it
-gives a SHA-256 of the ``check_odd`` reports (each condition's name and
-verdict and the bytes of its quantity and value, then the cross-check's
-verdict and agreement), one of the model (the bytes of P, Q and
+gives a SHA-256 of the ``check_odd`` reports (the name and verdict of each
+condition, then of each diagnostic, with the bytes of its quantity and
+value, then the report's verdict), one of the model (the bytes of P, Q and
 ``first_vectors`` of ``build_operators``) and one of the measure
 (``solve_odd`` at k = 0.5); the model and measure hashes hash an
 exception's class and message in place of a failed step.  The "even" entry
@@ -126,6 +130,13 @@ def instances(step):
         group = f"frontier {_interval(a, b)} N={n} atoms={atoms} l={l}"
         for g in range(0, 10, step):
             yield group, "frontier", g, a, b, n, atoms, l, None, 0.5
+    short = ((0.0, 1e-3), (0.0, 1e-2), (0.0, 0.1))
+    for g in range(0, 1200, step):
+        rng = np.random.default_rng(g)
+        n, atoms, l = int(rng.integers(1, 4)), int(rng.integers(1, 6)), int(rng.integers(2, 8))
+        a, b = short[g % 3]
+        yield (f"short {_interval(a, b)}", "short", g, a, b, n, atoms, l,
+               0.5 if l % 2 else None, 0.5)
 
 
 def message_prefix(message: str) -> str:
@@ -183,12 +194,12 @@ def _hash_failure(hasher, exc: MatmomError) -> str:
 
 
 def _hash_report(hasher, report) -> None:
-    """Hash a check report: each condition's name, verdict, and the bytes of
-    its quantity and value, then the cross-check's verdict and agreement."""
-    for c in report.conditions:
+    """Hash a check report: the name, verdict and bytes of quantity and
+    value of each condition, then of each diagnostic, then the verdict."""
+    for c in report.conditions + report.diagnostics:
         hasher.update(f"{c.name}:{c.passed}:".encode())
         hasher.update(np.array([c.quantity, c.value], dtype=float).tobytes())
-    hasher.update(f"{report.cdfk_solvable}:{report.criteria_agreement}".encode())
+    hasher.update(f"{report.solvable}".encode())
 
 
 def digest():

@@ -54,24 +54,17 @@ def _tolerance(text: str) -> float:
 
 def _print_report(report: SolvabilityReport) -> None:
     print(f"case: {report.case}")
-    for cond in report.conditions:
-        status = "PASS" if cond.passed else "FAIL"
-        kind = "min-eig" if cond.kind == "psd" else "residual"
-        print(f"condition {cond.name}: {status} ({kind} {format_float(cond.value)})")
+    for label, conds in (("condition", report.conditions),
+                         ("diagnostic", report.diagnostics)):
+        for cond in conds:
+            status = "PASS" if cond.passed else "FAIL"
+            kind = "min-eig" if cond.kind == "psd" else "residual"
+            print(f"{label} {cond.name}: {status} ({kind} {format_float(cond.value)})")
     if report.even_case is not None:
         print("S_min:")
         _print_matrix(report.even_case.S_min)
         print("S_max:")
         _print_matrix(report.even_case.S_max)
-    if report.cdfk_solvable is not None:
-        if report.cdfk_solvable == report.solvable:
-            agree = "agree"
-        elif report.criteria_agreement:
-            agree = "disagree within tolerance band"
-        else:
-            agree = "HARD DISAGREEMENT"
-        print(f"cross-check criterion: "
-              f"{'solvable' if report.cdfk_solvable else 'unsolvable'} ({agree})")
     print(f"solvable: {'yes' if report.solvable else 'no'}")
 
 

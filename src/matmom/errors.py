@@ -17,8 +17,9 @@ class OperatorIllDefined(Unsolvable):
     """The shift operator is not well defined on the Gram space.
 
     Raised when the domain vectors have a kernel direction that the shifted
-    vectors do not annihilate; equivalent to a kernel-inclusion failure in
-    the solvability conditions.
+    vectors do not annihilate: the kernel-inclusion diagnostic of the
+    odd-case check fails.  The solves raise ``NumericalInconsistency`` in
+    its place, since their check's verdict has passed.
     """
 
 

@@ -194,7 +194,9 @@ def _gram_vectors(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     R[i, n] conj(R[i, m]) = gram[n, m].  Otherwise they are the eigenvectors
     kept by :func:`rank_keep`, scaled and transposed (not conjugated), which
     makes the Gram identity hold in the fixed inner-product convention.
-    ``gram`` is exactly Hermitian and finite, and not scanned.
+    ``gram`` is exactly Hermitian and finite, and not scanned.  Entries of
+    subnormal scale carry too few digits for that bound, and a factorization
+    that breaks down on them raises ``NumericalInconsistency``.
     """
     if certified(gram):
         return np.linalg.cholesky(gram).T, None
@@ -204,7 +206,12 @@ def _gram_vectors(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         w, v = np.linalg.eigh(gram)
         keep = rank_keep(w)
     if keep.all():
-        return np.linalg.cholesky(gram).T, w
+        try:
+            return np.linalg.cholesky(gram).T, w
+        except np.linalg.LinAlgError as exc:
+            raise NumericalInconsistency(
+                "a Gram matrix of full numerical rank has no Cholesky factor "
+                f"(largest entry {np.abs(gram).max():.3e})") from exc
     # x_n[i] = sqrt(w_i) * V[n, i] so that sum_i x_n[i] conj(x_m[i]) = gram[n, m]
     return np.sqrt(w[keep])[:, None] * v[:, keep].T, w
 

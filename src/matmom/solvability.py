@@ -1,26 +1,28 @@
-"""Solvability criteria for truncated matrix moment problems on [a, b].
+"""Solvability of truncated matrix moment problems on [a, b].
 
-Three cases by the number of prescribed moments:
+One verdict, the theorem's: by Choque Rivero, Dyukarev, Fritzsche and
+Kirstein, a block Hankel pair PSD is necessary and sufficient.
 
-* ``l = 0``: S_0 PSD is necessary and sufficient.
-* ``l = 2d`` (d >= 1): the moment matrix and its interval-weighted companion
-  must be PSD and the shift x_k -> x_{k+N} must be well defined on the Gram
-  vectors of the moment matrix (kernel inclusion, decided by
-  :func:`matmom.operator_model.kernel_inclusion`).
-* ``l = 2d+1``: the order-d pair must be PSD, two block linear systems must
-  be consistent, and the admissible interval for the next moment must be
-  nonempty.
+* ``l = 0``: S_0 PSD.
+* ``l = 2d`` (d >= 1): the moment matrix Gamma_d and its interval-weighted
+  companion Gamma-tilde_d.
+* ``l = 2d+1``: the endpoint-weighted pair H_d and H-tilde_d.
 
-An independent cross-check criterion is evaluated alongside: the plain PSD
-pair without the kernel condition when l = 2d, the endpoint-weighted Hankel
-pair when l = 2d+1.  Both verdicts are recorded; a disagreement counts as
-hard only when no participating condition sits within the tolerance band of
-its own threshold, and hard disagreements are logged as errors.
+Each PSD condition is decided once: by a Cholesky certificate
+(:func:`~matmom.linalg.certified`) or by
+:func:`~matmom.linalg.psd_ends_ok` on its spectrum.  The conditions the
+construction needs follow from the pair in exact arithmetic, and each is
+reported beside it as a diagnostic that decides nothing: kernel inclusion
+when l = 2d (decided by :func:`matmom.operator_model.kernel_inclusion`);
+Gamma-tilde_d PSD, the consistency of two block linear systems and a
+nonempty interval for the next moment when l = 2d+1.  A diagnostic that
+fails on a solvable problem is a rounding error, not a verdict: the solve
+that needs it raises ``NumericalInconsistency``, or its own verification
+of the solved measure does.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -51,13 +53,8 @@ from .moments import (
 )
 from .operator_model import GramSpace, gram_space_from_eig, kernel_inclusion
 
-logger = logging.getLogger(__name__)
-
-# Relative residual bound for the block linear systems of the even case;
-# AGREEMENT_BAND is the normalized margin inside which a criteria
-# disagreement counts as numerical rather than hard.
+# Relative residual bound for the block linear systems of the even case.
 CONSISTENCY_TOL = 1e-8
-AGREEMENT_BAND = 1e-8
 
 
 @dataclass(frozen=True)
@@ -95,15 +92,6 @@ class Condition:
         self.__dict__.update(quantity=judged.quantity, value=judged.value)
         return self.__dict__[attr]
 
-    @property
-    def marginal(self) -> bool:
-        """Whether the verdict sits inside the tolerance band of its threshold."""
-        if self.kind == "psd":
-            return abs(self.quantity) <= self.threshold + AGREEMENT_BAND
-        return (not self.passed) and (
-            self.quantity <= self.threshold + AGREEMENT_BAND
-        )
-
 
 @dataclass(frozen=True)
 class EvenCaseData:
@@ -140,23 +128,33 @@ class EvenCaseData:
 class SolvabilityReport:
     """The verdict on a moment sequence with every condition behind it.
 
-    :func:`check_odd` and :func:`check_even` return the same report again
-    for the same sequence object, so a report is immutable throughout.
+    ``conditions`` are the PSD conditions of the theorem's pair, and
+    ``solvable`` holds iff none of them is named in ``failed_conditions``.
+    ``diagnostics`` are the conditions of the construction, which decide
+    nothing (see the module docstring).  :func:`check_odd` and
+    :func:`check_even` return the same report again for the same sequence
+    object, so a report is immutable throughout.
     """
 
     solvable: bool
     case: str
     conditions: tuple[Condition, ...]
     failed_conditions: tuple[str, ...]
+    diagnostics: tuple[Condition, ...] = ()
     even_case: EvenCaseData | None = None
     space: GramSpace | None = None
-    cdfk_solvable: bool | None = None
-    criteria_agreement: bool | None = None
 
     @property
     def details(self) -> dict:
-        """The raw value of each condition by name, in a new dict per call."""
-        return {c.name: c.value for c in self.conditions}
+        """The raw value of each condition and diagnostic by name, in a new
+        dict per call."""
+        return {c.name: c.value for c in self.conditions + self.diagnostics}
+
+
+def _report(case: str, conditions: tuple[Condition, ...], **kwargs) -> SolvabilityReport:
+    """The report whose verdict ``conditions`` decide."""
+    failed = tuple(c.name for c in conditions if not c.passed)
+    return SolvabilityReport(not failed, case, conditions, failed, **kwargs)
 
 
 def _psd_condition(name: str, matrix: np.ndarray) -> Condition:
@@ -275,11 +273,11 @@ def _kernel_condition(space: GramSpace) -> Condition:
 
 
 def _cdfk_conditions(seq: MomentSequence) -> tuple[Condition, ...]:
-    """The cross-check's PSD conditions: on the moment matrix and Gamma-tilde
-    when l = 2d; on the H pair when l = 2d+1, certified together by one
-    stacked Cholesky or else factored by one stacked ``eigvalsh``."""
+    """The PSD conditions of the theorem's pair: on the moment matrix and
+    Gamma-tilde when l = 2d; on the H pair when l = 2d+1, certified together
+    by one stacked Cholesky or else factored by one stacked ``eigvalsh``."""
     if seq.l < 1:
-        raise ValidationError("cross-check requires at least two moments (l >= 1)")
+        raise ValidationError("the pair criterion requires at least two moments (l >= 1)")
     if seq.l % 2 == 0:
         d = seq.l // 2
         return (
@@ -298,38 +296,20 @@ def _cdfk_conditions(seq: MomentSequence) -> tuple[Condition, ...]:
 
 
 def check_cdfk(seq: MomentSequence) -> bool:
-    """Cross-check criterion: PSD of the applicable block Hankel pair."""
+    """PSD of the applicable block Hankel pair: ``check(seq).solvable`` for
+    l >= 1."""
     return all(c.passed for c in _cdfk_conditions(seq))
-
-
-def _agreement(case: str, own: tuple[Condition, ...],
-               cdfk_conds: tuple[Condition, ...]) -> tuple[bool, bool]:
-    cdfk_ok = all(c.passed for c in cdfk_conds)
-    own_ok = all(c.passed for c in own)
-    if own_ok == cdfk_ok:
-        return cdfk_ok, True
-    if any(c.marginal for c in own + cdfk_conds):
-        logger.warning(
-            "solvability criteria disagree within tolerance band (%s case): "
-            "own=%s cross-check=%s", case, own_ok, cdfk_ok,
-        )
-        return cdfk_ok, True
-    logger.error(
-        "hard disagreement between solvability criteria (%s case): "
-        "own=%s cross-check=%s", case, own_ok, cdfk_ok,
-    )
-    return cdfk_ok, False
 
 
 @_per_sequence
 def check_odd(seq: MomentSequence) -> SolvabilityReport:
-    """Solvability for an odd number of prescribed moments (l = 2d, d >= 1).
+    """Solvability for an odd number of prescribed moments (l = 2d, d >= 1):
+    Gamma_d and Gamma-tilde_d PSD, with kernel inclusion as the diagnostic.
 
-    The report carries the Gram space of the moment matrix that the
-    kernel-inclusion condition was decided on, for :func:`build_operators`,
-    which reads that decision instead of repeating it.  A repeated call on
-    the same sequence object returns the stored report; :func:`solve_odd`
-    relies on this.
+    The report carries the Gram space of the moment matrix that kernel
+    inclusion was decided on, for :func:`build_operators`, which reads that
+    decision instead of repeating it.  A repeated call on the same sequence
+    object returns the stored report; :func:`solve_odd` relies on this.
     """
     if seq.l % 2 != 0 or seq.l < 2:
         raise ValidationError(
@@ -344,41 +324,31 @@ def check_odd(seq: MomentSequence) -> SolvabilityReport:
     conditions = (
         _gamma_condition(space),
         _psd_condition("GammaTilde PSD", build_gamma_tilde(seq, d)),
-        _kernel_condition(space),
     )
-    # for l = 2d the cross-check pair is the first two own conditions
-    cdfk_ok, agree = _agreement("odd", conditions, conditions[:2])
-    failed = tuple(c.name for c in conditions if not c.passed)
-    return SolvabilityReport(
-        solvable=not failed,
-        case="odd",
-        conditions=conditions,
-        failed_conditions=failed,
-        space=space,
-        cdfk_solvable=cdfk_ok,
-        criteria_agreement=agree,
-    )
+    return _report("odd", conditions, diagnostics=(_kernel_condition(space),), space=space)
 
 
 @_per_sequence
 def check_even(seq: MomentSequence) -> SolvabilityReport:
-    """Solvability for an even number of prescribed moments (l = 2d+1, d >= 0).
+    """Solvability for an even number of prescribed moments (l = 2d+1, d >= 0):
+    H_d and H-tilde_d PSD.
 
-    When the PSD conditions hold, the report carries the admissible interval
-    [S_min, S_max] for the next moment; solvability additionally requires
-    the two block systems behind its ends consistent and the interval
-    nonempty.  At d = 0 the second system is empty and passes.  Gamma-tilde's
-    blocks, the Y system's right side and the -ab S_2d + (a+b) S_2d+1 part
-    of S_max are slices of one :func:`_interval_blocks` array.  The moment
-    matrix is factored as :func:`check_odd` factors it, by
-    :func:`gram_space_from_eig`: its PSD condition follows the rule that
-    decided its rank, the X system is solved on its Gram vectors, and the
-    report carries the space, for :func:`solve_even` to extend by one block.
-    Gamma-tilde is factored once, by ``eigh``, for its PSD condition and the
-    Y system.  Overflow is scanned once in those blocks and once in the
-    width, which is non-finite wherever S_min, the Y quadratic form or S_max
-    is; only a failed scan names the first matrix that overflowed.  A
-    repeated call on the same sequence object returns the stored report;
+    When the pair passes, the report carries the admissible interval
+    [S_min, S_max] for the next moment, with the consistency of the two
+    block systems behind its ends and its nonemptiness as diagnostics, next
+    to Gamma-tilde's PSD.  At d = 0 the second system is empty and passes.
+    Gamma_d has no condition of its own, since H + H-tilde = (b - a) Gamma_d
+    holds exactly.  Gamma-tilde's blocks, the Y system's right side and the
+    -ab S_2d + (a+b) S_2d+1 part of S_max are slices of one
+    :func:`_interval_blocks` array.  The moment matrix is factored as
+    :func:`check_odd` factors it, by :func:`gram_space_from_eig`: the X
+    system is solved on its Gram vectors, and the report carries the space,
+    for :func:`solve_even` to extend by one block.  Gamma-tilde is factored
+    once, by ``eigh``, for its PSD diagnostic and the Y system.  Overflow is
+    scanned once in those blocks, once in the H pair and once in the width,
+    which is non-finite wherever S_min, the Y quadratic form or S_max is;
+    only a failed scan names the first matrix that overflowed.  A repeated
+    call on the same sequence object returns the stored report;
     :func:`solve_even` relies on this.
     """
     if seq.l % 2 != 1:
@@ -394,11 +364,9 @@ def check_even(seq: MomentSequence) -> SolvabilityReport:
     gtilde = _hankel(blocks, d)
     if not blocks_finite:
         _finite_blocks(gtilde, "GammaTilde")
+    conditions = _cdfk_conditions(seq)
     gtilde_dec = EigDecomposition(*np.linalg.eigh(gtilde))
-    conditions = [
-        _gamma_condition(space),
-        _psd_condition_eig("GammaTilde PSD", gtilde_dec.eigenvalues),
-    ]
+    diagnostics = [_psd_condition_eig("GammaTilde PSD", gtilde_dec.eigenvalues)]
     even_case = None
     if all(c.passed for c in conditions):
         # the quadratic forms and the interval ends combine finite moments
@@ -418,7 +386,7 @@ def check_even(seq: MomentSequence) -> SolvabilityReport:
                                    ("Y quadratic form", y_quad), ("S_max", s_max),
                                    ("S_max - S_min", width)):
                     _finite_blocks(part, name)
-            conditions += [
+            diagnostics += [
                 _residual_condition("X system consistent", res_x, rhs_x, CONSISTENCY_TOL),
                 _residual_condition("Y system consistent", res_y, rhs_y, CONSISTENCY_TOL),
             ]
@@ -432,34 +400,15 @@ def check_even(seq: MomentSequence) -> SolvabilityReport:
         scale = max(1.0, float(np.abs(ends).max()))
         w_min = float(width.eigenvalues[0])
         rel_min = w_min / scale
-        conditions.append(Condition("S interval nonempty", rel_min >= -PSD_TOL,
-                                    "psd", rel_min, PSD_TOL, w_min))
-
-    conditions = tuple(conditions)
-    cdfk_ok, agree = _agreement("even", conditions, _cdfk_conditions(seq))
-    failed = tuple(c.name for c in conditions if not c.passed)
-    return SolvabilityReport(
-        solvable=not failed,
-        case="even",
-        conditions=conditions,
-        failed_conditions=failed,
-        even_case=even_case,
-        space=space,
-        cdfk_solvable=cdfk_ok,
-        criteria_agreement=agree,
-    )
+        diagnostics.append(Condition("S interval nonempty", rel_min >= -PSD_TOL,
+                                     "psd", rel_min, PSD_TOL, w_min))
+    return _report("even", conditions, diagnostics=tuple(diagnostics),
+                   even_case=even_case, space=space)
 
 
 def check_l0(s0) -> SolvabilityReport:
     """Solvability with only S_0 prescribed: S_0 PSD."""
-    cond = _psd_condition("S0 PSD", require_hermitian(s0, name="S_0"))
-    failed = () if cond.passed else (cond.name,)
-    return SolvabilityReport(
-        solvable=cond.passed,
-        case="l0",
-        conditions=(cond,),
-        failed_conditions=failed,
-    )
+    return _report("l0", (_psd_condition("S0 PSD", require_hermitian(s0, name="S_0")),))
 
 
 def check(seq: MomentSequence) -> SolvabilityReport:

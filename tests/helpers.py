@@ -23,7 +23,6 @@ from matmom.solvability import (
     Condition,
     EvenCaseData,
     SolvabilityReport,
-    _agreement,
     _frobenius,
     _kernel_condition,
 )
@@ -178,6 +177,14 @@ def reference_gram_space(seq, gamma) -> GramSpace:
                      vectors=vectors, gram=gamma, decided_spectrum=w)
 
 
+def _reference_report(case, conditions, diagnostics, **kwargs) -> SolvabilityReport:
+    """The verdict as the theorem gives it: solvable iff every condition of
+    the pair passed; the diagnostics decide nothing."""
+    failed = tuple(c.name for c in conditions if not c.passed)
+    return SolvabilityReport(solvable=not failed, case=case, conditions=conditions,
+                             failed_conditions=failed, diagnostics=diagnostics, **kwargs)
+
+
 def reference_check_odd(seq) -> SolvabilityReport:
     """``check_odd`` with one ``eigvalsh`` per condition and no
     certificate, the Hankel matrices gathered one at a time and every
@@ -190,13 +197,8 @@ def reference_check_odd(seq) -> SolvabilityReport:
         _reference_psd_condition("Gamma PSD", space.spectrum),
         _reference_psd_condition("GammaTilde PSD",
                                  np.linalg.eigvalsh(_reference_gamma_tilde(seq, d))),
-        _kernel_condition(space),
     )
-    cdfk_ok, agree = _agreement("odd", conditions, conditions[:2])
-    failed = tuple(c.name for c in conditions if not c.passed)
-    return SolvabilityReport(solvable=not failed, case="odd", conditions=conditions,
-                             failed_conditions=failed, space=space,
-                             cdfk_solvable=cdfk_ok, criteria_agreement=agree)
+    return _reference_report("odd", conditions, (_kernel_condition(space),), space=space)
 
 
 def reference_check_even(seq) -> SolvabilityReport:
@@ -209,11 +211,16 @@ def reference_check_even(seq) -> SolvabilityReport:
     s = seq._stack
     a, b, n = seq.a, seq.b, seq.N
     space = reference_gram_space(seq, _reference_gather(s, d + 1))
-    gtilde_dec = EigDecomposition(*np.linalg.eigh(_reference_gamma_tilde(seq, d)))
-    conditions = [
-        _reference_psd_condition("Gamma PSD", space.spectrum),
-        _reference_psd_condition("GammaTilde PSD", gtilde_dec.eigenvalues),
-    ]
+    gtilde = _reference_gamma_tilde(seq, d)
+    pair = s[: 2 * d + 2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        h, h_tilde = -a * pair[:-1] + pair[1:], b * pair[:-1] - pair[1:]
+    h = _reference_gather(_reference_finite(h, "H"), d + 1)
+    h_tilde = _reference_gather(_reference_finite(h_tilde, "HTilde"), d + 1)
+    conditions = (_reference_psd_condition("H PSD", np.linalg.eigvalsh(h)),
+                  _reference_psd_condition("HTilde PSD", np.linalg.eigvalsh(h_tilde)))
+    gtilde_dec = EigDecomposition(*np.linalg.eigh(gtilde))
+    diagnostics = [_reference_psd_condition("GammaTilde PSD", gtilde_dec.eigenvalues)]
     even_case = None
     if all(c.passed for c in conditions):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -225,7 +232,7 @@ def reference_check_even(seq) -> SolvabilityReport:
                                        - s[d + 2:]).reshape(-1, n), "Y right side")
             res_y, y_quad = _reference_range_solve(gtilde_dec, rhs_y)
             _reference_finite(y_quad, "Y quadratic form")
-            conditions += [
+            diagnostics += [
                 _reference_residual_condition("X system consistent", res_x,
                                               _frobenius(rhs_x), CONSISTENCY_TOL),
                 _reference_residual_condition("Y system consistent", res_y,
@@ -241,22 +248,21 @@ def reference_check_even(seq) -> SolvabilityReport:
         ends = np.linalg.eigvalsh(np.stack((s_min, s_max)))
         scale = max(1.0, float(np.abs(ends).max()))
         rel_min = float(width.eigenvalues.min()) / scale
-        conditions.append(Condition("S interval nonempty", rel_min >= -PSD_TOL,
-                                    "psd", rel_min, PSD_TOL,
-                                    float(width.eigenvalues.min())))
-    conditions = tuple(conditions)
-    s = seq._stack[: 2 * d + 2]
-    with np.errstate(over="ignore", invalid="ignore"):
-        h, h_tilde = -a * s[:-1] + s[1:], b * s[:-1] - s[1:]
-    h = _reference_gather(_reference_finite(h, "H"), d + 1)
-    h_tilde = _reference_gather(_reference_finite(h_tilde, "HTilde"), d + 1)
-    cdfk = (_reference_psd_condition("H PSD", np.linalg.eigvalsh(h)),
-            _reference_psd_condition("HTilde PSD", np.linalg.eigvalsh(h_tilde)))
-    cdfk_ok, agree = _agreement("even", conditions, cdfk)
-    failed = tuple(c.name for c in conditions if not c.passed)
-    return SolvabilityReport(solvable=not failed, case="even", conditions=conditions,
-                             failed_conditions=failed, even_case=even_case, space=space,
-                             cdfk_solvable=cdfk_ok, criteria_agreement=agree)
+        diagnostics.append(Condition("S interval nonempty", rel_min >= -PSD_TOL,
+                                     "psd", rel_min, PSD_TOL,
+                                     float(width.eigenvalues.min())))
+    return _reference_report("even", conditions, tuple(diagnostics), even_case=even_case,
+                             space=space)
+
+
+def reference_pair_verdict(seq) -> bool:
+    """The theorem's verdict for l >= 1: Gamma_d and Gamma-tilde_d PSD when
+    l = 2d, H_d and H-tilde_d PSD when l = 2d+1, each assembled block by
+    block and judged by ``psd_ok`` on its ``eigvalsh``."""
+    d = seq.l // 2
+    kinds = ("gamma", "gamma_tilde") if seq.l % 2 == 0 else ("h", "h_tilde")
+    return all(bool(psd_ok(np.linalg.eigvalsh(reference_hankel(seq, kind, d))))
+               for kind in kinds)
 
 
 def reference_check_psd(a, tol=PSD_TOL) -> bool:

@@ -33,6 +33,7 @@ from helpers import (
     random_contraction_column,
     random_unitaries,
     random_unitary,
+    reference_pair_verdict,
 )
 
 
@@ -71,23 +72,15 @@ def test_01_round_trip_suite():
 
 def test_02_necessity_and_criteria_agreement():
     for seed, mu, d in acceptance_instances(200):
+        # the odd case, the even-case truncation of the same moment set and
+        # a longer even-case sequence from the same measure: each verdict is
+        # yes, and so is the reference pair's, factored by eigvalsh
         seq = moments_of(mu, 2 * d)
-        rep_odd = check_odd(seq)
-        assert rep_odd.solvable, (seed, rep_odd.failed_conditions)
-        assert rep_odd.cdfk_solvable, seed
-        assert rep_odd.criteria_agreement, (
-            seed, "hard disagreement between criteria (odd case)")
-        # the even-case truncation of the same moment set
-        rep_even = check_even(seq.truncated(2 * d - 1))
-        assert rep_even.solvable, (seed, rep_even.failed_conditions)
-        assert rep_even.cdfk_solvable, seed
-        assert rep_even.criteria_agreement, (
-            seed, "hard disagreement between criteria (even case)")
-        # and a longer even-case sequence from the same measure
-        rep_even2 = check_even(moments_of(mu, 2 * d + 1))
-        assert rep_even2.solvable, (seed, rep_even2.failed_conditions)
-        assert rep_even2.criteria_agreement, seed
-    print("\nACCEPTANCE 2 necessity and criteria agreement: PASS (600 checks)")
+        for problem in (seq, seq.truncated(2 * d - 1), moments_of(mu, 2 * d + 1)):
+            report = check_odd(problem) if problem.l % 2 == 0 else check_even(problem)
+            assert report.solvable, (seed, problem.l, report.failed_conditions)
+            assert reference_pair_verdict(problem), (seed, problem.l)
+    print("\nACCEPTANCE 2 necessity and the pair's verdict: PASS (600 checks)")
 
 
 def test_03_determinacy():

@@ -11,7 +11,12 @@ import pytest
 
 import matmom.cli
 import matmom.solutions
-from helpers import reference_check_odd, reference_measure_text, reference_problem_text
+from helpers import (
+    reference_check_odd,
+    reference_measure_text,
+    reference_pair_verdict,
+    reference_problem_text,
+)
 from matmom import (
     MomentSequence,
     ValidationError,
@@ -295,21 +300,22 @@ class TestCheckCommand:
         assert main(["check", path]) == 0
 
     def test_criteria_verdicts_printed_as_they_are(self, tmp_path, capsys):
-        # genuine moments that the kernel-inclusion condition rejects while
-        # the cross-check criterion accepts them
+        # the verdict printed is the pair's, as the reference factors it; the
+        # kernel-inclusion residual is printed beside it as a diagnostic, and
+        # no second criterion is printed
         path = str(tmp_path / "p.json")
         assert main(["gen", "--seed", "5", "--N", "8", "--atoms", "40", "--a", "-2",
                      "--b", "3", "--l", "20", "--out", path]) == 0
         capsys.readouterr()
         code = main(["check", path])
         out = capsys.readouterr().out
-        cross, label = re.search(r"cross-check criterion: (\w+) \((.+)\)", out).groups()
-        own = "solvable" if "solvable: yes" in out else "unsolvable"
-        assert code == (0 if own == "solvable" else 2)
-        if cross == own:
-            assert label == "agree"
-        else:
-            assert label in ("disagree within tolerance band", "HARD DISAGREEMENT")
+        verdict = reference_pair_verdict(read_problem(path))
+        assert code == (0 if verdict else 2)
+        assert f"solvable: {'yes' if verdict else 'no'}" in out
+        assert re.findall(r"^(\w+) ([\w ]+): (?:PASS|FAIL)", out, flags=re.M) == [
+            ("condition", "Gamma PSD"), ("condition", "GammaTilde PSD"),
+            ("diagnostic", "kernel inclusion")]
+        assert "cross-check" not in out
 
     @pytest.mark.parametrize("l", [2, 3])
     def test_overflowing_combination_exits_one(self, tmp_path, l):
@@ -336,6 +342,21 @@ class TestCheckCommand:
         assert proc.returncode == 1
         assert_one_error_line(proc.stderr)
         assert "S_min contains non-finite entries" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_subnormal_moments_exit_one(self, tmp_path, command):
+        # genuine moments of subnormal scale: the moment matrix keeps every
+        # eigenvalue but has no Cholesky factor, a numerical error
+        path = tmp_path / "subnormal.json"
+        seq = moments_of(gen_random_measure(42, 1, 4, 0.0, 1.0), 5)
+        write_problem(path, MomentSequence(0.0, 1.0, tuple(np.ldexp(s.real, -1070)
+                                                           for s in seq.moments)))
+        out = [] if command == "check" else ["--out", str(tmp_path / "m.json")]
+        proc = subprocess.run([sys.executable, "-m", "matmom", command, str(path), *out],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert_one_error_line(proc.stderr)
+        assert "no Cholesky factor" in proc.stderr
 
     def test_truncated_file_exits_one(self, tmp_path):
         path = tmp_path / "t.json"

@@ -16,6 +16,7 @@ import matmom.solutions
 import matmom.solvability
 from matmom import (
     DiscreteMatrixMeasure,
+    MatmomError,
     MomentSequence,
     NumericalInconsistency,
     OperatorIllDefined,
@@ -1044,6 +1045,63 @@ class TestSolveEven:
         seq = moments_of(gen_random_measure(7, 6, 20, -1.0, 1.0), 15)
         measure = solve_even(seq, t=1.0, k=0.0)
         assert verify(measure, seq, tol=1e-8).passed
+
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+    def test_pair_decides_where_the_x_system_fails(self, t):
+        # genuine moments whose X system misses its consistency bound: the
+        # pair's verdict stands, and the solve verifies
+        seq = moments_of(gen_random_measure(787322719, 1, 4, 0.0, 1.0), 7)
+        report = check_even(seq)
+        assert report.solvable
+        assert not next(c for c in report.diagnostics if c.name == "X system consistent").passed
+        assert verify(solve_even(seq, t=t), seq, tol=1e-8).passed
+
+
+# The eps = 1e-10 draws of :func:`_perturbed_draw` below whose H pair passes
+# while Gamma-tilde's PSD test fails, so that a verdict that required the
+# latter formed no next-moment interval for a problem it called solvable
+PAIR_WITHOUT_INTERVAL = (64, 92, 224, 564, 605, 656, 711, 723, 735, 882, 1551, 1572,
+                         1686, 1918)
+
+
+def _perturbed_draw(g, eps):
+    """Genuine moments perturbed near the rounding level: from rng =
+    default_rng(g), N = rng.integers(1, 4), atoms = rng.integers(1, 4) and
+    l = rng.integers(2, 8) on the (g mod 3)-th of [0, 1], [-1, 1] and
+    [-2, 3]; then each S_k gets eps herm(E) max(1, ||S_k||_2), E complex
+    Gaussian from the same rng."""
+    rng = np.random.default_rng(g)
+    n, atoms, l = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(2, 8))
+    a, b = ((0.0, 1.0), (-1.0, 1.0), (-2.0, 3.0))[g % 3]
+    moments = []
+    for s in moments_of(gen_random_measure(g, n, atoms, a, b), l).moments:
+        e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        moments.append(s + eps * (0.5 * (e + e.conj().T)) * max(1.0, np.linalg.norm(s, 2)))
+    return MomentSequence(a, b, tuple(moments))
+
+
+class TestPerturbedDraw:
+    """Near the rounding level the pair's verdict may go either way, and the
+    construction's diagnostics may fail where it passes: a solve returns a
+    verified measure or raises a MatmomError, never anything else."""
+
+    @pytest.mark.parametrize("i, eps", enumerate([1e-12, 1e-10, 1e-9]))
+    def test_only_matmom_errors(self, i, eps):
+        seeds = set(range(i, 2000, 4)) | set(PAIR_WITHOUT_INTERVAL if eps == 1e-10 else ())
+        outcomes = Counter()
+        for g in sorted(seeds):
+            seq = _perturbed_draw(g, eps)
+            try:
+                measure = solve_odd(seq, 0.5) if seq.l % 2 == 0 else solve_even(seq, 0.5, 0.5)
+            except MatmomError as exc:
+                outcomes[type(exc).__name__] += 1
+                if g in PAIR_WITHOUT_INTERVAL and eps == 1e-10:
+                    assert check(seq).solvable and not isinstance(exc, Unsolvable), g
+            else:
+                outcomes["solved"] += 1
+                assert verify(measure, seq, tol=1e-8).passed, g
+        # the draws reach both verdicts once eps is past the rounding level
+        assert outcomes["solved"] > 150 and (eps == 1e-12 or outcomes["Unsolvable"] > 100)
 
 
 class TestSolveL0:

@@ -1,5 +1,4 @@
 import inspect
-import logging
 import pickle
 import warnings
 from collections import Counter
@@ -15,6 +14,7 @@ import matmom.solutions
 import matmom.solvability
 from matmom import (
     MomentSequence,
+    NumericalInconsistency,
     ValidationError,
     build_gamma,
     build_gamma_tilde,
@@ -27,6 +27,8 @@ from matmom import (
     gen_random_measure,
     measure_from_atoms,
     moments_of,
+    solve_even,
+    solve_odd,
 )
 from matmom.linalg import PSD_TOL, certified, herm_part, psd_ok, rank_keep
 from matmom.solvability import (
@@ -42,6 +44,7 @@ from helpers import (
     random_unitary,
     reference_check_even,
     reference_check_odd,
+    reference_pair_verdict,
 )
 
 
@@ -60,7 +63,8 @@ class TestCheckOdd:
     def test_symmetric_example_solvable(self):
         rep = check_odd(scalar_seq(-1, 1, [1, 0, 1]))
         assert rep.solvable and rep.case == "odd"
-        assert rep.criteria_agreement
+        assert [c.name for c in rep.conditions] == ["Gamma PSD", "GammaTilde PSD"]
+        assert [c.name for c in rep.diagnostics] == ["kernel inclusion"]
 
     def test_second_moment_too_large(self):
         rep = check_odd(scalar_seq(-1, 1, [1, 0, 3]))
@@ -77,11 +81,13 @@ class TestCheckOdd:
 
     def test_kernel_inclusion_failure(self):
         # zero mass but nonzero second moment: the shifted Hankel does not
-        # annihilate the kernel (the interval-weighted matrix fails too, as
-        # the two criteria are equivalent)
+        # annihilate the kernel; the interval-weighted matrix fails too, and
+        # its failure is the verdict, the kernel's a diagnostic
         rep = check_odd(scalar_seq(-1, 1, [0, 0, 1]))
         assert not rep.solvable
-        assert "kernel inclusion" in rep.failed_conditions
+        assert rep.failed_conditions == ("GammaTilde PSD",)
+        (kernel,) = rep.diagnostics
+        assert kernel.name == "kernel inclusion" and not kernel.passed
 
     def test_parity_errors(self):
         with pytest.raises(ValidationError):
@@ -113,9 +119,12 @@ class TestCheckEven:
                            rtol=0, atol=1e-10 * max(1.0, np.abs(w).max()))
 
     def test_mean_outside_interval(self):
+        # S_1 > b S_0: H-tilde = b S_0 - S_1 fails, so no interval is formed
         rep = check_even(scalar_seq(0, 1, [1, 2]))
         assert not rep.solvable
-        assert "S interval nonempty" in rep.failed_conditions
+        assert rep.failed_conditions == ("HTilde PSD",)
+        assert rep.even_case is None
+        assert [c.name for c in rep.diagnostics] == ["GammaTilde PSD"]
 
     def test_d_zero_conventions(self):
         # the second system is empty, so S_max = -ab S_0 + (a+b) S_1
@@ -130,7 +139,7 @@ class TestCheckEven:
         seq = moments_of(gen_random_measure(n, n, n + 1, a, b), 1)
         rep = check_even(seq)
         assert rep.solvable
-        y_cond = next(c for c in rep.conditions if c.name == "Y system consistent")
+        y_cond = next(c for c in rep.diagnostics if c.name == "Y system consistent")
         assert y_cond == Condition("Y system consistent", True, "residual", 0.0,
                                    CONSISTENCY_TOL, 0.0)
         s0, s1 = seq.moments
@@ -159,11 +168,11 @@ class TestCheckEven:
         # factor, on which one solve gives the X system, and a rank-deficient
         # one takes one eigh.  From order 16 a Cholesky certificate of the
         # shifted Gamma_d decides with no eigensolve, and so does one of the
-        # shifted H pair, stacked.  One eigh of Gamma-tilde_d serves its PSD
-        # verdict and the Y system, and the width takes the last eigh.  One
-        # eigvalsh of the stacked ends S_min, S_max gives the interval's
-        # scale, and the last, below order 16, factors the stacked H pair of
-        # the cross-check
+        # shifted H pair, stacked; below order 16 one eigvalsh factors the
+        # stacked H pair of the verdict.  One eigh of Gamma-tilde_d serves
+        # its PSD diagnostic and the Y system, and the width takes the last
+        # eigh.  The last eigvalsh, of the stacked ends S_min, S_max, gives
+        # the interval's scale
         for n, atoms, rank in ((2, 6, 8), (2, 3, 6), (4, 6, 16)):
             self._assert_factored_once(monkeypatch, n, atoms, rank)
 
@@ -192,7 +201,7 @@ class TestCheckEven:
         same = lambda x, y: x.shape == y.shape and np.allclose(x, y, rtol=0, atol=1e-13)
         near = lambda x, y: x.shape == y.shape and np.allclose(
             x, y, rtol=0, atol=1e-9 * np.abs(y).sum(axis=-2).max())
-        assert all(map(same, factored["eigvalsh"], (ends,) if cert else (gamma, ends, pair)))
+        assert all(map(same, factored["eigvalsh"], (ends,) if cert else (gamma, pair, ends)))
         assert all(map(same, factored["eigh"], (gamma,) * (not full) + (gtilde,)))
         # the certificates factor Gamma_d and the H pair shifted by about
         # 2e-10 ||.||_1, and the Gram factor, after Gamma_d's certificate,
@@ -202,10 +211,10 @@ class TestCheckEven:
             assert same(factored["cholesky"][int(cert)], gamma)
         assert all(same(x, rep.space.vectors.T) for x in factored["solve"])
         # the PSD conditions read the deciding spectra, or eigvalsh's when
-        # a certificate decided
-        eig = np.linalg.eigvalsh if full else lambda m: np.linalg.eigh(m)[0]
-        assert rep.details["Gamma PSD"] == eig(gamma).min()
+        # a certificate decided; Gamma_d has none on the even report
+        assert rep.details["H PSD"] == np.linalg.eigvalsh(pair[0]).min()
         assert rep.details["GammaTilde PSD"] == np.linalg.eigh(gtilde)[0].min()
+        assert "Gamma PSD" not in rep.details
 
 
 class TestOverflowingCombinations:
@@ -242,13 +251,32 @@ class TestOverflowingCombinations:
         assert report.details["X system consistent"] <= 1e-8 * scale
 
 
+class TestSubnormalScale:
+    """Genuine moments of subnormal scale carry too few digits for a Gram
+    factor: that is a numerical error, raised by the check and by both
+    solves, never numpy's own."""
+
+    @staticmethod
+    def _seq(l):
+        seq = moments_of(gen_random_measure(42, 1, 4, 0.0, 1.0), l)
+        return MomentSequence(0.0, 1.0, tuple(np.ldexp(s.real, -1070) for s in seq.moments))
+
+    @pytest.mark.parametrize("l", [4, 5])
+    def test_raises_numerical_inconsistency(self, l):
+        seq = self._seq(l)
+        for run in (check, solve_odd if l % 2 == 0 else solve_even):
+            with pytest.raises(NumericalInconsistency, match="no Cholesky factor"):
+                run(seq)
+
+
 def _report_fields(report) -> list:
     """Every field of a check report, each float and array as its bytes."""
     bits = lambda x: np.float64(x).tobytes()
+    condition = lambda c: (c.name, type(c.passed), c.passed, c.kind, bits(c.quantity),
+                           bits(c.threshold), bits(c.value))
     fields = [report.solvable, report.case, report.failed_conditions,
-              report.cdfk_solvable, report.criteria_agreement]
-    fields += [(c.name, type(c.passed), c.passed, c.kind, bits(c.quantity),
-                bits(c.threshold), bits(c.value)) for c in report.conditions]
+              [condition(c) for c in report.conditions],
+              [condition(c) for c in report.diagnostics]]
     arrays = ()
     if report.even_case is not None:
         data = report.even_case
@@ -258,23 +286,20 @@ def _report_fields(report) -> list:
     return fields + [(arr.dtype.str, arr.shape, arr.tobytes()) for arr in arrays]
 
 
-def _outcome(check_fn, seq, caplog):
-    """The report's fields, or the exception's class and message, with the
-    log records the check wrote."""
-    caplog.clear()
+def _outcome(check_fn, seq):
+    """The report's fields, or the exception's class and message."""
     try:
-        result = _report_fields(check_fn(seq))
+        return _report_fields(check_fn(seq))
     except Exception as exc:
-        result = (type(exc), str(exc))
-    return result, [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+        return type(exc), str(exc)
 
 
 def _sweep():
     """1,000 problems: N 1-3, d 0-3, atoms 1-5 on [0, 1], [-1, 1] or [-2, 3],
     at l = 2d+1.  Every other one has each moment perturbed by a Hermitian
-    matrix: of scale 1e-3, which fails verdicts; 1e-8, which makes the two
-    criteria disagree inside their tolerance band; or 1, which drives
-    eigenvalues far below -1."""
+    matrix: of scale 1e-3, which fails verdicts; 1e-8, which fails
+    diagnostics of solvable problems; or 1, which drives eigenvalues far
+    below -1."""
     for g in range(1000):
         rng = np.random.default_rng(60_000 + g)
         n, d, atoms = int(rng.integers(1, 4)), int(rng.integers(0, 4)), int(rng.integers(1, 6))
@@ -288,30 +313,29 @@ def _sweep():
 
 
 class TestReportsBitForBit:
-    """check_odd and check_even give the reports, exceptions and log records
-    of the reference bodies, which form every combination, Hankel matrix
-    and factorization one at a time: floats and arrays bit for bit."""
+    """check_odd and check_even give the reports and exceptions of the
+    reference bodies, which form every combination, Hankel matrix and
+    factorization one at a time: floats and arrays bit for bit."""
 
-    def test_sweep(self, caplog):
-        caplog.set_level(logging.WARNING, logger="matmom.solvability")
+    def test_sweep(self):
         reached = Counter()
         for g, d, seq in _sweep():
             cases = [(check_even, reference_check_even, seq)]
             if d >= 1:
                 cases.append((check_odd, reference_check_odd, seq.truncated(2 * d)))
             for check_fn, reference, problem in cases:
-                got = _outcome(check_fn, problem, caplog)
-                assert got == _outcome(reference, problem, caplog), (g, problem.l)
+                assert _outcome(check_fn, problem) == _outcome(reference, problem), (g, problem.l)
                 report = check_fn(problem)
                 reached[report.case, report.solvable] += 1
-                reached[report.case, "disagree"] += report.solvable != report.cdfk_solvable
-                reached["logged"] += bool(got[1])
-        # the sweep reaches both verdicts in both cases, and disagreements
+                reached[report.case, "diagnostic fails"] += report.solvable and not all(
+                    c.passed for c in report.diagnostics)
+        # the sweep reaches both verdicts in both cases, and solvable even
+        # problems whose construction fails a diagnostic
         assert min(reached[case, verdict] for case in ("odd", "even")
                    for verdict in (True, False)) > 100
-        assert reached["even", "disagree"] > 0 and reached["logged"] > 0
+        assert reached["even", "diagnostic fails"] > 0
 
-    def test_overflow_sweep(self, caplog):
+    def test_overflow_sweep(self):
         # moments near the double range overflow at different stops, often
         # several at once, and the first is named as the reference names it;
         # seeds 1655 and 2749 overflow S_min together with the Y quadratic
@@ -330,10 +354,10 @@ class TestReportsBitForBit:
                 continue
             for problem in (seq, *((seq.truncated(2 * d),) if d else ())):
                 reference = reference_check_even if problem.l % 2 else reference_check_odd
-                got = _outcome(check, problem, caplog)
-                assert got == _outcome(reference, problem, caplog), (g, problem.l)
-                if got[0][0] is ValidationError:
-                    stops[got[0][1].split(" contains")[0]] += 1
+                got = _outcome(check, problem)
+                assert got == _outcome(reference, problem), (g, problem.l)
+                if got[0] is ValidationError:
+                    stops[got[1].split(" contains")[0]] += 1
         assert set(stops) == {"GammaTilde", "S_min", "Y quadratic form", "S_max"}
 
     @pytest.mark.parametrize("name, seq", [
@@ -345,14 +369,14 @@ class TestReportsBitForBit:
         # S_0 is not PSD, so no interval is formed, and both H and HTilde overflow
         ("H", scalar_seq(-2.0, 3.0, [-8e307, -8e307])),
     ], ids=["GammaTilde-l2", "GammaTilde-l3", "S_min", "HTilde", "H-and-HTilde"])
-    def test_overflow_stops(self, name, seq, caplog):
+    def test_overflow_stops(self, name, seq):
         # the first combination that overflows is named as the reference
         # names it, by the same exception class and message
         reference = reference_check_odd if seq.l % 2 == 0 else reference_check_even
-        got = _outcome(check, seq, caplog)
-        assert got == _outcome(reference, seq, caplog)
-        assert got[0][0] is ValidationError
-        assert got[0][1].startswith(f"{name} contains non-finite entries")
+        got = _outcome(check, seq)
+        assert got == _outcome(reference, seq)
+        assert got[0] is ValidationError
+        assert got[1].startswith(f"{name} contains non-finite entries")
 
 
 def _certificate_sweep():
@@ -413,27 +437,23 @@ class TestCertificates:
         assert reached["deficient", False] >= 1000 and reached["deficient", True] == 0
         assert reached["clear", True] >= 200
 
-    def test_reports_bit_for_bit(self, caplog):
-        caplog.set_level(logging.WARNING, logger="matmom.solvability")
+    def test_reports_bit_for_bit(self):
         reached = Counter()
         for g, k, seq in _certificate_sweep():
             d = (seq.l - 1) // 2
             for check_fn, reference, problem in ((check_even, reference_check_even, seq),
                                                  (check_odd, reference_check_odd,
                                                   seq.truncated(2 * d))):
-                caplog.clear()
                 report = check_fn(problem)
                 reached["certified space"] += report.space.decided_spectrum is None
                 reached["deferred"] += sum("value" not in vars(c) for c in report.conditions)
                 reached[report.case, report.solvable] += 1
-                got = (_report_fields(report),
-                       [(r.name, r.levelno, r.getMessage()) for r in caplog.records])
-                assert got == _outcome(reference, problem, caplog), (g, k, problem.l)
+                assert _report_fields(report) == _outcome(reference, problem), (g, k, problem.l)
         assert reached["certified space"] >= 120 and reached["deferred"] >= 200
         assert min(reached[case, verdict] for case in ("odd", "even")
                    for verdict in (True, False)) >= 150
 
-    def test_large_shape_check_takes_no_eigensolve(self, monkeypatch, caplog):
+    def test_large_shape_check_takes_no_eigensolve(self, monkeypatch):
         # the odd check decides Gamma (88 x 88) and Gamma-tilde (80 x 80)
         # on certificates; read afterwards, its report is the eigensolve's.
         # The even check still takes eigh of Gamma-tilde, of the width and
@@ -455,7 +475,7 @@ class TestCertificates:
         assert calls == [("eigh", (80, 80)), ("eigh", (8, 8)), ("eigvalsh", (2, 8, 8))]
         for check_fn, reference, seq in ((check_odd, reference_check_odd, odd),
                                          (check_even, reference_check_even, even)):
-            assert _outcome(check_fn, seq, caplog) == _outcome(reference, seq, caplog)
+            assert _outcome(check_fn, seq) == _outcome(reference, seq)
 
     def test_an_unread_report_pickles(self):
         # the deferred numbers travel as the matrices they come from
@@ -496,7 +516,9 @@ class TestCheckL0:
         assert check_l0(np.zeros((2, 2))).solvable
 
     def test_no_cross_check(self):
-        assert check_l0(np.eye(1)).criteria_agreement is None
+        # S_0 PSD is the verdict, with nothing beside it
+        rep = check_l0(np.eye(1))
+        assert [c.name for c in rep.conditions] == ["S0 PSD"] and rep.diagnostics == ()
 
 
 class TestCheckCdfk:
@@ -511,7 +533,8 @@ class TestCheckCdfk:
 
 
 class TestNecessity:
-    """Moments of an actual measure are always solvable, under both criteria."""
+    """Moments of an actual measure are always solvable, and the reference
+    pair, factored by eigvalsh, agrees."""
 
     @pytest.mark.parametrize("seed", range(500))
     def test_random_measures(self, seed):
@@ -524,22 +547,22 @@ class TestNecessity:
             b = a + 0.1
         mu = gen_random_measure(seed, n, atoms, a, b)
 
-        rep_odd = check_odd(moments_of(mu, 2 * d))
+        odd = moments_of(mu, 2 * d)
+        rep_odd = check_odd(odd)
         assert rep_odd.solvable, (seed, rep_odd.failed_conditions)
-        assert rep_odd.cdfk_solvable
-        assert rep_odd.criteria_agreement
+        assert reference_pair_verdict(odd)
 
-        rep_even = check_even(moments_of(mu, 2 * d + 1))
+        even = moments_of(mu, 2 * d + 1)
+        rep_even = check_even(even)
         assert rep_even.solvable, (seed, rep_even.failed_conditions)
-        assert rep_even.cdfk_solvable
-        assert rep_even.criteria_agreement
+        assert reference_pair_verdict(even)
 
 
 class TestCriteriaAgreement:
     @pytest.mark.parametrize("seed", range(60))
     def test_perturbed_instances_agree(self, seed):
         # Hermitian perturbations of magnitude 1e-2 push many instances off
-        # the solvable set; the two criteria must still agree (hard sense).
+        # the solvable set; the verdict is still the reference pair's.
         rng = np.random.default_rng(10_000 + seed)
         n = int(rng.integers(1, 3))
         mu = gen_random_measure(seed, n, int(rng.integers(1, 4)), -1.0, 1.0)
@@ -549,7 +572,7 @@ class TestCriteriaAgreement:
             s + 1e-2 * random_hermitian(rng, n) for s in seq.moments
         ))
         rep = check(perturbed)
-        assert rep.criteria_agreement, (seed, rep.solvable, rep.cdfk_solvable)
+        assert rep.solvable == reference_pair_verdict(perturbed), (seed, rep.failed_conditions)
 
 
 class TestEvenOddConsistency:
@@ -674,7 +697,7 @@ class TestSharedReportIsImmutable:
     def test_details_is_a_new_dict(self, l):
         seq = moments_of(gen_random_measure(5, 2, 6, -1.0, 2.0), l)
         rep = check(seq)
-        expected = {c.name: c.value for c in rep.conditions}
+        expected = {c.name: c.value for c in rep.conditions + rep.diagnostics}
         rep.details["Gamma PSD"] = 99.0
         rep.details.clear()
         assert check(seq) is rep
