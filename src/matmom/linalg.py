@@ -168,7 +168,8 @@ def keeps_every_eigenvalue(a: np.ndarray) -> bool:
     passes :func:`psd_ok`.  (Against the exact spectrum of the matrices A
     was rounded from, the margin holds unless A is far smaller in norm than
     they are.)  A False answer proves nothing, and so does an ||A||_1 that
-    overflows, which makes the shifted diagonal -inf.
+    overflows, which makes the shifted diagonal -inf.  An empty matrix, or
+    a stack of them, has no eigenvalue to drop and is proved.
 
     The 8 n^2 u term is the backward error of the factorization
     (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
@@ -185,7 +186,8 @@ def keeps_every_eigenvalue(a: np.ndarray) -> bool:
     """
     n = a.shape[-1]
     with np.errstate(over="ignore"):
-        tau = (2.0 * RANK_TOL + 8.0 * n * n * 2.0**-53) * np.abs(a).sum(axis=-2).max(axis=-1)
+        tau = (2.0 * RANK_TOL + 8.0 * n * n * 2.0**-53) * np.abs(a).sum(axis=-2).max(
+            axis=-1, initial=0.0)
     # a copy, since callers go on to use the matrices; only the diagonal
     # moves, through a strided view of it
     shifted = a.copy()

@@ -51,7 +51,7 @@ from .moments import (
     build_gamma,
     build_gamma_tilde,
 )
-from .operator_model import GramSpace, gram_space_from_eig, kernel_inclusion
+from .operator_model import GramSpace, _gram_vectors, gram_space_from_eig, kernel_inclusion
 
 # Relative residual bound for the block linear systems of the even case.
 CONSISTENCY_TOL = 1e-8
@@ -184,13 +184,15 @@ def _certified_condition(name: str, matrix: np.ndarray) -> Condition:
     return cond
 
 
-def _gamma_condition(space: GramSpace) -> Condition:
-    """"Gamma PSD" on the moment matrix of ``space``, by the rule that
-    decided its rank: certified when a Cholesky certificate decided it,
-    and judged on the deciding spectrum otherwise."""
-    if space.decided_spectrum is None:
-        return _certified_condition("Gamma PSD", space.gram)
-    return _psd_condition_eig("Gamma PSD", space.decided_spectrum)
+def _gamma_condition(name: str, matrix: np.ndarray,
+                     spectrum: np.ndarray | None) -> Condition:
+    """The PSD condition ``name`` on a Gram matrix that
+    :func:`~matmom.operator_model._gram_vectors` factored, by the rule that
+    decided its rank: certified when a Cholesky certificate decided it
+    (``spectrum`` None), and judged on the deciding ``spectrum`` otherwise."""
+    if spectrum is None:
+        return _certified_condition(name, matrix)
+    return _psd_condition_eig(name, spectrum)
 
 
 def _psd_condition_eig(name: str, w: np.ndarray) -> Condition:
@@ -226,41 +228,22 @@ def _frobenius(a: np.ndarray) -> float:
     return norm
 
 
-def _range_solve(dec: EigDecomposition, rhs: np.ndarray) -> tuple[float, np.ndarray]:
-    """Residual and quadratic form of the minimal-norm solution x of a PSD
-    system, given the eigendecomposition ``dec`` of its matrix.
-
-    Works in the eigenbasis: the residual of the pseudo-inverse solution of a
-    consistent system is exactly the component of ``rhs`` on the numerical
-    kernel, so that component is measured directly instead of forming
-    ``mat @ x - rhs`` (which would drown in rounding noise of order
-    eps * cond(mat) for ill-conditioned moment matrices).  The quadratic form
-    x* mat x = rhs* pinv(mat) rhs is evaluated the same stable way, and x
-    itself is never formed.  An empty system has residual 0 and a zero form,
-    and so has the kernel of a spectrum that :func:`rank_keep` keeps whole.
-    """
-    w, v = dec
-    kept = rank_keep(w)
-    coeff = v.conj().T @ rhs
-    if kept.all():
-        return 0.0, herm_part(coeff.conj().T @ (coeff / w[:, None]))
-    ck = coeff[kept]
-    residual = _frobenius(coeff[~kept])
-    return residual, herm_part(ck.conj().T @ (ck / w[kept][:, None]))
-
-
-def _coordinates(space: GramSpace, rhs: np.ndarray) -> tuple[float, np.ndarray]:
+def _coordinates(vectors: np.ndarray, spectrum: np.ndarray | None,
+                 rhs: np.ndarray) -> tuple[float, np.ndarray]:
     """Residual and coordinates Z of the minimal-norm solution C = conj(Z)
-    of X^T C = ``rhs``, X the Gram vectors in ``space``, so that Z^T conj(Z)
-    = rhs^H pinv(Gamma) rhs.  A square X takes one ``solve`` and residual
-    0.  Otherwise X^T = V diag(sqrt(w)) on the kept eigenpairs, and the
-    residual is ||rhs - V V^H rhs||_F; V^H rhs is formed before dividing by
-    sqrt(w), since conj(X) rhs may overflow."""
-    x = space.vectors
-    if x.shape[0] == x.shape[1]:
-        return 0.0, np.linalg.solve(x.T, rhs).conj()
-    root = np.sqrt(space.spectrum[rank_keep(space.spectrum)])
-    v = x.T / root
+    of X^T C = ``rhs``, X the ``vectors`` that
+    :func:`~matmom.operator_model._gram_vectors` gives for a Gram matrix G =
+    X^T conj(X), with the ``spectrum`` that decided their number, so that
+    Z^T conj(Z) = rhs^H pinv(G) rhs.  A square X, a Cholesky factor, takes
+    one ``solve`` and residual 0, and reads no spectrum.  Otherwise X^T = V
+    diag(sqrt(w)) on the kept eigenpairs, and the residual is ||rhs - V V^H
+    rhs||_F; V^H rhs is formed before dividing by sqrt(w), since conj(X) rhs
+    may overflow.  No eigenvalue is divided by, so G may be of subnormal
+    scale.  An empty system has residual 0 and an empty Z."""
+    if vectors.shape[0] == vectors.shape[1]:
+        return 0.0, np.linalg.solve(vectors.T, rhs).conj()
+    root = np.sqrt(spectrum[rank_keep(spectrum)])
+    v = vectors.T / root
     coeff = v.conj().T @ rhs
     return _frobenius(rhs - v @ coeff), (coeff / root[:, None]).conj()
 
@@ -322,7 +305,7 @@ def check_odd(seq: MomentSequence) -> SolvabilityReport:
     # eigenvectors from eigh otherwise
     space = gram_space_from_eig(seq, build_gamma(seq, d))
     conditions = (
-        _gamma_condition(space),
+        _gamma_condition("Gamma PSD", space.gram, space.decided_spectrum),
         _psd_condition("GammaTilde PSD", build_gamma_tilde(seq, d)),
     )
     return _report("odd", conditions, diagnostics=(_kernel_condition(space),), space=space)
@@ -340,16 +323,19 @@ def check_even(seq: MomentSequence) -> SolvabilityReport:
     Gamma_d has no condition of its own, since H + H-tilde = (b - a) Gamma_d
     holds exactly.  Gamma-tilde's blocks, the Y system's right side and the
     -ab S_2d + (a+b) S_2d+1 part of S_max are slices of one
-    :func:`_interval_blocks` array.  The moment matrix is factored as
-    :func:`check_odd` factors it, by :func:`gram_space_from_eig`: the X
-    system is solved on its Gram vectors, and the report carries the space,
-    for :func:`solve_even` to extend by one block.  Gamma-tilde is factored
-    once, by ``eigh``, for its PSD diagnostic and the Y system.  Overflow is
-    scanned once in those blocks, once in the H pair and once in the width,
-    which is non-finite wherever S_min, the Y quadratic form or S_max is;
-    only a failed scan names the first matrix that overflowed.  A repeated
-    call on the same sequence object returns the stored report;
-    :func:`solve_even` relies on this.
+    :func:`_interval_blocks` array.  Both block systems are solved by one
+    rule, :func:`_coordinates` on the Gram vectors of their matrix, each
+    factored once by :func:`~matmom.operator_model._gram_vectors`: the X
+    system on the moment matrix, factored as :func:`check_odd` factors it
+    (the report carries its space, for :func:`solve_even` to extend by one
+    block), and the Y system on Gamma-tilde, whose PSD diagnostic reads
+    that factorization as "Gamma PSD" does in :func:`check_odd`.  Both ends
+    are then quadratic forms Z^T conj(Z) of coordinates, and neither
+    divides by an eigenvalue.  Overflow is scanned once in those blocks,
+    once in the H pair and once in the width, which is non-finite wherever
+    S_min, the Y quadratic form or S_max is; only a failed scan names the
+    first matrix that overflowed.  A repeated call on the same sequence
+    object returns the stored report; :func:`solve_even` relies on this.
     """
     if seq.l % 2 != 1:
         raise ValidationError(f"even-case check requires l = 2d+1, got l={seq.l}")
@@ -365,8 +351,8 @@ def check_even(seq: MomentSequence) -> SolvabilityReport:
     if not blocks_finite:
         _finite_blocks(gtilde, "GammaTilde")
     conditions = _cdfk_conditions(seq)
-    gtilde_dec = EigDecomposition(*np.linalg.eigh(gtilde))
-    diagnostics = [_psd_condition_eig("GammaTilde PSD", gtilde_dec.eigenvalues)]
+    y_vectors, y_spectrum = _gram_vectors(gtilde)
+    diagnostics = [_gamma_condition("GammaTilde PSD", gtilde, y_spectrum)]
     even_case = None
     if all(c.passed for c in conditions):
         # the quadratic forms and the interval ends combine finite moments
@@ -374,9 +360,10 @@ def check_even(seq: MomentSequence) -> SolvabilityReport:
         with np.errstate(over="ignore", invalid="ignore"):
             rhs_x = s[d + 1:].reshape(-1, n)
             rhs_y = blocks[d:2 * d].reshape(-1, n)
-            res_x, coords = _coordinates(space, rhs_x)
+            res_x, coords = _coordinates(space.vectors, space.decided_spectrum, rhs_x)
             s_min = herm_part(coords.T @ coords.conj())
-            res_y, y_quad = _range_solve(gtilde_dec, rhs_y)
+            res_y, y_coords = _coordinates(y_vectors, y_spectrum, rhs_y)
+            y_quad = herm_part(y_coords.T @ y_coords.conj())
             s_max = herm_part(blocks[2 * d] - y_quad)
             # both ends are Hermitian parts, so their difference is exactly
             # Hermitian, and non-finite wherever either end is

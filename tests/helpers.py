@@ -134,18 +134,8 @@ def _reference_residual_condition(name, residual, scale, tol):
     return Condition(name, rel <= tol, "residual", rel, tol, residual)
 
 
-def _reference_range_solve(dec, rhs):
-    w, v = dec
-    kept = rank_keep(w)
-    coeff = v.conj().T @ rhs
-    ck = coeff[kept]
-    residual = _frobenius(coeff[~kept])
-    quad = herm_part(ck.conj().T @ (ck / w[kept][:, None]))
-    return residual, quad
-
-
 def _reference_coordinates(space, rhs):
-    """Residual and coordinates Z, conj(Z) = pinv(X^T) rhs, of the X
+    """Residual and coordinates Z, conj(Z) = pinv(X^T) rhs, of a block
     system on the Gram vectors X of ``space``: a solve at full rank, the
     kept eigenvectors V = X^T / sqrt(w) otherwise."""
     x = space.vectors
@@ -158,12 +148,14 @@ def _reference_coordinates(space, rhs):
 
 
 def reference_gram_space(seq, gamma) -> GramSpace:
-    """The Gram space of the moment matrix ``gamma`` decided on its spectrum
-    alone, with no certificate: ``eigvalsh`` decides, ``eigh`` when it
-    drops an eigenvalue, and a spectrum that keeps every eigenvalue takes
-    the upper Cholesky factor of conj(gamma).  The reference for
-    ``gram_space_from_eig``, whose certificate must pick the same vectors,
-    bit for bit, and whose deferred spectrum must be this one."""
+    """The Gram space of the moment matrix ``gamma``, or of Gamma-tilde,
+    decided on its spectrum alone, with no certificate: ``eigvalsh``
+    decides, ``eigh`` when it drops an eigenvalue, and a spectrum that keeps
+    every eigenvalue takes the upper Cholesky factor of conj(gamma).  The
+    reference for ``gram_space_from_eig`` and for the factor of Gamma-tilde
+    that ``check_even`` solves the Y system on, whose certificates must pick
+    the same vectors, bit for bit, and whose deferred spectra must be this
+    one."""
     w = np.linalg.eigvalsh(gamma)
     keep = rank_keep(w)
     if not keep.all():
@@ -219,8 +211,8 @@ def reference_check_even(seq) -> SolvabilityReport:
     h_tilde = _reference_gather(_reference_finite(h_tilde, "HTilde"), d + 1)
     conditions = (_reference_psd_condition("H PSD", np.linalg.eigvalsh(h)),
                   _reference_psd_condition("HTilde PSD", np.linalg.eigvalsh(h_tilde)))
-    gtilde_dec = EigDecomposition(*np.linalg.eigh(gtilde))
-    diagnostics = [_reference_psd_condition("GammaTilde PSD", gtilde_dec.eigenvalues)]
+    gtilde_space = reference_gram_space(seq, gtilde)
+    diagnostics = [_reference_psd_condition("GammaTilde PSD", gtilde_space.spectrum)]
     even_case = None
     if all(c.passed for c in conditions):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -230,7 +222,8 @@ def reference_check_even(seq) -> SolvabilityReport:
             _reference_finite(s_min, "S_min")
             rhs_y = _reference_finite((-a * b * s[d:2 * d] + (a + b) * s[d + 1:2 * d + 1]
                                        - s[d + 2:]).reshape(-1, n), "Y right side")
-            res_y, y_quad = _reference_range_solve(gtilde_dec, rhs_y)
+            res_y, y_coords = _reference_coordinates(gtilde_space, rhs_y)
+            y_quad = herm_part(y_coords.T @ y_coords.conj())
             _reference_finite(y_quad, "Y quadratic form")
             diagnostics += [
                 _reference_residual_condition("X system consistent", res_x,

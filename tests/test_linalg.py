@@ -159,6 +159,12 @@ class TestKeepsEveryEigenvalue:
         assert keeps_every_eigenvalue(np.stack([np.eye(3), 2.0 * np.eye(3)]))
         assert not keeps_every_eigenvalue(np.stack([np.eye(3), np.diag([1.0, 1.0, 0.0])]))
 
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (0, 0, 0)])
+    def test_empty_matrices_are_proved(self, shape):
+        # 0 x 0 matrices are legal values: with no eigenvalue to drop, the
+        # norm's maximum is taken over nothing, and the factorization runs
+        assert keeps_every_eigenvalue(np.zeros(shape, dtype=complex))
+
 
 class TestCertified:
     """The checks' certificate: keeps_every_eigenvalue from order 16 up,

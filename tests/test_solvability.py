@@ -29,6 +29,7 @@ from matmom import (
     moments_of,
     solve_even,
     solve_odd,
+    verify,
 )
 from matmom.linalg import PSD_TOL, certified, herm_part, psd_ok, rank_keep
 from matmom.solvability import (
@@ -163,16 +164,16 @@ class TestCheckEven:
             check_even(scalar_seq(0, 1, [1, 0.5, 1 / 3]))
 
     def test_each_moment_matrix_factored_once(self, monkeypatch):
-        # Gamma_d is factored as check_odd factors it.  Below order 16
-        # eigvalsh decides, then a full-rank Gamma_d takes its Cholesky
-        # factor, on which one solve gives the X system, and a rank-deficient
-        # one takes one eigh.  From order 16 a Cholesky certificate of the
-        # shifted Gamma_d decides with no eigensolve, and so does one of the
-        # shifted H pair, stacked; below order 16 one eigvalsh factors the
-        # stacked H pair of the verdict.  One eigh of Gamma-tilde_d serves
-        # its PSD diagnostic and the Y system, and the width takes the last
-        # eigh.  The last eigvalsh, of the stacked ends S_min, S_max, gives
-        # the interval's scale
+        # Gamma_d and Gamma-tilde_d are factored by one rule, the one
+        # check_odd factors Gamma_d by.  Below order 16 eigvalsh decides,
+        # then a full-rank matrix takes its Cholesky factor, on which one
+        # solve gives its block system, and a rank-deficient one takes one
+        # eigh.  From order 16 a Cholesky certificate of the shifted matrix
+        # decides with no eigensolve, and so does one of the shifted H pair,
+        # stacked; below order 16 one eigvalsh factors the stacked H pair of
+        # the verdict.  Gamma-tilde_3 (order 6 or 12) is of full rank here.
+        # The width takes the last eigh, and the last eigvalsh, of the
+        # stacked ends S_min, S_max, gives the interval's scale
         for n, atoms, rank in ((2, 6, 8), (2, 3, 6), (4, 6, 16)):
             self._assert_factored_once(monkeypatch, n, atoms, rank)
 
@@ -195,25 +196,31 @@ class TestCheckEven:
         assert rep.solvable and rep.space.rank == rank
         full, cert = rank == 4 * n, rank >= 16
         ends = np.stack([rep.even_case.S_min, rep.even_case.S_max])
+        width = rep.even_case.S_max - rep.even_case.S_min
         assert {name: len(mats) for name, mats in factored.items()} == {
-            "eigh": 3 - full, "eigvalsh": 3 - 2 * cert, "cholesky": int(full) + 2 * cert,
-            "solve": int(full)}
+            "eigh": 2 - full, "eigvalsh": 4 - 2 * cert, "cholesky": int(full) + 2 * cert + 1,
+            "solve": int(full) + 1}
         same = lambda x, y: x.shape == y.shape and np.allclose(x, y, rtol=0, atol=1e-13)
         near = lambda x, y: x.shape == y.shape and np.allclose(
             x, y, rtol=0, atol=1e-9 * np.abs(y).sum(axis=-2).max())
-        assert all(map(same, factored["eigvalsh"], (ends,) if cert else (gamma, pair, ends)))
-        assert all(map(same, factored["eigh"], (gamma,) * (not full) + (gtilde,)))
+        assert all(map(same, factored["eigvalsh"],
+                       (gtilde, ends) if cert else (gamma, pair, gtilde, ends)))
+        assert all(map(same, factored["eigh"], (gamma,) * (not full) + (width,)))
         # the certificates factor Gamma_d and the H pair shifted by about
         # 2e-10 ||.||_1, and the Gram factor, after Gamma_d's certificate,
-        # is Gamma_d's own
-        assert all(map(near, factored["cholesky"], (gamma, gamma, pair) if cert else (gamma,)))
+        # is Gamma_d's own; Gamma-tilde's Gram factor comes last
+        assert all(map(near, factored["cholesky"],
+                       ((gamma, gamma, pair) if cert else (gamma,) * full) + (gtilde,)))
         if full:
             assert same(factored["cholesky"][int(cert)], gamma)
-        assert all(same(x, rep.space.vectors.T) for x in factored["solve"])
+        assert same(factored["cholesky"][-1], gtilde)
+        # each block system is solved on its own Gram factor
+        assert all(map(same, factored["solve"],
+                       (rep.space.vectors.T,) * full + (np.linalg.cholesky(gtilde),)))
         # the PSD conditions read the deciding spectra, or eigvalsh's when
         # a certificate decided; Gamma_d has none on the even report
         assert rep.details["H PSD"] == np.linalg.eigvalsh(pair[0]).min()
-        assert rep.details["GammaTilde PSD"] == np.linalg.eigh(gtilde)[0].min()
+        assert rep.details["GammaTilde PSD"] == np.linalg.eigvalsh(gtilde).min()
         assert "Gamma PSD" not in rep.details
 
 
@@ -267,6 +274,30 @@ class TestSubnormalScale:
         for run in (check, solve_odd if l % 2 == 0 else solve_even):
             with pytest.raises(NumericalInconsistency, match="no Cholesky factor"):
                 run(seq)
+
+    @pytest.mark.parametrize("exponent", [-1022, -1040])
+    def test_genuine_draw_solves(self, exponent):
+        # the genuine draw (N 1-3, atoms 1-5, l 2-7 on [0, 1], [-1, 1] and
+        # [-2, 3]) scaled by 2^exponent: every problem solves, and its
+        # measure, with the weights scaled back exactly, reproduces the
+        # unscaled moments.  A Y system that divides by Gamma-tilde's
+        # eigenvalues overflows its quadratic form on up to half of these
+        # even problems
+        for g in range(300):
+            rng = np.random.default_rng(g)
+            n, atoms, l = (int(rng.integers(1, 4)), int(rng.integers(1, 6)),
+                           int(rng.integers(2, 8)))
+            a, b = ((0.0, 1.0), (-1.0, 1.0), (-2.0, 3.0))[g % 3]
+            seq = moments_of(gen_random_measure(g, n, atoms, a, b), l)
+            scaled = MomentSequence(a, b, tuple(np.ldexp(s.real, exponent)
+                                                + 1j * np.ldexp(s.imag, exponent)
+                                                for s in seq.moments))
+            measure = solve_even(scaled) if l % 2 else solve_odd(scaled)
+            weights = measure.weights
+            back = measure_from_atoms(a, b, measure.positions,
+                                      np.ldexp(weights.real, -exponent)
+                                      + 1j * np.ldexp(weights.imag, -exponent))
+            assert verify(back, seq, tol=1e-8).passed, g
 
 
 def _report_fields(report) -> list:
@@ -329,11 +360,18 @@ class TestReportsBitForBit:
                 reached[report.case, report.solvable] += 1
                 reached[report.case, "diagnostic fails"] += report.solvable and not all(
                     c.passed for c in report.diagnostics)
-        # the sweep reaches both verdicts in both cases, and solvable even
-        # problems whose construction fails a diagnostic
+            if check_even(seq).solvable:
+                # the Y system's route: Gamma-tilde's Cholesky factor (d = 0
+                # among them) or its kept eigenvectors
+                full = rank_keep(np.linalg.eigvalsh(build_gamma_tilde(seq, d))).all()
+                reached["Y system", "full rank" if full else "rank-deficient"] += 1
+        # the sweep reaches both verdicts in both cases, solvable even
+        # problems whose construction fails a diagnostic, and both routes
+        # of the Y system
         assert min(reached[case, verdict] for case in ("odd", "even")
                    for verdict in (True, False)) > 100
         assert reached["even", "diagnostic fails"] > 0
+        assert reached["Y system", "full rank"] > 100 and reached["Y system", "rank-deficient"] > 20
 
     def test_overflow_sweep(self):
         # moments near the double range overflow at different stops, often
@@ -456,8 +494,8 @@ class TestCertificates:
     def test_large_shape_check_takes_no_eigensolve(self, monkeypatch):
         # the odd check decides Gamma (88 x 88) and Gamma-tilde (80 x 80)
         # on certificates; read afterwards, its report is the eigensolve's.
-        # The even check still takes eigh of Gamma-tilde, of the width and
-        # eigvalsh of the ends, but neither of Gamma nor of the H pair
+        # The even check factors Gamma and Gamma-tilde on certificates too,
+        # and still takes eigh of the width and eigvalsh of the ends
         odd, even = _large_shape(20), _large_shape(21)
         calls = []
         for name in ("eigvalsh", "eigh"):
@@ -472,7 +510,7 @@ class TestCertificates:
         assert calls == []
         assert check(even).solvable
         monkeypatch.undo()
-        assert calls == [("eigh", (80, 80)), ("eigh", (8, 8)), ("eigvalsh", (2, 8, 8))]
+        assert calls == [("eigh", (8, 8)), ("eigvalsh", (2, 8, 8))]
         for check_fn, reference, seq in ((check_odd, reference_check_odd, odd),
                                          (check_even, reference_check_even, even)):
             assert _outcome(check_fn, seq) == _outcome(reference, seq)
