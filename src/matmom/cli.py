@@ -13,6 +13,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -34,6 +35,12 @@ class _UsageError(ValidationError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern for a negative number has no exponent, so it
+        # takes "--a -1e-3" for two options; subcommand parsers are _Parsers too
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     # argparse exits with status 2 on usage errors; the exit-code contract
     # reserves 2 for mathematical negatives, so route usage errors to 1.
     def error(self, message):

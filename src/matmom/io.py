@@ -112,8 +112,9 @@ def _load_json(path) -> dict:
         raise FileFormatError(
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"
         ) from exc
-    except ValueError as exc:
-        # an integer literal longer than Python's limit for converting text
+    except (ValueError, RecursionError) as exc:
+        # an integer literal longer than Python's limit for converting text,
+        # or arrays and objects nested deeper than the parser's recursion
         raise FileFormatError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top-level value must be an object")

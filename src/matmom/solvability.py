@@ -157,18 +157,19 @@ def _report(case: str, conditions: tuple[Condition, ...], **kwargs) -> Solvabili
     return SolvabilityReport(not failed, case, conditions, failed, **kwargs)
 
 
-def _psd_condition(name: str, matrix: np.ndarray) -> Condition:
-    """The PSD condition on ``matrix``: passed on a Cholesky certificate,
-    with its numbers deferred (:func:`_certified_condition`), and otherwise
-    judged on its eigenvalues alone.
+def _psd_conditions(names: tuple[str, ...], stack: np.ndarray) -> tuple[Condition, ...]:
+    """The PSD conditions ``names`` on the matrices of a ``(k, n, n)``
+    ``stack``: all passed on one Cholesky certificate of the stack, with
+    their numbers deferred (:func:`_certified_condition`), and otherwise
+    each judged on its eigenvalues alone, from one stacked ``eigvalsh``.
 
-    ``matrix`` is finite and exactly Hermitian: S_0 as :func:`check_l0`
+    Each matrix is finite and exactly Hermitian: S_0 as :func:`check_l0`
     validated it, or a block Hankel matrix built from validated moments, so
     it is not scanned again.
     """
-    if certified(matrix):
-        return _certified_condition(name, matrix)
-    return _psd_condition_eig(name, np.linalg.eigvalsh(matrix))
+    if certified(stack):
+        return tuple(map(_certified_condition, names, stack))
+    return tuple(map(_psd_condition_eig, names, np.linalg.eigvalsh(stack)))
 
 
 def _certified_condition(name: str, matrix: np.ndarray) -> Condition:
@@ -255,35 +256,6 @@ def _kernel_condition(space: GramSpace) -> Condition:
                      float(np.sqrt(RANK_TOL)), residual)
 
 
-def _cdfk_conditions(seq: MomentSequence) -> tuple[Condition, ...]:
-    """The PSD conditions of the theorem's pair: on the moment matrix and
-    Gamma-tilde when l = 2d; on the H pair when l = 2d+1, certified together
-    by one stacked Cholesky or else factored by one stacked ``eigvalsh``."""
-    if seq.l < 1:
-        raise ValidationError("the pair criterion requires at least two moments (l >= 1)")
-    if seq.l % 2 == 0:
-        d = seq.l // 2
-        return (
-            _psd_condition("Gamma PSD", build_gamma(seq, d)),
-            _psd_condition("GammaTilde PSD", build_gamma_tilde(seq, d)),
-        )
-    pair = _h_pair(seq, (seq.l - 1) // 2)
-    if certified(pair):
-        return (_certified_condition("H PSD", pair[0]),
-                _certified_condition("HTilde PSD", pair[1]))
-    spectra = np.linalg.eigvalsh(pair)
-    return (
-        _psd_condition_eig("H PSD", spectra[0]),
-        _psd_condition_eig("HTilde PSD", spectra[1]),
-    )
-
-
-def check_cdfk(seq: MomentSequence) -> bool:
-    """PSD of the applicable block Hankel pair: ``check(seq).solvable`` for
-    l >= 1."""
-    return all(c.passed for c in _cdfk_conditions(seq))
-
-
 @_per_sequence
 def check_odd(seq: MomentSequence) -> SolvabilityReport:
     """Solvability for an odd number of prescribed moments (l = 2d, d >= 1):
@@ -306,7 +278,7 @@ def check_odd(seq: MomentSequence) -> SolvabilityReport:
     space = gram_space_from_eig(seq, build_gamma(seq, d))
     conditions = (
         _gamma_condition("Gamma PSD", space.gram, space.decided_spectrum),
-        _psd_condition("GammaTilde PSD", build_gamma_tilde(seq, d)),
+        *_psd_conditions(("GammaTilde PSD",), build_gamma_tilde(seq, d)[None]),
     )
     return _report("odd", conditions, diagnostics=(_kernel_condition(space),), space=space)
 
@@ -350,7 +322,7 @@ def check_even(seq: MomentSequence) -> SolvabilityReport:
     gtilde = _hankel(blocks, d)
     if not blocks_finite:
         _finite_blocks(gtilde, "GammaTilde")
-    conditions = _cdfk_conditions(seq)
+    conditions = _psd_conditions(("H PSD", "HTilde PSD"), _h_pair(seq, d))
     y_vectors, y_spectrum = _gram_vectors(gtilde)
     diagnostics = [_gamma_condition("GammaTilde PSD", gtilde, y_spectrum)]
     even_case = None
@@ -395,7 +367,7 @@ def check_even(seq: MomentSequence) -> SolvabilityReport:
 
 def check_l0(s0) -> SolvabilityReport:
     """Solvability with only S_0 prescribed: S_0 PSD."""
-    return _report("l0", (_psd_condition("S0 PSD", require_hermitian(s0, name="S_0")),))
+    return _report("l0", _psd_conditions(("S0 PSD",), require_hermitian(s0, name="S_0")[None]))
 
 
 def check(seq: MomentSequence) -> SolvabilityReport:
@@ -404,3 +376,10 @@ def check(seq: MomentSequence) -> SolvabilityReport:
     if l == 0:
         return check_l0(seq.moments[0])
     return check_odd(seq) if l % 2 == 0 else check_even(seq)
+
+
+def check_cdfk(seq: MomentSequence) -> bool:
+    """The block Hankel pair's verdict, ``check(seq).solvable``, for l >= 1."""
+    if seq.l < 1:
+        raise ValidationError("the pair criterion requires at least two moments (l >= 1)")
+    return check(seq).solvable

@@ -28,6 +28,7 @@ from matmom.cli import main
 from matmom.io import (
     FileFormatError,
     format_float,
+    read_matrix_param,
     read_measure,
     read_problem,
     write_measure,
@@ -466,6 +467,23 @@ class TestSolveCommand:
         assert main(["solve", path, "--param-k", str(k_path),
                      "--out", str(out_path)]) == 0
 
+    @pytest.mark.parametrize("scalar, param, what", [
+        ("--scalar-k", "--param-k", "the extension parameter"),
+        ("--scalar-t", "--param-t", "the moment-interval parameter"),
+    ])
+    def test_scalar_and_file_for_one_parameter_exit_one(self, tmp_path, capsys,
+                                                         symmetric_problem, scalar, param,
+                                                         what):
+        k = tmp_path / "k.json"
+        k.write_text('{"matrix": [[[0.5, 0.0]]]}')
+        out = tmp_path / "m.json"
+        assert main(["solve", symmetric_problem, scalar, "0.5", param, str(k),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert err == f"error: give either a scalar or a file for {what}, not both\n"
+        assert not out.exists()
+
     def test_wrong_parameter_dimension_exits_one(self, tmp_path):
         path = write_scalar_problem(tmp_path / "p.json", 0, 1, [1, 0.5, 1 / 3])
         k_path = tmp_path / "k.json"
@@ -562,6 +580,17 @@ class TestGenCommand:
         assert "S_4 has entries too large to symmetrize" in proc.stderr
         assert not out.exists()
 
+    def test_negative_endpoint_in_scientific_notation(self, tmp_path, capsys):
+        # argparse's own pattern for negative numbers has no exponent
+        out = tmp_path / "p.json"
+        assert main(["gen", "--seed", "7", "--N", "2", "--atoms", "3", "--a", "-1e-3",
+                     "--b", "2e-3", "--l", "5", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["a"] == -0.001
+        assert main(["check", str(out)]) == 0
+        # an unknown option is still refused
+        assert main(["gen", "--seed", "7", "--bogus", "--out", str(out)]) == 1
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
     def test_negative_seed_exits_one(self, tmp_path, capsys):
         out = tmp_path / "p.json"
         assert main(["gen", "--seed", "-1", "--out", str(out)]) == 1
@@ -588,7 +617,7 @@ class TestUsage:
         assert main(["solve"]) == 1
         assert capsys.readouterr().err == first
 
-    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "abc"])
     def test_tol_must_be_finite_and_non_negative(self, tmp_path, capsys,
                                                  symmetric_problem, tol):
         # a usage error (1), not a failed verification (2), found while
@@ -745,6 +774,38 @@ class TestFileValidation:
         path.write_text('{"a": 1.0, "b": 0.0, "N": 1, "moments": [[[[1.0, 0.0]]]]}')
         with pytest.raises(FileFormatError):
             read_problem(path)
+
+    @pytest.mark.parametrize("reader, text, message", [
+        (read_problem, "[1]", "top-level value must be an object"),
+        (read_problem, '{"a": "0", "b": 1, "N": 1, "moments": [[[[1, 0]]]]}',
+         "key 'a' has wrong type"),
+        (read_problem, '{"a": 0, "b": 1, "N": 0, "moments": [[[[1, 0]]]]}',
+         "N must be a positive integer"),
+        (read_problem, '{"a": 0, "b": 1, "N": 1, "moments": []}',
+         "moments array must be nonempty"),
+        (read_measure, '{"a": 0, "b": 1, "N": 1, "atoms": [1]}', "atoms[0] must be an object"),
+        (read_matrix_param, '{"matrix": []}', "matrix must be a nonempty list of rows"),
+    ], ids=["top level", "key type", "N", "moments", "atom", "matrix parameter"])
+    def test_document_rejected(self, tmp_path, reader, text, message):
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        with pytest.raises(FileFormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            reader(path)
+
+    @pytest.mark.parametrize("name", ["p.json", "m.json", "k.json"])
+    def test_nesting_past_the_recursion_limit(self, tmp_path, capsys, symmetric_problem,
+                                              name):
+        # json.loads gives up on arrays nested deeper than Python's recursion
+        path = tmp_path / name
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        argv = {"p.json": ["check", str(path)],
+                "m.json": ["verify", str(path), symmetric_problem],
+                "k.json": ["solve", symmetric_problem, "--param-k", str(path),
+                           "--out", str(tmp_path / "out.json")]}[name]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert err.startswith(f"error: {path}: maximum recursion depth exceeded")
 
     def test_measure_atoms_canonicalized_on_read(self, tmp_path):
         path = tmp_path / "m.json"

@@ -26,6 +26,7 @@ from matmom import (
     qmu,
     solve_odd,
 )
+from matmom.extensions import Z_MARGIN
 
 from helpers import (
     defect_support_basis,
@@ -490,6 +491,10 @@ class TestQmu:
         lam = lebesgue_interval.mu_eig.eigenvalues[-1]
         with pytest.raises(ValidationError):
             qmu(lebesgue_interval, lam + 1e-10)
+        # off the real axis, so only the distance to the spectrum refuses it
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"is within {Z_MARGIN:.1e} of the spectrum")):
+            qmu(lebesgue_interval, lam + 0.5j * Z_MARGIN)
 
 
 class TestGeneralizedResolvent:
@@ -652,6 +657,12 @@ class TestCompletionNormGuard:
     def test_non_finite_q_is_rejected(self, value):
         with pytest.raises(ValidationError, match="Q contains non-finite entries"):
             extremal_completions(np.zeros((1, 1)), [[value]])
+
+    @pytest.mark.parametrize("q", [np.zeros((2, 2)), np.zeros(1)], ids=["2x2", "1-d"])
+    def test_q_needs_one_column_per_row_of_p(self, q):
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"Q must have 1 columns, got shape {q.shape}")):
+            extremal_completions(np.zeros((1, 1)), q)
 
     def test_negative_defect_is_numerical(self, monkeypatch, lebesgue_interval):
         # swapped completions pass the tests on the eigenbasis of P, and

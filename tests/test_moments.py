@@ -96,6 +96,8 @@ class TestBuilders:
             build_h_pair(seq, 1)
         with pytest.raises(ValidationError):
             build_gamma_hat(seq, 2)
+        with pytest.raises(ValidationError, match=r"^insufficient moments for order k=2"):
+            build_gamma_tilde(seq, 2)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3))
@@ -397,6 +399,20 @@ class TestMeasureCanonicalization:
             measure_from_atoms(0, 1, [0.1, 0.2, 0.3], [np.eye(1), np.eye(1)])
         with pytest.raises(ValidationError, match="inconsistent shapes"):
             measure_from_atoms(0, 1, [0.1], [np.eye(1), np.eye(1)])
+        with pytest.raises(ValidationError, match="^weights must be 3x3$"):
+            measure_from_atoms(0, 1, [0.1], [np.eye(2)], N=3)
+
+    @pytest.mark.parametrize("positions, weights, message", [
+        ([[0.1]], np.ones((1, 1, 1)), "atom arrays have inconsistent shapes"),
+        ([0.1], np.ones((2, 1, 1)), "atom arrays have inconsistent shapes"),
+        ([0.1], np.ones((1, 2, 2)), "weights must be 1x1"),
+        ([0.3, 0.2], np.ones((2, 1, 1)), "atom positions must be strictly increasing"),
+        ([0.2, 0.2], np.ones((2, 1, 1)), "atom positions must be strictly increasing"),
+    ])
+    def test_constructor_rejects(self, positions, weights, message):
+        # the constructor takes atoms as they are, without canonicalizing them
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            DiscreteMatrixMeasure(0.0, 1.0, 1, np.array(positions), weights)
 
     @pytest.mark.parametrize("positions, scale, what", [
         ([0.1, 0.2], [np.nan, 1.0], "atom 0 has a non-finite weight"),
@@ -493,6 +509,8 @@ class TestMomentSequence:
             MomentSequence(0.0, 1.0, (np.array([[0.0, 1.0], [0.0, 0.0]]),))
         with pytest.raises(ValidationError):
             MomentSequence(0.0, 1.0, (np.eye(2), np.eye(3)))
+        with pytest.raises(ValidationError, match="^block size N must be positive$"):
+            MomentSequence(0.0, 1.0, (np.zeros((0, 0)),))
 
     def test_symmetrization_overflow_is_rejected(self):
         # (S + S*)/2 of 1e308 once stored inf+nanj; entries whose

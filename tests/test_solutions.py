@@ -46,8 +46,10 @@ from matmom.solutions import (
     SOLVE_VERIFY_TOL,
     SpectralData,
     VerificationReport,
+    _extension_interval,
     _measure_from_spectrum,
     _solve,
+    _with_next_moment,
     spectral_data,
 )
 
@@ -767,8 +769,8 @@ class TestCheckReuse:
     else changes.
 
     A check's body is counted by a step only the body runs
-    (``gram_space_from_eig`` for check_odd, ``_cdfk_conditions`` for
-    check_even), not by the check itself, which a slot may answer."""
+    (``gram_space_from_eig`` for check_odd, ``_h_pair`` for check_even),
+    not by the check itself, which a slot may answer."""
 
     def test_check_then_solve_odd_factors_gamma_once(self, monkeypatch):
         # rank 6 of 8: Gamma takes one eigvalsh and one eigh, in one check body
@@ -805,7 +807,7 @@ class TestCheckReuse:
 
     def test_check_then_solve_even_checks_once(self, monkeypatch):
         seq = moments_of(gen_random_measure(3, 2, 3, -1.0, 1.5), 5)
-        bodies = _count_calls(monkeypatch, "_cdfk_conditions", matmom.solvability)
+        bodies = _count_calls(monkeypatch, "_h_pair", matmom.solvability)
         report = check(seq)
         solve_even(seq, t=0.3, k=0.5)
         assert len(bodies) == 1
@@ -850,7 +852,7 @@ class TestCheckReuse:
             assert matmom.solutions._odd_interval.slot is None
         assert len(bodies) == 1
         even = scalar_seq(0, 1, [1, 2])
-        bodies = _count_calls(monkeypatch, "_cdfk_conditions", matmom.solvability)
+        bodies = _count_calls(monkeypatch, "_h_pair", matmom.solvability)
         for _ in range(3):
             with pytest.raises(Unsolvable):
                 solve_even(even)
@@ -956,6 +958,24 @@ class TestSolveEven:
     def test_invalid_parameter(self):
         with pytest.raises(ValidationError):
             solve_even(scalar_seq(0, 1, [1, 0.5]), t=-0.5)
+
+    def test_defect_is_twice_one_minus_t(self):
+        # on the moments of (d + 2) N atoms or more, the interval that
+        # solve_even builds at T = t I has the defect C_R = 2 (1 - t) I, the
+        # block Gauss-Radau identity, to rounding that grows with cond Gamma_d
+        intervals = [(0.0, 1.0), (-1.0, 1.0), (-2.0, 3.0)]
+        for g in range(0, 1500, 5):
+            rng = np.random.default_rng(g)
+            n, d = int(rng.integers(1, 4)), int(rng.integers(0, 4))
+            atoms = (d + 2) * n + int(rng.integers(0, 4))
+            a, b = intervals[int(rng.integers(0, 3))]
+            seq = moments_of(gen_random_measure(g, n, atoms, a, b), 2 * d + 1)
+            report = check_even(seq)
+            bound = 1e-13 * max(1.0, np.linalg.cond(build_gamma(seq, d)))
+            for t in (0.1, 0.5, 0.9):
+                c_r = _extension_interval(_with_next_moment(seq, report, t)[1]).C_R
+                assert c_r.shape == (n, n)
+                assert np.abs(c_r - 2.0 * (1.0 - t) * np.eye(n)).max() <= bound
 
     def test_one_solvability_check(self, monkeypatch):
         calls = Counter()

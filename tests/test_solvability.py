@@ -35,8 +35,8 @@ from matmom.linalg import PSD_TOL, certified, herm_part, psd_ok, rank_keep
 from matmom.solvability import (
     CONSISTENCY_TOL,
     Condition,
-    _psd_condition,
     _psd_condition_eig,
+    _psd_conditions,
 )
 
 from helpers import (
@@ -524,8 +524,9 @@ class TestCertificates:
 
     def test_deferred_condition_is_the_judged_one(self):
         m = random_psd(np.random.default_rng(5), 20)
-        cond = _psd_condition("GammaTilde PSD", m)
-        assert cond.passed and "quantity" not in vars(cond) and not m.flags.writeable
+        (cond,) = _psd_conditions(("GammaTilde PSD",), m[None])
+        assert cond.passed and "quantity" not in vars(cond)
+        assert not cond._matrix.flags.writeable and np.array_equal(cond._matrix, m)
         unread = pickle.loads(pickle.dumps(cond))
         judged = _psd_condition_eig("GammaTilde PSD", np.linalg.eigvalsh(m))
         # equality, the hash and repr read the numbers as fields
@@ -568,6 +569,14 @@ class TestCheckCdfk:
     def test_requires_l_at_least_one(self):
         with pytest.raises(ValidationError):
             check_cdfk(scalar_seq(0, 1, [1]))
+
+    def test_reads_the_checks_report(self):
+        # the verdict of the report that check stores for the sequence
+        for seq, checker in ((scalar_seq(0, 1, [1, 2]), check_even),
+                             (scalar_seq(-1, 1, [1, 0, 1]), check_odd)):
+            verdict = check_cdfk(seq)
+            report = checker.slot[-1]
+            assert report is check(seq) and verdict == report.solvable
 
 
 class TestNecessity:
