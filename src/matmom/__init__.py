@@ -9,7 +9,6 @@ Hermitian contraction built from the moment data.
 from .errors import (
     MatmomError,
     NumericalInconsistency,
-    OperatorIllDefined,
     Unsolvable,
     ValidationError,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "MatmomError",
     "MomentSequence",
     "NumericalInconsistency",
-    "OperatorIllDefined",
     "SolvabilityReport",
     "SpectralData",
     "Unsolvable",

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A solve raises ``Unsolvable`` only through the verdict of its solvability
+check (the block Hankel pair, or S_0 PSD at l = 0).  Once that verdict has
+passed, any failure of the construction or of the solve's own verification
+is a ``NumericalInconsistency``, never a verdict on the data.
+"""
 
 
 class MatmomError(Exception):
@@ -11,16 +17,6 @@ class ValidationError(MatmomError, ValueError):
 
 class Unsolvable(MatmomError):
     """The given moment data admits no representing measure."""
-
-
-class OperatorIllDefined(Unsolvable):
-    """The shift operator is not well defined on the Gram space.
-
-    Raised when the domain vectors have a kernel direction that the shifted
-    vectors do not annihilate: the kernel-inclusion diagnostic of the
-    odd-case check fails.  The solves raise ``NumericalInconsistency`` in
-    its place, since their check's verdict has passed.
-    """
 
 
 class NumericalInconsistency(MatmomError):

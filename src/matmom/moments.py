@@ -446,12 +446,10 @@ def gen_random_measure(seed: int, N: int, num_atoms: int, a: float,
     a random complex N x N factor G, hence PSD of full rank almost surely.
     The result is a deterministic function of the seed.
     """
-    if num_atoms < 1:
-        raise ValidationError("num_atoms must be at least 1")
-    if N < 1:
-        raise ValidationError("N must be at least 1")
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    for name, value, low in (("num_atoms", num_atoms, 1), ("N", N, 1), ("seed", seed, 0)):
+        if not (isinstance(value, (int, np.integer)) and value >= low):
+            kind = "a positive" if low else "a non-negative"
+            raise ValidationError(f"{name} must be {kind} integer, got {value!r}")
     a, b = _check_interval(a, b)
     rng = np.random.default_rng(seed)
     pos = rng.uniform(a, b, size=num_atoms)

@@ -3,24 +3,24 @@
 The order-d moment matrix, being PSD, is the Gram matrix of vectors
 x_0..x_{(d+1)N-1} in an r-dimensional inner-product space (r its numerical
 rank).  On the span of the first dN vectors, the shift x_k -> x_{k+N} is a
-well-defined linear operator exactly when the solvability kernel condition
-holds, and rescaling it affinely to the reference interval [-1, 1] yields a
-Hermitian contraction.  This module builds concrete matrices for all of it,
-in orthonormal coordinates of the space, domain first and its orthogonal
-complement (the defect space) after: the compression P of the contraction
-to the domain, its component Q into the complement, and the coordinates of
-the first N vectors.  A Cholesky certificate
-(:func:`~matmom.linalg.certified`) proves full rank with no eigensolve;
-only when it fails does the spectrum of the moment matrix decide its rank.
-A space of full rank takes the upper Cholesky factor R of conj(Gamma) as
-its vectors, which are already its Gram-Schmidt coordinates.  There P is
-the truncated block Jacobi matrix, block tridiagonal, and Q reaches only its
-last block, so both are formed from the N x N blocks of R, with no
-factorization of R and no dN x dN inverse.  A rank-deficient space takes
-eigen-scaled vectors, and the domain SVD that decides kernel inclusion gives
-its coordinates and its P and Q.  One rule (:func:`_gram_vectors`)
-factors the moment matrix and the corner block that extends an even
-problem's space by one order.
+well-defined linear operator exactly when kernel inclusion holds, which the
+solvability verdict implies, and rescaling it affinely to the reference
+interval [-1, 1] yields a Hermitian contraction.  This module builds
+concrete matrices for all of it, in orthonormal coordinates of the space,
+domain first and its orthogonal complement (the defect space) after: the
+compression P of the contraction to the domain, its component Q into the
+complement, and the coordinates of the first N vectors.  A Cholesky
+certificate (:func:`~matmom.linalg.certified`) proves full rank with no
+eigensolve; only when it fails does the spectrum of the moment matrix
+decide its rank.  A space of full rank takes the upper Cholesky factor R of
+conj(Gamma) as its vectors, which are already its Gram-Schmidt
+coordinates.  There P is the truncated block Jacobi matrix, block
+tridiagonal, and Q reaches only its last block, so both are formed from the
+N x N blocks of R, with no factorization of R and no dN x dN inverse.  A
+rank-deficient space takes eigen-scaled vectors, and the domain SVD gives
+its coordinates and its P and Q.  One rule (:func:`_gram_vectors`) factors
+the moment matrix and the corner block that extends an even problem's space
+by one order.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalInconsistency, OperatorIllDefined, ValidationError
+from .errors import NumericalInconsistency, ValidationError
 from .linalg import RANK_TOL, certified, herm_part, opnorm, psd_ok, rank_keep
 from .moments import MomentSequence, build_gamma
 
@@ -61,8 +61,8 @@ class GramSpace:
     caller that goes on writing to one, or to the array it views, passes a
     copy, since the spectrum read later must be that of the ``gram`` the
     rank was decided on.  What is derived from the vectors (the spectrum,
-    the norm, the domain SVD, the domain rank and kernel-inclusion
-    residual) is computed once per space, on first use.
+    the norm, the domain SVD and the domain rank) is computed once per
+    space, on first use.
     """
 
     a: float
@@ -105,7 +105,7 @@ class GramSpace:
     def domain_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Full SVD ``(U, s, Vh)`` of the domain vectors x_0..x_{dN-1}, taken
         once per space.  Only a rank-deficient space takes it: it decides the
-        domain rank and kernel inclusion there and gives the operators' bases.
+        domain rank there and gives the operators' bases.
         A space of full rank (d+1)N needs neither, and its operators come
         from the blocks of its vectors (see :func:`build_operators`)."""
         dn = self.d * self.N
@@ -119,18 +119,14 @@ class GramSpace:
         return factors
 
     @cached_property
-    def _domain_cut(self) -> tuple[int, float]:
-        """``(p, residual)``: the domain rank p, the number of singular values
-        of the domain vectors that :func:`rank_keep` keeps, and the
-        kernel-inclusion residual ||g_shift Vh[p:]*||_2.  With p = dN the
-        residual is 0.  A space of full rank (d+1)N has p = dN without an SVD,
-        as :func:`kernel_inclusion` explains."""
-        n, dn = self.N, self.d * self.N
-        if self.rank == dn + n:
-            return dn, 0.0
-        _, sing, vh = self.domain_svd
-        p_dim = int(rank_keep(sing).sum())
-        return p_dim, opnorm(self.vectors[:, n : n + dn] @ vh[p_dim:].conj().T)
+    def _domain_rank(self) -> int:
+        """The domain rank p: the number of singular values of the domain
+        vectors that :func:`rank_keep` keeps.  A space of full rank (d+1)N
+        has p = dN without an SVD, as :func:`kernel_inclusion` explains."""
+        dn = self.d * self.N
+        if self.rank == dn + self.N:
+            return dn
+        return int(rank_keep(self.domain_svd[1]).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,9 +229,9 @@ def _extended_space(space: GramSpace, next_coords: np.ndarray,
     [0, L]], with Z = ``next_coords`` and L the :func:`_gram_vectors` of the
     PSD ``corner``, so the new block's Gram matrix is Z^T conj(Z) + corner.
     If X and L are Cholesky factors, so is the extension.  Its ``gram`` is
-    the Gram matrix the vectors realize, and its spectrum decides no rank:
-    only :attr:`GramSpace.norm` reads it, for a nonzero kernel-inclusion
-    residual, so a full-rank extension takes no eigensolve."""
+    the Gram matrix the vectors realize.  No step of the solve reads its
+    spectrum, so the extension takes no eigensolve; its domain rank, if it
+    is rank-deficient, is decided on its domain SVD."""
     low, _ = _gram_vectors(corner)
     rank, n = space.rank, space.N
     vectors = np.zeros((rank + low.shape[0], space.vectors.shape[1] + n), dtype=complex)
@@ -266,34 +262,41 @@ def kernel_inclusion(space: GramSpace) -> tuple[bool, float]:
     """Whether the shift x_k -> x_{k+N} is well defined on the domain
     vectors, and the residual that decides it.
 
+    In exact arithmetic this follows from the solvability verdict, so
+    :func:`~matmom.solvability.check_odd` reports it as a diagnostic that
+    decides nothing, and :func:`build_operators` does not ask it.
+
     The residual is ||g_shift Vh[p:]*||_2: the shifted vectors applied to the
-    kernel of the domain vectors g_dom = U diag(s) Vh, where p counts the
-    singular values kept by :func:`rank_keep`.  The vectors reproduce the
-    moment matrix only up to the eigenvalues the rank cutoff drops, each at
-    most ``RANK_TOL * lambda_max``, so they are known only up to a
-    perturbation of norm sqrt(RANK_TOL) * ||X||_2; the residual passes iff
-    it is within that bound.
+    kernel of the domain vectors g_dom = U diag(s) Vh, where p is the domain
+    rank, the number of singular values kept by :func:`rank_keep`.  The
+    vectors reproduce the moment matrix only up to the eigenvalues the rank
+    cutoff drops, each at most ``RANK_TOL * lambda_max``, so they are known
+    only up to a perturbation of norm sqrt(RANK_TOL) * ||X||_2; the residual
+    passes iff it is within that bound.
 
     With p = dN the domain vectors have no kernel and the residual is 0,
     which passes without the norm, so without the spectrum.  A space of
     full rank (d+1)N needs no SVD to know that: X is square with every
     singular value above sqrt(RANK_TOL) * ||X||_2, and the singular values
-    of its column block g_dom lie between those of X.  The residual is
-    computed once per space, so :func:`check_odd` and
-    :func:`build_operators` on the same space share it.
+    of its column block g_dom lie between those of X.
     """
-    residual = space._domain_cut[1]
+    n, dn = space.N, space.d * space.N
+    p_dim = space._domain_rank
+    if p_dim == dn:
+        return True, 0.0
+    vh = space.domain_svd[2]
+    residual = opnorm(space.vectors[:, n : n + dn] @ vh[p_dim:].conj().T)
     return residual == 0.0 or bool(residual <= np.sqrt(RANK_TOL) * space.norm), residual
 
 
 def build_operators(space: GramSpace) -> ContractionModel:
-    """Construct the shift contraction in block form.
+    """Construct the shift contraction in block form: on any space, the
+    shift compressed to the numerical range of the domain vectors.
 
-    Verifies that the shift is well defined on the domain by
-    :func:`kernel_inclusion`, whose verdict a :func:`check_odd` of the same
-    space has already computed.  Whether the block column is a contraction is
-    not judged here: :func:`~matmom.extensions.extremal_extensions` decides
-    it once.
+    Where kernel inclusion holds (see :func:`kernel_inclusion`), which a
+    passed solvability verdict implies, that is the shift itself.  Whether
+    the block column is a contraction is not judged here:
+    :func:`~matmom.extensions.extremal_extensions` decides it once.
 
     The shift maps the domain basis to T = scale * shifted @ right_inv,
     where ``shifted`` holds the coordinates of x_N..x_{N+dN-1} and
@@ -304,19 +307,12 @@ def build_operators(space: GramSpace) -> ContractionModel:
     in Gram-Schmidt coordinates, where P is block tridiagonal and Q is zero
     outside its last block column; :func:`_block_jacobi_operators` forms
     only those blocks, from R's, with no factorization of R, no SVD and no
-    inverse of the dN x dN factor.  A rank-deficient space takes the domain
-    SVD that decided kernel inclusion (:func:`_domain_svd_operators`).  P is
-    exactly Hermitian on both.  P and Q must be finite (an interval so short
-    that 2/(b - a) overflows makes them not):
-    :func:`~matmom.extensions.extremal_extensions`
-    takes them as they are.
+    inverse of the dN x dN factor.  A rank-deficient space takes its domain
+    SVD (:func:`_domain_svd_operators`).  P is exactly Hermitian on both.
+    P and Q must be finite (an interval so short that 2/(b - a) overflows
+    makes them not): :func:`~matmom.extensions.extremal_extensions` takes
+    them as they are.
     """
-    passed, residual = kernel_inclusion(space)
-    if not passed:
-        raise OperatorIllDefined(
-            f"shift operator is ill-defined: residual {residual:.3e} "
-            "(kernel-inclusion condition fails)"
-        )
     scale = 2.0 / (space.b - space.a)
     shift = (space.a + space.b) / (space.b - space.a)
     if space.rank == space.vectors.shape[1]:
@@ -386,14 +382,13 @@ def _domain_svd_operators(space: GramSpace, scale: float, shift: float):
     The space's one SVD ``g_dom = U diag(s) Vh`` of the domain vectors
     serves every step.  The p singular values kept by the rank cutoff (``s >
     RANK_TOL * s_max``, the rule of ``numpy.linalg.pinv``), counted once per
-    space with the kernel-inclusion residual, split the columns of U, with
-    pinned phases, into the domain basis ``B[:, :p]`` and the defect basis
-    ``B[:, p:]``: the model's coordinates.  The right inverse
+    space, split the columns of U, with pinned phases, into the domain basis
+    ``B[:, :p]`` and the defect basis ``B[:, p:]``: the model's coordinates.  The right inverse
     ``Vh[:p]* diag(phase / s[:p])`` maps g_dom onto the domain basis.
     """
     n, dn = space.N, space.d * space.N
     u_full, sing, vh = space.domain_svd
-    p_dim = space._domain_cut[0]
+    p_dim = space._domain_rank
     phase = _column_phases(u_full)
     coords = (u_full * phase).conj().T @ space.vectors[:, : n + dn]
     right_inv = vh[:p_dim].conj().T * (phase[:p_dim] / sing[:p_dim])

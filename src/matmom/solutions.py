@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalInconsistency, OperatorIllDefined, Unsolvable, ValidationError
+from .errors import NumericalInconsistency, Unsolvable, ValidationError
 from .extensions import (
     ExtensionInterval,
     _resolvent_forms,
@@ -179,12 +179,14 @@ def solve_odd(seq: MomentSequence, k=0.5) -> DiscreteMatrixMeasure:
 
     Returns a canonical discrete matrix measure whose moments reproduce the
     input sequence within ``SOLVE_VERIFY_TOL``, checked by :func:`verify`
-    on every call.  A verification failure, or a shift operator found
-    ill-defined after the solvability check passed, raises
-    ``NumericalInconsistency``.  A :func:`check_odd` just run on the same
-    ``seq`` object is reused, and solving that object again, at any ``k``,
-    reuses its check, Gram space, operators and extreme extensions; ``k`` is
-    validated and the result verified on every call.
+    on every call.  Only the check's verdict raises ``Unsolvable``; its
+    kernel-inclusion diagnostic is not asked again.  After a passed
+    verdict, a block column [P; Q] that is no contraction, or a measure
+    that fails verification, raises ``NumericalInconsistency``.  A
+    :func:`check_odd` just run on the same ``seq`` object is reused, and
+    solving that object again, at any ``k``, reuses its check, Gram space,
+    operators and extreme extensions; ``k`` is validated and the result
+    verified on every call.
     """
     return _solve(seq, k)[0]
 
@@ -245,7 +247,7 @@ def _odd_interval(seq: MomentSequence) -> ExtensionInterval:
     factors and extends it once.  An unsolvable or inconsistent problem
     raises and stores nothing.
     """
-    # an odd problem reuses the Gram space its check decided kernel inclusion on
+    # an odd problem reuses the Gram space its check decided the rank of
     return _extension_interval(_require_solvable(check_odd(seq)).space)
 
 
@@ -261,13 +263,7 @@ def _require_solvable(report: SolvabilityReport) -> SolvabilityReport:
 def _extension_interval(space: GramSpace) -> ExtensionInterval:
     """Operators and extreme extensions on the Gram space ``space`` of an
     odd problem, which a passed solvability check decided."""
-    try:
-        model = build_operators(space)
-    except OperatorIllDefined as exc:
-        # the check (not repeated on an even problem's extension) holds, so
-        # two numerical tests of one property disagree: not a verdict on the data
-        raise NumericalInconsistency(f"solvability check passed, but {exc}") from exc
-    return extremal_extensions(model)
+    return extremal_extensions(build_operators(space))
 
 
 def _with_next_moment(seq: MomentSequence, report: SolvabilityReport,
@@ -294,9 +290,7 @@ def solve_l0(s0, a: float, b: float) -> DiscreteMatrixMeasure:
     problem; the canonical atomic representative puts all of S_0 at the
     midpoint of [a, b].
     """
-    report = check_l0(s0)
-    if not report.solvable:
-        raise Unsolvable("S_0 is not positive semidefinite")
+    _require_solvable(check_l0(s0))
     s0 = np.asarray(s0, dtype=complex)
     return measure_from_atoms(a, b, [0.5 * (a + b)], [s0], N=s0.shape[0])
 
@@ -366,8 +360,8 @@ def stieltjes_perron_recover(interval: ExtensionInterval, k=0.5, *,
     ``NumericalInconsistency``, as in
     :func:`~matmom.extensions.generalized_resolvent`.
     """
-    if eps <= 0 or step <= 0:
-        raise ValidationError("eps and step must be positive")
+    if not (0 < eps < np.inf and 0 < step < np.inf):
+        raise ValidationError("eps and step must be positive and finite")
     n = interval.model.space.N
     kk = as_unit_interval_param(k, interval.def_dim, name="extension parameter")
     empty = measure_from_atoms(-1.0, 1.0, [], np.zeros((0, n, n)), N=n)

@@ -17,8 +17,9 @@ when l = 2d (decided by :func:`matmom.operator_model.kernel_inclusion`);
 Gamma-tilde_d PSD, the consistency of two block linear systems and a
 nonempty interval for the next moment when l = 2d+1.  A diagnostic that
 fails on a solvable problem is a rounding error, not a verdict: the solve
-that needs it raises ``NumericalInconsistency``, or its own verification
-of the solved measure does.
+does not ask it again, and if the construction is off, the solve's own
+checks raise ``NumericalInconsistency``, its verification of the solved
+measure last.
 """
 
 from __future__ import annotations
@@ -261,10 +262,10 @@ def check_odd(seq: MomentSequence) -> SolvabilityReport:
     """Solvability for an odd number of prescribed moments (l = 2d, d >= 1):
     Gamma_d and Gamma-tilde_d PSD, with kernel inclusion as the diagnostic.
 
-    The report carries the Gram space of the moment matrix that kernel
-    inclusion was decided on, for :func:`build_operators`, which reads that
-    decision instead of repeating it.  A repeated call on the same sequence
-    object returns the stored report; :func:`solve_odd` relies on this.
+    The report carries the Gram space of the moment matrix, its rank
+    decided, for :func:`build_operators`, which decides nothing about it
+    again.  A repeated call on the same sequence object returns the stored
+    report; :func:`solve_odd` relies on this.
     """
     if seq.l % 2 != 0 or seq.l < 2:
         raise ValidationError(
@@ -272,7 +273,7 @@ def check_odd(seq: MomentSequence) -> SolvabilityReport:
         )
     d = seq.l // 2
     # one rule gives Gamma's PSD verdict and the route to the Gram vectors
-    # that kernel inclusion is decided on: a Cholesky factor when a
+    # that the solve builds on: a Cholesky factor when a
     # certificate or the spectrum keeps every eigenvalue, eigen-scaled
     # eigenvectors from eigh otherwise
     space = gram_space_from_eig(seq, build_gamma(seq, d))

@@ -419,8 +419,8 @@ class TestSolveCommand:
             assert err.startswith("error: ") and "residual" in err
 
     def test_check_and_solve_agree_past_old_frontier(self, tmp_path):
-        # check and solve decide kernel inclusion by one rule: an instance
-        # that check accepts solves and verifies
+        # check reports kernel inclusion and solve does not decide it
+        # again: an instance that check accepts solves and verifies
         path, out = str(tmp_path / "p.json"), str(tmp_path / "m.json")
         assert main(["gen", "--seed", "0", "--N", "1", "--atoms", "60", "--a", "-1",
                      "--b", "1", "--l", "40", "--out", path]) == 0

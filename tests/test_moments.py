@@ -342,6 +342,12 @@ class TestGenRandomMeasure:
         with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
             gen_random_measure(seed, 1, 1, 0.0, 1.0)
 
+    @pytest.mark.parametrize("n, atoms, name", [(2.0, 3, "N"), (1, 3.0, "num_atoms"),
+                                                (None, 3, "N"), (1, "3", "num_atoms")])
+    def test_sizes_must_be_positive_integers(self, n, atoms, name):
+        with pytest.raises(ValidationError, match=f"{name} must be a positive integer"):
+            gen_random_measure(0, n, atoms, 0.0, 1.0)
+
 
 class TestMeasureCanonicalization:
     def test_sorting(self):

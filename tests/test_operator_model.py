@@ -9,7 +9,6 @@ import matmom.solvability
 from matmom import (
     GramSpace,
     MomentSequence,
-    OperatorIllDefined,
     ValidationError,
     build_gamma,
     build_gamma_tilde,
@@ -90,10 +89,14 @@ class TestBuildOperators:
 
     def test_ill_defined_shift(self):
         # zero mass with nonzero second moment: the domain vector vanishes
-        # while the shifted vector does not
+        # while the shifted vector does not, so kernel inclusion fails; the
+        # operators are still the shift compressed to the domain's numerical
+        # range, here the empty domain, and deciding is left to the check
         space = build_gram_space(scalar_seq(-1, 1, [0, 0, 1]))
-        with pytest.raises(OperatorIllDefined):
-            build_operators(space)
+        assert kernel_inclusion(space) == (False, 1.0)
+        model = build_operators(space)
+        assert (model.dom_dim, model.def_dim) == (0, 1)
+        assert np.isfinite(model.P).all() and np.isfinite(model.Q).all()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_contraction_column(self, seed):
@@ -231,17 +234,17 @@ class TestOneSvdOperators:
         # the vectors are known up to the eigenvalues the rank cutoff drops,
         # each at most RANK_TOL * lambda_max(Gamma) = RANK_TOL * ||X||^2
         ill = residual > np.sqrt(RANK_TOL) * np.linalg.norm(space.vectors, 2)
-        if ill:
-            with pytest.raises(OperatorIllDefined):
-                build_operators(bent)
-        else:
-            build_operators(bent)
+        assert kernel_inclusion(bent)[0] == (not ill)
+        # the operators do not decide it: they are formed either way
+        model = build_operators(bent)
+        assert np.isfinite(model.P).all() and np.isfinite(model.Q).all()
 
     @pytest.mark.parametrize("case", [0, 1, 2, 3])
     @pytest.mark.parametrize("eps", [1e-12, 1e-8, 1e-4, 1e-1])
     def test_check_odd_kernel_verdict_matches_operators(self, case, eps, monkeypatch):
-        # check_odd decides kernel inclusion on the space it builds; handed
-        # the perturbed space, its verdict must be build_operators' verdict
+        # check_odd reports kernel inclusion on the space it builds; handed
+        # the perturbed space, its diagnostic is kernel_inclusion's verdict,
+        # and build_operators forms finite operators on that space either way
         space, bent = self._bent_space(case, eps)
         make, d = ONE_SVD_CASES[case]
         monkeypatch.setattr(matmom.solvability, "gram_space_from_eig",
@@ -249,12 +252,9 @@ class TestOneSvdOperators:
         report = check_odd(moments_of(make(), 2 * d))
         assert report.space is bent
         (kernel,) = report.diagnostics
-        try:
-            build_operators(bent)
-            raised = False
-        except OperatorIllDefined:
-            raised = True
-        assert kernel.passed == (not raised)
+        assert (kernel.passed, kernel.value) == kernel_inclusion(bent)
+        model = build_operators(bent)
+        assert np.isfinite(model.P).all() and np.isfinite(model.Q).all()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_full_rank_space_needs_no_svd(self, seed, monkeypatch):
